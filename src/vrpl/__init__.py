@@ -27,10 +27,12 @@ from .config import (
     resolve_scenario,
 )
 from .leakage import (
+    ZONE_KINDS,
     CaseLeakageProfile,
     ErrorInference,
     ErrorRange,
     InferenceKind,
+    LeakageArrays,
     LeakageResult,
     MinProbComparison,
     Monotonicity,
@@ -42,13 +44,16 @@ from .leakage import (
     error_range_for_requirement,
     full_leak_error_range,
     infer_error_from_qoe,
+    infer_error_from_qoe_vec,
     leak_prob_from_error,
+    leak_prob_from_error_vec,
     leak_prob_from_qoe,
+    leak_prob_from_qoe_vec,
     min_leak_prob_error,
     min_leak_prob_qoe,
     min_prob_comparison,
 )
-from .qoe import OverlapCase, classify, qoe
+from .qoe import CASES, OverlapCase, classify, classify_vec, qoe, qoe_vec
 from .resources import (
     ChannelConfig,
     ResourceConfig,

@@ -22,7 +22,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .leakage import ErrorRange, PrivacyRequirement, RangeKind, error_range_for_requirement
+from .leakage import (
+    ErrorRange,
+    PrivacyRequirement,
+    RangeKind,
+    cap_zone,
+    error_range_for_requirement,
+)
 from .qoe import OverlapCase, _validate_fov
 from .sphere import TWO_PI, cap_overlap_area_vec
 from .traces import ErrorSample
@@ -179,13 +185,8 @@ def _sweep_point(e: np.ndarray, fov: float, eps: float, sv: float) -> SweepPoint
         OverlapCase.REMAINING: np.count_nonzero(m_rm) / n,
     }
 
-    def _cap_prob(r_z: float) -> float:
-        if r_z <= eps:
-            return 1.0
-        return (1.0 - math.cos(eps)) / (1.0 - math.cos(r_z))
-
-    prob_contained = _cap_prob(abs(sv - fov))
-    prob_far = _cap_prob(abs(math.pi - sv - fov))
+    _, prob_contained = cap_zone(fov, sv, eps, True)
+    _, prob_far = cap_zone(fov, sv, eps, False)
     e_rm = e[m_rm]
     rm_probs = np.minimum(eps / (math.pi * np.sin(e_rm)), 1.0) if e_rm.size else np.empty(0)
     components = {

@@ -9,6 +9,12 @@ Subcommands::
     resource       capability and streamed-radius from a resource budget
     validate       resolve and echo the scenario, checking every field
 
+The three sweeps evaluate their grids with the array kernels
+(`qoe_vec`, `classify_vec`, `leak_prob_from_qoe_vec`,
+`leak_prob_from_error_vec`).  Before a table is written, about
+`SELF_CHECK_ROWS` evenly spaced rows are recomputed with the scalar
+functions; a mismatch beyond `SELF_CHECK_TOL` exits with code 4.
+
 Common flags: ``--config`` (JSON scenario), ``--out`` (output directory),
 ``--format`` (csv or json tables), ``--seed`` and ``--grid`` overrides.
 The ``VRPL_THREADS`` environment variable caps sweep parallelism.
@@ -22,9 +28,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .aggregate import AggregateReport, build_report
 from .config import (
@@ -35,12 +44,15 @@ from .config import (
     resolve_scenario,
 )
 from .leakage import (
+    ZONE_KINDS,
     PrivacyRequirement,
     QoeInconsistencyError,
     leak_prob_from_error,
+    leak_prob_from_error_vec,
     leak_prob_from_qoe,
+    leak_prob_from_qoe_vec,
 )
-from .qoe import classify, qoe
+from .qoe import CASES, classify, classify_vec, qoe, qoe_vec
 from .resources import capability, mc_avg_rate, sfov_radius
 from .tables import write_csv, write_json
 from .traces import TraceFormatError, generate_synthetic_traces, load_traces, predict_all
@@ -50,6 +62,9 @@ MC_RATE_SAMPLES = 200_000
 
 #: Tolerance for the self-checks guarding emitted reports.
 SELF_CHECK_TOL = 1e-9
+
+#: Rows of each sweep table recomputed by the scalar functions before emission.
+SELF_CHECK_ROWS = 64
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -93,51 +108,102 @@ def _emit_table(args: argparse.Namespace, name: str, header: list[str], rows: li
     return path
 
 
+def _grid_pairs(outer: list[float], inner: list[float]) -> tuple[list[float], list[float]]:
+    """Every (outer, inner) grid pair, outer-major, as two columns.
+
+    The columns reuse the grids' float objects, which keeps the rows of a
+    large table small.
+    """
+    return [o for o in outer for _ in inner], inner * len(outer)
+
+
+def _names(codes: np.ndarray, members: tuple) -> list[str]:
+    """Enum values of int8 kernel codes (shared strings, not one per cell)."""
+    values = [m.value for m in members]
+    return [values[c] for c in codes.tolist()]
+
+
+def _rows(*columns) -> list[list]:
+    """Table rows from equal-length columns (arrays become Python scalars)."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return [list(row) for row in zip(*columns)]
+
+
+def _check_rows(table: str, header: list[str], rows: list[list], reference) -> None:
+    """Compare evenly spaced emitted rows with the scalar reference.
+
+    About `SELF_CHECK_ROWS` rows, at fixed positions, are recomputed by
+    ``reference(row)`` from their input columns; floats must agree within
+    `SELF_CHECK_TOL` (absolute or relative) and every other cell exactly.
+    """
+    for i in range(0, len(rows), max(1, len(rows) // SELF_CHECK_ROWS)):
+        for column, got, want in zip(header, rows[i], reference(rows[i])):
+            same = (
+                math.isclose(got, want, rel_tol=SELF_CHECK_TOL, abs_tol=SELF_CHECK_TOL)
+                if isinstance(want, float)
+                else got == want
+            )
+            if not same:
+                raise InternalInconsistencyError(
+                    f"{table} row {i}, {column}: array kernel gave {got!r}, "
+                    f"scalar reference {want!r}"
+                )
+
+
 def cmd_sweep_error(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    rows = []
-    for eps in scenario.grids["epsilon"]:
-        for e in scenario.grids["error"]:
-            res = leak_prob_from_error(e, eps)
-            rows.append([e, eps, res.probability, res.zone_kind.value, res.zone_measure])
-    _emit_table(args, "error_sweep", ["e_rad", "epsilon_rad", "leak_prob", "zone_kind", "zone_measure"], rows)
+    eps, e = _grid_pairs(scenario.grids["epsilon"], scenario.grids["error"])
+    res = leak_prob_from_error_vec(e, eps)
+    header = ["e_rad", "epsilon_rad", "leak_prob", "zone_kind", "zone_measure"]
+    rows = _rows(e, eps, res.probability, _names(res.zone_kind, ZONE_KINDS), res.zone_measure)
+
+    def reference(row: list) -> list:
+        ref = leak_prob_from_error(row[0], row[1])
+        return [row[0], row[1], ref.probability, ref.zone_kind.value, ref.zone_measure]
+
+    _check_rows("error_sweep", header, rows, reference)
+    _emit_table(args, "error_sweep", header, rows)
     return 0
 
 
 def cmd_sweep_qoe(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    rows = []
-    for r_sv in scenario.grids["r_sv"]:
-        for e in scenario.grids["error"]:
-            rows.append([r_sv, e, qoe(scenario.r_fov, r_sv, e), classify(scenario.r_fov, r_sv, e).value])
-    _emit_table(args, "qoe_sweep", ["r_sv_rad", "e_rad", "qoe", "case"], rows)
+    fov = scenario.r_fov
+    sv, e = _grid_pairs(scenario.grids["r_sv"], scenario.grids["error"])
+    header = ["r_sv_rad", "e_rad", "qoe", "case"]
+    rows = _rows(sv, e, qoe_vec(fov, sv, e), _names(classify_vec(fov, sv, e), CASES))
+
+    def reference(row: list) -> list:
+        return [row[0], row[1], qoe(fov, row[0], row[1]), classify(fov, row[0], row[1]).value]
+
+    _check_rows("qoe_sweep", header, rows, reference)
+    _emit_table(args, "qoe_sweep", header, rows)
     return 0
 
 
 def cmd_sweep_leakage(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    rows = []
-    for r_sv in scenario.grids["r_sv"]:
-        for e in scenario.grids["error"]:
-            q = qoe(scenario.r_fov, r_sv, e)
-            res = leak_prob_from_qoe(q, scenario.r_fov, r_sv, scenario.epsilon)
-            rows.append(
-                [
-                    r_sv,
-                    e,
-                    q,
-                    res.case.value if res.case is not None else "",
-                    res.probability,
-                    res.zone_kind.value,
-                    res.zone_measure,
-                ]
-            )
-    _emit_table(
-        args,
-        "leakage_sweep",
-        ["r_sv_rad", "e_rad", "qoe", "case", "leak_prob", "zone_kind", "zone_measure"],
-        rows,
+    fov, eps = scenario.r_fov, scenario.epsilon
+    sv, e = _grid_pairs(scenario.grids["r_sv"], scenario.grids["error"])
+    q = qoe_vec(fov, sv, e)
+    res = leak_prob_from_qoe_vec(q, fov, sv, eps)
+    header = ["r_sv_rad", "e_rad", "qoe", "case", "leak_prob", "zone_kind", "zone_measure"]
+    rows = _rows(
+        sv, e, q, _names(res.case, CASES), res.probability, _names(res.zone_kind, ZONE_KINDS),
+        res.zone_measure,
     )
+
+    def reference(row: list) -> list:
+        # The leakage is recomputed from the emitted QoE, which is itself
+        # checked against the scalar model.
+        ref = leak_prob_from_qoe(row[2], fov, row[0], eps)
+        return [
+            row[0], row[1], qoe(fov, row[0], row[1]), ref.case.value, ref.probability,
+            ref.zone_kind.value, ref.zone_measure,
+        ]
+
+    _check_rows("leakage_sweep", header, rows, reference)
+    _emit_table(args, "leakage_sweep", header, rows)
     return 0
 
 
@@ -190,6 +256,11 @@ def _check_report(report: AggregateReport) -> None:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
+    if scenario.epsilon <= 0.0:
+        raise ConfigError(
+            f"config.epsilon: the trace pipeline needs a protection radius above 0, "
+            f"got {scenario.epsilon!r}"
+        )
     if scenario.traces_csv is not None:
         traces = load_traces(scenario.traces_csv)
     elif scenario.synthetic is not None:

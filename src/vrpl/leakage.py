@@ -18,6 +18,10 @@ what the client uploads after each segment:
 Probabilities are clamped to [0, 1].  Degenerate inputs (zero error,
 antipodal error, empty or full streamed cap) collapse the zone to a single
 point or expand it to the full sphere.
+
+The ``*_vec`` functions evaluate the same analysis elementwise over
+numpy-broadcastable inputs, with cases and zone kinds as int8 codes into
+`CASES` and `ZONE_KINDS`; the scalar functions remain the reference.
 """
 
 from __future__ import annotations
@@ -26,7 +30,18 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .qoe import OverlapCase, _validate_error, _validate_fov, qoe
+import numpy as np
+
+from .qoe import (
+    CASE_CODE,
+    OverlapCase,
+    _classify_codes,
+    _float_array,
+    _qoe_from_codes,
+    _validate_error,
+    _validate_fov,
+    qoe,
+)
 from .sphere import SPHERE_AREA, TWO_PI, CapRadius, _radius
 
 #: Absolute tolerance for matching a reported QoE to a constant-case value.
@@ -49,6 +64,11 @@ class ZoneKind(enum.Enum):
     CAP = "cap"
     FULL_SPHERE = "full_sphere"
     SINGLE_POINT = "single_point"
+
+
+#: The zone kind of each int8 code the array kernels return.
+ZONE_KINDS = tuple(ZoneKind)
+ZONE_CODE = {kind: i for i, kind in enumerate(ZONE_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -123,6 +143,27 @@ def _validate_epsilon(eps: float, upper: float) -> float:
     if not (math.isfinite(v) and 0.0 <= v <= upper):
         raise ValueError(f"protection radius {eps!r} outside [0, {upper}]")
     return v
+
+
+def cap_zone(fov: float, sv: float, ep: float, nested: bool) -> tuple[float, float]:
+    """Cap zone of a constant-case QoE report and the odds of guessing in it.
+
+    The report confines the viewpoint to a cap of radius ``r_z``: the gap
+    ``|r_sv - r_fov|`` when the caps nest (``nested``: the two containment
+    cases) and ``|pi - r_sv - r_fov|`` otherwise (disjoint caps or
+    complement containment).  A cap guess of radius ``ep`` succeeds with
+    probability ``(1 - cos ep) / (1 - cos r_z)``, or 1 once ``r_z <= ep`` or
+    the zone's ``1 - cos r_z`` rounds to 0 (a tangency gap of rounding size
+    leaves a single point).  Inputs are validated radians.
+
+    Returns:
+        ``(r_z, probability)``.
+    """
+    r_z = abs(sv - fov) if nested else abs(math.pi - sv - fov)
+    cap = 1.0 - math.cos(r_z)
+    if r_z <= ep or cap == 0.0:
+        return r_z, 1.0
+    return r_z, (1.0 - math.cos(ep)) / cap
 
 
 def leak_prob_from_error(e: float, eps: float) -> LeakageResult:
@@ -293,15 +334,173 @@ def leak_prob_from_qoe(
     if inferred.kind == InferenceKind.EXACT:
         base = leak_prob_from_error(inferred.value, ep)
         return LeakageResult(base.probability, base.zone_kind, base.zone_measure, inferred.case)
-    if inferred.case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV):
-        r_z = abs(sv - fov)
-    else:
-        r_z = abs(math.pi - sv - fov)
-    if r_z <= ep:
-        prob = 1.0
-    else:
-        prob = (1.0 - math.cos(ep)) / (1.0 - math.cos(r_z))
+    nested = inferred.case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV)
+    r_z, prob = cap_zone(fov, sv, ep, nested)
     return LeakageResult(prob, ZoneKind.CAP, TWO_PI * (1.0 - math.cos(r_z)), inferred.case)
+
+
+# --- array kernels -----------------------------------------------------------
+
+_REMAINING = CASE_CODE[OverlapCase.REMAINING]
+
+
+@dataclass(frozen=True)
+class LeakageArrays:
+    """Elementwise `LeakageResult`s from the array kernels.
+
+    ``zone_kind`` holds int8 codes into `ZONE_KINDS` and ``case`` int8
+    codes into `CASES` (None for error upload, which has no case).
+    """
+
+    probability: np.ndarray
+    zone_kind: np.ndarray
+    zone_measure: np.ndarray
+    case: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class ErrorInferenceArrays:
+    """Elementwise inferred cases and errors from `infer_error_from_qoe_vec`.
+
+    Where ``case`` is the partial-overlap code the inference is exact and
+    ``value`` is the bisected error; elsewhere the report matched a constant
+    case and ``value`` is nan.
+    """
+
+    case: np.ndarray
+    value: np.ndarray
+
+
+def leak_prob_from_error_vec(e, eps) -> LeakageArrays:
+    """`leak_prob_from_error` elementwise over broadcastable arrays."""
+    err, ep = np.broadcast_arrays(
+        _float_array(e, "viewpoint error", 0.0, math.pi),
+        _float_array(eps, "protection radius", 0.0, math.pi / 2),
+    )
+    point = (err == 0.0) | (err == math.pi)
+    sin_e = np.sin(err)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prob = np.where(point, 1.0, np.minimum(ep / (math.pi * sin_e), 1.0))
+    kind = np.where(point, ZONE_CODE[ZoneKind.SINGLE_POINT], ZONE_CODE[ZoneKind.CIRCLE])
+    return LeakageArrays(prob, kind.astype(np.int8), np.where(point, 0.0, TWO_PI * sin_e))
+
+
+def _bisect_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """`_bisect_error` over 1-d arrays, halving every unfinished bracket at once.
+
+    Same bracket and update rule as the scalar loop; an element stops after
+    the halving that brings its bracket within `BISECT_TOL`, or after
+    `_BISECT_MAX_ITER` halvings.
+    """
+    lo = np.maximum(1e-12, np.abs(fov - sv))
+    hi = np.minimum(fov + sv, TWO_PI - (fov + sv)) - 1e-12
+    active = np.arange(q.size)
+    for _ in range(_BISECT_MAX_ITER):
+        if not active.size:
+            break
+        f, s, a, b = fov[active], sv[active], lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        above = _qoe_from_codes(f, s, mid, _classify_codes(f, s, mid)) > q[active]
+        a = np.where(above, mid, a)
+        b = np.where(above, b, mid)
+        lo[active], hi[active] = a, b
+        active = active[b - a > BISECT_TOL]
+    return 0.5 * (lo + hi)
+
+
+def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
+    """`infer_error_from_qoe` elementwise over broadcastable arrays.
+
+    Same constant-case matching within `QOE_MATCH_TOL` and precedence as the
+    scalar function; the remaining reports are bisected together.
+
+    Raises:
+        ValueError: if any element lies outside its domain.
+        QoeInconsistencyError: if any report lies outside the band its
+            geometry can produce (beyond `QOE_MATCH_TOL`); the first one is
+            named.
+    """
+    tol = QOE_MATCH_TOL
+    fov, sv, qv = np.broadcast_arrays(
+        _float_array(r_fov, "field-of-view radius", 0.0, math.pi / 2, open_lo=True),
+        _float_array(r_sv, "streamed-cap radius", 0.0, math.pi, open_lo=True, open_hi=True),
+        _float_array(q, "QoE", 0.0, 1.0),
+    )
+    denom = 1.0 - np.cos(fov)
+    q_sfov = (1.0 - np.cos(sv)) / denom
+    q_high = np.where(sv >= fov, 1.0, q_sfov)
+    q_low = np.where(fov + sv <= math.pi, 0.0, (-np.cos(sv) - np.cos(fov)) / denom)
+    bad = (qv > q_high + tol) | (qv < q_low - tol)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        qi, fi, si = (float(x.flat[i]) for x in (qv, fov, sv))
+        raise QoeInconsistencyError(
+            f"QoE {qi!r} unreachable for r_fov={fi!r}, r_sv={si!r}: "
+            f"attainable band is [{float(q_low.flat[i])!r}, {float(q_high.flat[i])!r}]"
+        )
+    # Constant-case matches in precedence order: the first match wins.
+    matches = [
+        (sv >= fov) & (np.abs(qv - 1.0) <= tol),
+        (fov >= sv) & (np.abs(qv - q_sfov) <= tol),
+        (fov + sv <= math.pi) & (qv <= tol),
+        (fov + sv >= math.pi) & (np.abs(qv - q_low) <= tol),
+    ]
+    codes = [
+        CASE_CODE[c]
+        for c in (
+            OverlapCase.FOV_IN_SFOV,
+            OverlapCase.SFOV_IN_FOV,
+            OverlapCase.DISJOINT,
+            OverlapCase.SFOV_COMPLEMENT_IN_FOV,
+        )
+    ]
+    case = np.select(matches, codes, default=_REMAINING).astype(np.int8)
+    exact = case == _REMAINING
+    value = np.full(case.shape, math.nan)
+    value[exact] = _bisect_error_vec(qv[exact], fov[exact], sv[exact])
+    return ErrorInferenceArrays(case, value)
+
+
+def leak_prob_from_qoe_vec(q, r_fov, r_sv, eps) -> LeakageArrays:
+    """`leak_prob_from_qoe` elementwise over broadcastable arrays.
+
+    Degenerate streamed caps skip the inversion, as in the scalar function;
+    every other report is inverted by `infer_error_from_qoe_vec`.
+    """
+    fov, sv, ep, qv = np.broadcast_arrays(
+        _float_array(r_fov, "field-of-view radius", 0.0, math.pi / 2, open_lo=True),
+        _float_array(r_sv, "streamed-cap radius", 0.0, math.pi),
+        _float_array(eps, "protection radius", 0.0, math.pi / 2),
+        np.asarray(q, dtype=float),
+    )
+    if not (ep <= fov).all():
+        raise ValueError(
+            f"protection radius {float(ep[ep > fov][0])!r} above the field-of-view radius"
+        )
+    prob = np.array((1.0 - np.cos(ep)) / 2.0)
+    kind = np.full(prob.shape, ZONE_CODE[ZoneKind.FULL_SPHERE], dtype=np.int8)
+    measure = np.full(prob.shape, SPHERE_AREA)
+    case = np.where(
+        sv == 0.0, CASE_CODE[OverlapCase.DEGENERATE_EMPTY], CASE_CODE[OverlapCase.DEGENERATE_FULL]
+    ).astype(np.int8)
+
+    live = (sv != 0.0) & (sv != math.pi)
+    f, s, e = fov[live], sv[live], ep[live]
+    inferred = infer_error_from_qoe_vec(qv[live], f, s)
+    exact = inferred.case == _REMAINING
+    nested = np.isin(
+        inferred.case, (CASE_CODE[OverlapCase.FOV_IN_SFOV], CASE_CODE[OverlapCase.SFOV_IN_FOV])
+    )
+    r_z = np.where(nested, np.abs(s - f), np.abs(math.pi - s - f))
+    cap = 1.0 - np.cos(r_z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap_prob = np.where((r_z <= e) | (cap == 0.0), 1.0, (1.0 - np.cos(e)) / cap)
+    circle = leak_prob_from_error_vec(np.where(exact, inferred.value, 0.0), e)
+    prob[live] = np.where(exact, circle.probability, cap_prob)
+    kind[live] = np.where(exact, circle.zone_kind, ZONE_CODE[ZoneKind.CAP])
+    measure[live] = np.where(exact, circle.zone_measure, TWO_PI * cap)
+    case[live] = inferred.case
+    return LeakageArrays(prob, kind, measure, case)
 
 
 class Monotonicity(enum.Enum):
@@ -338,12 +537,14 @@ def case_leakage_profile(
     fov = _validate_fov(r_fov)
     sv = _radius(r_sv)
     ep = _validate_epsilon(eps, fov)
-    if case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV):
-        r_z = abs(sv - fov)
-    elif case in (OverlapCase.DISJOINT, OverlapCase.SFOV_COMPLEMENT_IN_FOV):
-        r_z = abs(math.pi - sv - fov)
-    else:
+    if case not in (
+        OverlapCase.FOV_IN_SFOV,
+        OverlapCase.SFOV_IN_FOV,
+        OverlapCase.DISJOINT,
+        OverlapCase.SFOV_COMPLEMENT_IN_FOV,
+    ):
         raise ValueError(f"no per-case leakage profile for {case!r}")
+    r_z, _ = cap_zone(fov, sv, ep, case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV))
     if case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_COMPLEMENT_IN_FOV):
         # zone radius grows with the streamed cap, so leakage falls
         mono = Monotonicity.DECREASING

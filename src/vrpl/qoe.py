@@ -7,6 +7,11 @@ and predicted viewpoints), the covered fraction decomposes into five
 geometric cases plus two degenerate streamed-cap radii.  Case boundaries
 are closed: a configuration lying on a boundary belongs to the first
 matching case in the order below.
+
+`classify_vec` and `qoe_vec` evaluate the same model elementwise over
+numpy-broadcastable inputs; cases are reported as int8 codes indexing
+`CASES`.  The scalar functions stay the reference the array kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from __future__ import annotations
 import enum
 import math
 
-from .sphere import TWO_PI, CapRadius, _radius, cap_area, cap_overlap_area
+import numpy as np
+
+from .sphere import TWO_PI, CapRadius, _radius, cap_area, cap_overlap_area, cap_overlap_area_vec
 
 
 class OverlapCase(enum.Enum):
@@ -37,6 +44,11 @@ PARTITION_CASES = (
     OverlapCase.SFOV_COMPLEMENT_IN_FOV,
     OverlapCase.REMAINING,
 )
+
+#: The case of each int8 code the array kernels return: the partition
+#: cases in tie order, then the two degenerate streamed caps.
+CASES = PARTITION_CASES + (OverlapCase.DEGENERATE_EMPTY, OverlapCase.DEGENERATE_FULL)
+CASE_CODE = {case: i for i, case in enumerate(CASES)}
 
 
 def _validate_fov(r_fov: CapRadius | float) -> float:
@@ -105,3 +117,83 @@ def qoe(r_fov: CapRadius | float, r_sv: CapRadius | float, e: float) -> float:
         return (-math.cos(sv) - math.cos(fov)) / (1.0 - math.cos(fov))
     value = cap_overlap_area(fov, sv, err) / cap_area(fov)
     return min(max(value, 0.0), 1.0)
+
+
+def _float_array(
+    x, name: str, lo: float, hi: float, open_lo: bool = False, open_hi: bool = False
+) -> np.ndarray:
+    """Coerce to a float array whose every element lies in the given interval."""
+    arr = np.asarray(x, dtype=float)
+    ok = ((arr > lo) if open_lo else (arr >= lo)) & ((arr < hi) if open_hi else (arr <= hi))
+    if not ok.all():
+        interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+        raise ValueError(f"{name} {float(arr[~ok][0])!r} outside {interval}")
+    return arr
+
+
+def _validate_vec(r_fov, r_sv, e) -> list[np.ndarray]:
+    """Check and broadcast the (r_fov, r_sv, e) arrays of the array kernels."""
+    return np.broadcast_arrays(
+        _float_array(r_fov, "field-of-view radius", 0.0, math.pi / 2, open_lo=True),
+        _float_array(r_sv, "streamed-cap radius", 0.0, math.pi),
+        _float_array(e, "viewpoint error", 0.0, math.pi),
+    )
+
+
+def _classify_codes(fov: np.ndarray, sv: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """`classify` on validated, broadcast arrays: the first true test wins."""
+    tests = [
+        (sv == 0.0, OverlapCase.DEGENERATE_EMPTY),
+        (sv == math.pi, OverlapCase.DEGENERATE_FULL),
+        (sv >= fov + err, OverlapCase.FOV_IN_SFOV),
+        (fov >= sv + err, OverlapCase.SFOV_IN_FOV),
+        (err >= fov + sv, OverlapCase.DISJOINT),
+        (fov + sv + err >= TWO_PI, OverlapCase.SFOV_COMPLEMENT_IN_FOV),
+    ]
+    codes = np.select(
+        [test for test, _ in tests],
+        [CASE_CODE[case] for _, case in tests],
+        default=CASE_CODE[OverlapCase.REMAINING],
+    )
+    return codes.astype(np.int8)
+
+
+def _qoe_from_codes(
+    fov: np.ndarray, sv: np.ndarray, err: np.ndarray, codes: np.ndarray
+) -> np.ndarray:
+    """`qoe` on validated, broadcast arrays whose cases are already known."""
+    denom = 1.0 - np.cos(fov)
+    constants = [
+        (OverlapCase.FOV_IN_SFOV, 1.0),
+        (OverlapCase.DEGENERATE_FULL, 1.0),
+        (OverlapCase.SFOV_IN_FOV, (1.0 - np.cos(sv)) / denom),
+        (OverlapCase.SFOV_COMPLEMENT_IN_FOV, (-np.cos(sv) - np.cos(fov)) / denom),
+    ]
+    out = np.select(
+        [codes == CASE_CODE[case] for case, _ in constants], [v for _, v in constants], default=0.0
+    )
+    m = codes == CASE_CODE[OverlapCase.REMAINING]
+    if m.any():
+        fov_m = fov[m]
+        overlap = cap_overlap_area_vec(fov_m, sv[m], err[m])
+        out[m] = np.clip(overlap / (TWO_PI * (1.0 - np.cos(fov_m))), 0.0, 1.0)
+    return out
+
+
+def classify_vec(r_fov, r_sv, e) -> np.ndarray:
+    """`classify` elementwise over broadcastable arrays, as int8 codes into `CASES`.
+
+    Same domains, degenerate radii and closed-tie order as the scalar
+    function; any element outside its domain raises `ValueError`.
+    """
+    return _classify_codes(*_validate_vec(r_fov, r_sv, e))
+
+
+def qoe_vec(r_fov, r_sv, e) -> np.ndarray:
+    """`qoe` elementwise over broadcastable arrays.
+
+    Matches the scalar function to rounding (the lens area's arccos may
+    differ by an ulp); any element outside its domain raises `ValueError`.
+    """
+    fov, sv, err = _validate_vec(r_fov, r_sv, e)
+    return _qoe_from_codes(fov, sv, err, _classify_codes(fov, sv, err))

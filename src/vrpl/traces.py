@@ -105,12 +105,14 @@ def load_traces(path: str | Path) -> list[ViewpointTrace]:
 
     Expected schema (exact header): ``user_id,video_id,timestamp_s,
     theta_rad,phi_rad``, UTF-8, one sample per row.  Consecutive rows with
-    the same (user_id, video_id) form one trace.  Malformed rows are
-    reported with their line number.
+    the same (user_id, video_id) form one trace, and each key's rows must
+    be contiguous.  Malformed rows, and a key that reappears after its
+    trace ended, are reported with their line number.
     """
     path = Path(path)
     traces: list[ViewpointTrace] = []
     key: tuple[str, str] | None = None
+    closed: set[tuple[str, str]] = set()  # keys whose run of rows has ended
     buf: list[tuple[float, float, float]] = []
 
     def _flush() -> None:
@@ -145,7 +147,14 @@ def load_traces(path: str | Path) -> list[ViewpointTrace]:
                     f"{path}:{lineno}: latitude {phi!r} outside [-pi/2, pi/2]"
                 )
             if (user, video) != key:
+                if (user, video) in closed:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: rows of trace {user}/{video} are not contiguous "
+                        "(the trace already ended on an earlier line)"
+                    )
                 _flush()
+                if key is not None:
+                    closed.add(key)
                 key, buf = (user, video), []
             buf.append((t, theta, phi))
         _flush()

@@ -439,3 +439,33 @@ def test_check_report_catches_corruption():
     )
     with pytest.raises(InternalInconsistencyError, match="ratios"):
         _check_report(report)
+
+
+def test_cli_trace_rejects_zero_epsilon(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"epsilon_frac_of_fov": 0, "synthetic": _SYNTH_DRIFT})
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "config.epsilon" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweeps_accept_zero_epsilon(tmp_path, capsys):
+    # The default grid holds r_sv = 130 deg, tangent to the 50 deg FoV's
+    # antipode up to rounding, where the disjoint-case zone is a point.
+    cfg = _cfg(tmp_path, {"epsilon_frac_of_fov": 0})
+    assert main(["sweep-leakage", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(tmp_path / "leakage_sweep.csv")
+    assert len(rows) == 181 * 181
+    assert all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+
+
+def test_cli_trace_rejects_non_contiguous_csv(tmp_path, capsys):
+    lines = ["user_id,video_id,timestamp_s,theta_rad,phi_rad"]
+    for user, start in (("a", 0), ("b", 0), ("a", 50)):
+        lines += [f"{user},v,{0.2 * (start + k)},{0.01 * k},0.0" for k in range(50)]
+    csv_path = tmp_path / "traces.csv"
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = _cfg(tmp_path, {"traces_csv": str(csv_path)})
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert ":102: rows of trace a/v are not contiguous" in capsys.readouterr().err

@@ -49,12 +49,24 @@ def test_load_groups_consecutive_keys(tmp_path):
         "a,v,0.2,0.1,0.0\n"
         "b,v,0.0,0.0,0.0\n"
         "b,v,0.2,0.1,0.0\n"
-        "a,v,0.0,0.0,0.0\n"
-        "a,v,0.2,0.1,0.0\n"
+        "a,w,0.0,0.0,0.0\n"
+        "a,w,0.2,0.1,0.0\n"
     )
     traces = load_traces(_write(tmp_path, text))
-    # A key that reappears later starts a fresh trace.
-    assert [(t.user_id, t.video_id) for t in traces] == [("a", "v"), ("b", "v"), ("a", "v")]
+    assert [(t.user_id, t.video_id) for t in traces] == [("a", "v"), ("b", "v"), ("a", "w")]
+
+
+def test_load_rejects_non_contiguous_key_with_line(tmp_path):
+    text = HEADER + (
+        "a,v,0.0,0.0,0.0\n"
+        "a,v,0.2,0.1,0.0\n"
+        "b,v,0.0,0.0,0.0\n"
+        "b,v,0.2,0.1,0.0\n"
+        "a,v,0.4,0.0,0.0\n"
+        "a,v,0.6,0.1,0.0\n"
+    )
+    with pytest.raises(TraceFormatError, match=r":6: rows of trace a/v are not contiguous"):
+        load_traces(_write(tmp_path, text))
 
 
 def test_load_rejects_bad_header(tmp_path):
