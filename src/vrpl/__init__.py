@@ -75,8 +75,8 @@ from .sphere import (
     spherical_distance,
 )
 from .traces import (
-    ErrorSample,
     GreatCircleDrift,
+    PredictionErrors,
     Predictor,
     RandomWalk,
     TraceFormatError,

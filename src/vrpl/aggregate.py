@@ -10,15 +10,16 @@ The sweep decomposes the average by geometric case.  Within each constant
 case the leakage probability does not depend on the error, so the case
 contributes its probability times the fraction of errors falling in the
 case; partial-overlap errors contribute their individual error-upload
-probabilities.
+probabilities.  At a fixed radius every case is an interval of errors,
+and the partial-overlap leakage does not depend on the radius, so the
+sweep sorts the errors and sums their leakage once for the whole grid.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,20 +29,15 @@ from .leakage import (
     RangeKind,
     cap_zone,
     error_range_for_requirement,
+    leak_prob_from_error_vec,
 )
 from .qoe import OverlapCase, _validate_fov
 from .sphere import TWO_PI, cap_overlap_area_vec
-from .traces import ErrorSample
 
 
-def _error_values(errors: Sequence[ErrorSample] | Sequence[float] | np.ndarray) -> np.ndarray:
-    """Coerce error samples or raw radians to a validated float array."""
-    if isinstance(errors, np.ndarray):
-        arr = errors.astype(float)
-    else:
-        arr = np.array(
-            [e.error if isinstance(e, ErrorSample) else float(e) for e in errors], dtype=float
-        )
+def _error_values(errors: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Copy prediction errors in radians to a validated float array."""
+    arr = np.array(errors, dtype=float)
     if arr.size == 0:
         raise ValueError("no error samples given")
     if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > math.pi:
@@ -60,7 +56,7 @@ class ErrorSubset:
 
 
 def error_subset_for_requirement(
-    errors: Sequence[ErrorSample] | Sequence[float] | np.ndarray, req: PrivacyRequirement
+    errors: Sequence[float] | np.ndarray, req: PrivacyRequirement
 ) -> ErrorSubset:
     """Select the errors whose error-upload leakage meets the requirement."""
     values = _error_values(errors)
@@ -76,7 +72,7 @@ def error_subset_for_requirement(
 
 
 def tradeoff_consistency_ratios(
-    errors: Sequence[ErrorSample] | Sequence[float] | np.ndarray, req: PrivacyRequirement
+    errors: Sequence[float] | np.ndarray, req: PrivacyRequirement
 ) -> tuple[float, float]:
     """Fractions of errors in the tradeoff and consistency sub-intervals.
 
@@ -151,8 +147,16 @@ class SweepPoint:
     mean_qoe: float
 
 
-def _sweep_point(e: np.ndarray, fov: float, eps: float, sv: float) -> SweepPoint:
-    """Evaluate classification, leakage and QoE averages at one radius."""
+def _sweep_point(
+    e: np.ndarray, leak_csum: np.ndarray, fov: float, eps: float, sv: float
+) -> SweepPoint:
+    """Evaluate classification, leakage and QoE averages at one radius.
+
+    ``e`` is sorted, and ``leak_csum[i]`` is the sum of the error-upload
+    leakage ``min(eps / (pi sin e), 1)`` over ``e[:i]``.  At a fixed radius
+    every case is a contiguous run of ``e``; the boundaries reproduce the
+    closed-tie order of `classify`.
+    """
     n = e.size
     min_qoe_leak = (1.0 - math.cos(eps)) / 2.0
     if sv == 0.0:
@@ -171,64 +175,81 @@ def _sweep_point(e: np.ndarray, fov: float, eps: float, sv: float) -> SweepPoint
             min_qoe_leak,
             1.0,
         )
-    # masks in boundary-tie precedence order
-    m_a = e <= sv - fov
-    m_b = ~m_a & (e <= fov - sv)
-    m_c = ~m_a & ~m_b & (e >= fov + sv)
-    m_d = ~m_a & ~m_b & ~m_c & (fov + sv + e >= TWO_PI)
-    m_rm = ~(m_a | m_b | m_c | m_d)
-    ratios = {
-        OverlapCase.FOV_IN_SFOV: np.count_nonzero(m_a) / n,
-        OverlapCase.SFOV_IN_FOV: np.count_nonzero(m_b) / n,
-        OverlapCase.DISJOINT: np.count_nonzero(m_c) / n,
-        OverlapCase.SFOV_COMPLEMENT_IN_FOV: np.count_nonzero(m_d) / n,
-        OverlapCase.REMAINING: np.count_nonzero(m_rm) / n,
+    # Runs in e: [0, a) fov_in_sfov, [a, b) sfov_in_fov, [b, d) remaining,
+    # [d, c) sfov_complement_in_fov, [c, n) disjoint, split by the same
+    # floating-point tests as `classify`.
+    s = fov + sv
+    a = _split(e, sv - fov, lambda x: fov + x <= sv)
+    b = max(a, _split(e, fov - sv, lambda x: sv + x <= fov))
+    c = max(b, int(np.searchsorted(e, s, side="left")))
+    d = min(max(b, _split(e, TWO_PI - s, lambda x: s + x < TWO_PI)), c)
+    counts = {
+        OverlapCase.FOV_IN_SFOV: a,
+        OverlapCase.SFOV_IN_FOV: b - a,
+        OverlapCase.DISJOINT: n - c,
+        OverlapCase.SFOV_COMPLEMENT_IN_FOV: c - d,
+        OverlapCase.REMAINING: d - b,
     }
+    ratios = {case: count / n for case, count in counts.items()}
 
     _, prob_contained = cap_zone(fov, sv, eps, True)
     _, prob_far = cap_zone(fov, sv, eps, False)
-    e_rm = e[m_rm]
-    rm_probs = np.minimum(eps / (math.pi * np.sin(e_rm)), 1.0) if e_rm.size else np.empty(0)
     components = {
         OverlapCase.FOV_IN_SFOV: prob_contained * ratios[OverlapCase.FOV_IN_SFOV],
         OverlapCase.SFOV_IN_FOV: prob_contained * ratios[OverlapCase.SFOV_IN_FOV],
         OverlapCase.DISJOINT: prob_far * ratios[OverlapCase.DISJOINT],
         OverlapCase.SFOV_COMPLEMENT_IN_FOV: prob_far * ratios[OverlapCase.SFOV_COMPLEMENT_IN_FOV],
-        OverlapCase.REMAINING: float(rm_probs.sum()) / n,
+        OverlapCase.REMAINING: float(leak_csum[d] - leak_csum[b]) / n,
     }
     total = sum(components.values())
 
     fov_area_frac = 1.0 - math.cos(fov)
     qoe_sum = (
-        np.count_nonzero(m_a) * 1.0
-        + np.count_nonzero(m_b) * ((1.0 - math.cos(sv)) / fov_area_frac)
-        + np.count_nonzero(m_d) * ((-math.cos(sv) - math.cos(fov)) / fov_area_frac)
+        a
+        + (b - a) * ((1.0 - math.cos(sv)) / fov_area_frac)
+        + (c - d) * ((-math.cos(sv) - math.cos(fov)) / fov_area_frac)
     )
-    if e_rm.size:
-        overlap = cap_overlap_area_vec(fov, sv, e_rm)
+    if d > b:
+        overlap = cap_overlap_area_vec(fov, sv, e[b:d])
         qoe_sum += float(np.clip(overlap / (TWO_PI * fov_area_frac), 0.0, 1.0).sum())
     return SweepPoint(sv, ratios, components, total, qoe_sum / n)
 
 
+def _split(e: np.ndarray, guess: float, holds: Callable[[float], bool]) -> int:
+    """First index of sorted ``e`` where ``holds`` fails; it holds on a prefix.
+
+    ``guess`` is the threshold ``holds`` tests up to rounding: `searchsorted`
+    finds it, then the index moves over whole runs of equal values until
+    the exact test agrees (``e <= sv - fov`` and ``fov + e <= sv``, say,
+    differ for errors within an ulp of the boundary).
+    """
+    i = int(np.searchsorted(e, guess, side="right"))
+    while i > 0 and not holds(e[i - 1]):
+        i = int(np.searchsorted(e, e[i - 1], side="left"))
+    while i < e.size and holds(e[i]):
+        i = int(np.searchsorted(e, e[i], side="right"))
+    return i
+
+
 def average_leakage_sweep(
-    errors: Sequence[ErrorSample] | Sequence[float] | np.ndarray,
+    errors: Sequence[float] | np.ndarray,
     r_fov: float,
     eps: float,
     r_sv_grid: Iterable[float],
-    workers: int | None = None,
 ) -> list[SweepPoint]:
     """Average QoE-upload leakage over the error population per radius.
 
-    Each grid radius is evaluated independently (optionally on a thread
-    pool); output order always follows the grid order.
+    The errors are sorted once, with a running sum of their error-upload
+    leakage; each radius then needs a few binary searches, one prefix-sum
+    difference, and the lens area of its partial-overlap errors only.
+    Output order follows the grid order.
 
     Args:
-        errors: error samples (or raw radians), all in [0, pi].
+        errors: prediction errors in radians, all in [0, pi].
         r_fov: field-of-view radius in (0, pi/2].
         eps: protection radius in (0, r_fov].
         r_sv_grid: streamed-cap radii in [0, pi]; the degenerate endpoints
             0 and pi are allowed and reported as their own case.
-        workers: thread count; None or 1 evaluates serially.
     """
     fov = _validate_fov(r_fov)
     if not (math.isfinite(eps) and 0.0 < eps <= fov):
@@ -238,10 +259,10 @@ def average_leakage_sweep(
     for r in grid:
         if not (math.isfinite(r) and 0.0 <= r <= math.pi):
             raise ValueError(f"streamed-cap radius {r!r} outside [0, pi]")
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda r: _sweep_point(values, fov, eps, r), grid))
-    return [_sweep_point(values, fov, eps, r) for r in grid]
+    e = np.sort(values)
+    leak = leak_prob_from_error_vec(e, eps).probability
+    leak_csum = np.concatenate(([0.0], np.cumsum(leak)))
+    return [_sweep_point(e, leak_csum, fov, eps, r) for r in grid]
 
 
 @dataclass(frozen=True)
@@ -263,16 +284,15 @@ class AggregateReport:
 
 
 def build_report(
-    errors: Sequence[ErrorSample] | Sequence[float] | np.ndarray,
+    errors: Sequence[float] | np.ndarray,
     r_fov: float,
     eps: float,
     r_sv_grid: Iterable[float],
     req: PrivacyRequirement | None = None,
-    workers: int | None = None,
 ) -> AggregateReport:
     """Run the full aggregate pipeline over one error population."""
     values = _error_values(errors)
-    points = average_leakage_sweep(values, r_fov, eps, r_sv_grid, workers=workers)
+    points = average_leakage_sweep(values, r_fov, eps, r_sv_grid)
     mean_error = gamma_t = gamma_c = None
     if req is not None:
         subset = error_subset_for_requirement(values, req)

@@ -17,7 +17,6 @@ functions; a mismatch beyond `SELF_CHECK_TOL` exits with code 4.
 
 Common flags: ``--config`` (JSON scenario), ``--out`` (output directory),
 ``--format`` (csv or json tables), ``--seed`` and ``--grid`` overrides.
-The ``VRPL_THREADS`` environment variable caps sweep parallelism.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 internal inconsistency.
@@ -29,7 +28,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -69,20 +67,6 @@ SELF_CHECK_ROWS = 64
 
 class InternalInconsistencyError(RuntimeError):
     """An emitted report failed a structural self-check."""
-
-
-def thread_count() -> int | None:
-    """Worker cap from VRPL_THREADS; None means single-threaded."""
-    raw = os.environ.get("VRPL_THREADS")
-    if raw is None or not raw.strip():
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"VRPL_THREADS: not an integer: {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"VRPL_THREADS: must be >= 1, got {n}")
-    return n
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -261,6 +245,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"config.epsilon: the trace pipeline needs a protection radius above 0, "
             f"got {scenario.epsilon!r}"
         )
+    min_leak = scenario.epsilon / math.pi
+    if scenario.max_leak_prob is not None and scenario.max_leak_prob < min_leak:
+        raise ConfigError(
+            f"config.max_leak_prob: {scenario.max_leak_prob!r} is below the attainable "
+            f"minimum epsilon/pi = {min_leak!r}"
+        )
     if scenario.traces_csv is not None:
         traces = load_traces(scenario.traces_csv)
     elif scenario.synthetic is not None:
@@ -277,12 +267,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         else None
     )
     report = build_report(
-        errors,
-        scenario.r_fov,
-        scenario.epsilon,
-        scenario.grids["r_sv"],
-        req=req,
-        workers=thread_count(),
+        errors.error, scenario.r_fov, scenario.epsilon, scenario.grids["r_sv"], req=req
     )
     _check_report(report)
 

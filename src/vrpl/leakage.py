@@ -379,7 +379,7 @@ def leak_prob_from_error_vec(e, eps) -> LeakageArrays:
     )
     point = (err == 0.0) | (err == math.pi)
     sin_e = np.sin(err)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         prob = np.where(point, 1.0, np.minimum(ep / (math.pi * sin_e), 1.0))
     kind = np.where(point, ZONE_CODE[ZoneKind.SINGLE_POINT], ZONE_CODE[ZoneKind.CIRCLE])
     return LeakageArrays(prob, kind.astype(np.int8), np.where(point, 0.0, TWO_PI * sin_e))

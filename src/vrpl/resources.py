@@ -175,4 +175,9 @@ def mc_avg_rate(ch: ChannelConfig, n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     gain = rng.gamma(shape=ch.antennas - ch.users + 1, scale=1.0, size=n)
     snr = ch.tx_power * ch.distance ** (-ch.pathloss_exp) / ch.noise_power
-    return float(np.mean(ch.bandwidth * np.log2(1.0 + snr * gain)))
+    # in place, so the samples are the only array of size n
+    rate = np.multiply(gain, snr, out=gain)
+    rate += 1.0
+    np.log2(rate, out=rate)
+    rate *= ch.bandwidth
+    return float(np.mean(rate))

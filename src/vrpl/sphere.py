@@ -153,27 +153,26 @@ def cap_overlap_area_vec(r1, r2, d) -> np.ndarray:
     """Vectorized `cap_overlap_area` over numpy-broadcastable inputs.
 
     Identical case logic and lens expression as the scalar path; intended
-    for sweeps over many configurations at once.
+    for sweeps over many configurations at once.  The trigonometry runs on
+    each input before broadcasting, so a scalar radius costs one ``cos``
+    and one ``sin``, not one per element.
     """
-    a, b, dist = np.broadcast_arrays(
-        np.asarray(r1, dtype=float), np.asarray(r2, dtype=float), np.asarray(d, dtype=float)
-    )
-    area_a = TWO_PI * (1.0 - np.cos(a))
-    area_b = TWO_PI * (1.0 - np.cos(b))
+    a, b, dist = (np.asarray(x, dtype=float) for x in (r1, r2, d))
     c1, c2, cd = np.cos(a), np.cos(b), np.cos(dist)
+    s1, s2, sd = np.sin(a), np.sin(b), np.sin(dist)
+    area_a = TWO_PI * (1.0 - c1)
+    area_b = TWO_PI * (1.0 - c2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s1, s2, sd = np.sin(a), np.sin(b), np.sin(dist)
         t0 = np.arccos(np.clip((cd - c1 * c2) / (s1 * s2), -1.0, 1.0))
         t1 = np.arccos(np.clip((-c2 + cd * c1) / (sd * s1), -1.0, 1.0))
         t2 = np.arccos(np.clip((-c1 + cd * c2) / (sd * s2), -1.0, 1.0))
         lens = TWO_PI - TWO_PI * c1 - TWO_PI * c2 - 2.0 * t0 + 2.0 * c1 * t1 + 2.0 * c2 * t2
     lens = np.minimum(np.maximum(lens, 0.0), np.minimum(area_a, area_b))
-    out = np.select(
+    return np.select(
         [b >= a + dist, a >= b + dist, dist >= a + b, a + b + dist >= TWO_PI],
-        [area_a, area_b, np.zeros_like(lens), area_a + area_b - SPHERE_AREA],
+        [area_a, area_b, 0.0, area_a + area_b - SPHERE_AREA],
         default=lens,
     )
-    return out
 
 
 def sample_uniform_sphere(n: int, seed: int) -> list[SphericalPoint]:

@@ -1,5 +1,6 @@
 """Head-movement traces: CSV ingestion, synthetic generation, and the
-segment-wise prediction pipeline that turns traces into error samples.
+segment-wise prediction pipeline that turns traces into per-frame
+prediction errors.
 
 A trace is a uniformly sampled viewpoint path.  Proactive streaming plays
 the first ``passive_prefix`` segments without prediction; every later
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sphere import SphericalPoint, _wrap_longitude
+from .sphere import TWO_PI, SphericalPoint
 
 TRACE_HEADER = ["user_id", "video_id", "timestamp_s", "theta_rad", "phi_rad"]
 
@@ -72,7 +73,9 @@ class ViewpointTrace:
                 f"trace {self.user_id}/{self.video_id}: non-uniform sample spacing "
                 f"(min {np.min(gaps)!r}, max {np.max(gaps)!r})"
             )
-        th = np.array([_wrap_longitude(x) for x in th], dtype=float)
+        # the same exact fmod as `sphere._wrap_longitude`, elementwise
+        th = np.fmod(th + math.pi, TWO_PI)
+        th = np.where(th < 0.0, th + TWO_PI, th) - math.pi
         for name, arr in (("timestamps", ts), ("theta", th), ("phi", ph)):
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
@@ -342,20 +345,27 @@ class Predictor(enum.Enum):
     GREAT_CIRCLE = "great_circle_extrapolation"
 
 
-@dataclass(frozen=True)
-class ErrorSample:
-    """Prediction error for one frame sample of one predicted segment."""
+@dataclass(frozen=True, eq=False)
+class PredictionErrors:
+    """Per-frame prediction errors as columns, one entry per predicted frame.
 
-    user_id: str
-    video_id: str
-    segment: int
-    frame: int
-    error: float
-    r_sv: float | None = None
-    qoe: float | None = None
+    ``error`` holds the errors in radians; ``trace`` the index of each
+    frame's trace in the list given to `predict_all` (0 from `predict`),
+    ``segment`` its segment and ``frame`` its position in the segment.
+    """
+
+    error: np.ndarray
+    trace: np.ndarray
+    segment: np.ndarray
+    frame: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.error)
 
 
-def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -> list[ErrorSample]:
+def predict(
+    trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor
+) -> PredictionErrors:
     """Run segment-wise prediction over a trace and emit per-frame errors.
 
     For each predicted segment the observation window ends ``t_cc`` before
@@ -366,7 +376,7 @@ def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -
     Trailing samples that do not fill a whole segment are ignored.
 
     Returns:
-        One `ErrorSample` per frame of every predicted segment:
+        One entry per frame of every predicted segment, segment-major:
         ``(len(trace) // samples_per_segment - passive_prefix) *
         samples_per_segment`` entries.
     """
@@ -382,47 +392,49 @@ def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -
             f"needs at least {minimum} for one predicted segment"
         )
     vecs = trace.unit_vectors()
-    n_segments = len(trace) // spseg
-    out: list[ErrorSample] = []
-    for seg in range(win.passive_prefix, n_segments):
-        seg_start = seg * spseg
-        obw_end = seg_start - win.cc_samples  # exclusive index past the window
-        last = vecs[obw_end - 1]
-        # samples ahead of the last observed point, one per frame
-        steps = np.arange(seg_start, seg_start + spseg) - (obw_end - 1)
-        if predictor is Predictor.GREAT_CIRCLE and win.obw_samples >= 2:
-            prev = vecs[obw_end - 2]
-            gap = math.acos(min(1.0, max(-1.0, float(np.dot(prev, last)))))
-            # below ~1e-7 rad/sample, 1 - cos(gap) drowns in rounding and the
-            # frame construction degenerates; hold position instead
-            if gap > 1e-7:
-                # orthonormal frame (prev, side) spanning the observed circle;
-                # t_hat is the unit tangent at `last` along the motion
-                side = _unit(last - prev * math.cos(gap))
-                t_hat = side * math.cos(gap) - prev * math.sin(gap)
-                angles = gap * steps  # one observed gap per sample period of lead
-                pred = np.outer(np.cos(angles), last) + np.outer(np.sin(angles), t_hat)
-            else:
-                pred = np.broadcast_to(last, (spseg, 3))
-        else:
-            pred = np.broadcast_to(last, (spseg, 3))
-        actual = vecs[seg_start : seg_start + spseg]
-        dots = np.clip(np.einsum("ij,ij->i", actual, pred), -1.0, 1.0)
-        errors = np.arccos(dots)
-        for frame, err in enumerate(errors):
-            out.append(
-                ErrorSample(
-                    trace.user_id, trace.video_id, segment=seg, frame=frame, error=float(err)
-                )
-            )
-    return out
+    segments = np.arange(win.passive_prefix, len(trace) // spseg)
+    frames = np.arange(spseg)
+    seg_start = segments * spseg
+    # the observation window ends cc_samples before each segment starts
+    last_i = seg_start - win.cc_samples - 1
+    last = vecs[last_i]
+    actual = vecs[seg_start[:, None] + frames]  # (segment, frame, xyz)
+    pred = np.repeat(last[:, None, :], spseg, axis=1)
+    if predictor is Predictor.GREAT_CIRCLE and win.obw_samples >= 2:
+        prev = vecs[last_i - 1]
+        gap = np.arccos(np.clip(np.einsum("ij,ij->i", prev, last), -1.0, 1.0))
+        # below ~1e-7 rad/sample, 1 - cos(gap) drowns in rounding and the
+        # frame construction degenerates; those segments hold position
+        moving = gap > 1e-7
+        gap, prev, last = gap[moving], prev[moving], last[moving]
+        cos_gap, sin_gap = np.cos(gap)[:, None], np.sin(gap)[:, None]
+        # orthonormal frame (prev, side) spanning the observed circle;
+        # t_hat is the unit tangent at `last` along the motion
+        side = last - prev * cos_gap
+        side /= np.linalg.norm(side, axis=1, keepdims=True)
+        t_hat = side * cos_gap - prev * sin_gap
+        # frame k leads the last observed sample by cc_samples + k + 1 periods
+        angles = (gap[:, None] * (frames + win.cc_samples + 1))[:, :, None]
+        pred[moving] = np.cos(angles) * last[:, None, :] + np.sin(angles) * t_hat[:, None, :]
+    dots = np.clip(np.einsum("ijk,ijk->ij", actual, pred), -1.0, 1.0)
+    return PredictionErrors(
+        error=np.arccos(dots).ravel(),
+        trace=np.zeros(dots.size, dtype=np.intp),
+        segment=np.repeat(segments, spseg),
+        frame=np.tile(frames, len(segments)),
+    )
 
 
 def predict_all(
     traces: list[ViewpointTrace], win: WindowingConfig, predictor: Predictor
-) -> list[ErrorSample]:
-    """Concatenate `predict` over traces, in trace order."""
-    out: list[ErrorSample] = []
-    for tr in traces:
-        out.extend(predict(tr, win, predictor))
-    return out
+) -> PredictionErrors:
+    """Concatenate `predict` over one or more traces, in trace order."""
+    if not traces:
+        raise ValueError("no traces given")
+    parts = [predict(tr, win, predictor) for tr in traces]
+    return PredictionErrors(
+        error=np.concatenate([p.error for p in parts]),
+        trace=np.repeat(np.arange(len(parts)), [len(p) for p in parts]),
+        segment=np.concatenate([p.segment for p in parts]),
+        frame=np.concatenate([p.frame for p in parts]),
+    )

@@ -212,7 +212,7 @@ def population_sweep():
     traces = generate_synthetic_traces(RandomWalk(kappa=5e4), 8, 60.0, 5.0, seed=707)
     win = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
     samples = predict_all(traces, win, Predictor.LAST_POSITION)
-    errors = np.array([s.error for s in samples])
+    errors = samples.error
     regions = leakage_regions(R_FOV, EPS)
     grids = {
         name: np.linspace(lo + 1e-6, hi - 1e-6, 50)

@@ -2,19 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrpl import (
-    ErrorSample,
     OverlapCase,
+    PredictionErrors,
     PrivacyRequirement,
     RangeKind,
     average_leakage_sweep,
     build_report,
+    classify,
     error_subset_for_requirement,
+    leak_prob_from_error,
     leakage_regions,
+    min_leak_prob_qoe,
     qoe,
     tradeoff_consistency_ratios,
 )
+from vrpl.leakage import cap_zone
+from vrpl.qoe import PARTITION_CASES
 
 FOV = math.radians(50.0)
 EPS = 0.4 * FOV
@@ -49,8 +56,9 @@ def test_error_subset_infeasible():
 
 
 def test_error_subset_accepts_samples_and_floats():
-    samples = [ErrorSample("u", "v", 2, i, 0.1 * (i + 1)) for i in range(5)]
-    a = error_subset_for_requirement(samples, PrivacyRequirement(EPS, 1.0))
+    frames = np.arange(5)
+    samples = PredictionErrors(0.1 * (frames + 1), np.zeros(5, dtype=int), np.full(5, 2), frames)
+    a = error_subset_for_requirement(samples.error, PrivacyRequirement(EPS, 1.0))
     b = error_subset_for_requirement([0.1, 0.2, 0.3, 0.4, 0.5], PrivacyRequirement(EPS, 1.0))
     np.testing.assert_allclose(a.errors, b.errors, atol=1e-15)
     with pytest.raises(ValueError):
@@ -161,9 +169,67 @@ def test_sweep_deterministic_and_parallel_equal():
     grid = np.linspace(0.0, math.pi, 21)
     serial = average_leakage_sweep(errors, FOV, EPS, grid)
     again = average_leakage_sweep(errors, FOV, EPS, grid)
-    parallel = average_leakage_sweep(errors, FOV, EPS, grid, workers=4)
     assert serial == again
-    assert serial == parallel
+
+
+def _pointwise_sweep(errors: list[float], fov: float, eps: float, sv: float):
+    """Scalar reference: classify, score and average every error on its own."""
+    n = len(errors)
+    cases = [classify(fov, sv, e) for e in errors]
+    if sv in (0.0, math.pi):
+        probs = [min_leak_prob_qoe(eps)] * n
+    else:
+        nested, far = cap_zone(fov, sv, eps, True)[1], cap_zone(fov, sv, eps, False)[1]
+        by_case = {
+            OverlapCase.FOV_IN_SFOV: nested,
+            OverlapCase.SFOV_IN_FOV: nested,
+            OverlapCase.DISJOINT: far,
+            OverlapCase.SFOV_COMPLEMENT_IN_FOV: far,
+        }
+        probs = [
+            leak_prob_from_error(e, eps).probability if c is OverlapCase.REMAINING else by_case[c]
+            for e, c in zip(errors, cases)
+        ]
+    keys = PARTITION_CASES if 0.0 < sv < math.pi else (cases[0],)
+    ratios = {k: sum(c is k for c in cases) / n for k in keys}
+    components = {k: sum(p for p, c in zip(probs, cases) if c is k) / n for k in keys}
+    return ratios, components, sum(qoe(fov, sv, e) for e in errors) / n
+
+
+_FOVS = st.one_of(st.sampled_from((math.pi / 2, FOV)), st.floats(0.01, math.pi / 2))
+_RADII = st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi))
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """A radius grid and errors on, beside and between its case boundaries."""
+    fov = draw(_FOVS)
+    eps = draw(st.one_of(st.just(fov), st.floats(0.01, 1.0).map(lambda f: f * fov)))
+    grid = draw(st.lists(_RADII, min_size=1, max_size=3))
+    edges = [0.0, math.pi / 2, math.pi]
+    for sv in grid:
+        for t in (sv - fov, fov - sv, fov + sv, 2.0 * math.pi - fov - sv):
+            edges += [float(np.nextafter(t, -np.inf)), t, float(np.nextafter(t, np.inf))]
+    edges = [x for x in edges if 0.0 <= x <= math.pi]
+    errors = draw(
+        st.lists(st.one_of(st.sampled_from(edges), st.floats(0.0, math.pi)), min_size=1, max_size=40)
+    )
+    return fov, eps, grid, errors + errors[: draw(st.integers(0, len(errors)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_inputs())
+def test_sorted_sweep_matches_pointwise_reference(inputs):
+    fov, eps, grid, errors = inputs
+    for sv, pt in zip(grid, average_leakage_sweep(errors, fov, eps, grid)):
+        ratios, components, mean_qoe = _pointwise_sweep(errors, fov, eps, sv)
+        assert pt.r_sv == sv
+        assert pt.case_ratios == ratios
+        assert pt.leakage_components.keys() == components.keys()
+        for case, value in components.items():
+            assert abs(pt.leakage_components[case] - value) <= 1e-12
+        assert abs(pt.leakage_total - sum(components.values())) <= 1e-12
+        assert abs(pt.mean_qoe - mean_qoe) <= 1e-12
 
 
 def test_sweep_validation():

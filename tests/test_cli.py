@@ -15,7 +15,7 @@ from vrpl import (
     qoe,
     resolve_scenario,
 )
-from vrpl.cli import InternalInconsistencyError, _check_report, main, thread_count
+from vrpl.cli import InternalInconsistencyError, _check_report, main
 from vrpl.config import load_config
 from vrpl.tables import read_csv
 
@@ -149,19 +149,6 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="top-level"):
         load_config(arr)
-
-
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("VRPL_THREADS", raising=False)
-    assert thread_count() is None
-    monkeypatch.setenv("VRPL_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("VRPL_THREADS", "abc")
-    with pytest.raises(ConfigError):
-        thread_count()
-    monkeypatch.setenv("VRPL_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_count()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +316,7 @@ def test_cli_trace_pipeline(tmp_path, capsys):
     assert figures == {"avg_leakage_vs_r_sv", "case_ratio_vs_r_sv", "mean_qoe_vs_r_sv"}
 
 
-def test_cli_trace_deterministic_and_threaded(tmp_path, capsys, monkeypatch):
+def test_cli_trace_deterministic_and_threaded(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,
         {
@@ -338,12 +325,8 @@ def test_cli_trace_deterministic_and_threaded(tmp_path, capsys, monkeypatch):
         },
     )
     outputs = []
-    for name, threads in (("a", None), ("b", None), ("c", "3")):
+    for name in ("a", "b"):
         out = tmp_path / name
-        if threads is None:
-            monkeypatch.delenv("VRPL_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("VRPL_THREADS", threads)
         assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
         capsys.readouterr()
         outputs.append(
@@ -354,7 +337,6 @@ def test_cli_trace_deterministic_and_threaded(tmp_path, capsys, monkeypatch):
             )
         )
     assert outputs[0] == outputs[1]
-    assert outputs[0] == outputs[2]
 
 
 def test_cli_trace_needs_a_source(capsys):
@@ -415,13 +397,6 @@ def test_cli_resource_channel_bandwidth_scaling(tmp_path, capsys):
     assert rates[1] == pytest.approx(2.0 * rates[0], rel=1e-11)
 
 
-def test_cli_rejects_bad_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("VRPL_THREADS", "-2")
-    cfg = _cfg(tmp_path, {"synthetic": _SYNTH_DRIFT})
-    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "VRPL_THREADS" in capsys.readouterr().err
-
-
 def test_check_report_catches_corruption():
     point = SweepPoint(
         r_sv=1.0,
@@ -446,6 +421,16 @@ def test_cli_trace_rejects_zero_epsilon(tmp_path, capsys):
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "config.epsilon" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_trace_rejects_unreachable_leak_budget(tmp_path, capsys):
+    # At r_fov 50 deg and eps 0.4 * r_fov no error leaks less than eps/pi = 0.111.
+    cfg = _cfg(tmp_path, {"max_leak_prob": 0.01, "synthetic": _SYNTH_DRIFT})
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "config.max_leak_prob" in err
+    assert repr(0.4 * FOV / math.pi) in err
     assert not (tmp_path / "o").exists()
 
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vrpl import (
-    ErrorSample,
     GreatCircleDrift,
     Predictor,
     RandomWalk,
@@ -18,6 +19,7 @@ from vrpl import (
     save_traces,
     spherical_distance,
 )
+from vrpl.sphere import _wrap_longitude
 
 WIN = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
 
@@ -145,6 +147,15 @@ def test_synthetic_deterministic():
     assert not np.array_equal(a[0].theta, c[0].theta)
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+def test_trace_longitude_wrap_is_bit_identical_to_scalar(draws):
+    thetas = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, *draws]
+    n = len(thetas)
+    tr = ViewpointTrace("u", "v", np.arange(n) / 5.0, np.array(thetas), np.zeros(n))
+    want = np.array([_wrap_longitude(x) for x in thetas])
+    assert tr.theta.tobytes() == want.tobytes()
+
+
 def test_synthetic_ids_and_length():
     traces = generate_synthetic_traces(GreatCircleDrift(rate=0.1), 3, 12.0, 5.0, seed=0)
     assert [t.user_id for t in traces] == ["synthetic-000", "synthetic-001", "synthetic-002"]
@@ -194,9 +205,9 @@ def test_predict_sample_count():
     samples = predict(tr, WIN, Predictor.LAST_POSITION)
     # 60 segments of 5 samples, the first two played passively.
     assert len(samples) == 290
-    assert samples[0].segment == 2 and samples[0].frame == 0
-    assert samples[-1].segment == 59 and samples[-1].frame == 4
-    assert all(0.0 <= s.error <= math.pi for s in samples)
+    assert samples.segment[0] == 2 and samples.frame[0] == 0
+    assert samples.segment[-1] == 59 and samples.frame[-1] == 4
+    assert all(0.0 <= e <= math.pi for e in samples.error)
 
 
 def test_predict_drops_trailing_partial_segment():
@@ -213,7 +224,7 @@ def test_predict_constant_trace_zero_error():
     )
     for predictor in Predictor:
         samples = predict(tr, WIN, predictor)
-        assert all(s.error == 0.0 for s in samples)
+        assert all(e == 0.0 for e in samples.error)
 
 
 def test_predict_last_position_lead_error():
@@ -223,16 +234,16 @@ def test_predict_last_position_lead_error():
     (tr,) = generate_synthetic_traces(GreatCircleDrift(rate=0.1), 1, 60.0, 5.0, seed=5)
     samples = predict(tr, WIN, Predictor.LAST_POSITION)
     per_step = 0.1 / 5.0
-    for s in samples[:25]:
-        expected = (WIN.cc_samples + s.frame + 1) * per_step
-        assert s.error == pytest.approx(expected, abs=1e-9)
-    assert max(s.error for s in samples) == pytest.approx(0.2, abs=1e-9)
+    for frame, error in zip(samples.frame[:25], samples.error[:25]):
+        expected = (WIN.cc_samples + frame + 1) * per_step
+        assert error == pytest.approx(expected, abs=1e-9)
+    assert max(samples.error) == pytest.approx(0.2, abs=1e-9)
 
 
 def test_predict_great_circle_tracks_drift():
     (tr,) = generate_synthetic_traces(GreatCircleDrift(rate=0.1), 1, 60.0, 5.0, seed=5)
     samples = predict(tr, WIN, Predictor.GREAT_CIRCLE)
-    assert max(s.error for s in samples) < 1e-6
+    assert max(samples.error) < 1e-6
 
 
 def test_predict_rate_mismatch():
@@ -251,10 +262,12 @@ def test_predict_all_concatenates_in_order():
     traces = generate_synthetic_traces(RandomWalk(kappa=100.0), 3, 60.0, 5.0, seed=2)
     all_samples = predict_all(traces, WIN, Predictor.LAST_POSITION)
     assert len(all_samples) == 3 * 290
-    assert [s.user_id for s in all_samples[::290]] == [
+    assert [traces[i].user_id for i in all_samples.trace[::290]] == [
         "synthetic-000",
         "synthetic-001",
         "synthetic-002",
     ]
     solo = predict(traces[1], WIN, Predictor.LAST_POSITION)
-    assert all_samples[290:580] == solo
+    np.testing.assert_array_equal(all_samples.error[290:580], solo.error)
+    np.testing.assert_array_equal(all_samples.segment[290:580], solo.segment)
+    np.testing.assert_array_equal(all_samples.frame[290:580], solo.frame)
