@@ -71,7 +71,6 @@ from .sphere import (
     cap_overlap_area,
     cap_overlap_area_vec,
     mc_cap_overlap,
-    sample_uniform_sphere,
     spherical_distance,
 )
 from .traces import (

@@ -27,9 +27,9 @@ from .leakage import (
     ErrorRange,
     PrivacyRequirement,
     RangeKind,
+    _leak_from_checked_errors,
     cap_zone,
     error_range_for_requirement,
-    leak_prob_from_error_vec,
 )
 from .qoe import OverlapCase, _validate_fov
 from .sphere import TWO_PI, cap_overlap_area_vec
@@ -59,7 +59,10 @@ def error_subset_for_requirement(
     errors: Sequence[float] | np.ndarray, req: PrivacyRequirement
 ) -> ErrorSubset:
     """Select the errors whose error-upload leakage meets the requirement."""
-    values = _error_values(errors)
+    return _subset(_error_values(errors), req)
+
+
+def _subset(values: np.ndarray, req: PrivacyRequirement) -> ErrorSubset:
     rng = error_range_for_requirement(req)
     if rng.kind is RangeKind.INFEASIBLE:
         return ErrorSubset(False, np.empty(0), math.nan, rng)
@@ -85,7 +88,10 @@ def tradeoff_consistency_ratios(
     Raises:
         ValueError: if the requirement is infeasible.
     """
-    values = _error_values(errors)
+    return _ratios(_error_values(errors), req)
+
+
+def _ratios(values: np.ndarray, req: PrivacyRequirement) -> tuple[float, float]:
     if req.max_leak_prob < req.epsilon / math.pi:
         raise ValueError(
             f"requirement max_leak_prob={req.max_leak_prob!r} below the attainable "
@@ -254,13 +260,13 @@ def average_leakage_sweep(
     fov = _validate_fov(r_fov)
     if not (math.isfinite(eps) and 0.0 < eps <= fov):
         raise ValueError(f"protection radius {eps!r} outside (0, r_fov]")
-    values = _error_values(errors)
+    e = _error_values(errors)
     grid = [float(r) for r in r_sv_grid]
     for r in grid:
         if not (math.isfinite(r) and 0.0 <= r <= math.pi):
             raise ValueError(f"streamed-cap radius {r!r} outside [0, pi]")
-    e = np.sort(values)
-    leak = leak_prob_from_error_vec(e, eps).probability
+    e.sort()
+    leak = _leak_from_checked_errors(e, eps).probability
     leak_csum = np.concatenate(([0.0], np.cumsum(leak)))
     return [_sweep_point(e, leak_csum, fov, eps, r) for r in grid]
 
@@ -290,14 +296,17 @@ def build_report(
     r_sv_grid: Iterable[float],
     req: PrivacyRequirement | None = None,
 ) -> AggregateReport:
-    """Run the full aggregate pipeline over one error population."""
-    values = _error_values(errors)
-    points = average_leakage_sweep(values, r_fov, eps, r_sv_grid)
+    """Run the full aggregate pipeline over one error population.
+
+    The errors are checked once, by `average_leakage_sweep`; the
+    requirement statistics then read them unchecked.
+    """
+    points = average_leakage_sweep(errors, r_fov, eps, r_sv_grid)
+    values = np.asarray(errors, dtype=float)
     mean_error = gamma_t = gamma_c = None
     if req is not None:
-        subset = error_subset_for_requirement(values, req)
-        mean_error = subset.mean
-        gamma_t, gamma_c = tradeoff_consistency_ratios(values, req)
+        mean_error = _subset(values, req).mean
+        gamma_t, gamma_c = _ratios(values, req)
     return AggregateReport(
         n_samples=int(values.size),
         r_fov=float(r_fov),

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .resources import ChannelConfig, ResourceConfig, TileSpec
-from .traces import GreatCircleDrift, MotionModel, Predictor, RandomWalk, WindowingConfig
+from .traces import (
+    GreatCircleDrift,
+    MotionModel,
+    Predictor,
+    RandomWalk,
+    WindowingConfig,
+    sample_count,
+)
 
 #: Baseline scenario: 50 degree field of view, protection radius 0.4 of it,
 #: 5 Hz sampling, 1 s segments with a 1 s observation window and a 1 s
@@ -216,7 +223,7 @@ def _resolve_synthetic(doc: dict, path: str) -> SyntheticSpec:
                 f"{path}.model: unknown model {kind!r} "
                 "(expected random_walk or great_circle_drift)"
             )
-        return SyntheticSpec(
+        spec = SyntheticSpec(
             model=model,
             n_traces=_require(doc, "n_traces", int, path),
             duration=_require(doc, "duration_s", float, path),
@@ -226,6 +233,15 @@ def _resolve_synthetic(doc: dict, path: str) -> SyntheticSpec:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if spec.n_traces < 1:
+        raise ConfigError(f"{path}.n_traces: {spec.n_traces!r} must be >= 1")
+    if not (math.isfinite(spec.rate) and spec.rate > 0.0):
+        raise ConfigError(f"{path}.rate_hz: {spec.rate!r} must be > 0")
+    try:
+        sample_count(spec.duration, spec.rate)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.duration_s: {exc}") from None
+    return spec
 
 
 def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:

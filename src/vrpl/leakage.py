@@ -377,6 +377,11 @@ def leak_prob_from_error_vec(e, eps) -> LeakageArrays:
         _float_array(e, "viewpoint error", 0.0, math.pi),
         _float_array(eps, "protection radius", 0.0, math.pi / 2),
     )
+    return _leak_from_checked_errors(err, ep)
+
+
+def _leak_from_checked_errors(err: np.ndarray, ep) -> LeakageArrays:
+    """`leak_prob_from_error_vec` on errors and radii already checked."""
     point = (err == 0.0) | (err == math.pi)
     sin_e = np.sin(err)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

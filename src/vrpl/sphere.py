@@ -46,9 +46,6 @@ class SphericalPoint:
         object.__setattr__(self, "theta", _wrap_longitude(float(self.theta)))
         object.__setattr__(self, "phi", float(self.phi))
 
-    def antipode(self) -> "SphericalPoint":
-        return SphericalPoint(self.theta + math.pi, -self.phi)
-
 
 @dataclass(frozen=True)
 class CapRadius:
@@ -173,19 +170,6 @@ def cap_overlap_area_vec(r1, r2, d) -> np.ndarray:
         [area_a, area_b, 0.0, area_a + area_b - SPHERE_AREA],
         default=lens,
     )
-
-
-def sample_uniform_sphere(n: int, seed: int) -> list[SphericalPoint]:
-    """Draw ``n`` points uniformly on the sphere, deterministically per seed.
-
-    Longitude is uniform; the sine of latitude is uniform on [-1, 1].
-    """
-    if n < 1:
-        raise ValueError(f"sample count {n!r} must be >= 1")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(-math.pi, math.pi, n)
-    phi = np.arcsin(rng.uniform(-1.0, 1.0, n))
-    return [SphericalPoint(float(t), float(p)) for t, p in zip(theta, phi)]
 
 
 def mc_cap_overlap(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sphere import TWO_PI, SphericalPoint
+from .sphere import TWO_PI
 
 TRACE_HEADER = ["user_id", "video_id", "timestamp_s", "theta_rad", "phi_rad"]
 
@@ -87,9 +87,6 @@ class ViewpointTrace:
     @property
     def sample_rate(self) -> float:
         return 1.0 / float(self.timestamps[1] - self.timestamps[0])
-
-    def point(self, i: int) -> SphericalPoint:
-        return SphericalPoint(float(self.theta[i]), float(self.phi[i]))
 
     def unit_vectors(self) -> np.ndarray:
         """Samples as rows of unit 3-vectors."""
@@ -209,44 +206,94 @@ class GreatCircleDrift:
 MotionModel = RandomWalk | GreatCircleDrift
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+#: Draw ranges of a uniform point on the sphere: height ``z``, longitude ``t``.
+_POINT_DRAWS = ((-1.0, 1.0), (-math.pi, math.pi))
+#: Draw ranges of one random-walk step: deviation quantile ``u``, then a point.
+_STEP_DRAWS = ((0.0, 1.0), *_POINT_DRAWS)
+#: Tangents whose component off the current point is no longer than this
+#: are replaced by the deterministic fallback of `_unit_tangents`.
+_TANGENT_MIN_NORM = 1e-6
 
 
-def _random_point_vec(rng: np.random.Generator) -> np.ndarray:
-    z = rng.uniform(-1.0, 1.0)
-    t = rng.uniform(-math.pi, math.pi)
-    c = math.sqrt(1.0 - z * z)
-    return np.array([c * math.cos(t), c * math.sin(t), z])
+def sample_count(duration: float, rate: float) -> int:
+    """Number of samples in ``duration`` seconds at ``rate`` Hz.
 
-
-def _orthonormal_to(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector orthogonal to ``v``."""
-    while True:
-        w = _random_point_vec(rng)
-        w = w - np.dot(w, v) * v
-        norm = np.linalg.norm(w)
-        if norm > 1e-6:
-            return w / norm
-
-
-def _vmf_step(v: np.ndarray, kappa: float, rng: np.random.Generator) -> np.ndarray:
-    """One von-Mises-Fisher draw around mean direction ``v``.
-
-    Inverse-CDF sampling of the cosine of the deviation; exact on the
-    2-sphere, stable for large kappa where exp(-2*kappa) underflows.
+    Raises:
+        ValueError: unless ``rate > 0`` and ``duration * rate`` is a whole
+            number of at least 2.
     """
-    u = rng.uniform()
-    w = 1.0 + math.log(u * (1.0 - math.exp(-2.0 * kappa)) + math.exp(-2.0 * kappa)) / kappa
-    w = min(1.0, max(-1.0, w))
-    tangent = _orthonormal_to(v, rng)
-    return _unit(w * v + math.sqrt(max(0.0, 1.0 - w * w)) * tangent)
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"rate must be > 0, got {rate!r}")
+    count = duration * rate
+    if not math.isfinite(count) or round(count) < 2 or abs(round(count) - count) > 1e-9:
+        raise ValueError(f"duration {duration!r} at rate {rate!r} must give >= 2 whole samples")
+    return round(count)
+
+
+def _points(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unit vectors (..., xyz) at height ``z`` and longitude ``t``."""
+    c = np.sqrt(1.0 - z * z)
+    return np.stack((c * np.cos(t), c * np.sin(t), z), axis=-1)
+
+
+def _unit_tangents(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Unit vectors orthogonal to the rows of ``v``, one per row of ``p``.
+
+    Each row of ``p`` loses its component along ``v`` and is normalized.
+    Where too little is left (``p`` within about 1e-6 of ``±v``), the
+    tangent is the coordinate axis least aligned with ``v``, orthogonalized
+    against it, so a degenerate draw is replaced without drawing again.
+    """
+    p = p - np.einsum("ij,ij->i", p, v)[:, None] * v
+    norm = np.sqrt(np.einsum("ij,ij->i", p, p))
+    bad = norm <= _TANGENT_MIN_NORM
+    if bad.any():
+        vb = v[bad]
+        rows = np.arange(len(vb))
+        axis = np.argmin(np.abs(vb), axis=1)
+        q = -vb[rows, axis][:, None] * vb
+        q[rows, axis] += 1.0
+        p[bad] = q
+        norm[bad] = np.sqrt(np.einsum("ij,ij->i", q, q))
+    return p / norm[:, None]
+
+
+def _random_walk(draws: np.ndarray, kappa: float) -> np.ndarray:
+    """Unit vectors (trace, sample, xyz) of von-Mises-Fisher random walks.
+
+    Row ``i`` of ``draws`` holds trace ``i``'s start point ``(z, t)``, then
+    ``(u, z, t)`` per step.  A step deviates from the current point by an
+    angle whose cosine is drawn by inverse CDF from ``u`` (exact on the
+    2-sphere, stable for large kappa where exp(-2*kappa) underflows),
+    toward the tangent given by the random point ``(z, t)``.  All traces
+    take each step together.
+    """
+    n_traces = len(draws)
+    steps = draws[:, 2:].reshape(n_traces, -1, 3)
+    floor = math.exp(-2.0 * kappa)
+    w = 1.0 + np.log(steps[:, :, 0] * (1.0 - floor) + floor) / kappa
+    np.clip(w, -1.0, 1.0, out=w)
+    s = np.sqrt(np.maximum(0.0, 1.0 - w * w))
+    vecs = np.empty((n_traces, steps.shape[1] + 1, 3))
+    v = _points(draws[:, 0], draws[:, 1])
+    vecs[:, 0] = v
+    for k in range(steps.shape[1]):
+        tangent = _unit_tangents(v, _points(steps[:, k, 1], steps[:, k, 2]))
+        v = w[:, k, None] * v + s[:, k, None] * tangent
+        v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+        vecs[:, k + 1] = v
+    return vecs
 
 
 def generate_synthetic_traces(
     model: MotionModel, n_traces: int, duration: float, rate: float, seed: int
 ) -> list[ViewpointTrace]:
     """Generate deterministic synthetic traces under a motion model.
+
+    All random numbers come from one ``uniform`` call on a generator seeded
+    with ``seed``: per trace, a random walk draws its start point then
+    ``(u, z, t)`` per step, and a great-circle drift its start point and
+    the point fixing its direction.
 
     Args:
         model: `RandomWalk` or `GreatCircleDrift`.
@@ -257,32 +304,30 @@ def generate_synthetic_traces(
     """
     if n_traces < 1:
         raise ValueError(f"n_traces must be >= 1, got {n_traces!r}")
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be > 0, got {rate!r}")
-    n = round(duration * rate)
-    if n < 2 or abs(n - duration * rate) > 1e-9:
-        raise ValueError(f"duration {duration!r} at rate {rate!r} must give >= 2 whole samples")
-    rng = np.random.default_rng(seed)
+    n = sample_count(duration, rate)
     times = np.arange(n) / rate
+    if isinstance(model, GreatCircleDrift):
+        ranges = _POINT_DRAWS * 2
+    else:
+        ranges = _POINT_DRAWS + _STEP_DRAWS * (n - 1)
+    lo, hi = np.array(ranges).T
+    draws = np.random.default_rng(seed).uniform(lo, hi, size=(n_traces, len(ranges)))
+    if isinstance(model, GreatCircleDrift):
+        start = _points(draws[:, 0], draws[:, 1])
+        tangent = _unit_tangents(start, _points(draws[:, 2], draws[:, 3]))
+        angles = (model.rate * times)[:, None]
+        vecs = np.cos(angles) * start[:, None, :] + np.sin(angles) * tangent[:, None, :]
+    else:
+        vecs = _random_walk(draws, model.kappa)
+    del draws
+    theta = np.arctan2(vecs[:, :, 1], vecs[:, :, 0])
+    phi = np.arcsin(np.clip(vecs[:, :, 2], -1.0, 1.0))
+    del vecs
     label = type(model).__name__.lower()
-    traces = []
-    for i in range(n_traces):
-        if isinstance(model, GreatCircleDrift):
-            start = _random_point_vec(rng)
-            tangent = _orthonormal_to(start, rng)
-            angles = model.rate * times
-            vecs = np.outer(np.cos(angles), start) + np.outer(np.sin(angles), tangent)
-        else:
-            v = _random_point_vec(rng)
-            vecs = np.empty((n, 3))
-            vecs[0] = v
-            for k in range(1, n):
-                v = _vmf_step(v, model.kappa, rng)
-                vecs[k] = v
-        theta = np.arctan2(vecs[:, 1], vecs[:, 0])
-        phi = np.arcsin(np.clip(vecs[:, 2], -1.0, 1.0))
-        traces.append(ViewpointTrace(f"synthetic-{i:03d}", label, times, theta, phi))
-    return traces
+    return [
+        ViewpointTrace(f"synthetic-{i:03d}", label, times, theta[i], phi[i])
+        for i in range(n_traces)
+    ]
 
 
 # ---------------------------------------------------------------------------

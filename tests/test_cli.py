@@ -434,6 +434,23 @@ def test_cli_trace_rejects_unreachable_leak_budget(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("n_traces", 0, "config.synthetic.n_traces"),
+        ("duration_s", 10.3, "config.synthetic.duration_s"),  # 51.5 samples at 5 Hz
+        ("duration_s", 0.2, "config.synthetic.duration_s"),  # one sample
+    ],
+    ids=["no-traces", "fractional-samples", "one-sample"],
+)
+def test_cli_trace_rejects_bad_synthetic_size(tmp_path, capsys, field, value, path):
+    cfg = _cfg(tmp_path, {"synthetic": {**_SYNTH_DRIFT, field: value}})
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and path in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_sweeps_accept_zero_epsilon(tmp_path, capsys):
     # The default grid holds r_sv = 130 deg, tangent to the 50 deg FoV's
     # antipode up to rounding, where the disjoint-case zone is a point.

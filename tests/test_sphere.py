@@ -14,7 +14,6 @@ from vrpl import (
     cap_overlap_area,
     cap_overlap_area_vec,
     mc_cap_overlap,
-    sample_uniform_sphere,
     spherical_distance,
 )
 
@@ -30,12 +29,6 @@ def test_point_validation():
         SphericalPoint(math.nan, 0.0)
     with pytest.raises(ValueError):
         SphericalPoint(0.0, math.inf)
-
-
-def test_antipode():
-    p = SphericalPoint(0.4, 0.7)
-    q = p.antipode()
-    assert spherical_distance(p, q) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_cap_radius_validation():
@@ -173,22 +166,6 @@ def test_overlap_vectorised_matches_scalar():
     vec = cap_overlap_area_vec(r1, r2, d)
     for i in range(len(d)):
         assert vec[i] == pytest.approx(cap_overlap_area(r1[i], r2[i], d[i]), abs=1e-12)
-
-
-def test_sampler_uniform_and_deterministic():
-    pts = sample_uniform_sphere(1_000_000, seed=3)
-    z = np.sin([p.phi for p in pts])
-    # Mean height of a uniform sample is 0 with variance 1/3.
-    assert abs(z.mean()) <= 3.0 / math.sqrt(3.0 * len(pts))
-    # Fraction inside a polar cap matches the cap's area share.
-    frac = float(np.mean(z >= math.cos(1.0)))
-    share = cap_area(1.0) / SPHERE_AREA
-    assert abs(frac - share) <= 3.0 * math.sqrt(share * (1.0 - share) / len(pts))
-    once = sample_uniform_sphere(5, seed=3)
-    again = sample_uniform_sphere(5, seed=3)
-    assert [(p.theta, p.phi) for p in again] == [
-        (p.theta, p.phi) for p in once
-    ]
 
 
 def test_mc_overlap_full_sphere():

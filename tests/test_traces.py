@@ -17,9 +17,11 @@ from vrpl import (
     predict,
     predict_all,
     save_traces,
-    spherical_distance,
 )
 from vrpl.sphere import _wrap_longitude
+from vrpl.traces import _points, _unit_tangents
+
+from support import scalar_synthetic_unit_vectors
 
 WIN = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
 
@@ -174,18 +176,90 @@ def test_synthetic_validation():
         GreatCircleDrift(rate=-0.1)
 
 
+def _step_angles(tr: ViewpointTrace) -> np.ndarray:
+    v = tr.unit_vectors()
+    return np.arccos(np.clip(np.einsum("ij,ij->i", v[:-1], v[1:]), -1.0, 1.0))
+
+
 def test_random_walk_step_size():
     # Very high concentration keeps consecutive samples close together.
     (tr,) = generate_synthetic_traces(RandomWalk(kappa=1e6), 1, 20.0, 5.0, seed=3)
-    for i in range(len(tr) - 1):
-        assert spherical_distance(tr.point(i), tr.point(i + 1)) < 0.01
+    assert _step_angles(tr).max() < 0.01
 
 
 def test_drift_step_size_exact():
     (tr,) = generate_synthetic_traces(GreatCircleDrift(rate=0.1), 1, 20.0, 5.0, seed=3)
-    for i in range(len(tr) - 1):
-        d = spherical_distance(tr.point(i), tr.point(i + 1))
-        assert d == pytest.approx(0.02, abs=1e-9)
+    np.testing.assert_allclose(_step_angles(tr), 0.02, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        RandomWalk(1.0),
+        RandomWalk(100.0),
+        RandomWalk(5e4),
+        GreatCircleDrift(0.1),
+        GreatCircleDrift(3.0),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_synthetic_matches_scalar_reference(model, seed):
+    traces = generate_synthetic_traces(model, 20, 60.0, 5.0, seed)
+    ref = scalar_synthetic_unit_vectors(model, 20, 60.0, 5.0, seed)
+    assert len(traces) == len(ref) == 20
+    for tr, want in zip(traces, ref):
+        np.testing.assert_allclose(tr.unit_vectors(), want, rtol=0, atol=1e-10)
+
+
+class _RecordingRng:
+    """Stands in for `np.random.default_rng`: records each ``uniform`` size
+    and returns ``draws`` instead of fresh numbers when given."""
+
+    def __init__(self, draws=None):
+        self.draws, self.sizes = draws, []
+        self.default_rng = np.random.default_rng
+
+    def __call__(self, seed):
+        self.rng = self.default_rng(seed)
+        return self
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.uniform(low, high, size) if self.draws is None else self.draws
+
+
+def test_synthetic_draws_one_block(monkeypatch):
+    rec = _RecordingRng()
+    monkeypatch.setattr(np.random, "default_rng", rec)
+    generate_synthetic_traces(RandomWalk(kappa=50.0), 4, 10.0, 5.0, seed=1)
+    generate_synthetic_traces(GreatCircleDrift(rate=0.1), 4, 10.0, 5.0, seed=1)
+    # 2 start draws plus 3 per step for each of 50 samples; 4 for a drift.
+    assert rec.sizes == [(4, 2 + 3 * 49), (4, 4)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["same", "antipode"])
+def test_degenerate_tangent_uses_axis_fallback(monkeypatch, sign):
+    # A step point drawn as the current point itself, or as its antipode.
+    z, t = sign * 0.3, 1.1 + (sign < 0) * math.pi
+    v = _points(np.array([0.3]), np.array([1.1]))
+    p = _points(np.array([z]), np.array([t]))
+    assert np.linalg.norm(np.cross(p, v)) < 1e-6
+    (tangent,) = _unit_tangents(v, p)
+    assert np.linalg.norm(tangent) == pytest.approx(1.0, abs=1e-15)
+    assert abs(tangent @ v[0]) < 1e-15
+    # The fallback leans on the coordinate axis least aligned with v.
+    assert np.argmax(np.abs(tangent)) == np.argmin(np.abs(v[0]))
+
+    # In a walk the step still moves acos(w) off the start and draws nothing more.
+    rec = _RecordingRng(np.array([[0.3, 1.1, 0.5, z, t]]))
+    monkeypatch.setattr(np.random, "default_rng", rec)
+    (tr,) = generate_synthetic_traces(RandomWalk(kappa=10.0), 1, 0.4, 5.0, seed=0)
+    assert rec.sizes == [(1, 5)]
+    w = 1.0 + math.log(0.5 * (1.0 - math.exp(-20.0)) + math.exp(-20.0)) / 10.0
+    start, step = tr.unit_vectors()
+    np.testing.assert_allclose(start, v[0], rtol=0, atol=1e-15)
+    assert step @ start == pytest.approx(w, abs=1e-12)
 
 
 def test_windowing_validation():
