@@ -65,7 +65,6 @@ from .resources import (
 )
 from .sphere import (
     SPHERE_AREA,
-    CapRadius,
     SphericalPoint,
     cap_area,
     cap_overlap_area,

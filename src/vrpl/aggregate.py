@@ -18,7 +18,7 @@ sweep sorts the errors and sums their leakage once for the whole grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,18 +31,19 @@ from .leakage import (
     cap_zone,
     error_range_for_requirement,
 )
-from .qoe import OverlapCase, _validate_fov
-from .sphere import TWO_PI, cap_overlap_area_vec
+from .qoe import OverlapCase
+from .sphere import EPSILON, ERROR, FOV, STREAMED_RADIUS, TWO_PI, cap_overlap_area_vec
+
+#: The population sweep and its regions take a protection radius above 0 only.
+_SWEEP_EPSILON = replace(EPSILON, open_lo=True)
 
 
-def _error_values(errors: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Copy prediction errors in radians to a validated float array."""
-    arr = np.array(errors, dtype=float)
-    if arr.size == 0:
+def _population(errors: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A checked copy of a non-empty population of prediction errors."""
+    values = ERROR.check_array(np.array(errors, dtype=float))
+    if not values.size:
         raise ValueError("no error samples given")
-    if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > math.pi:
-        raise ValueError("error samples must lie in [0, pi]")
-    return arr
+    return values
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def error_subset_for_requirement(
     errors: Sequence[float] | np.ndarray, req: PrivacyRequirement
 ) -> ErrorSubset:
     """Select the errors whose error-upload leakage meets the requirement."""
-    return _subset(_error_values(errors), req)
+    return _subset(_population(errors), req)
 
 
 def _subset(values: np.ndarray, req: PrivacyRequirement) -> ErrorSubset:
@@ -88,7 +89,7 @@ def tradeoff_consistency_ratios(
     Raises:
         ValueError: if the requirement is infeasible.
     """
-    return _ratios(_error_values(errors), req)
+    return _ratios(_population(errors), req)
 
 
 def _ratios(values: np.ndarray, req: PrivacyRequirement) -> tuple[float, float]:
@@ -123,9 +124,8 @@ class RegionBounds:
 
 def leakage_regions(r_fov: float, eps: float) -> RegionBounds:
     """Region boundaries of the average QoE-upload leakage in ``r_sv``."""
-    fov = _validate_fov(r_fov)
-    if not (math.isfinite(eps) and 0.0 < eps <= fov):
-        raise ValueError(f"protection radius {eps!r} outside (0, r_fov]")
+    fov = FOV.check(r_fov)
+    eps = _SWEEP_EPSILON.check(eps, hi=fov)
     plateau = math.asin(eps / math.pi)
     return RegionBounds(
         i1=(0.0, fov - eps),
@@ -257,14 +257,10 @@ def average_leakage_sweep(
         r_sv_grid: streamed-cap radii in [0, pi]; the degenerate endpoints
             0 and pi are allowed and reported as their own case.
     """
-    fov = _validate_fov(r_fov)
-    if not (math.isfinite(eps) and 0.0 < eps <= fov):
-        raise ValueError(f"protection radius {eps!r} outside (0, r_fov]")
-    e = _error_values(errors)
-    grid = [float(r) for r in r_sv_grid]
-    for r in grid:
-        if not (math.isfinite(r) and 0.0 <= r <= math.pi):
-            raise ValueError(f"streamed-cap radius {r!r} outside [0, pi]")
+    fov = FOV.check(r_fov)
+    eps = _SWEEP_EPSILON.check(eps, hi=fov)
+    e = _population(errors)
+    grid = STREAMED_RADIUS.check_array(list(r_sv_grid)).tolist()
     e.sort()
     leak = _leak_from_checked_errors(e, eps).probability
     leak_csum = np.concatenate(([0.0], np.cumsum(leak)))

@@ -320,14 +320,14 @@ def cmd_resource(args: argparse.Namespace) -> int:
         "compute_rate_bit_s": cfg.compute_rate,
         "avg_data_rate_bit_s": cfg.avg_data_rate,
         "capability": cap,
-        "r_sv_rad": sfov_radius(cap).value,
+        "r_sv_rad": sfov_radius(cap),
     }
     if scenario.channel is not None:
         est = mc_avg_rate(scenario.channel, MC_RATE_SAMPLES, scenario.seed)
         cap_est = capability(dataclasses.replace(cfg, avg_data_rate=est), tile)
         doc["channel_avg_rate_bit_s"] = est
         doc["capability_with_channel_rate"] = cap_est
-        doc["r_sv_rad_with_channel_rate"] = sfov_radius(cap_est).value
+        doc["r_sv_rad_with_channel_rate"] = sfov_radius(cap_est)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "resource_summary.json"

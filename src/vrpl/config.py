@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .traces import (
 #: computing-plus-communication gap (2 segments played passively).
 DEFAULT_R_FOV_RAD = math.radians(50.0)
 DEFAULT_EPSILON_FRAC = 0.4
-DEFAULT_WINDOWING = dict(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
+DEFAULT_WINDOWING = dict(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate_hz=5.0, passive_prefix=2)
 DEFAULT_GRID_N = 181
 
 
@@ -104,6 +105,8 @@ def load_config(path: str | Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path} is not UTF-8: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -165,74 +168,54 @@ def parse_grid_override(spec: str) -> dict[str, list[float]]:
     return grids
 
 
-def _resolve_tile(doc: dict, path: str) -> TileSpec:
+def _resolve_block(cls, doc: dict, path: str, keys: dict[str, str] | None = None, **given):
+    """Build the dataclass ``cls`` from the config block ``doc``.
+
+    Each field not passed in ``given`` is required, with its annotated type,
+    under the key ``keys`` names for it (the field name by default); any
+    other key is rejected.  A ``ValueError`` from ``cls`` becomes a
+    `ConfigError` on ``path``.
+    """
+    keys = keys or {}
+    types = typing.get_type_hints(cls)
+    known = {keys.get(name, name) for name in types}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    args = {
+        name: given[name] if name in given else _require(doc, keys.get(name, name), kind, path)
+        for name, kind in types.items()
+    }
     try:
-        return TileSpec(
-            px_w=_require(doc, "px_w", int, path),
-            px_h=_require(doc, "px_h", int, path),
-            bits_per_pixel=_require(doc, "bits_per_pixel", int, path),
-            compression_ratio=_require(doc, "compression_ratio", float, path),
-        )
+        return cls(**args)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _resolve_resource(doc: dict, path: str) -> ResourceConfig:
-    try:
-        return ResourceConfig(
-            compute_flops=_require(doc, "compute_flops", float, path),
-            users=_require(doc, "users", int, path),
-            flops_per_bit=_require(doc, "flops_per_bit", float, path),
-            avg_data_rate=_require(doc, "avg_data_rate", float, path),
-            cc_duration=_require(doc, "cc_duration", float, path),
-            frames_per_segment=_require(doc, "frames_per_segment", int, path),
-            tiles_per_frame=_require(doc, "tiles_per_frame", int, path),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _resolve_channel(doc: dict, path: str) -> ChannelConfig:
-    try:
-        return ChannelConfig(
-            bandwidth=_require(doc, "bandwidth", float, path),
-            tx_power=_require(doc, "tx_power", float, path),
-            distance=_require(doc, "distance", float, path),
-            pathloss_exp=_require(doc, "pathloss_exp", float, path),
-            noise_power=_require(doc, "noise_power", float, path),
-            antennas=_require(doc, "antennas", int, path),
-            users=_require(doc, "users", int, path),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+#: Motion model of each synthetic ``model`` name, and the config key of
+#: each of its fields.
+_MOTION_MODELS = {
+    "random_walk": (RandomWalk, {"kappa": "kappa"}),
+    "great_circle_drift": (GreatCircleDrift, {"rate": "rate_rad_s"}),
+}
 
 
 def _resolve_synthetic(doc: dict, path: str) -> SyntheticSpec:
     kind = _require(doc, "model", str, path)
-    try:
-        if kind == "random_walk":
-            model: MotionModel = RandomWalk(kappa=_require(doc, "kappa", float, path))
-        elif kind == "great_circle_drift":
-            model = GreatCircleDrift(rate=_require(doc, "rate_rad_s", float, path))
-        else:
-            raise ConfigError(
-                f"{path}.model: unknown model {kind!r} "
-                "(expected random_walk or great_circle_drift)"
-            )
-        spec = SyntheticSpec(
-            model=model,
-            n_traces=_require(doc, "n_traces", int, path),
-            duration=_require(doc, "duration_s", float, path),
-            rate=_require(doc, "rate_hz", float, path),
+    if kind not in _MOTION_MODELS:
+        raise ConfigError(
+            f"{path}.model: unknown model {kind!r} (expected random_walk or great_circle_drift)"
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    cls, keys = _MOTION_MODELS[kind]
+    own = set(keys.values())
+    model = _resolve_block(cls, {k: v for k, v in doc.items() if k in own}, path, keys)
+    spec = _resolve_block(
+        SyntheticSpec,
+        {k: v for k, v in doc.items() if k not in own},
+        path,
+        {"duration": "duration_s", "rate": "rate_hz"},
+        model=model,
+    )
     if spec.n_traces < 1:
         raise ConfigError(f"{path}.n_traces: {spec.n_traces!r} must be >= 1")
     if not (math.isfinite(spec.rate) and spec.rate > 0.0):
@@ -290,22 +273,14 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         raise ConfigError(f"config.seed: {seed!r} must be >= 0")
 
     win_doc = dict(_optional(doc, "windowing", dict, "config", default={}))
-    win_args = dict(DEFAULT_WINDOWING)
-    for key in list(win_doc):
-        target = "sample_rate" if key == "sample_rate_hz" else key
-        if target not in win_args:
-            raise ConfigError(f"config.windowing.{key}: unknown field")
-        win_args[target] = win_doc[key]
-    try:
-        windowing = WindowingConfig(
-            t_obw=float(win_args["t_obw"]),
-            t_cc=float(win_args["t_cc"]),
-            t_pdw=float(win_args["t_pdw"]),
-            sample_rate=float(win_args["sample_rate"]),
-            passive_prefix=int(win_args["passive_prefix"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.windowing: {exc}") from None
+    if "sample_rate" in win_doc:  # the field name, accepted as well
+        win_doc["sample_rate_hz"] = win_doc.pop("sample_rate")
+    windowing = _resolve_block(
+        WindowingConfig,
+        {**DEFAULT_WINDOWING, **win_doc},
+        "config.windowing",
+        {"sample_rate": "sample_rate_hz"},
+    )
 
     predictor_name = _optional(doc, "predictor", str, "config", default=Predictor.LAST_POSITION.value)
     try:
@@ -330,17 +305,18 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
 
     resource = tile = None
     if "resources" in doc:
-        res_doc = _require(doc, "resources", dict, "config")
-        resource = _resolve_resource(res_doc, "config.resources")
-        tile = _resolve_tile(_require(doc, "tile", dict, "config"), "config.tile") if "tile" in doc else None
-        if tile is None:
+        if "tile" not in doc:
             raise ConfigError("config.tile: required when config.resources is given")
+        res_doc = _require(doc, "resources", dict, "config")
+        resource = _resolve_block(ResourceConfig, res_doc, "config.resources")
+        tile = _resolve_block(TileSpec, _require(doc, "tile", dict, "config"), "config.tile")
     elif "tile" in doc:
         raise ConfigError("config.resources: required when config.tile is given")
 
     channel = None
     if "channel" in doc:
-        channel = _resolve_channel(_require(doc, "channel", dict, "config"), "config.channel")
+        ch_doc = _require(doc, "channel", dict, "config")
+        channel = _resolve_block(ChannelConfig, ch_doc, "config.channel")
 
     r_sv = _angle(doc, "r_sv", "config")
     if r_sv is not None:

@@ -28,21 +28,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qoe import (
-    CASE_CODE,
-    OverlapCase,
-    _classify_codes,
-    _float_array,
-    _qoe_from_codes,
-    _validate_error,
-    _validate_fov,
-    qoe,
+from .qoe import CASE_CODE, OverlapCase, _classify_codes, _qoe_from_codes, qoe
+from .sphere import (
+    EPSILON,
+    ERROR,
+    FOV,
+    PROBABILITY,
+    QOE,
+    SPHERE_AREA,
+    STREAMED_RADIUS,
+    TWO_PI,
 )
-from .sphere import SPHERE_AREA, TWO_PI, CapRadius, _radius
 
 #: Absolute tolerance for matching a reported QoE to a constant-case value.
 QOE_MATCH_TOL = 1e-9
@@ -51,6 +51,13 @@ QOE_MATCH_TOL = 1e-9
 BISECT_TOL = 1e-9
 
 _BISECT_MAX_ITER = 64
+
+#: Streamed radii a QoE report can be inverted at: the degenerate caps 0
+#: and pi give the same report for every error.
+_INVERTIBLE_RADIUS = replace(STREAMED_RADIUS, open_lo=True, open_hi=True)
+
+#: The leakage budget of a `PrivacyRequirement`.
+_MAX_LEAK_PROB = replace(PROBABILITY, name="max_leak_prob")
 
 
 class QoeInconsistencyError(ValueError):
@@ -94,10 +101,8 @@ class PrivacyRequirement:
     max_leak_prob: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and 0.0 <= self.epsilon <= math.pi / 2):
-            raise ValueError(f"epsilon {self.epsilon!r} outside [0, pi/2]")
-        if not (math.isfinite(self.max_leak_prob) and 0.0 <= self.max_leak_prob <= 1.0):
-            raise ValueError(f"max_leak_prob {self.max_leak_prob!r} outside [0, 1]")
+        object.__setattr__(self, "epsilon", EPSILON.check(self.epsilon))
+        object.__setattr__(self, "max_leak_prob", _MAX_LEAK_PROB.check(self.max_leak_prob))
 
 
 class RangeKind(enum.Enum):
@@ -138,13 +143,6 @@ class ErrorInference:
     ambiguous: bool = False
 
 
-def _validate_epsilon(eps: float, upper: float) -> float:
-    v = float(eps)
-    if not (math.isfinite(v) and 0.0 <= v <= upper):
-        raise ValueError(f"protection radius {eps!r} outside [0, {upper}]")
-    return v
-
-
 def cap_zone(fov: float, sv: float, ep: float, nested: bool) -> tuple[float, float]:
     """Cap zone of a constant-case QoE report and the odds of guessing in it.
 
@@ -175,8 +173,7 @@ def leak_prob_from_error(e: float, eps: float) -> LeakageResult:
     success probability ``min(eps / (pi * sin e), 1)``.  Zero or antipodal
     error collapses the circle to a single point, which leaks outright.
     """
-    err = _validate_error(e)
-    ep = _validate_epsilon(eps, math.pi / 2)
+    err, ep = ERROR.check(e), EPSILON.check(eps)
     if err == 0.0 or err == math.pi:
         return LeakageResult(1.0, ZoneKind.SINGLE_POINT, 0.0)
     sin_e = math.sin(err)
@@ -185,7 +182,7 @@ def leak_prob_from_error(e: float, eps: float) -> LeakageResult:
 
 def min_leak_prob_error(eps: float) -> float:
     """Lowest error-upload leakage over all errors: eps / pi, at e = pi/2."""
-    return _validate_epsilon(eps, math.pi / 2) / math.pi
+    return EPSILON.check(eps) / math.pi
 
 
 def min_leak_prob_qoe(eps: float) -> float:
@@ -194,7 +191,7 @@ def min_leak_prob_qoe(eps: float) -> float:
     Attained when the streamed cap degenerates (radius 0 or pi) and the
     report confines the viewpoint to nothing smaller than the full sphere.
     """
-    return (1.0 - math.cos(_validate_epsilon(eps, math.pi / 2))) / 2.0
+    return (1.0 - math.cos(EPSILON.check(eps))) / 2.0
 
 
 def error_range_for_requirement(req: PrivacyRequirement) -> ErrorRange:
@@ -221,7 +218,7 @@ def full_leak_error_range(eps: float) -> tuple[tuple[float, float], tuple[float,
     Returns ``([0, arcsin(eps/pi)], [pi - arcsin(eps/pi), pi])``; both
     collapse to single points when ``eps`` is zero.
     """
-    ep = _validate_epsilon(eps, math.pi / 2)
+    ep = EPSILON.check(eps)
     edge = math.asin(ep / math.pi)
     return (0.0, edge), (math.pi - edge, math.pi)
 
@@ -247,12 +244,10 @@ def _bisect_error(q: float, fov: float, sv: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def infer_error_from_qoe(
-    q: float, r_fov: CapRadius | float, r_sv: CapRadius | float, tol: float = QOE_MATCH_TOL
-) -> ErrorInference:
+def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     """Infer the prediction error from a reported QoE.
 
-    The four constant cases are matched first (within ``tol``), each
+    The four constant cases are matched first (within `QOE_MATCH_TOL`), each
     yielding the full error interval that produces that constant;
     otherwise the report is inverted exactly by bisection inside the
     partial-overlap interval.
@@ -261,20 +256,13 @@ def infer_error_from_qoe(
         q: reported covered fraction, in [0, 1].
         r_fov: field-of-view radius, in (0, pi/2].
         r_sv: streamed-cap radius, strictly inside (0, pi).
-        tol: absolute tolerance for constant-case matching.
 
     Raises:
         QoeInconsistencyError: if ``q`` lies outside the band of values the
-            geometry can produce (beyond ``tol``).
+            geometry can produce (beyond `QOE_MATCH_TOL`).
     """
-    fov = _validate_fov(r_fov)
-    sv = _radius(r_sv)
-    if not 0.0 < sv < math.pi:
-        raise ValueError(f"streamed-cap radius {sv!r} outside (0, pi)")
-    qv = float(q)
-    if not (math.isfinite(qv) and 0.0 <= qv <= 1.0):
-        raise ValueError(f"QoE {q!r} outside [0, 1]")
-
+    fov, sv, qv = FOV.check(r_fov), _INVERTIBLE_RADIUS.check(r_sv), QOE.check(q)
+    tol = QOE_MATCH_TOL
     denom = 1.0 - math.cos(fov)
     q_high = 1.0 if sv >= fov else (1.0 - math.cos(sv)) / denom
     q_low = 0.0 if fov + sv <= math.pi else (-math.cos(sv) - math.cos(fov)) / denom
@@ -310,9 +298,7 @@ def infer_error_from_qoe(
     return ErrorInference(InferenceKind.EXACT, OverlapCase.REMAINING, value=_bisect_error(qv, fov, sv))
 
 
-def leak_prob_from_qoe(
-    q: float, r_fov: CapRadius | float, r_sv: CapRadius | float, eps: float
-) -> LeakageResult:
+def leak_prob_from_qoe(q: float, r_fov: float, r_sv: float, eps: float) -> LeakageResult:
     """Leakage probability when the client uploads the QoE.
 
     Constant-case reports confine the viewpoint to a cap of radius
@@ -324,9 +310,8 @@ def leak_prob_from_qoe(
     zone is the full sphere and the probability reaches the global minimum
     ``(1 - cos eps) / 2``.
     """
-    fov = _validate_fov(r_fov)
-    sv = _radius(r_sv)
-    ep = _validate_epsilon(eps, fov)
+    fov = FOV.check(r_fov)
+    sv, ep = STREAMED_RADIUS.check(r_sv), EPSILON.check(eps, hi=fov)
     if sv == 0.0 or sv == math.pi:
         case = OverlapCase.DEGENERATE_EMPTY if sv == 0.0 else OverlapCase.DEGENERATE_FULL
         return LeakageResult((1.0 - math.cos(ep)) / 2.0, ZoneKind.FULL_SPHERE, SPHERE_AREA, case)
@@ -373,10 +358,7 @@ class ErrorInferenceArrays:
 
 def leak_prob_from_error_vec(e, eps) -> LeakageArrays:
     """`leak_prob_from_error` elementwise over broadcastable arrays."""
-    err, ep = np.broadcast_arrays(
-        _float_array(e, "viewpoint error", 0.0, math.pi),
-        _float_array(eps, "protection radius", 0.0, math.pi / 2),
-    )
+    err, ep = np.broadcast_arrays(ERROR.check_array(e), EPSILON.check_array(eps))
     return _leak_from_checked_errors(err, ep)
 
 
@@ -425,12 +407,15 @@ def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
             geometry can produce (beyond `QOE_MATCH_TOL`); the first one is
             named.
     """
-    tol = QOE_MATCH_TOL
     fov, sv, qv = np.broadcast_arrays(
-        _float_array(r_fov, "field-of-view radius", 0.0, math.pi / 2, open_lo=True),
-        _float_array(r_sv, "streamed-cap radius", 0.0, math.pi, open_lo=True, open_hi=True),
-        _float_array(q, "QoE", 0.0, 1.0),
+        FOV.check_array(r_fov), _INVERTIBLE_RADIUS.check_array(r_sv), QOE.check_array(q)
     )
+    return _infer_from_checked(qv, fov, sv)
+
+
+def _infer_from_checked(qv: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> ErrorInferenceArrays:
+    """`infer_error_from_qoe_vec` on broadcast arrays already checked."""
+    tol = QOE_MATCH_TOL
     denom = 1.0 - np.cos(fov)
     q_sfov = (1.0 - np.cos(sv)) / denom
     q_high = np.where(sv >= fov, 1.0, q_sfov)
@@ -470,18 +455,15 @@ def leak_prob_from_qoe_vec(q, r_fov, r_sv, eps) -> LeakageArrays:
     """`leak_prob_from_qoe` elementwise over broadcastable arrays.
 
     Degenerate streamed caps skip the inversion, as in the scalar function;
-    every other report is inverted by `infer_error_from_qoe_vec`.
+    every other report is inverted as by `infer_error_from_qoe_vec`.
     """
+    fov = FOV.check_array(r_fov)
     fov, sv, ep, qv = np.broadcast_arrays(
-        _float_array(r_fov, "field-of-view radius", 0.0, math.pi / 2, open_lo=True),
-        _float_array(r_sv, "streamed-cap radius", 0.0, math.pi),
-        _float_array(eps, "protection radius", 0.0, math.pi / 2),
+        fov,
+        STREAMED_RADIUS.check_array(r_sv),
+        EPSILON.check_array(eps, hi=fov),
         np.asarray(q, dtype=float),
     )
-    if not (ep <= fov).all():
-        raise ValueError(
-            f"protection radius {float(ep[ep > fov][0])!r} above the field-of-view radius"
-        )
     prob = np.array((1.0 - np.cos(ep)) / 2.0)
     kind = np.full(prob.shape, ZONE_CODE[ZoneKind.FULL_SPHERE], dtype=np.int8)
     measure = np.full(prob.shape, SPHERE_AREA)
@@ -491,7 +473,8 @@ def leak_prob_from_qoe_vec(q, r_fov, r_sv, eps) -> LeakageArrays:
 
     live = (sv != 0.0) & (sv != math.pi)
     f, s, e = fov[live], sv[live], ep[live]
-    inferred = infer_error_from_qoe_vec(qv[live], f, s)
+    # the report is read only where the streamed cap is not degenerate
+    inferred = _infer_from_checked(QOE.check_array(qv[live]), f, s)
     exact = inferred.case == _REMAINING
     nested = np.isin(
         inferred.case, (CASE_CODE[OverlapCase.FOV_IN_SFOV], CASE_CODE[OverlapCase.SFOV_IN_FOV])
@@ -500,7 +483,7 @@ def leak_prob_from_qoe_vec(q, r_fov, r_sv, eps) -> LeakageArrays:
     cap = 1.0 - np.cos(r_z)
     with np.errstate(divide="ignore", invalid="ignore"):
         cap_prob = np.where((r_z <= e) | (cap == 0.0), 1.0, (1.0 - np.cos(e)) / cap)
-    circle = leak_prob_from_error_vec(np.where(exact, inferred.value, 0.0), e)
+    circle = _leak_from_checked_errors(np.where(exact, inferred.value, 0.0), e)
     prob[live] = np.where(exact, circle.probability, cap_prob)
     kind[live] = np.where(exact, circle.zone_kind, ZONE_CODE[ZoneKind.CAP])
     measure[live] = np.where(exact, circle.zone_measure, TWO_PI * cap)
@@ -531,7 +514,7 @@ class CaseLeakageProfile:
 
 
 def case_leakage_profile(
-    r_fov: CapRadius | float, eps: float, r_sv: CapRadius | float, case: OverlapCase
+    r_fov: float, eps: float, r_sv: float, case: OverlapCase
 ) -> CaseLeakageProfile:
     """Summarize QoE-upload leakage behaviour for one constant case.
 
@@ -539,9 +522,8 @@ def case_leakage_profile(
     the streamed-cap radius; the partial-overlap case is rejected because
     its leakage depends on the error alone.
     """
-    fov = _validate_fov(r_fov)
-    sv = _radius(r_sv)
-    ep = _validate_epsilon(eps, fov)
+    fov = FOV.check(r_fov)
+    sv, ep = STREAMED_RADIUS.check(r_sv), EPSILON.check(eps, hi=fov)
     if case not in (
         OverlapCase.FOV_IN_SFOV,
         OverlapCase.SFOV_IN_FOV,
@@ -571,7 +553,7 @@ class MinProbComparison:
     qoe_upload_smaller: bool
 
 
-def min_prob_comparison(eps: float, r_fov: CapRadius | float) -> MinProbComparison:
+def min_prob_comparison(eps: float, r_fov: float) -> MinProbComparison:
     """Compare the best-case leakage of QoE upload against error upload.
 
     For any protection radius in (0, r_fov] with r_fov at most pi/2 the
@@ -579,8 +561,8 @@ def min_prob_comparison(eps: float, r_fov: CapRadius | float) -> MinProbComparis
     error-upload minimum ``eps / pi``; the two meet only at the closure
     corner eps = pi/2.
     """
-    fov = _validate_fov(r_fov)
-    ep = _validate_epsilon(eps, fov)
+    fov = FOV.check(r_fov)
+    ep = EPSILON.check(eps, hi=fov)
     q_min = (1.0 - math.cos(ep)) / 2.0
     e_min = ep / math.pi
     return MinProbComparison(q_min, e_min, q_min < e_min)

@@ -21,7 +21,15 @@ import math
 
 import numpy as np
 
-from .sphere import TWO_PI, CapRadius, _radius, cap_area, cap_overlap_area, cap_overlap_area_vec
+from .sphere import (
+    ERROR,
+    FOV,
+    STREAMED_RADIUS,
+    TWO_PI,
+    cap_area,
+    cap_overlap_area,
+    cap_overlap_area_vec,
+)
 
 
 class OverlapCase(enum.Enum):
@@ -51,21 +59,7 @@ CASES = PARTITION_CASES + (OverlapCase.DEGENERATE_EMPTY, OverlapCase.DEGENERATE_
 CASE_CODE = {case: i for i, case in enumerate(CASES)}
 
 
-def _validate_fov(r_fov: CapRadius | float) -> float:
-    v = _radius(r_fov)
-    if not 0.0 < v <= math.pi / 2:
-        raise ValueError(f"field-of-view radius {v!r} outside (0, pi/2]")
-    return v
-
-
-def _validate_error(e: float) -> float:
-    v = float(e)
-    if not (math.isfinite(v) and 0.0 <= v <= math.pi):
-        raise ValueError(f"viewpoint error {e!r} outside [0, pi]")
-    return v
-
-
-def classify(r_fov: CapRadius | float, r_sv: CapRadius | float, e: float) -> OverlapCase:
+def classify(r_fov: float, r_sv: float, e: float) -> OverlapCase:
     """Classify the field-of-view / streamed-cap configuration.
 
     Args:
@@ -78,9 +72,7 @@ def classify(r_fov: CapRadius | float, r_sv: CapRadius | float, e: float) -> Ove
         pi) are reported as such before the five-way split; ties between
         the closed cases resolve in the listed order.
     """
-    fov = _validate_fov(r_fov)
-    sv = _radius(r_sv)
-    err = _validate_error(e)
+    fov, sv, err = FOV.check(r_fov), STREAMED_RADIUS.check(r_sv), ERROR.check(e)
     if sv == 0.0:
         return OverlapCase.DEGENERATE_EMPTY
     if sv == math.pi:
@@ -96,16 +88,14 @@ def classify(r_fov: CapRadius | float, r_sv: CapRadius | float, e: float) -> Ove
     return OverlapCase.REMAINING
 
 
-def qoe(r_fov: CapRadius | float, r_sv: CapRadius | float, e: float) -> float:
+def qoe(r_fov: float, r_sv: float, e: float) -> float:
     """Fraction of the field of view covered by the streamed cap, in [0, 1].
 
     Constant in ``e`` inside the four closed cases; in the partial-overlap
     case it is the cap-overlap area divided by the field-of-view area,
     strictly decreasing in ``e`` and strictly increasing in ``r_sv``.
     """
-    fov = _validate_fov(r_fov)
-    sv = _radius(r_sv)
-    err = _validate_error(e)
+    fov, sv, err = FOV.check(r_fov), STREAMED_RADIUS.check(r_sv), ERROR.check(e)
     case = classify(fov, sv, err)
     if case in (OverlapCase.FOV_IN_SFOV, OverlapCase.DEGENERATE_FULL):
         return 1.0
@@ -117,27 +107,6 @@ def qoe(r_fov: CapRadius | float, r_sv: CapRadius | float, e: float) -> float:
         return (-math.cos(sv) - math.cos(fov)) / (1.0 - math.cos(fov))
     value = cap_overlap_area(fov, sv, err) / cap_area(fov)
     return min(max(value, 0.0), 1.0)
-
-
-def _float_array(
-    x, name: str, lo: float, hi: float, open_lo: bool = False, open_hi: bool = False
-) -> np.ndarray:
-    """Coerce to a float array whose every element lies in the given interval."""
-    arr = np.asarray(x, dtype=float)
-    ok = ((arr > lo) if open_lo else (arr >= lo)) & ((arr < hi) if open_hi else (arr <= hi))
-    if not ok.all():
-        interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
-        raise ValueError(f"{name} {float(arr[~ok][0])!r} outside {interval}")
-    return arr
-
-
-def _validate_vec(r_fov, r_sv, e) -> list[np.ndarray]:
-    """Check and broadcast the (r_fov, r_sv, e) arrays of the array kernels."""
-    return np.broadcast_arrays(
-        _float_array(r_fov, "field-of-view radius", 0.0, math.pi / 2, open_lo=True),
-        _float_array(r_sv, "streamed-cap radius", 0.0, math.pi),
-        _float_array(e, "viewpoint error", 0.0, math.pi),
-    )
 
 
 def _classify_codes(fov: np.ndarray, sv: np.ndarray, err: np.ndarray) -> np.ndarray:
@@ -186,7 +155,10 @@ def classify_vec(r_fov, r_sv, e) -> np.ndarray:
     Same domains, degenerate radii and closed-tie order as the scalar
     function; any element outside its domain raises `ValueError`.
     """
-    return _classify_codes(*_validate_vec(r_fov, r_sv, e))
+    fov, sv, err = np.broadcast_arrays(
+        FOV.check_array(r_fov), STREAMED_RADIUS.check_array(r_sv), ERROR.check_array(e)
+    )
+    return _classify_codes(fov, sv, err)
 
 
 def qoe_vec(r_fov, r_sv, e) -> np.ndarray:
@@ -195,5 +167,7 @@ def qoe_vec(r_fov, r_sv, e) -> np.ndarray:
     Matches the scalar function to rounding (the lens area's arccos may
     differ by an ulp); any element outside its domain raises `ValueError`.
     """
-    fov, sv, err = _validate_vec(r_fov, r_sv, e)
+    fov, sv, err = np.broadcast_arrays(
+        FOV.check_array(r_fov), STREAMED_RADIUS.check_array(r_sv), ERROR.check_array(e)
+    )
     return _qoe_from_codes(fov, sv, err, _classify_codes(fov, sv, err))

@@ -10,11 +10,14 @@ from inverting the cap-area ratio, ``r_sv = arccos(1 - 2*C)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sphere import CapRadius
+from .sphere import CAP_RADIUS, PROBABILITY
+
+#: The fraction of the sphere a server can stream in time.
+_CAPABILITY = replace(PROBABILITY, name="capability")
 
 
 @dataclass(frozen=True)
@@ -103,23 +106,18 @@ def capability(cfg: ResourceConfig, tile: TileSpec) -> float:
     return min(cfg.cc_duration / full_sphere, 1.0)
 
 
-def sfov_radius(c: float) -> CapRadius:
+def sfov_radius(c: float) -> float:
     """Streamed-cap radius for capability ``c``: arccos(1 - 2*c).
 
     Capability 0 gives radius 0 (nothing streamed); capability 1 gives
     radius pi (the complete panoramic sphere is streamed).
     """
-    if not (math.isfinite(c) and 0.0 <= c <= 1.0):
-        raise ValueError(f"capability {c!r} outside [0, 1]")
-    return CapRadius(math.acos(1.0 - 2.0 * c))
+    return math.acos(1.0 - 2.0 * _CAPABILITY.check(c))
 
 
-def capability_from_radius(r: CapRadius | float) -> float:
+def capability_from_radius(r: float) -> float:
     """Inverse of `sfov_radius`: the cap-area fraction (1 - cos r) / 2."""
-    r = float(r) if not isinstance(r, CapRadius) else r.value
-    if not (math.isfinite(r) and 0.0 <= r <= math.pi):
-        raise ValueError(f"radius {r!r} outside [0, pi]")
-    return (1.0 - math.cos(r)) / 2.0
+    return (1.0 - math.cos(CAP_RADIUS.check(r))) / 2.0
 
 
 @dataclass(frozen=True)

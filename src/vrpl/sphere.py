@@ -15,7 +15,7 @@ analytic path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,30 +47,69 @@ class SphericalPoint:
         object.__setattr__(self, "phi", float(self.phi))
 
 
+#: How interval ends print in domain errors.
+_END_NAMES = {0.0: "0", 1.0: "1", math.pi / 2: "pi/2", math.pi: "pi"}
+
+
 @dataclass(frozen=True)
-class CapRadius:
-    """Angular radius of a spherical cap, constrained to [0, pi]."""
+class Domain:
+    """The interval one kind of analysis input must lie in.
 
-    value: float
+    Every public function checks each argument once, with `check` for a
+    scalar or `check_array` for broadcastable arrays; both reject NaN and
+    ±inf and raise ``ValueError("<name> <value> outside <interval>")``.
+    ``hi`` narrows the upper end for one call, as the field-of-view radius
+    caps the protection radius.
+    """
 
-    def __post_init__(self) -> None:
-        v = float(self.value)
-        if not (math.isfinite(v) and 0.0 <= v <= math.pi):
-            raise ValueError(f"cap radius {self.value!r} outside [0, pi]")
-        object.__setattr__(self, "value", v)
+    name: str
+    lo: float
+    hi: float
+    open_lo: bool = False
+    open_hi: bool = False
 
-    def __float__(self) -> float:
-        return self.value
+    def _inside(self, v, top):
+        """Elementwise test of ``v`` against the domain up to ``top``; NaN fails."""
+        above = v > self.lo if self.open_lo else v >= self.lo
+        return above & (v < top if self.open_hi else v <= top)
+
+    def _error(self, value, top: float) -> ValueError:
+        lo, hi = (_END_NAMES.get(v, repr(v)) for v in (self.lo, top))
+        interval = f"{'(' if self.open_lo else '['}{lo}, {hi}{')' if self.open_hi else ']'}"
+        return ValueError(f"{self.name} {value!r} outside {interval}")
+
+    def check(self, x, hi: float | None = None) -> float:
+        """``x`` as a float, if it lies in the domain."""
+        v = float(x)
+        top = self.hi if hi is None else hi
+        if not self._inside(v, top):
+            raise self._error(x, top)
+        return v
+
+    def check_array(self, x, hi=None) -> np.ndarray:
+        """``x`` as a float array, if every element lies in the domain.
+
+        ``hi`` may be an array broadcastable against ``x``.
+        """
+        arr = np.asarray(x, dtype=float)
+        top = self.hi if hi is None else hi
+        ok = self._inside(arr, top)
+        if not ok.all():
+            i = np.flatnonzero(~ok)[0]
+            bad, cap = (float(np.broadcast_to(a, ok.shape).flat[i]) for a in (arr, top))
+            raise self._error(bad, cap)
+        return arr
 
 
-def _radius(r: CapRadius | float) -> float:
-    """Coerce a cap radius argument to a validated float."""
-    if isinstance(r, CapRadius):
-        return r.value
-    v = float(r)
-    if not (math.isfinite(v) and 0.0 <= v <= math.pi):
-        raise ValueError(f"cap radius {r!r} outside [0, pi]")
-    return v
+#: The domain of each analysis input, in radians or as a fraction.
+FOV = Domain("field-of-view radius", 0.0, math.pi / 2, open_lo=True)
+CAP_RADIUS = Domain("cap radius", 0.0, math.pi)
+STREAMED_RADIUS = replace(CAP_RADIUS, name="streamed-cap radius")
+ERROR = Domain("viewpoint error", 0.0, math.pi)
+DISTANCE = replace(ERROR, name="center distance")
+EPSILON = Domain("protection radius", 0.0, math.pi / 2)
+PROBABILITY = Domain("probability", 0.0, 1.0)
+QOE = replace(PROBABILITY, name="QoE")
 
 
 def spherical_distance(a: SphericalPoint, b: SphericalPoint) -> float:
@@ -86,9 +125,9 @@ def spherical_distance(a: SphericalPoint, b: SphericalPoint) -> float:
     return math.acos(min(1.0, max(-1.0, cos_dist)))
 
 
-def cap_area(r: CapRadius | float) -> float:
+def cap_area(r: float) -> float:
     """Area of a spherical cap of angular radius ``r``: 2*pi*(1 - cos r)."""
-    return TWO_PI * (1.0 - math.cos(_radius(r)))
+    return TWO_PI * (1.0 - math.cos(CAP_RADIUS.check(r)))
 
 
 def _lens_area(r1: float, r2: float, d: float) -> float:
@@ -113,7 +152,7 @@ def _lens_area(r1: float, r2: float, d: float) -> float:
     )
 
 
-def cap_overlap_area(r1: CapRadius | float, r2: CapRadius | float, d: float) -> float:
+def cap_overlap_area(r1: float, r2: float, d: float) -> float:
     """Overlap area of two caps of radii ``r1`` and ``r2`` at center distance ``d``.
 
     Total over all configurations: containment returns the smaller cap's
@@ -130,10 +169,7 @@ def cap_overlap_area(r1: CapRadius | float, r2: CapRadius | float, d: float) -> 
     Returns:
         Overlap area in [0, min(area(r1), area(r2))].
     """
-    a, b = _radius(r1), _radius(r2)
-    dist = float(d)
-    if not (math.isfinite(dist) and 0.0 <= dist <= math.pi):
-        raise ValueError(f"center distance {d!r} outside [0, pi]")
+    a, b, dist = CAP_RADIUS.check(r1), CAP_RADIUS.check(r2), DISTANCE.check(d)
     if b >= a + dist:
         return cap_area(a)
     if a >= b + dist:
@@ -172,9 +208,7 @@ def cap_overlap_area_vec(r1, r2, d) -> np.ndarray:
     )
 
 
-def mc_cap_overlap(
-    r1: CapRadius | float, r2: CapRadius | float, d: float, n: int, seed: int
-) -> tuple[float, float]:
+def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of the cap/cap overlap area.
 
     One cap is centered at the north pole and the other at latitude
@@ -191,10 +225,7 @@ def mc_cap_overlap(
         (estimate, std_error) where estimate = 4*pi * hit_fraction and
         std_error is the binomial standard error scaled by 4*pi.
     """
-    a, b = _radius(r1), _radius(r2)
-    dist = float(d)
-    if not (math.isfinite(dist) and 0.0 <= dist <= math.pi):
-        raise ValueError(f"center distance {d!r} outside [0, pi]")
+    a, b, dist = CAP_RADIUS.check(r1), CAP_RADIUS.check(r2), DISTANCE.check(d)
     if n < 1:
         raise ValueError(f"sample count {n!r} must be >= 1")
     rng = np.random.default_rng(seed)

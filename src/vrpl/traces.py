@@ -121,43 +121,46 @@ def load_traces(path: str | Path) -> list[ViewpointTrace]:
         ts, th, ph = (np.array(col, dtype=float) for col in zip(*buf))
         traces.append(ViewpointTrace(key[0], key[1], ts, th, ph))
 
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TraceFormatError(f"{path}: empty file, no header and zero traces")
-        if [h.strip() for h in header] != TRACE_HEADER:
-            raise TraceFormatError(
-                f"{path}: unexpected header {header!r}, expected {TRACE_HEADER!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRACE_HEADER):
-                raise TraceFormatError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} columns")
-            user, video = row[0], row[1]
-            try:
-                t, theta, phi = float(row[2]), float(row[3]), float(row[4])
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: non-numeric sample: {exc}") from None
-            if not (math.isfinite(t) and math.isfinite(theta) and math.isfinite(phi)):
-                raise TraceFormatError(f"{path}:{lineno}: non-finite sample")
-            if abs(phi) > math.pi / 2:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise TraceFormatError(f"{path}: empty file, no header and zero traces")
+            if [h.strip() for h in header] != TRACE_HEADER:
                 raise TraceFormatError(
-                    f"{path}:{lineno}: latitude {phi!r} outside [-pi/2, pi/2]"
+                    f"{path}: unexpected header {header!r}, expected {TRACE_HEADER!r}"
                 )
-            if (user, video) != key:
-                if (user, video) in closed:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(TRACE_HEADER):
+                    raise TraceFormatError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} columns")
+                user, video = row[0], row[1]
+                try:
+                    t, theta, phi = float(row[2]), float(row[3]), float(row[4])
+                except ValueError as exc:
+                    raise TraceFormatError(f"{path}:{lineno}: non-numeric sample: {exc}") from None
+                if not (math.isfinite(t) and math.isfinite(theta) and math.isfinite(phi)):
+                    raise TraceFormatError(f"{path}:{lineno}: non-finite sample")
+                if abs(phi) > math.pi / 2:
                     raise TraceFormatError(
-                        f"{path}:{lineno}: rows of trace {user}/{video} are not contiguous "
-                        "(the trace already ended on an earlier line)"
+                        f"{path}:{lineno}: latitude {phi!r} outside [-pi/2, pi/2]"
                     )
-                _flush()
-                if key is not None:
-                    closed.add(key)
-                key, buf = (user, video), []
-            buf.append((t, theta, phi))
-        _flush()
+                if (user, video) != key:
+                    if (user, video) in closed:
+                        raise TraceFormatError(
+                            f"{path}:{lineno}: rows of trace {user}/{video} are not contiguous "
+                            "(the trace already ended on an earlier line)"
+                        )
+                    _flush()
+                    if key is not None:
+                        closed.add(key)
+                    key, buf = (user, video), []
+                buf.append((t, theta, phi))
+            _flush()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8: {exc}") from None
     if not traces:
         raise TraceFormatError(f"{path}: file contains zero traces")
     return traces

@@ -194,6 +194,34 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     assert "config error" in err and "r_fov" in err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"windowing": {"t_obw": [1]}}, "config.windowing.t_obw"),
+        ({"windowing": {"passive_prefix": 2.7}}, "config.windowing.passive_prefix"),
+        ({"windowing": {"t_obw": True}}, "config.windowing.t_obw"),
+        ({"windowing": {"t_obw": "1"}}, "config.windowing.t_obw"),
+        ({"resources": {**_RESOURCES, "gpus": 1}, "tile": _TILE}, "config.resources.gpus"),
+        ({"resources": _RESOURCES, "tile": {**_TILE, "depth": 3}}, "config.tile.depth"),
+        ({"synthetic": {**_SYNTH_DRIFT, "kappa": 5.0}}, "config.synthetic.kappa"),
+    ],
+    ids=[
+        "list-window", "fractional-prefix", "bool-window", "string-window",
+        "unknown-resource-key", "unknown-tile-key", "unknown-synthetic-key",
+    ],
+)
+def test_cli_validate_rejects_bad_block_field(tmp_path, capsys, doc, field):
+    assert main(["validate", "--config", _cfg(tmp_path, doc)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1, "note": "\xff"}')
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert f"config: {cfg} is not UTF-8" in capsys.readouterr().err
+
+
 def test_cli_validate_unit_tag_equivalence(tmp_path, capsys):
     cfg_deg = _cfg(tmp_path, {"r_fov_deg": 50.0, "epsilon_deg": 20.0}, "deg.json")
     assert main(["validate", "--config", cfg_deg]) == 0
@@ -351,6 +379,15 @@ def test_cli_trace_bad_csv(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["trace", "--config", cfg, "--out", str(out)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_trace_rejects_non_utf8_csv(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    header = b"user_id,video_id,timestamp_s,theta_rad,phi_rad\n"
+    bad.write_bytes(header + b"a,v,0.0,0.1,0.2\n\xff,v,0.2,0.1,0.2\n")
+    cfg = _cfg(tmp_path, {"traces_csv": str(bad)})
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert f"data error: {bad}: not UTF-8" in capsys.readouterr().err
 
 
 def test_cli_resource(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from support import random_partial_overlap_triples, random_points
 from vrpl import (
     SPHERE_AREA,
-    CapRadius,
     SphericalPoint,
     cap_area,
     cap_overlap_area,
@@ -32,14 +31,17 @@ def test_point_validation():
 
 
 def test_cap_radius_validation():
-    assert float(CapRadius(0.0)) == 0.0
-    assert float(CapRadius(math.pi)) == math.pi
-    with pytest.raises(ValueError):
-        CapRadius(-1e-9)
-    with pytest.raises(ValueError):
-        CapRadius(math.pi + 1e-9)
-    with pytest.raises(ValueError):
-        CapRadius(math.nan)
+    for r in (0.0, math.pi):
+        cap_area(r)
+        cap_overlap_area(r, 0.5, 0.3)
+        cap_overlap_area(0.5, r, 0.3)
+    for bad in (-1e-9, math.pi + 1e-9, math.nan):
+        with pytest.raises(ValueError):
+            cap_area(bad)
+        with pytest.raises(ValueError):
+            cap_overlap_area(bad, 0.5, 0.3)
+        with pytest.raises(ValueError):
+            cap_overlap_area(0.5, bad, 0.3)
 
 
 def test_distance_examples():
