@@ -63,15 +63,7 @@ from .resources import (
     mc_avg_rate,
     sfov_radius,
 )
-from .sphere import (
-    SPHERE_AREA,
-    SphericalPoint,
-    cap_area,
-    cap_overlap_area,
-    cap_overlap_area_vec,
-    mc_cap_overlap,
-    spherical_distance,
-)
+from .sphere import SPHERE_AREA, cap_area, cap_overlap_area, mc_cap_overlap
 from .traces import (
     GreatCircleDrift,
     PredictionErrors,

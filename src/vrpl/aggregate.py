@@ -30,6 +30,8 @@ from .leakage import (
     _leak_from_checked_errors,
     cap_zone,
     error_range_for_requirement,
+    min_leak_prob_error,
+    min_leak_prob_qoe,
 )
 from .qoe import OverlapCase
 from .sphere import EPSILON, ERROR, FOV, STREAMED_RADIUS, TWO_PI, cap_overlap_area_vec
@@ -93,10 +95,11 @@ def tradeoff_consistency_ratios(
 
 
 def _ratios(values: np.ndarray, req: PrivacyRequirement) -> tuple[float, float]:
-    if req.max_leak_prob < req.epsilon / math.pi:
+    floor = min_leak_prob_error(req.epsilon)
+    if req.max_leak_prob < floor:
         raise ValueError(
             f"requirement max_leak_prob={req.max_leak_prob!r} below the attainable "
-            f"minimum {req.epsilon / math.pi!r}"
+            f"minimum {floor!r}"
         )
     e_lo = math.asin(min(req.epsilon / (req.max_leak_prob * math.pi), 1.0)) if req.max_leak_prob > 0 else 0.0
     e_hi = math.pi - e_lo
@@ -164,7 +167,7 @@ def _sweep_point(
     closed-tie order of `classify`.
     """
     n = e.size
-    min_qoe_leak = (1.0 - math.cos(eps)) / 2.0
+    min_qoe_leak = min_leak_prob_qoe(eps)
     if sv == 0.0:
         return SweepPoint(
             sv,

@@ -49,6 +49,7 @@ from .leakage import (
     leak_prob_from_error_vec,
     leak_prob_from_qoe,
     leak_prob_from_qoe_vec,
+    min_leak_prob_error,
 )
 from .qoe import CASES, classify, classify_vec, qoe, qoe_vec
 from .resources import capability, mc_avg_rate, sfov_radius
@@ -245,7 +246,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"config.epsilon: the trace pipeline needs a protection radius above 0, "
             f"got {scenario.epsilon!r}"
         )
-    min_leak = scenario.epsilon / math.pi
+    min_leak = min_leak_prob_error(scenario.epsilon)
     if scenario.max_leak_prob is not None and scenario.max_leak_prob < min_leak:
         raise ConfigError(
             f"config.max_leak_prob: {scenario.max_leak_prob!r} is below the attainable "
@@ -363,7 +364,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         },
         "has_resources": scenario.resource is not None,
         "has_channel": scenario.channel is not None,
-        "r_sv_rad": scenario.r_sv,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

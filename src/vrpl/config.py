@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .resources import ChannelConfig, ResourceConfig, TileSpec
+from .sphere import EPSILON, ERROR, FOV, PROBABILITY, STREAMED_RADIUS
 from .traces import (
     GreatCircleDrift,
     MotionModel,
@@ -34,6 +35,12 @@ DEFAULT_R_FOV_RAD = math.radians(50.0)
 DEFAULT_EPSILON_FRAC = 0.4
 DEFAULT_WINDOWING = dict(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate_hz=5.0, passive_prefix=2)
 DEFAULT_GRID_N = 181
+
+#: The domain of each sweep grid, by grid name.
+GRIDS = {"error": ERROR, "epsilon": EPSILON, "r_sv": STREAMED_RADIUS}
+
+#: The domain of ``epsilon_frac_of_fov``.
+_FRACTION = replace(PROBABILITY, name="fraction")
 
 
 class ConfigError(ValueError):
@@ -55,6 +62,14 @@ def _optional(doc: dict, key: str, kind, path: str, default=None):
     if key not in doc:
         return default
     return _require(doc, key, kind, path)
+
+
+def _in_domain(check, value, path: str, **kwargs):
+    """Run a `Domain` check; its ``ValueError`` becomes a `ConfigError` on ``path``."""
+    try:
+        return check(value, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _angle(doc: dict, base: str, path: str, default: float | None = None) -> float | None:
@@ -95,7 +110,6 @@ class Scenario:
     resource: ResourceConfig | None
     tile: TileSpec | None
     channel: ChannelConfig | None
-    r_sv: float | None
 
 
 def load_config(path: str | Path) -> dict:
@@ -155,7 +169,7 @@ def parse_grid_override(spec: str) -> dict[str, list[float]]:
             raise ConfigError(f"--grid: term {term!r} is not name=lo:hi:n")
         name, _, rng = term.partition("=")
         name = name.strip()
-        if name not in ("error", "epsilon", "r_sv"):
+        if name not in GRIDS:
             raise ConfigError(f"--grid: unknown grid name {name!r}")
         parts = rng.split(":")
         if len(parts) != 3:
@@ -237,15 +251,14 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
     known = {
         "r_fov_rad", "r_fov_deg", "epsilon_rad", "epsilon_deg", "epsilon_frac_of_fov",
         "max_leak_prob", "seed", "grids", "windowing", "predictor", "traces_csv",
-        "synthetic", "resources", "tile", "channel", "r_sv_rad", "r_sv_deg",
+        "synthetic", "resources", "tile", "channel",
     }
     for key in doc:
         if key not in known:
             raise ConfigError(f"config.{key}: unknown field")
 
     r_fov = _angle(doc, "r_fov", "config", default=DEFAULT_R_FOV_RAD)
-    if not (math.isfinite(r_fov) and 0.0 < r_fov <= math.pi / 2):
-        raise ConfigError(f"config.r_fov: {r_fov!r} outside (0, pi/2]")
+    _in_domain(FOV.check, r_fov, "config.r_fov")
 
     eps_tags = [k for k in ("epsilon_rad", "epsilon_deg", "epsilon_frac_of_fov") if k in doc]
     if len(eps_tags) > 1:
@@ -254,17 +267,14 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         epsilon = DEFAULT_EPSILON_FRAC * r_fov
     elif eps_tags[0] == "epsilon_frac_of_fov":
         frac = _require(doc, "epsilon_frac_of_fov", float, "config")
-        if not (math.isfinite(frac) and 0.0 <= frac <= 1.0):
-            raise ConfigError(f"config.epsilon_frac_of_fov: {frac!r} outside [0, 1]")
-        epsilon = frac * r_fov
+        epsilon = _in_domain(_FRACTION.check, frac, "config.epsilon_frac_of_fov") * r_fov
     else:
         epsilon = _angle(doc, "epsilon", "config")
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon <= r_fov):
-        raise ConfigError(f"config.epsilon: {epsilon!r} outside [0, r_fov={r_fov!r}]")
+    _in_domain(EPSILON.check, epsilon, "config.epsilon", hi=r_fov)
 
     max_leak = _optional(doc, "max_leak_prob", float, "config")
-    if max_leak is not None and not (math.isfinite(max_leak) and 0.0 <= max_leak <= 1.0):
-        raise ConfigError(f"config.max_leak_prob: {max_leak!r} outside [0, 1]")
+    if max_leak is not None:
+        _in_domain(PROBABILITY.check, max_leak, "config.max_leak_prob")
 
     seed = overrides.get("seed")
     if seed is None:
@@ -272,9 +282,7 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
     if seed < 0:
         raise ConfigError(f"config.seed: {seed!r} must be >= 0")
 
-    win_doc = dict(_optional(doc, "windowing", dict, "config", default={}))
-    if "sample_rate" in win_doc:  # the field name, accepted as well
-        win_doc["sample_rate_hz"] = win_doc.pop("sample_rate")
+    win_doc = _optional(doc, "windowing", dict, "config", default={})
     windowing = _resolve_block(
         WindowingConfig,
         {**DEFAULT_WINDOWING, **win_doc},
@@ -318,31 +326,20 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         ch_doc = _require(doc, "channel", dict, "config")
         channel = _resolve_block(ChannelConfig, ch_doc, "config.channel")
 
-    r_sv = _angle(doc, "r_sv", "config")
-    if r_sv is not None:
-        if not (math.isfinite(r_sv) and 0.0 <= r_sv <= math.pi):
-            raise ConfigError(f"config.r_sv: {r_sv!r} outside [0, pi]")
-        if resource is not None:
-            raise ConfigError("config: give only one of r_sv and resources")
-
     grid_doc = _optional(doc, "grids", dict, "config", default={})
     grids: dict[str, list[float]] = {}
-    for name in ("error", "epsilon", "r_sv"):
+    for name in GRIDS:
         if name in grid_doc:
             grids[name] = _resolve_grid(grid_doc[name], f"config.grids.{name}")
     for name in grid_doc:
-        if name not in ("error", "epsilon", "r_sv"):
+        if name not in GRIDS:
             raise ConfigError(f"config.grids.{name}: unknown grid")
     grids.update(overrides.get("grids", {}))
     grids.setdefault("error", _resolve_grid({"lo": 0.0, "hi": math.pi, "n": DEFAULT_GRID_N}, "default"))
     grids.setdefault("epsilon", [epsilon])
     grids.setdefault("r_sv", _resolve_grid({"lo": 0.0, "hi": math.pi, "n": DEFAULT_GRID_N}, "default"))
     for name, grid in grids.items():
-        # protection radii live in [0, pi/2]; errors and streamed radii in [0, pi]
-        upper = math.pi / 2 if name == "epsilon" else math.pi
-        for v in grid:
-            if not (math.isfinite(v) and 0.0 <= v <= upper):
-                raise ConfigError(f"config.grids.{name}: value {v!r} outside [0, {upper!r}]")
+        _in_domain(GRIDS[name].check_array, grid, f"config.grids.{name}")
 
     return Scenario(
         r_fov=r_fov,
@@ -357,5 +354,4 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         resource=resource,
         tile=tile,
         channel=channel,
-        r_sv=r_sv,
     )

@@ -206,7 +206,7 @@ def error_range_for_requirement(req: PrivacyRequirement) -> ErrorRange:
         return ErrorRange(RangeKind.FULL, 0.0, math.pi)
     if req.epsilon == 0.0:
         return ErrorRange(RangeKind.INTERVAL, 0.0, math.pi)
-    if req.max_leak_prob < req.epsilon / math.pi:
+    if req.max_leak_prob < min_leak_prob_error(req.epsilon):
         return ErrorRange(RangeKind.INFEASIBLE)
     lo = math.asin(min(req.epsilon / (req.max_leak_prob * math.pi), 1.0))
     return ErrorRange(RangeKind.INTERVAL, lo, math.pi - lo)
@@ -314,7 +314,7 @@ def leak_prob_from_qoe(q: float, r_fov: float, r_sv: float, eps: float) -> Leaka
     sv, ep = STREAMED_RADIUS.check(r_sv), EPSILON.check(eps, hi=fov)
     if sv == 0.0 or sv == math.pi:
         case = OverlapCase.DEGENERATE_EMPTY if sv == 0.0 else OverlapCase.DEGENERATE_FULL
-        return LeakageResult((1.0 - math.cos(ep)) / 2.0, ZoneKind.FULL_SPHERE, SPHERE_AREA, case)
+        return LeakageResult(min_leak_prob_qoe(ep), ZoneKind.FULL_SPHERE, SPHERE_AREA, case)
     inferred = infer_error_from_qoe(q, fov, sv)
     if inferred.kind == InferenceKind.EXACT:
         base = leak_prob_from_error(inferred.value, ep)
@@ -563,6 +563,6 @@ def min_prob_comparison(eps: float, r_fov: float) -> MinProbComparison:
     """
     fov = FOV.check(r_fov)
     ep = EPSILON.check(eps, hi=fov)
-    q_min = (1.0 - math.cos(ep)) / 2.0
-    e_min = ep / math.pi
+    q_min = min_leak_prob_qoe(ep)
+    e_min = min_leak_prob_error(ep)
     return MinProbComparison(q_min, e_min, q_min < e_min)

@@ -1,11 +1,8 @@
-"""Spherical geometry primitives.
+"""Spherical geometry primitives and the domain of each analysis input.
 
-Points live on the unit sphere and are addressed by longitude/latitude in
-radians: longitude ``theta`` in [-pi, pi), latitude ``phi`` in
-[-pi/2, pi/2] with zero at the equator.  A cap of angular radius ``r``
-around a center point is the set of points within orthodromic distance
-``r`` of the center.  All areas are on the unit sphere, so the full
-sphere has area ``4*pi``.
+A cap of angular radius ``r`` around a center point is the set of points
+within orthodromic distance ``r`` of the center.  All areas are on the
+unit sphere, so the full sphere has area ``4*pi``.
 
 The closed-form cap/cap overlap area is cross-checked by a seeded
 Monte-Carlo estimator (`mc_cap_overlap`) that shares no code with the
@@ -21,30 +18,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 SPHERE_AREA = 4.0 * math.pi
-
-
-def _wrap_longitude(theta: float) -> float:
-    """Map an angle to the canonical longitude range [-pi, pi)."""
-    wrapped = math.fmod(theta + math.pi, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    return wrapped - math.pi
-
-
-@dataclass(frozen=True)
-class SphericalPoint:
-    """Point on the unit sphere; longitude is normalized on construction."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"non-finite coordinates ({self.theta!r}, {self.phi!r})")
-        if not -math.pi / 2 <= self.phi <= math.pi / 2:
-            raise ValueError(f"latitude {self.phi!r} outside [-pi/2, pi/2]")
-        object.__setattr__(self, "theta", _wrap_longitude(float(self.theta)))
-        object.__setattr__(self, "phi", float(self.phi))
 
 
 #: How interval ends print in domain errors.
@@ -101,8 +74,10 @@ class Domain:
         return arr
 
 
-#: The domain of each analysis input, in radians or as a fraction.
-FOV = Domain("field-of-view radius", 0.0, math.pi / 2, open_lo=True)
+#: The domain of each analysis input, in radians or as a fraction.  The
+#: field of view starts at 1e-6 rad: below about 1.05e-8, 1 - cos(r_fov)
+#: rounds to 0, and the QoE and the sweep divide by it.
+FOV = Domain("field-of-view radius", 1e-6, math.pi / 2)
 CAP_RADIUS = Domain("cap radius", 0.0, math.pi)
 STREAMED_RADIUS = replace(CAP_RADIUS, name="streamed-cap radius")
 ERROR = Domain("viewpoint error", 0.0, math.pi)
@@ -110,19 +85,6 @@ DISTANCE = replace(ERROR, name="center distance")
 EPSILON = Domain("protection radius", 0.0, math.pi / 2)
 PROBABILITY = Domain("probability", 0.0, 1.0)
 QOE = replace(PROBABILITY, name="QoE")
-
-
-def spherical_distance(a: SphericalPoint, b: SphericalPoint) -> float:
-    """Orthodromic (great-circle) distance between two points, in [0, pi].
-
-    The spherical law of cosines is evaluated with its argument clamped to
-    [-1, 1] so rounding near coincident or antipodal pairs cannot produce
-    a domain error.
-    """
-    cos_dist = math.cos(a.phi) * math.cos(b.phi) * math.cos(abs(a.theta - b.theta)) + math.sin(
-        a.phi
-    ) * math.sin(b.phi)
-    return math.acos(min(1.0, max(-1.0, cos_dist)))
 
 
 def cap_area(r: float) -> float:
@@ -183,12 +145,13 @@ def cap_overlap_area(r1: float, r2: float, d: float) -> float:
 
 
 def cap_overlap_area_vec(r1, r2, d) -> np.ndarray:
-    """Vectorized `cap_overlap_area` over numpy-broadcastable inputs.
+    """Lens area of caps in partial overlap, elementwise over broadcastable inputs.
 
-    Identical case logic and lens expression as the scalar path; intended
-    for sweeps over many configurations at once.  The trigonometry runs on
-    each input before broadcasting, so a scalar radius costs one ``cos``
-    and one ``sin``, not one per element.
+    `cap_overlap_area`'s partial-overlap expression and clamp.  It checks
+    nothing: every element must lie strictly inside the partial-overlap
+    case, as the QoE kernel and the population sweep guarantee.  The
+    trigonometry runs on each input before broadcasting, so a scalar
+    radius costs one ``cos`` and one ``sin``, not one per element.
     """
     a, b, dist = (np.asarray(x, dtype=float) for x in (r1, r2, d))
     c1, c2, cd = np.cos(a), np.cos(b), np.cos(dist)
@@ -200,12 +163,7 @@ def cap_overlap_area_vec(r1, r2, d) -> np.ndarray:
         t1 = np.arccos(np.clip((-c2 + cd * c1) / (sd * s1), -1.0, 1.0))
         t2 = np.arccos(np.clip((-c1 + cd * c2) / (sd * s2), -1.0, 1.0))
         lens = TWO_PI - TWO_PI * c1 - TWO_PI * c2 - 2.0 * t0 + 2.0 * c1 * t1 + 2.0 * c2 * t2
-    lens = np.minimum(np.maximum(lens, 0.0), np.minimum(area_a, area_b))
-    return np.select(
-        [b >= a + dist, a >= b + dist, dist >= a + b, a + b + dist >= TWO_PI],
-        [area_a, area_b, 0.0, area_a + area_b - SPHERE_AREA],
-        default=lens,
-    )
+    return np.minimum(np.maximum(lens, 0.0), np.minimum(area_a, area_b))
 
 
 def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[float, float]:

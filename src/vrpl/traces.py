@@ -73,7 +73,7 @@ class ViewpointTrace:
                 f"trace {self.user_id}/{self.video_id}: non-uniform sample spacing "
                 f"(min {np.min(gaps)!r}, max {np.max(gaps)!r})"
             )
-        # the same exact fmod as `sphere._wrap_longitude`, elementwise
+        # wrap the longitude to [-pi, pi) with an exact fmod
         th = np.fmod(th + math.pi, TWO_PI)
         th = np.where(th < 0.0, th + TWO_PI, th) - math.pi
         for name, arr in (("timestamps", ts), ("theta", th), ("phi", ph)):

@@ -16,13 +16,6 @@ from vrpl.traces import GreatCircleDrift, MotionModel
 TWO_PI = 2.0 * math.pi
 
 
-def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform points on the sphere as (n, 2) [theta, phi] rows."""
-    theta = rng.uniform(-math.pi, math.pi, n)
-    phi = np.arcsin(rng.uniform(-1.0, 1.0, n))
-    return np.stack([theta, phi], axis=1)
-
-
 def random_partial_overlap_triples(
     rng: np.random.Generator,
     n: int,

@@ -73,6 +73,10 @@ def test_scenario_rejects_unknown_fields():
         resolve_scenario({"grids": {"theta": {"lo": 0, "hi": 1, "n": 3}}})
     with pytest.raises(ConfigError, match="config.windowing.gap"):
         resolve_scenario({"windowing": {"gap": 1.0}})
+    with pytest.raises(ConfigError, match="config.r_sv_rad: unknown field"):
+        resolve_scenario({"r_sv_rad": 1.0})
+    with pytest.raises(ConfigError, match="config.windowing.sample_rate: unknown field"):
+        resolve_scenario({"windowing": {"sample_rate": 5.0}})
 
 
 def test_scenario_grid_forms():
@@ -122,8 +126,6 @@ def test_scenario_source_exclusivity():
         resolve_scenario({"resources": _RESOURCES})
     with pytest.raises(ConfigError, match="config.resources"):
         resolve_scenario({"tile": _TILE})
-    with pytest.raises(ConfigError, match="only one"):
-        resolve_scenario({"r_sv_rad": 1.0, "resources": _RESOURCES, "tile": _TILE})
 
 
 def test_parse_grid_override():
@@ -469,6 +471,31 @@ def test_cli_trace_rejects_unreachable_leak_budget(tmp_path, capsys):
     assert "config error" in err and "config.max_leak_prob" in err
     assert repr(0.4 * FOV / math.pi) in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-leakage", "trace"])
+def test_cli_rejects_fov_below_minimum(tmp_path, capsys, command):
+    # At 1e-9 rad, 1 - cos(r_fov) rounds to 0 and the QoE would divide by it.
+    cfg = _cfg(tmp_path, {"r_fov_rad": 1e-9, "synthetic": _SYNTH_DRIFT})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config.r_fov: field-of-view radius 1e-09" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "sweep-error", "sweep-qoe", "sweep-leakage", "trace", "resource"]
+)
+def test_cli_accepts_minimum_fov(tmp_path, capsys, command):
+    doc = {
+        "r_fov_rad": 1e-6,
+        "max_leak_prob": 0.5,
+        "synthetic": _SYNTH_DRIFT,
+        "resources": _RESOURCES,
+        "tile": _TILE,
+    }
+    grid = "error=0:3.14159:9,r_sv=0:3.14159:9"
+    argv = [command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path), "--grid", grid]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize(

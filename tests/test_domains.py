@@ -7,8 +7,8 @@ exactly when the value lies in the domain, and otherwise raise
 `ValueError`.  The ``*_vec`` functions get the probe as the second element
 of an array whose first element is the base value.
 
-`cap_overlap_area_vec` has no row: it is the unchecked lens kernel the
-checked functions feed.
+`vrpl.sphere.cap_overlap_area_vec` has no row: it is the unchecked
+partial-overlap lens kernel the checked functions feed.
 """
 
 import inspect
@@ -51,13 +51,15 @@ from vrpl import (
 
 PI, HALF_PI = math.pi, math.pi / 2
 FOV, SV, E, EPS = 0.8, 1.0, 0.5, 0.3
+# rows probing r_fov down to its 1e-6 minimum need a protection radius below it
+SMALL_EPS = 1e-7
 REQ = PrivacyRequirement(EPS, 1.0)
 CHANNEL = ChannelConfig(1e7, 1.0, 10.0, 2.0, 1e-9, 4, 2)
 
 # (lo, hi, open_lo, open_hi); ANY accepts every float, COUNT every int >= 1.
 RADIUS = (0.0, PI, False, False)
 OPEN_RADIUS = (0.0, PI, True, True)
-FOV_DOMAIN = (0.0, HALF_PI, True, False)
+FOV_DOMAIN = (1e-6, HALF_PI, False, False)
 EPS_DOMAIN = (0.0, HALF_PI, False, False)
 EPS_UP_TO_FOV = (0.0, FOV, False, False)
 POSITIVE_EPS_UP_TO_FOV = (0.0, FOV, True, False)
@@ -103,31 +105,31 @@ ROWS = [
     (infer_error_from_qoe_vec, (0.0, FOV, SV), 1, FOV_DOMAIN),
     (infer_error_from_qoe_vec, (0.0, FOV, SV), 2, OPEN_RADIUS),
     (leak_prob_from_qoe, (0.0, FOV, SV, EPS), 0, UNIT),
-    (leak_prob_from_qoe, (0.0, FOV, SV, EPS), 1, FOV_DOMAIN),
+    (leak_prob_from_qoe, (0.0, FOV, SV, SMALL_EPS), 1, FOV_DOMAIN),
     (leak_prob_from_qoe, (0.0, FOV, SV, EPS), 2, RADIUS),
     (leak_prob_from_qoe, (0.0, FOV, SV, EPS), 3, EPS_UP_TO_FOV),
     # a degenerate streamed cap reveals nothing, so the report is not read
     (leak_prob_from_qoe, (0.0, FOV, 0.0, EPS), 0, ANY),
     (leak_prob_from_qoe, (0.0, FOV, PI, EPS), 0, ANY),
     (leak_prob_from_qoe_vec, (0.0, FOV, SV, EPS), 0, UNIT),
-    (leak_prob_from_qoe_vec, (0.0, FOV, SV, EPS), 1, FOV_DOMAIN),
+    (leak_prob_from_qoe_vec, (0.0, FOV, SV, SMALL_EPS), 1, FOV_DOMAIN),
     (leak_prob_from_qoe_vec, (0.0, FOV, SV, EPS), 2, RADIUS),
     (leak_prob_from_qoe_vec, (0.0, FOV, SV, EPS), 3, EPS_UP_TO_FOV),
     (leak_prob_from_qoe_vec, (0.0, FOV, 0.0, EPS), 0, ANY),
     (leak_prob_from_qoe_vec, (0.0, FOV, PI, EPS), 0, ANY),
-    (case_leakage_profile, (FOV, EPS, SV, OverlapCase.FOV_IN_SFOV), 0, FOV_DOMAIN),
+    (case_leakage_profile, (FOV, SMALL_EPS, SV, OverlapCase.FOV_IN_SFOV), 0, FOV_DOMAIN),
     (case_leakage_profile, (FOV, EPS, SV, OverlapCase.FOV_IN_SFOV), 1, EPS_UP_TO_FOV),
     (case_leakage_profile, (FOV, EPS, SV, OverlapCase.FOV_IN_SFOV), 2, RADIUS),
     (min_prob_comparison, (EPS, FOV), 0, EPS_UP_TO_FOV),
-    (min_prob_comparison, (EPS, FOV), 1, FOV_DOMAIN),
-    (leakage_regions, (FOV, EPS), 0, FOV_DOMAIN),
+    (min_prob_comparison, (SMALL_EPS, FOV), 1, FOV_DOMAIN),
+    (leakage_regions, (FOV, SMALL_EPS), 0, FOV_DOMAIN),
     (leakage_regions, (FOV, EPS), 1, POSITIVE_EPS_UP_TO_FOV),
     (average_leakage_sweep, ([E], FOV, EPS, [SV]), 0, RADIUS),
-    (average_leakage_sweep, ([E], FOV, EPS, [SV]), 1, FOV_DOMAIN),
+    (average_leakage_sweep, ([E], FOV, SMALL_EPS, [SV]), 1, FOV_DOMAIN),
     (average_leakage_sweep, ([E], FOV, EPS, [SV]), 2, POSITIVE_EPS_UP_TO_FOV),
     (average_leakage_sweep, ([E], FOV, EPS, [SV]), 3, RADIUS),
     (build_report, ([E], FOV, EPS, [SV], REQ), 0, RADIUS),
-    (build_report, ([E], FOV, EPS, [SV], REQ), 1, FOV_DOMAIN),
+    (build_report, ([E], FOV, SMALL_EPS, [SV], REQ), 1, FOV_DOMAIN),
     (build_report, ([E], FOV, EPS, [SV], REQ), 2, POSITIVE_EPS_UP_TO_FOV),
     (build_report, ([E], FOV, EPS, [SV], REQ), 3, RADIUS),
     (error_subset_for_requirement, ([E], REQ), 0, RADIUS),

@@ -2,32 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from support import random_partial_overlap_triples, random_points
-from vrpl import (
-    SPHERE_AREA,
-    SphericalPoint,
-    cap_area,
-    cap_overlap_area,
-    cap_overlap_area_vec,
-    mc_cap_overlap,
-    spherical_distance,
-)
-
-
-def test_point_validation():
-    p = SphericalPoint(3.5 * math.pi, 0.3)
-    assert -math.pi <= p.theta < math.pi
-    assert math.isclose(math.cos(p.theta), math.cos(3.5 * math.pi), abs_tol=1e-12)
-    assert math.isclose(math.sin(p.theta), math.sin(3.5 * math.pi), abs_tol=1e-12)
-    with pytest.raises(ValueError):
-        SphericalPoint(0.0, 2.0)
-    with pytest.raises(ValueError):
-        SphericalPoint(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        SphericalPoint(0.0, math.inf)
+from support import random_partial_overlap_triples
+from vrpl import SPHERE_AREA, cap_area, cap_overlap_area, mc_cap_overlap
+from vrpl.sphere import cap_overlap_area_vec
 
 
 def test_cap_radius_validation():
@@ -42,49 +20,6 @@ def test_cap_radius_validation():
             cap_overlap_area(bad, 0.5, 0.3)
         with pytest.raises(ValueError):
             cap_overlap_area(0.5, bad, 0.3)
-
-
-def test_distance_examples():
-    a = SphericalPoint(0.0, 0.0)
-    assert spherical_distance(a, a) == 0.0
-    # Quarter circle along the equator.
-    b = SphericalPoint(math.pi / 2, 0.0)
-    assert spherical_distance(a, b) == pytest.approx(math.pi / 2, abs=1e-12)
-    # Pole to pole.
-    n = SphericalPoint(1.3, math.pi / 2)
-    s = SphericalPoint(-2.1, -math.pi / 2)
-    assert spherical_distance(n, s) == pytest.approx(math.pi, abs=1e-12)
-    # Near-antipodal pair.
-    c = SphericalPoint(0.1, 0.2)
-    d = SphericalPoint(0.1 - math.pi + 1e-7, -0.2 + 1e-7)
-    assert spherical_distance(c, d) == pytest.approx(math.pi, abs=1e-6)
-
-
-@given(
-    st.floats(-math.pi, math.pi),
-    st.floats(-math.pi / 2, math.pi / 2),
-    st.floats(-math.pi, math.pi),
-    st.floats(-math.pi / 2, math.pi / 2),
-)
-def test_distance_symmetry_and_range(ta, pa, tb, pb):
-    a = SphericalPoint(ta, pa)
-    b = SphericalPoint(tb, pb)
-    d = spherical_distance(a, b)
-    assert 0.0 <= d <= math.pi
-    assert spherical_distance(b, a) == d
-
-
-def test_triangle_inequality_random_triples():
-    rng = np.random.default_rng(11)
-    pts = random_points(rng, 3000).reshape(1000, 3, 2)
-    for (ta, pa), (tb, pb), (tc, pc) in pts:
-        a = SphericalPoint(ta, pa)
-        b = SphericalPoint(tb, pb)
-        c = SphericalPoint(tc, pc)
-        ab = spherical_distance(a, b)
-        bc = spherical_distance(b, c)
-        ac = spherical_distance(a, c)
-        assert ac <= ab + bc + 1e-9
 
 
 def test_cap_area_values():
@@ -162,9 +97,7 @@ def test_overlap_matches_monte_carlo():
 
 def test_overlap_vectorised_matches_scalar():
     rng = np.random.default_rng(21)
-    r1 = rng.uniform(0.0, math.pi, 400)
-    r2 = rng.uniform(0.0, math.pi, 400)
-    d = rng.uniform(0.0, math.pi, 400)
+    r1, r2, d = np.array(random_partial_overlap_triples(rng, 400)).T
     vec = cap_overlap_area_vec(r1, r2, d)
     for i in range(len(d)):
         assert vec[i] == pytest.approx(cap_overlap_area(r1[i], r2[i], d[i]), abs=1e-12)

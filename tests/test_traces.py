@@ -18,7 +18,6 @@ from vrpl import (
     predict_all,
     save_traces,
 )
-from vrpl.sphere import _wrap_longitude
 from vrpl.traces import _points, _unit_tangents
 
 from support import scalar_synthetic_unit_vectors
@@ -147,6 +146,14 @@ def test_synthetic_deterministic():
         np.testing.assert_array_equal(x.phi, y.phi)
     c = generate_synthetic_traces(RandomWalk(kappa=50.0), 2, 10.0, 5.0, seed=10)
     assert not np.array_equal(a[0].theta, c[0].theta)
+
+
+def _wrap_longitude(theta: float) -> float:
+    """Scalar reference: ``theta`` mapped to [-pi, pi) with an exact fmod."""
+    wrapped = math.fmod(theta + math.pi, 2.0 * math.pi)
+    if wrapped < 0.0:
+        wrapped += 2.0 * math.pi
+    return wrapped - math.pi
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
