@@ -66,7 +66,6 @@ from .resources import (
 from .sphere import SPHERE_AREA, cap_area, cap_overlap_area, mc_cap_overlap
 from .traces import (
     GreatCircleDrift,
-    PredictionErrors,
     Predictor,
     RandomWalk,
     TraceFormatError,

@@ -33,8 +33,8 @@ from .leakage import (
     min_leak_prob_error,
     min_leak_prob_qoe,
 )
-from .qoe import OverlapCase
-from .sphere import EPSILON, ERROR, FOV, STREAMED_RADIUS, TWO_PI, cap_overlap_area_vec
+from .qoe import OverlapCase, qoe
+from .sphere import EPSILON, ERROR, FOV, STREAMED_RADIUS, TWO_PI, cap_area, cap_overlap_area_vec
 
 #: The population sweep and its regions take a protection radius above 0 only.
 _SWEEP_EPSILON = replace(EPSILON, open_lo=True)
@@ -82,11 +82,11 @@ def tradeoff_consistency_ratios(
 ) -> tuple[float, float]:
     """Fractions of errors in the tradeoff and consistency sub-intervals.
 
-    Within the feasible interval ``[e_lo, pi - e_lo]`` (with
-    ``e_lo = arcsin(eps / (max_leak_prob * pi))``), leakage falls while QoE
-    falls for errors up to ``pi/2`` (privacy traded against quality) and
-    both move together beyond it.  The two fractions are over all errors;
-    an error of exactly ``pi/2`` counts in both, so they need not sum to 1.
+    Within the feasible interval of `error_range_for_requirement`, leakage
+    falls while QoE falls for errors up to ``pi/2`` (privacy traded against
+    quality) and both move together beyond it.  The two fractions are over
+    all errors; an error of exactly ``pi/2`` counts in both, so they need
+    not sum to 1.
 
     Raises:
         ValueError: if the requirement is infeasible.
@@ -95,17 +95,15 @@ def tradeoff_consistency_ratios(
 
 
 def _ratios(values: np.ndarray, req: PrivacyRequirement) -> tuple[float, float]:
-    floor = min_leak_prob_error(req.epsilon)
-    if req.max_leak_prob < floor:
+    rng = error_range_for_requirement(req)
+    if rng.kind is RangeKind.INFEASIBLE:
         raise ValueError(
             f"requirement max_leak_prob={req.max_leak_prob!r} below the attainable "
-            f"minimum {floor!r}"
+            f"minimum {min_leak_prob_error(req.epsilon)!r}"
         )
-    e_lo = math.asin(min(req.epsilon / (req.max_leak_prob * math.pi), 1.0)) if req.max_leak_prob > 0 else 0.0
-    e_hi = math.pi - e_lo
     half = math.pi / 2
-    tradeoff = float(np.mean((values >= e_lo) & (values <= half)))
-    consistency = float(np.mean((values >= half) & (values <= e_hi)))
+    tradeoff = float(np.mean((values >= rng.lo) & (values <= half)))
+    consistency = float(np.mean((values >= half) & (values <= rng.hi)))
     return tradeoff, consistency
 
 
@@ -167,23 +165,11 @@ def _sweep_point(
     closed-tie order of `classify`.
     """
     n = e.size
-    min_qoe_leak = min_leak_prob_qoe(eps)
-    if sv == 0.0:
-        return SweepPoint(
-            sv,
-            {OverlapCase.DEGENERATE_EMPTY: 1.0},
-            {OverlapCase.DEGENERATE_EMPTY: min_qoe_leak},
-            min_qoe_leak,
-            0.0,
-        )
-    if sv == math.pi:
-        return SweepPoint(
-            sv,
-            {OverlapCase.DEGENERATE_FULL: 1.0},
-            {OverlapCase.DEGENERATE_FULL: min_qoe_leak},
-            min_qoe_leak,
-            1.0,
-        )
+    if sv == 0.0 or sv == math.pi:
+        # a degenerate cap: every error shares one case, leakage and QoE
+        case = OverlapCase.DEGENERATE_EMPTY if sv == 0.0 else OverlapCase.DEGENERATE_FULL
+        leak = min_leak_prob_qoe(eps)
+        return SweepPoint(sv, {case: 1.0}, {case: leak}, leak, qoe(fov, sv, 0.0))
     # Runs in e: [0, a) fov_in_sfov, [a, b) sfov_in_fov, [b, d) remaining,
     # [d, c) sfov_complement_in_fov, [c, n) disjoint, split by the same
     # floating-point tests as `classify`.
@@ -212,15 +198,14 @@ def _sweep_point(
     }
     total = sum(components.values())
 
-    fov_area_frac = 1.0 - math.cos(fov)
-    qoe_sum = (
-        a
-        + (b - a) * ((1.0 - math.cos(sv)) / fov_area_frac)
-        + (c - d) * ((-math.cos(sv) - math.cos(fov)) / fov_area_frac)
-    )
+    # QoE is constant on each run but the partial-overlap one.
+    qoe_sum = a
+    for lo, hi in ((a, b), (d, c)):
+        if hi > lo:
+            qoe_sum += (hi - lo) * qoe(fov, sv, e[lo])
     if d > b:
         overlap = cap_overlap_area_vec(fov, sv, e[b:d])
-        qoe_sum += float(np.clip(overlap / (TWO_PI * fov_area_frac), 0.0, 1.0).sum())
+        qoe_sum += float(np.clip(overlap / cap_area(fov), 0.0, 1.0).sum())
     return SweepPoint(sv, ratios, components, total, qoe_sum / n)
 
 

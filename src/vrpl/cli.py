@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -70,6 +71,18 @@ class InternalInconsistencyError(RuntimeError):
     """An emitted report failed a structural self-check."""
 
 
+def _say(text: str) -> None:
+    """Print to stdout; once its reader is gone, echo to the null device and go on."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     doc = load_config(args.config) if args.config else {}
     overrides: dict = {}
@@ -89,7 +102,7 @@ def _emit_table(args: argparse.Namespace, name: str, header: list[str], rows: li
     else:
         path = out_dir / f"{name}.csv"
         write_csv(path, header, rows)
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
     return path
 
 
@@ -267,16 +280,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if scenario.max_leak_prob is not None
         else None
     )
-    report = build_report(
-        errors.error, scenario.r_fov, scenario.epsilon, scenario.grids["r_sv"], req=req
-    )
+    report = build_report(errors, scenario.r_fov, scenario.epsilon, scenario.grids["r_sv"], req=req)
     _check_report(report)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
     write_json(report_path, _report_to_dict(report))
-    print(f"wrote {report_path}")
+    _say(f"wrote {report_path}")
 
     case_order = sorted({case for p in report.points for case in p.case_ratios}, key=lambda c: c.value)
     header = (
@@ -305,7 +316,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         fig_rows.append(["mean_qoe_vs_r_sv", "mean_qoe", p.r_sv, p.mean_qoe])
     fig_path = out_dir / "figures.csv"
     write_csv(fig_path, ["figure", "series", "x", "y"], fig_rows)
-    print(f"wrote {fig_path}")
+    _say(f"wrote {fig_path}")
     return 0
 
 
@@ -333,7 +344,7 @@ def cmd_resource(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "resource_summary.json"
     write_json(path, doc)
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
     return 0
 
 
@@ -365,7 +376,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "has_resources": scenario.resource is not None,
         "has_channel": scenario.channel is not None,
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _say(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 

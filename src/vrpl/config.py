@@ -131,20 +131,19 @@ def load_config(path: str | Path) -> dict:
 
 
 def _resolve_grid(spec, path: str) -> list[float]:
+    """A grid given as a non-empty list of values or as ``{lo, hi, n}``."""
     if isinstance(spec, list):
-        spec = {"values": spec}
+        if not spec:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        for i, v in enumerate(spec):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ConfigError(f"{path}[{i}]: expected a number")
+        return [float(v) for v in spec]
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object or list")
-    if "values" in spec:
-        values = spec["values"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{path}.values: expected a non-empty list")
-        out = []
-        for i, v in enumerate(values):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"{path}.values[{i}]: expected a number")
-            out.append(float(v))
-        return out
+    for key in spec:
+        if key not in ("lo", "hi", "n"):
+            raise ConfigError(f"{path}.{key}: unknown field")
     lo = _require(spec, "lo", float, path)
     hi = _require(spec, "hi", float, path)
     n = _require(spec, "n", int, path)
@@ -307,6 +306,12 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
             raise ConfigError(
                 f"config.synthetic.rate_hz: {synthetic.rate!r} does not match "
                 f"windowing sample rate {windowing.sample_rate!r}"
+            )
+        n = sample_count(synthetic.duration, synthetic.rate)
+        if n < windowing.min_samples:
+            raise ConfigError(
+                f"config.synthetic.duration_s: {synthetic.duration!r} s gives {n} samples, "
+                f"needs at least {windowing.min_samples} for one predicted segment"
             )
     if traces_csv is not None and synthetic is not None:
         raise ConfigError("config: give only one of traces_csv and synthetic")

@@ -42,6 +42,7 @@ from .sphere import (
     SPHERE_AREA,
     STREAMED_RADIUS,
     TWO_PI,
+    cap_area,
 )
 
 #: Absolute tolerance for matching a reported QoE to a constant-case value.
@@ -263,9 +264,9 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     """
     fov, sv, qv = FOV.check(r_fov), _INVERTIBLE_RADIUS.check(r_sv), QOE.check(q)
     tol = QOE_MATCH_TOL
-    denom = 1.0 - math.cos(fov)
-    q_high = 1.0 if sv >= fov else (1.0 - math.cos(sv)) / denom
-    q_low = 0.0 if fov + sv <= math.pi else (-math.cos(sv) - math.cos(fov)) / denom
+    # The band's ends are the QoE at zero and antipodal error: containment
+    # at e = 0, and at e = pi disjoint caps or complement containment.
+    q_high, q_low = qoe(fov, sv, 0.0), qoe(fov, sv, math.pi)
     if qv > q_high + tol or qv < q_low - tol:
         raise QoeInconsistencyError(
             f"QoE {qv!r} unreachable for r_fov={fov!r}, r_sv={sv!r}: "
@@ -279,7 +280,7 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
         return ErrorInference(
             InferenceKind.RANGE, OverlapCase.FOV_IN_SFOV, lo=0.0, hi=sv - fov, ambiguous=interior
         )
-    if fov >= sv and abs(qv - (1.0 - math.cos(sv)) / denom) <= tol:
+    if fov >= sv and abs(qv - q_high) <= tol:
         return ErrorInference(
             InferenceKind.RANGE, OverlapCase.SFOV_IN_FOV, lo=0.0, hi=fov - sv, ambiguous=interior
         )
@@ -321,7 +322,7 @@ def leak_prob_from_qoe(q: float, r_fov: float, r_sv: float, eps: float) -> Leaka
         return LeakageResult(base.probability, base.zone_kind, base.zone_measure, inferred.case)
     nested = inferred.case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV)
     r_z, prob = cap_zone(fov, sv, ep, nested)
-    return LeakageResult(prob, ZoneKind.CAP, TWO_PI * (1.0 - math.cos(r_z)), inferred.case)
+    return LeakageResult(prob, ZoneKind.CAP, cap_area(r_z), inferred.case)
 
 
 # --- array kernels -----------------------------------------------------------
@@ -416,10 +417,10 @@ def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
 def _infer_from_checked(qv: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> ErrorInferenceArrays:
     """`infer_error_from_qoe_vec` on broadcast arrays already checked."""
     tol = QOE_MATCH_TOL
-    denom = 1.0 - np.cos(fov)
-    q_sfov = (1.0 - np.cos(sv)) / denom
-    q_high = np.where(sv >= fov, 1.0, q_sfov)
-    q_low = np.where(fov + sv <= math.pi, 0.0, (-np.cos(sv) - np.cos(fov)) / denom)
+    q_high, q_low = (
+        _qoe_from_codes(fov, sv, e, _classify_codes(fov, sv, e))
+        for e in (np.zeros(fov.shape), np.full(fov.shape, math.pi))
+    )
     bad = (qv > q_high + tol) | (qv < q_low - tol)
     if bad.any():
         i = np.flatnonzero(bad)[0]
@@ -431,7 +432,7 @@ def _infer_from_checked(qv: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> Erro
     # Constant-case matches in precedence order: the first match wins.
     matches = [
         (sv >= fov) & (np.abs(qv - 1.0) <= tol),
-        (fov >= sv) & (np.abs(qv - q_sfov) <= tol),
+        (fov >= sv) & (np.abs(qv - q_high) <= tol),
         (fov + sv <= math.pi) & (qv <= tol),
         (fov + sv >= math.pi) & (np.abs(qv - q_low) <= tol),
     ]

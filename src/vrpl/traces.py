@@ -385,6 +385,11 @@ class WindowingConfig:
     def cc_samples(self) -> int:
         return round(self.t_cc * self.sample_rate)
 
+    @property
+    def min_samples(self) -> int:
+        """Samples a trace needs for one predicted segment."""
+        return self.obw_samples + self.cc_samples + self.samples_per_segment
+
 
 class Predictor(enum.Enum):
     """Viewpoint predictor applied per segment."""
@@ -393,27 +398,7 @@ class Predictor(enum.Enum):
     GREAT_CIRCLE = "great_circle_extrapolation"
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionErrors:
-    """Per-frame prediction errors as columns, one entry per predicted frame.
-
-    ``error`` holds the errors in radians; ``trace`` the index of each
-    frame's trace in the list given to `predict_all` (0 from `predict`),
-    ``segment`` its segment and ``frame`` its position in the segment.
-    """
-
-    error: np.ndarray
-    trace: np.ndarray
-    segment: np.ndarray
-    frame: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.error)
-
-
-def predict(
-    trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor
-) -> PredictionErrors:
+def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -> np.ndarray:
     """Run segment-wise prediction over a trace and emit per-frame errors.
 
     For each predicted segment the observation window ends ``t_cc`` before
@@ -424,21 +409,20 @@ def predict(
     Trailing samples that do not fill a whole segment are ignored.
 
     Returns:
-        One entry per frame of every predicted segment, segment-major:
-        ``(len(trace) // samples_per_segment - passive_prefix) *
-        samples_per_segment`` entries.
+        The errors in radians, one per frame of every predicted segment,
+        segment-major: ``(len(trace) // samples_per_segment -
+        passive_prefix) * samples_per_segment`` of them.
     """
     if abs(trace.sample_rate - win.sample_rate) > 1e-6:
         raise TraceFormatError(
             f"trace rate {trace.sample_rate!r} != windowing rate {win.sample_rate!r}"
         )
-    spseg = win.samples_per_segment
-    minimum = win.obw_samples + win.cc_samples + spseg
-    if len(trace) < minimum:
+    if len(trace) < win.min_samples:
         raise TraceFormatError(
             f"trace {trace.user_id}/{trace.video_id} has {len(trace)} samples, "
-            f"needs at least {minimum} for one predicted segment"
+            f"needs at least {win.min_samples} for one predicted segment"
         )
+    spseg = win.samples_per_segment
     vecs = trace.unit_vectors()
     segments = np.arange(win.passive_prefix, len(trace) // spseg)
     frames = np.arange(spseg)
@@ -465,24 +449,13 @@ def predict(
         angles = (gap[:, None] * (frames + win.cc_samples + 1))[:, :, None]
         pred[moving] = np.cos(angles) * last[:, None, :] + np.sin(angles) * t_hat[:, None, :]
     dots = np.clip(np.einsum("ijk,ijk->ij", actual, pred), -1.0, 1.0)
-    return PredictionErrors(
-        error=np.arccos(dots).ravel(),
-        trace=np.zeros(dots.size, dtype=np.intp),
-        segment=np.repeat(segments, spseg),
-        frame=np.tile(frames, len(segments)),
-    )
+    return np.arccos(dots).ravel()
 
 
 def predict_all(
     traces: list[ViewpointTrace], win: WindowingConfig, predictor: Predictor
-) -> PredictionErrors:
+) -> np.ndarray:
     """Concatenate `predict` over one or more traces, in trace order."""
     if not traces:
         raise ValueError("no traces given")
-    parts = [predict(tr, win, predictor) for tr in traces]
-    return PredictionErrors(
-        error=np.concatenate([p.error for p in parts]),
-        trace=np.repeat(np.arange(len(parts)), [len(p) for p in parts]),
-        segment=np.concatenate([p.segment for p in parts]),
-        frame=np.concatenate([p.frame for p in parts]),
-    )
+    return np.concatenate([predict(tr, win, predictor) for tr in traces])

@@ -211,8 +211,7 @@ def population_sweep():
     t0 = time.perf_counter()
     traces = generate_synthetic_traces(RandomWalk(kappa=5e4), 8, 60.0, 5.0, seed=707)
     win = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
-    samples = predict_all(traces, win, Predictor.LAST_POSITION)
-    errors = samples.error
+    errors = predict_all(traces, win, Predictor.LAST_POSITION)
     regions = leakage_regions(R_FOV, EPS)
     grids = {
         name: np.linspace(lo + 1e-6, hi - 1e-6, 50)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from vrpl import (
     OverlapCase,
-    PredictionErrors,
     PrivacyRequirement,
     RangeKind,
     average_leakage_sweep,
@@ -56,9 +55,7 @@ def test_error_subset_infeasible():
 
 
 def test_error_subset_accepts_samples_and_floats():
-    frames = np.arange(5)
-    samples = PredictionErrors(0.1 * (frames + 1), np.zeros(5, dtype=int), np.full(5, 2), frames)
-    a = error_subset_for_requirement(samples.error, PrivacyRequirement(EPS, 1.0))
+    a = error_subset_for_requirement(0.1 * np.arange(1, 6), PrivacyRequirement(EPS, 1.0))
     b = error_subset_for_requirement([0.1, 0.2, 0.3, 0.4, 0.5], PrivacyRequirement(EPS, 1.0))
     np.testing.assert_allclose(a.errors, b.errors, atol=1e-15)
     with pytest.raises(ValueError):
@@ -79,6 +76,19 @@ def test_tradeoff_consistency_example():
 def test_tradeoff_consistency_midpoint_in_both():
     g_t, g_c = tradeoff_consistency_ratios([math.pi / 2], PrivacyRequirement(EPS, 0.5))
     assert g_t == 1.0 and g_c == 1.0
+
+
+def test_tradeoff_consistency_full_cap_counts_every_error():
+    # At cap 1 every error is feasible, so the halves split all six errors
+    # exactly as the feasible subset does; no arcsin(eps/pi) cut applies.
+    errors = [0.01, 0.1, 0.5, 1.0, 2.0, 3.1]
+    req = PrivacyRequirement(EPS, 1.0)
+    g_t, g_c = tradeoff_consistency_ratios(errors, req)
+    assert (g_t, g_c) == (4 / 6, 2 / 6)
+    sub = error_subset_for_requirement(errors, req)
+    assert len(sub.errors) == len(errors)
+    # no error sits at pi/2, so the two halves partition the feasible subset
+    assert g_t + g_c == len(sub.errors) / len(errors)
 
 
 def test_tradeoff_consistency_infeasible():

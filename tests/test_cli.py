@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import vrpl
 
 from vrpl import (
     AggregateReport,
@@ -77,6 +83,10 @@ def test_scenario_rejects_unknown_fields():
         resolve_scenario({"r_sv_rad": 1.0})
     with pytest.raises(ConfigError, match="config.windowing.sample_rate: unknown field"):
         resolve_scenario({"windowing": {"sample_rate": 5.0}})
+    with pytest.raises(ConfigError, match="config.grids.error.step: unknown field"):
+        resolve_scenario({"grids": {"error": {"lo": 0, "hi": 1, "n": 3, "step": 9}}})
+    with pytest.raises(ConfigError, match="config.grids.error.values: unknown field"):
+        resolve_scenario({"grids": {"error": {"values": [0.5], "lo": 7}}})
 
 
 def test_scenario_grid_forms():
@@ -206,10 +216,12 @@ def test_cli_validate_bad_config(tmp_path, capsys):
         ({"resources": {**_RESOURCES, "gpus": 1}, "tile": _TILE}, "config.resources.gpus"),
         ({"resources": _RESOURCES, "tile": {**_TILE, "depth": 3}}, "config.tile.depth"),
         ({"synthetic": {**_SYNTH_DRIFT, "kappa": 5.0}}, "config.synthetic.kappa"),
+        ({"synthetic": {**_SYNTH_DRIFT, "duration_s": 2.0}}, "config.synthetic.duration_s"),
     ],
     ids=[
         "list-window", "fractional-prefix", "bool-window", "string-window",
         "unknown-resource-key", "unknown-tile-key", "unknown-synthetic-key",
+        "synthetic-under-one-segment",
     ],
 )
 def test_cli_validate_rejects_bad_block_field(tmp_path, capsys, doc, field):
@@ -504,8 +516,9 @@ def test_cli_accepts_minimum_fov(tmp_path, capsys, command):
         ("n_traces", 0, "config.synthetic.n_traces"),
         ("duration_s", 10.3, "config.synthetic.duration_s"),  # 51.5 samples at 5 Hz
         ("duration_s", 0.2, "config.synthetic.duration_s"),  # one sample
+        ("duration_s", 2.0, "config.synthetic.duration_s"),  # 10 of the 15 one segment needs
     ],
-    ids=["no-traces", "fractional-samples", "one-sample"],
+    ids=["no-traces", "fractional-samples", "one-sample", "under-one-segment"],
 )
 def test_cli_trace_rejects_bad_synthetic_size(tmp_path, capsys, field, value, path):
     cfg = _cfg(tmp_path, {"synthetic": {**_SYNTH_DRIFT, field: value}})
@@ -535,3 +548,33 @@ def test_cli_trace_rejects_non_contiguous_csv(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"traces_csv": str(csv_path)})
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert ":102: rows of trace a/v are not contiguous" in capsys.readouterr().err
+
+
+def _run_with_closed_stdout(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``vrpl`` in a child whose stdout pipe has no reader left."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(vrpl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "vrpl.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_cli_validate_survives_closed_stdout():
+    done = _run_with_closed_stdout(["validate"])
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_cli_trace_survives_closed_stdout(tmp_path):
+    cfg = _cfg(tmp_path, {"synthetic": _SYNTH_DRIFT, "grids": {"r_sv": [0.5, 1.0]}})
+    out = tmp_path / "o"
+    done = _run_with_closed_stdout(["trace", "--config", cfg, "--out", str(out)])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "aggregate_sweep.csv", "figures.csv", "report.json",
+    ]

@@ -273,6 +273,7 @@ def test_windowing_validation():
     assert WIN.samples_per_segment == 5
     assert WIN.obw_samples == 5
     assert WIN.cc_samples == 5
+    assert WIN.min_samples == 15
     with pytest.raises(ValueError, match="t_obw \\+ t_cc"):
         WindowingConfig(t_obw=1.0, t_cc=0.5, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
     with pytest.raises(ValueError, match="whole number"):
@@ -283,19 +284,17 @@ def test_windowing_validation():
 
 def test_predict_sample_count():
     (tr,) = generate_synthetic_traces(RandomWalk(kappa=100.0), 1, 60.0, 5.0, seed=1)
-    samples = predict(tr, WIN, Predictor.LAST_POSITION)
+    errors = predict(tr, WIN, Predictor.LAST_POSITION)
     # 60 segments of 5 samples, the first two played passively.
-    assert len(samples) == 290
-    assert samples.segment[0] == 2 and samples.frame[0] == 0
-    assert samples.segment[-1] == 59 and samples.frame[-1] == 4
-    assert all(0.0 <= e <= math.pi for e in samples.error)
+    assert errors.shape == (290,) and errors.dtype == np.float64
+    assert all(0.0 <= e <= math.pi for e in errors)
 
 
 def test_predict_drops_trailing_partial_segment():
     (tr,) = generate_synthetic_traces(RandomWalk(kappa=100.0), 1, 61.4, 5.0, seed=1)
-    samples = predict(tr, WIN, Predictor.LAST_POSITION)
+    errors = predict(tr, WIN, Predictor.LAST_POSITION)
     # 307 samples hold 61 whole segments; 59 of them are predicted.
-    assert len(samples) == 295
+    assert len(errors) == 295
 
 
 def test_predict_constant_trace_zero_error():
@@ -304,8 +303,7 @@ def test_predict_constant_trace_zero_error():
         "u", "v", np.arange(n) / 5.0, np.full(n, 0.3), np.full(n, -0.2)
     )
     for predictor in Predictor:
-        samples = predict(tr, WIN, predictor)
-        assert all(e == 0.0 for e in samples.error)
+        assert all(e == 0.0 for e in predict(tr, WIN, predictor))
 
 
 def test_predict_last_position_lead_error():
@@ -313,18 +311,18 @@ def test_predict_last_position_lead_error():
     # the k-th frame of a predicted segment sits (cc_samples + k + 1)
     # sample periods past the last observed sample.
     (tr,) = generate_synthetic_traces(GreatCircleDrift(rate=0.1), 1, 60.0, 5.0, seed=5)
-    samples = predict(tr, WIN, Predictor.LAST_POSITION)
+    errors = predict(tr, WIN, Predictor.LAST_POSITION)
     per_step = 0.1 / 5.0
-    for frame, error in zip(samples.frame[:25], samples.error[:25]):
+    for k, error in enumerate(errors[:25]):
+        frame = k % WIN.samples_per_segment
         expected = (WIN.cc_samples + frame + 1) * per_step
         assert error == pytest.approx(expected, abs=1e-9)
-    assert max(samples.error) == pytest.approx(0.2, abs=1e-9)
+    assert max(errors) == pytest.approx(0.2, abs=1e-9)
 
 
 def test_predict_great_circle_tracks_drift():
     (tr,) = generate_synthetic_traces(GreatCircleDrift(rate=0.1), 1, 60.0, 5.0, seed=5)
-    samples = predict(tr, WIN, Predictor.GREAT_CIRCLE)
-    assert max(samples.error) < 1e-6
+    assert max(predict(tr, WIN, Predictor.GREAT_CIRCLE)) < 1e-6
 
 
 def test_predict_rate_mismatch():
@@ -341,14 +339,8 @@ def test_predict_short_trace():
 
 def test_predict_all_concatenates_in_order():
     traces = generate_synthetic_traces(RandomWalk(kappa=100.0), 3, 60.0, 5.0, seed=2)
-    all_samples = predict_all(traces, WIN, Predictor.LAST_POSITION)
-    assert len(all_samples) == 3 * 290
-    assert [traces[i].user_id for i in all_samples.trace[::290]] == [
-        "synthetic-000",
-        "synthetic-001",
-        "synthetic-002",
-    ]
-    solo = predict(traces[1], WIN, Predictor.LAST_POSITION)
-    np.testing.assert_array_equal(all_samples.error[290:580], solo.error)
-    np.testing.assert_array_equal(all_samples.segment[290:580], solo.segment)
-    np.testing.assert_array_equal(all_samples.frame[290:580], solo.frame)
+    errors = predict_all(traces, WIN, Predictor.LAST_POSITION)
+    assert errors.shape == (3 * 290,)
+    for i, tr in enumerate(traces):
+        solo = predict(tr, WIN, Predictor.LAST_POSITION)
+        np.testing.assert_array_equal(errors[290 * i : 290 * (i + 1)], solo)
