@@ -54,7 +54,7 @@ from .leakage import (
 )
 from .qoe import CASES, classify, classify_vec, qoe, qoe_vec
 from .resources import capability, mc_avg_rate, sfov_radius
-from .tables import write_csv, write_json
+from .tables import Categorical, write_csv, write_json
 from .traces import TraceFormatError, generate_synthetic_traces, load_traces, predict_all
 
 #: Samples for the optional channel-rate estimate in ``resource``.
@@ -93,49 +93,48 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return resolve_scenario(doc, overrides)
 
 
-def _emit_table(args: argparse.Namespace, name: str, header: list[str], rows: list[list]) -> Path:
+def _emit_table(args: argparse.Namespace, name: str, header: list[str], columns: list) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         path = out_dir / f"{name}.json"
-        write_json(path, {"columns": header, "rows": rows})
+        write_json(path, header, columns)
     else:
         path = out_dir / f"{name}.csv"
-        write_csv(path, header, rows)
+        write_csv(path, header, columns)
     _say(f"wrote {path}")
     return path
 
 
-def _grid_pairs(outer: list[float], inner: list[float]) -> tuple[list[float], list[float]]:
-    """Every (outer, inner) grid pair, outer-major, as two columns.
-
-    The columns reuse the grids' float objects, which keeps the rows of a
-    large table small.
-    """
-    return [o for o in outer for _ in inner], inner * len(outer)
+def _grid_pairs(outer: list[float], inner: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Every (outer, inner) grid pair, outer-major, as two columns."""
+    return np.repeat(outer, len(inner)), np.tile(inner, len(outer))
 
 
-def _names(codes: np.ndarray, members: tuple) -> list[str]:
-    """Enum values of int8 kernel codes (shared strings, not one per cell)."""
-    values = [m.value for m in members]
-    return [values[c] for c in codes.tolist()]
+def _names(codes: np.ndarray, members: tuple) -> Categorical:
+    """The enum values of int8 kernel codes, as a table column."""
+    return Categorical(codes, [m.value for m in members])
 
 
-def _rows(*columns) -> list[list]:
-    """Table rows from equal-length columns (arrays become Python scalars)."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    return [list(row) for row in zip(*columns)]
+def _cell(column, i: int):
+    """Row ``i`` of a table column, as a Python value."""
+    if isinstance(column, Categorical):
+        return column.vocabulary[column.codes[i]]
+    return column[i].item()
 
 
-def _check_rows(table: str, header: list[str], rows: list[list], reference) -> None:
+def _check_rows(table: str, header: list[str], columns: list, reference) -> None:
     """Compare evenly spaced emitted rows with the scalar reference.
 
-    About `SELF_CHECK_ROWS` rows, at fixed positions, are recomputed by
-    ``reference(row)`` from their input columns; floats must agree within
-    `SELF_CHECK_TOL` (absolute or relative) and every other cell exactly.
+    About `SELF_CHECK_ROWS` rows, at fixed positions, are read from the
+    columns and recomputed by ``reference(row)`` from their input cells;
+    floats must agree within `SELF_CHECK_TOL` (absolute or relative) and
+    every other cell exactly.
     """
-    for i in range(0, len(rows), max(1, len(rows) // SELF_CHECK_ROWS)):
-        for column, got, want in zip(header, rows[i], reference(rows[i])):
+    n = len(columns[0])
+    for i in range(0, n, max(1, n // SELF_CHECK_ROWS)):
+        row = [_cell(c, i) for c in columns]
+        for column, got, want in zip(header, row, reference(row)):
             same = (
                 math.isclose(got, want, rel_tol=SELF_CHECK_TOL, abs_tol=SELF_CHECK_TOL)
                 if isinstance(want, float)
@@ -153,14 +152,14 @@ def cmd_sweep_error(args: argparse.Namespace) -> int:
     eps, e = _grid_pairs(scenario.grids["epsilon"], scenario.grids["error"])
     res = leak_prob_from_error_vec(e, eps)
     header = ["e_rad", "epsilon_rad", "leak_prob", "zone_kind", "zone_measure"]
-    rows = _rows(e, eps, res.probability, _names(res.zone_kind, ZONE_KINDS), res.zone_measure)
+    columns = [e, eps, res.probability, _names(res.zone_kind, ZONE_KINDS), res.zone_measure]
 
     def reference(row: list) -> list:
         ref = leak_prob_from_error(row[0], row[1])
         return [row[0], row[1], ref.probability, ref.zone_kind.value, ref.zone_measure]
 
-    _check_rows("error_sweep", header, rows, reference)
-    _emit_table(args, "error_sweep", header, rows)
+    _check_rows("error_sweep", header, columns, reference)
+    _emit_table(args, "error_sweep", header, columns)
     return 0
 
 
@@ -169,13 +168,13 @@ def cmd_sweep_qoe(args: argparse.Namespace) -> int:
     fov = scenario.r_fov
     sv, e = _grid_pairs(scenario.grids["r_sv"], scenario.grids["error"])
     header = ["r_sv_rad", "e_rad", "qoe", "case"]
-    rows = _rows(sv, e, qoe_vec(fov, sv, e), _names(classify_vec(fov, sv, e), CASES))
+    columns = [sv, e, qoe_vec(fov, sv, e), _names(classify_vec(fov, sv, e), CASES)]
 
     def reference(row: list) -> list:
         return [row[0], row[1], qoe(fov, row[0], row[1]), classify(fov, row[0], row[1]).value]
 
-    _check_rows("qoe_sweep", header, rows, reference)
-    _emit_table(args, "qoe_sweep", header, rows)
+    _check_rows("qoe_sweep", header, columns, reference)
+    _emit_table(args, "qoe_sweep", header, columns)
     return 0
 
 
@@ -186,10 +185,10 @@ def cmd_sweep_leakage(args: argparse.Namespace) -> int:
     q = qoe_vec(fov, sv, e)
     res = leak_prob_from_qoe_vec(q, fov, sv, eps)
     header = ["r_sv_rad", "e_rad", "qoe", "case", "leak_prob", "zone_kind", "zone_measure"]
-    rows = _rows(
+    columns = [
         sv, e, q, _names(res.case, CASES), res.probability, _names(res.zone_kind, ZONE_KINDS),
         res.zone_measure,
-    )
+    ]
 
     def reference(row: list) -> list:
         # The leakage is recomputed from the emitted QoE, which is itself
@@ -200,8 +199,8 @@ def cmd_sweep_leakage(args: argparse.Namespace) -> int:
             ref.zone_kind.value, ref.zone_measure,
         ]
 
-    _check_rows("leakage_sweep", header, rows, reference)
-    _emit_table(args, "leakage_sweep", header, rows)
+    _check_rows("leakage_sweep", header, columns, reference)
+    _emit_table(args, "leakage_sweep", header, columns)
     return 0
 
 
@@ -296,26 +295,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
         + [f"leak_{c.value}" for c in case_order]
         + ["leak_total", "mean_qoe"]
     )
-    rows = []
-    for p in report.points:
-        rows.append(
-            [p.r_sv]
-            + [p.case_ratios.get(c, 0.0) for c in case_order]
-            + [p.leakage_components.get(c, 0.0) for c in case_order]
-            + [p.leakage_total, p.mean_qoe]
-        )
-    _emit_table(args, "aggregate_sweep", header, rows)
+    points = report.points
+    columns = (
+        [[p.r_sv for p in points]]
+        + [[p.case_ratios.get(c, 0.0) for p in points] for c in case_order]
+        + [[p.leakage_components.get(c, 0.0) for p in points] for c in case_order]
+        + [[p.leakage_total for p in points], [p.mean_qoe for p in points]]
+    )
+    _emit_table(args, "aggregate_sweep", header, columns)
 
     fig_rows = []
-    for p in report.points:
-        fig_rows.append(["avg_leakage_vs_r_sv", "total", p.r_sv, p.leakage_total])
+    for p in points:
+        fig_rows.append(("avg_leakage_vs_r_sv", "total", p.r_sv, p.leakage_total))
         for c, comp in p.leakage_components.items():
-            fig_rows.append(["avg_leakage_vs_r_sv", f"component:{c.value}", p.r_sv, comp])
+            fig_rows.append(("avg_leakage_vs_r_sv", f"component:{c.value}", p.r_sv, comp))
         for c, ratio in p.case_ratios.items():
-            fig_rows.append(["case_ratio_vs_r_sv", c.value, p.r_sv, ratio])
-        fig_rows.append(["mean_qoe_vs_r_sv", "mean_qoe", p.r_sv, p.mean_qoe])
+            fig_rows.append(("case_ratio_vs_r_sv", c.value, p.r_sv, ratio))
+        fig_rows.append(("mean_qoe_vs_r_sv", "mean_qoe", p.r_sv, p.mean_qoe))
     fig_path = out_dir / "figures.csv"
-    write_csv(fig_path, ["figure", "series", "x", "y"], fig_rows)
+    write_csv(fig_path, ["figure", "series", "x", "y"], list(zip(*fig_rows)))
     _say(f"wrote {fig_path}")
     return 0
 

@@ -147,6 +147,9 @@ def _resolve_grid(spec, path: str) -> list[float]:
     lo = _require(spec, "lo", float, path)
     hi = _require(spec, "hi", float, path)
     n = _require(spec, "n", int, path)
+    for key, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
     if n < 1:
         raise ConfigError(f"{path}.n: must be >= 1")
     if hi < lo:

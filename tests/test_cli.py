@@ -229,6 +229,26 @@ def test_cli_validate_rejects_bad_block_field(tmp_path, capsys, doc, field):
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, grid, message",
+    [
+        ({"grids": {"error": {"lo": 0, "hi": math.inf, "n": 3}}}, None,
+         "config.grids.error.hi: must be finite, got inf"),
+        ({"grids": {"r_sv": {"lo": -math.inf, "hi": 1, "n": 3}}}, None,
+         "config.grids.r_sv.lo: must be finite, got -inf"),
+        ({"grids": {"error": {"lo": math.nan, "hi": 1, "n": 3}}}, None,
+         "config.grids.error.lo: must be finite, got nan"),
+        ({}, "error=0:inf:3", "--grid error.hi: must be finite, got inf"),
+    ],
+    ids=["config-hi", "config-lo", "config-nan", "flag-hi"],
+)
+def test_cli_rejects_non_finite_grid_bound(tmp_path, capsys, doc, grid, message):
+    argv = ["sweep-qoe", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--grid", grid] if grid else [])) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_rejects_non_utf8_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b'{"seed": 1, "note": "\xff"}')

@@ -1,7 +1,75 @@
+import csv
+import io
 import json
 import math
+import re
 
-from vrpl.tables import format_float, read_csv, round_floats, write_csv, write_json
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vrpl.cli import main
+from vrpl.config import DEFAULT_R_FOV_RAD
+from vrpl.qoe import CASES, classify_vec, qoe_vec
+from vrpl.tables import (
+    CHUNK_ROWS,
+    Categorical,
+    format_float,
+    read_csv,
+    round_floats,
+    write_csv,
+    write_json,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference: the row-at-a-time writer the columnar one replaced
+
+
+def _ref_cell(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def _ref_csv(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([_ref_cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _ref_json(header, rows) -> bytes:
+    doc = round_floats({"columns": list(header), "rows": [list(r) for r in rows]})
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _python_rows(columns) -> list[tuple]:
+    """The rows of table columns as Python values."""
+    def values(c):
+        if isinstance(c, Categorical):
+            return [c.vocabulary[k] for k in np.asarray(c.codes).tolist()]
+        return c.tolist() if isinstance(c, np.ndarray) else list(c)
+
+    return list(zip(*map(values, columns)))
+
+
+def _written(tmp_path, header, columns) -> tuple[bytes, bytes]:
+    write_csv(tmp_path / "t.csv", header, columns)
+    write_json(tmp_path / "t.json", header, columns)
+    return (tmp_path / "t.csv").read_bytes(), (tmp_path / "t.json").read_bytes()
+
+
+def _assert_matches_reference(tmp_path, header, columns):
+    rows = _python_rows(columns)
+    got_csv, got_json = _written(tmp_path, header, columns)
+    assert got_csv == _ref_csv(header, rows)
+    assert got_json == _ref_json(header, rows)
 
 
 def test_format_float():
@@ -18,7 +86,7 @@ def test_format_float():
 def test_csv_round_trip(tmp_path):
     p = tmp_path / "t.csv"
     rows = [[0.5, "label", True, 3], [math.pi, "x,y", False, -1]]
-    write_csv(p, ["a", "b", "c", "d"], rows)
+    write_csv(p, ["a", "b", "c", "d"], list(zip(*rows)))
     header, back = read_csv(p)
     assert header == ["a", "b", "c", "d"]
     assert back == [
@@ -46,3 +114,115 @@ def test_write_json_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text())["a"] == [1.5, 2.5]
     assert p1.read_text().endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the columnar writer against the reference
+
+
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-15]
+_floats = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+_strings = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\xe9-')), max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 6))
+    header, columns = [], []
+    for j in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["float", "grid", "int", "bool", "str", "categorical"]))
+        if kind == "float":
+            column = np.array(draw(st.lists(_floats, min_size=n, max_size=n)), dtype=float)
+        elif kind == "grid":
+            column = draw(st.lists(_floats, min_size=n, max_size=n))
+        elif kind == "int":
+            column = np.array(draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n)))
+        elif kind == "bool":
+            column = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        elif kind == "str":
+            column = draw(st.lists(_strings, min_size=n, max_size=n))
+        else:
+            vocabulary = draw(st.lists(_strings, min_size=1, max_size=3, unique=True))
+            codes = draw(st.lists(st.integers(0, len(vocabulary) - 1), min_size=n, max_size=n))
+            column = Categorical(np.array(codes, dtype=np.int8), vocabulary)
+        header.append(draw(_strings))
+        columns.append(column)
+    return header, columns
+
+
+@settings(max_examples=150)
+@given(_tables())
+def test_columnar_writer_matches_row_writer(tmp_path_factory, table):
+    header, columns = table
+    _assert_matches_reference(tmp_path_factory.mktemp("t"), header, columns)
+
+
+def test_header_only_table_matches_row_writer(tmp_path):
+    header = ["a", "b,c"]
+    _assert_matches_reference(tmp_path, header, [np.array([]), []])
+    assert _written(tmp_path, header, [np.array([]), []]) == (
+        b'a,"b,c"\r\n', b'{\n  "columns": [\n    "a",\n    "b,c"\n  ],\n  "rows": []\n}\n'
+    )
+
+
+def test_lone_empty_cells_are_quoted_like_the_csv_module(tmp_path):
+    _assert_matches_reference(tmp_path, [""], [["", "x", ""]])
+    assert (tmp_path / "t.csv").read_bytes() == b'""\r\n""\r\nx\r\n""\r\n'
+    assert read_csv(tmp_path / "t.csv") == ([""], [[""], ["x"], [""]])
+
+
+def test_tables_longer_than_a_chunk_match_row_writer(tmp_path):
+    n = 2 * CHUNK_ROWS + 3
+    x = np.linspace(0.0, 1.0, n)
+    codes = (np.arange(n) % len(CASES)).astype(np.int8)
+    _assert_matches_reference(
+        tmp_path, ["x", "case", "i"], [x, Categorical(codes, [c.value for c in CASES]), np.arange(n)]
+    )
+
+
+def test_signed_zero_and_non_finite_cells(tmp_path):
+    header, column = ["v"], np.array(_SPECIAL)
+    got_csv, got_json = _written(tmp_path, header, [column])
+    assert [row[0] for row in read_csv(tmp_path / "t.csv")[1]] == [format_float(x) for x in _SPECIAL]
+    assert got_csv.decode().split("\r\n")[1:3] == ["0", "-0"]
+    cells = re.findall(r"^      (.*)$", got_json.decode(), flags=re.M)
+    assert cells == [json.dumps(round_floats(x)) for x in _SPECIAL]
+    assert cells[:3] == ["0.0", "-0.0", "null"]
+    assert (got_csv, got_json) == (_ref_csv(header, [(x,) for x in _SPECIAL]),
+                                   _ref_json(header, [(x,) for x in _SPECIAL]))
+
+
+def test_quoted_cells_round_trip(tmp_path):
+    cells = ['a"b', "two\nlines", "", "cr\rx", "x,y"]
+    p = tmp_path / "q.csv"
+    write_csv(p, ["s", "n"], [cells, np.arange(len(cells))])
+    assert read_csv(p) == (["s", "n"], [[c, str(i)] for i, c in enumerate(cells)])
+    assert p.read_bytes() == _ref_csv(["s", "n"], list(zip(cells, range(len(cells)))))
+
+
+def test_malformed_tables_are_rejected(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+    with pytest.raises(ValueError, match="1 column names but 2 columns"):
+        write_json(tmp_path / "t.json", ["a"], [[1.0], [2.0]])
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_signed_zero_grid_keeps_each_sign(tmp_path, fmt):
+    grid = [0.5, -0.0, 0.0, -0.0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grids": {"r_sv": grid, "error": [0.0, 1.0]}}), encoding="utf-8")
+    assert main(["sweep-qoe", "--config", str(cfg), "--out", str(tmp_path), "--format", fmt]) == 0
+    got = (tmp_path / f"qoe_sweep.{fmt}").read_bytes()
+    # the row writer over the grid's floats and the kernels' outputs
+    sv, e = [s for s in grid for _ in (0, 1)], [0.0, 1.0] * len(grid)
+    cases = [CASES[c].value for c in classify_vec(DEFAULT_R_FOV_RAD, sv, e)]
+    rows = list(zip(sv, e, qoe_vec(DEFAULT_R_FOV_RAD, sv, e).tolist(), cases))
+    assert got == (_ref_csv if fmt == "csv" else _ref_json)(["r_sv_rad", "e_rad", "qoe", "case"], rows)
+    if fmt == "csv":
+        first = [row[0] for row in read_csv(tmp_path / "qoe_sweep.csv")[1]]
+        assert first == ["0.5", "0.5", "-0", "-0", "0", "0", "-0", "-0"]
+    else:
+        signs = [math.copysign(1.0, row[0]) for row in json.loads(got)["rows"]]
+        assert signs == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]
