@@ -333,8 +333,11 @@ def cmd_resource(args: argparse.Namespace) -> int:
         "r_sv_rad": sfov_radius(cap),
     }
     if scenario.channel is not None:
-        est = mc_avg_rate(scenario.channel, MC_RATE_SAMPLES, scenario.seed)
-        cap_est = capability(dataclasses.replace(cfg, avg_data_rate=est), tile)
+        try:
+            est = mc_avg_rate(scenario.channel, MC_RATE_SAMPLES, scenario.seed)
+            cap_est = capability(dataclasses.replace(cfg, avg_data_rate=est), tile)
+        except ValueError as exc:
+            raise ConfigError(f"config.channel: rate estimate: {exc}") from None
         doc["channel_avg_rate_bit_s"] = est
         doc["capability_with_channel_rate"] = cap_est
         doc["r_sv_rad_with_channel_rate"] = sfov_radius(cap_est)
@@ -355,10 +358,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "seed": scenario.seed,
         "predictor": scenario.predictor.value,
         "windowing": {
-            "t_obw": scenario.windowing.t_obw,
-            "t_cc": scenario.windowing.t_cc,
-            "t_pdw": scenario.windowing.t_pdw,
-            "sample_rate_hz": scenario.windowing.sample_rate,
+            **dataclasses.asdict(scenario.windowing),
             "passive_prefix": scenario.windowing.passive_prefix,
         },
         "grid_sizes": {name: len(grid) for name, grid in scenario.grids.items()},

@@ -29,11 +29,11 @@ from .traces import (
 )
 
 #: Baseline scenario: 50 degree field of view, protection radius 0.4 of it,
-#: 5 Hz sampling, 1 s segments with a 1 s observation window and a 1 s
+#: 1 s segments with a 1 s observation window and a 1 s
 #: computing-plus-communication gap (2 segments played passively).
 DEFAULT_R_FOV_RAD = math.radians(50.0)
 DEFAULT_EPSILON_FRAC = 0.4
-DEFAULT_WINDOWING = dict(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate_hz=5.0, passive_prefix=2)
+DEFAULT_WINDOWING = dict(t_obw=1.0, t_cc=1.0, t_pdw=1.0)
 DEFAULT_GRID_N = 181
 
 #: The domain of each sweep grid, by grid name.
@@ -47,12 +47,22 @@ class ConfigError(ValueError):
     """Configuration parse or validation failure, with a field path."""
 
 
+def _float(value, path: str) -> float:
+    """A JSON number as a float; an integer too large for one is a `ConfigError`."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected float, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer too large for a float") from None
+
+
 def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise ConfigError(f"{path}.{key}: missing required field")
     value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if kind is float:
+        return _float(value, f"{path}.{key}")
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
     return value
@@ -65,7 +75,7 @@ def _optional(doc: dict, key: str, kind, path: str, default=None):
 
 
 def _in_domain(check, value, path: str, **kwargs):
-    """Run a `Domain` check; its ``ValueError`` becomes a `ConfigError` on ``path``."""
+    """Run a check such as a `Domain`'s; its ``ValueError`` becomes a `ConfigError` on ``path``."""
     try:
         return check(value, **kwargs)
     except ValueError as exc:
@@ -123,7 +133,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config: {path} is not UTF-8: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config: top-level document must be an object")
@@ -135,10 +145,7 @@ def _resolve_grid(spec, path: str) -> list[float]:
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{path}: expected a non-empty list")
-        for i, v in enumerate(spec):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"{path}[{i}]: expected a number")
-        return [float(v) for v in spec]
+        return [_float(v, f"{path}[{i}]") for i, v in enumerate(spec)]
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object or list")
     for key in spec:
@@ -189,8 +196,9 @@ def _resolve_block(cls, doc: dict, path: str, keys: dict[str, str] | None = None
 
     Each field not passed in ``given`` is required, with its annotated type,
     under the key ``keys`` names for it (the field name by default); any
-    other key is rejected.  A ``ValueError`` from ``cls`` becomes a
-    `ConfigError` on ``path``.
+    other key, and an ``int`` field beyond ``2**53`` (the largest integer
+    a float holds exactly), is rejected.  A ``ValueError`` from ``cls``
+    becomes a `ConfigError` on ``path``.
     """
     keys = keys or {}
     types = typing.get_type_hints(cls)
@@ -202,6 +210,9 @@ def _resolve_block(cls, doc: dict, path: str, keys: dict[str, str] | None = None
         name: given[name] if name in given else _require(doc, keys.get(name, name), kind, path)
         for name, kind in types.items()
     }
+    for name, kind in types.items():
+        if kind is int and abs(args[name]) > 2**53:
+            raise ConfigError(f"{path}.{keys.get(name, name)}: integer beyond 2**53")
     try:
         return cls(**args)
     except ValueError as exc:
@@ -216,7 +227,9 @@ _MOTION_MODELS = {
 }
 
 
-def _resolve_synthetic(doc: dict, path: str) -> SyntheticSpec:
+def _resolve_synthetic(doc: dict, windowing: WindowingConfig) -> SyntheticSpec:
+    """The synthetic block, with traces long enough for one predicted segment."""
+    path = "config.synthetic"
     kind = _require(doc, "model", str, path)
     if kind not in _MOTION_MODELS:
         raise ConfigError(
@@ -236,10 +249,13 @@ def _resolve_synthetic(doc: dict, path: str) -> SyntheticSpec:
         raise ConfigError(f"{path}.n_traces: {spec.n_traces!r} must be >= 1")
     if not (math.isfinite(spec.rate) and spec.rate > 0.0):
         raise ConfigError(f"{path}.rate_hz: {spec.rate!r} must be > 0")
-    try:
-        sample_count(spec.duration, spec.rate)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.duration_s: {exc}") from None
+    n = _in_domain(sample_count, spec.duration, f"{path}.duration_s", rate=spec.rate)
+    needs = sum(_in_domain(windowing.samples, spec.rate, "config.windowing"))
+    if n < needs:
+        raise ConfigError(
+            f"{path}.duration_s: {spec.duration!r} s gives {n} samples, "
+            f"needs at least {needs} for one predicted segment"
+        )
     return spec
 
 
@@ -285,12 +301,7 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         raise ConfigError(f"config.seed: {seed!r} must be >= 0")
 
     win_doc = _optional(doc, "windowing", dict, "config", default={})
-    windowing = _resolve_block(
-        WindowingConfig,
-        {**DEFAULT_WINDOWING, **win_doc},
-        "config.windowing",
-        {"sample_rate": "sample_rate_hz"},
-    )
+    windowing = _resolve_block(WindowingConfig, {**DEFAULT_WINDOWING, **win_doc}, "config.windowing")
 
     predictor_name = _optional(doc, "predictor", str, "config", default=Predictor.LAST_POSITION.value)
     try:
@@ -304,18 +315,7 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
     traces_csv = _optional(doc, "traces_csv", str, "config")
     synthetic = None
     if "synthetic" in doc:
-        synthetic = _resolve_synthetic(_require(doc, "synthetic", dict, "config"), "config.synthetic")
-        if abs(synthetic.rate - windowing.sample_rate) > 1e-9:
-            raise ConfigError(
-                f"config.synthetic.rate_hz: {synthetic.rate!r} does not match "
-                f"windowing sample rate {windowing.sample_rate!r}"
-            )
-        n = sample_count(synthetic.duration, synthetic.rate)
-        if n < windowing.min_samples:
-            raise ConfigError(
-                f"config.synthetic.duration_s: {synthetic.duration!r} s gives {n} samples, "
-                f"needs at least {windowing.min_samples} for one predicted segment"
-            )
+        synthetic = _resolve_synthetic(_require(doc, "synthetic", dict, "config"), windowing)
     if traces_csv is not None and synthetic is not None:
         raise ConfigError("config: give only one of traces_csv and synthetic")
 

@@ -167,15 +167,21 @@ def mc_avg_rate(ch: ChannelConfig, n: int, seed: int) -> float:
     ``snr = tx_power * distance**(-pathloss_exp) / noise_power``.
     Deterministic per seed.  This estimates the ensemble average; the
     capability model consumes it directly as the average data rate.
+    Raises ``ValueError`` if ``n < 1`` or the average is not a finite float.
     """
     if n < 1:
         raise ValueError(f"sample count {n!r} must be >= 1")
     rng = np.random.default_rng(seed)
     gain = rng.gamma(shape=ch.antennas - ch.users + 1, scale=1.0, size=n)
-    snr = ch.tx_power * ch.distance ** (-ch.pathloss_exp) / ch.noise_power
-    # in place, so the samples are the only array of size n
-    rate = np.multiply(gain, snr, out=gain)
-    rate += 1.0
-    np.log2(rate, out=rate)
-    rate *= ch.bandwidth
-    return float(np.mean(rate))
+    # in place, so the samples are the only array of size n; an overflow
+    # anywhere leaves a mean that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = ch.tx_power * np.float64(ch.distance) ** -ch.pathloss_exp / ch.noise_power
+        rate = np.multiply(gain, snr, out=gain)
+        rate += 1.0
+        np.log2(rate, out=rate)
+        rate *= ch.bandwidth
+        mean = float(np.mean(rate))
+    if not math.isfinite(mean):
+        raise ValueError(f"average rate {mean!r} bit/s is not finite")
+    return mean

@@ -343,52 +343,44 @@ class WindowingConfig:
 
     ``t_obw`` observation window, ``t_cc`` computing-plus-communication
     gap, ``t_pdw`` segment (prediction window) duration, all seconds.
-    The passive prefix covers the first segments played before any
-    prediction completes, so ``t_obw + t_cc = passive_prefix * t_pdw``.
-    Window lengths must be whole numbers of sample periods.
+    ``t_obw + t_cc`` must be a whole number of segments: the passive
+    prefix, played before any prediction completes.
     """
 
     t_obw: float
     t_cc: float
     t_pdw: float
-    sample_rate: float
-    passive_prefix: int
 
     def __post_init__(self) -> None:
-        for name in ("t_obw", "t_cc", "t_pdw", "sample_rate"):
+        for name in ("t_obw", "t_cc", "t_pdw"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be > 0, got {v!r}")
-        if not isinstance(self.passive_prefix, int) or self.passive_prefix < 1:
+        lead = self.t_obw + self.t_cc
+        whole = math.isfinite(lead / self.t_pdw) and self.passive_prefix >= 1
+        if not whole or abs(lead - self.passive_prefix * self.t_pdw) > 1e-9:
             raise ValueError(
-                f"passive_prefix must be a positive integer, got {self.passive_prefix!r}"
+                "t_obw + t_cc must be a whole number (at least 1) of t_pdw segments "
+                f"({self.t_obw} + {self.t_cc} over {self.t_pdw})"
             )
-        if abs(self.t_obw + self.t_cc - self.passive_prefix * self.t_pdw) > 1e-9:
-            raise ValueError(
-                "t_obw + t_cc must equal passive_prefix * t_pdw "
-                f"({self.t_obw} + {self.t_cc} != {self.passive_prefix} * {self.t_pdw})"
-            )
+
+    @property
+    def passive_prefix(self) -> int:
+        """Segments played before the first prediction completes."""
+        return round((self.t_obw + self.t_cc) / self.t_pdw)
+
+    def samples(self, rate: float) -> tuple[int, int, int]:
+        """Samples in the observation window, the gap and one segment at ``rate`` Hz;
+        a ``ValueError`` unless each is a whole number (at least 1)."""
         for name in ("t_obw", "t_cc", "t_pdw"):
-            counts = getattr(self, name) * self.sample_rate
-            if abs(counts - round(counts)) > 1e-6:
-                raise ValueError(f"{name} must span a whole number of sample periods")
-
-    @property
-    def samples_per_segment(self) -> int:
-        return round(self.t_pdw * self.sample_rate)
-
-    @property
-    def obw_samples(self) -> int:
-        return round(self.t_obw * self.sample_rate)
-
-    @property
-    def cc_samples(self) -> int:
-        return round(self.t_cc * self.sample_rate)
-
-    @property
-    def min_samples(self) -> int:
-        """Samples a trace needs for one predicted segment."""
-        return self.obw_samples + self.cc_samples + self.samples_per_segment
+            count = getattr(self, name) * rate
+            whole = math.isfinite(count) and abs(count - round(count)) <= 1e-6
+            if not whole or round(count) < 1:
+                raise ValueError(
+                    f"{name} {getattr(self, name)!r} s is not a whole number of sample periods "
+                    f"at {rate!r} Hz"
+                )
+        return round(self.t_obw * rate), round(self.t_cc * rate), round(self.t_pdw * rate)
 
 
 class Predictor(enum.Enum):
@@ -406,33 +398,34 @@ def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -
     ``LAST_POSITION`` repeats the final observed point.  ``GREAT_CIRCLE``
     continues the great circle through the last two observed points at
     their observed angular rate (holding position when they coincide).
-    Trailing samples that do not fill a whole segment are ignored.
+    Trailing samples that do not fill a whole segment are ignored.  Window
+    sample counts are `WindowingConfig.samples` at the trace's own rate; a
+    window that is not a whole number of them raises `TraceFormatError`.
 
     Returns:
         The errors in radians, one per frame of every predicted segment,
-        segment-major: ``(len(trace) // samples_per_segment -
-        passive_prefix) * samples_per_segment`` of them.
+        segment-major: ``(len(trace) // spseg - passive_prefix) * spseg``
+        of them, ``spseg`` being the samples per segment.
     """
-    if abs(trace.sample_rate - win.sample_rate) > 1e-6:
-        raise TraceFormatError(
-            f"trace rate {trace.sample_rate!r} != windowing rate {win.sample_rate!r}"
-        )
-    if len(trace) < win.min_samples:
+    try:
+        obw, cc, spseg = win.samples(trace.sample_rate)
+    except ValueError as exc:
+        raise TraceFormatError(f"trace {trace.user_id}/{trace.video_id}: {exc}") from None
+    if len(trace) < obw + cc + spseg:
         raise TraceFormatError(
             f"trace {trace.user_id}/{trace.video_id} has {len(trace)} samples, "
-            f"needs at least {win.min_samples} for one predicted segment"
+            f"needs at least {obw + cc + spseg} for one predicted segment"
         )
-    spseg = win.samples_per_segment
     vecs = trace.unit_vectors()
     segments = np.arange(win.passive_prefix, len(trace) // spseg)
     frames = np.arange(spseg)
     seg_start = segments * spseg
-    # the observation window ends cc_samples before each segment starts
-    last_i = seg_start - win.cc_samples - 1
+    # the observation window ends cc samples before each segment starts
+    last_i = seg_start - cc - 1
     last = vecs[last_i]
     actual = vecs[seg_start[:, None] + frames]  # (segment, frame, xyz)
     pred = np.repeat(last[:, None, :], spseg, axis=1)
-    if predictor is Predictor.GREAT_CIRCLE and win.obw_samples >= 2:
+    if predictor is Predictor.GREAT_CIRCLE and obw >= 2:
         prev = vecs[last_i - 1]
         gap = np.arccos(np.clip(np.einsum("ij,ij->i", prev, last), -1.0, 1.0))
         # below ~1e-7 rad/sample, 1 - cos(gap) drowns in rounding and the
@@ -445,8 +438,8 @@ def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -
         side = last - prev * cos_gap
         side /= np.linalg.norm(side, axis=1, keepdims=True)
         t_hat = side * cos_gap - prev * sin_gap
-        # frame k leads the last observed sample by cc_samples + k + 1 periods
-        angles = (gap[:, None] * (frames + win.cc_samples + 1))[:, :, None]
+        # frame k leads the last observed sample by cc + k + 1 periods
+        angles = (gap[:, None] * (frames + cc + 1))[:, :, None]
         pred[moving] = np.cos(angles) * last[:, None, :] + np.sin(angles) * t_hat[:, None, :]
     dots = np.clip(np.einsum("ijk,ijk->ij", actual, pred), -1.0, 1.0)
     return np.arccos(dots).ravel()

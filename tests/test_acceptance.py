@@ -210,7 +210,7 @@ def population_sweep():
     """Random-walk error population swept over the five leakage regions."""
     t0 = time.perf_counter()
     traces = generate_synthetic_traces(RandomWalk(kappa=5e4), 8, 60.0, 5.0, seed=707)
-    win = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
+    win = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0)
     errors = predict_all(traces, win, Predictor.LAST_POSITION)
     regions = leakage_regions(R_FOV, EPS)
     grids = {
@@ -250,7 +250,7 @@ def test_criterion_07_average_leakage_region_shape(population_sweep):
 def test_criterion_08_predicted_sample_count():
     t0 = time.perf_counter()
     (trace,) = generate_synthetic_traces(RandomWalk(kappa=1e3), 1, 60.0, 5.0, seed=808)
-    win = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
+    win = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0)
     samples = predict_all([trace], win, Predictor.LAST_POSITION)
     assert len(samples) == 290
     _passed(8, "60 s at 5 Hz with a 2-segment passive prefix yields 290 samples", t0, 5.0)

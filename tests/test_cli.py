@@ -108,18 +108,12 @@ def test_scenario_overrides_win():
     assert s.grids["error"] == [0.1, 0.2]
 
 
-def test_scenario_synthetic_rate_must_match_windowing():
-    doc = {
-        "synthetic": {
-            "model": "random_walk",
-            "kappa": 100.0,
-            "n_traces": 2,
-            "duration_s": 10.0,
-            "rate_hz": 4.0,
-        }
-    }
-    with pytest.raises(ConfigError, match="rate"):
-        resolve_scenario(doc)
+def test_scenario_windows_fit_the_synthetic_rate():
+    synth = {"model": "random_walk", "kappa": 100.0, "n_traces": 2, "duration_s": 10.0}
+    assert resolve_scenario({"synthetic": {**synth, "rate_hz": 4.0}}).synthetic.rate == 4.0
+    # 1 s is 2.5 sample periods at 2.5 Hz
+    with pytest.raises(ConfigError, match="config.windowing: t_obw 1.0 s is not a whole number"):
+        resolve_scenario({"synthetic": {**synth, "rate_hz": 2.5}})
 
 
 def test_scenario_source_exclusivity():
@@ -176,6 +170,15 @@ _RESOURCES = {
     "frames_per_segment": 30,
     "tiles_per_frame": 200,
 }
+_CHANNEL = {
+    "bandwidth": 1e7,
+    "tx_power": 4.0,
+    "distance": 2.0,
+    "pathloss_exp": 2.5,
+    "noise_power": 1e-3,
+    "antennas": 8,
+    "users": 4,
+}
 _SYNTH_DRIFT = {
     "model": "great_circle_drift",
     "rate_rad_s": 0.1,
@@ -210,7 +213,9 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     "doc, field",
     [
         ({"windowing": {"t_obw": [1]}}, "config.windowing.t_obw"),
-        ({"windowing": {"passive_prefix": 2.7}}, "config.windowing.passive_prefix"),
+        ({"windowing": {"passive_prefix": 2}}, "config.windowing.passive_prefix"),
+        ({"windowing": {"sample_rate_hz": 5.0}}, "config.windowing.sample_rate_hz"),
+        ({"windowing": {"t_obw": 0.2, "t_cc": 0.2}}, "config.windowing"),
         ({"windowing": {"t_obw": True}}, "config.windowing.t_obw"),
         ({"windowing": {"t_obw": "1"}}, "config.windowing.t_obw"),
         ({"resources": {**_RESOURCES, "gpus": 1}, "tile": _TILE}, "config.resources.gpus"),
@@ -219,7 +224,8 @@ def test_cli_validate_bad_config(tmp_path, capsys):
         ({"synthetic": {**_SYNTH_DRIFT, "duration_s": 2.0}}, "config.synthetic.duration_s"),
     ],
     ids=[
-        "list-window", "fractional-prefix", "bool-window", "string-window",
+        "list-window", "unknown-prefix-key", "unknown-rate-key", "prefix-under-one-segment",
+        "bool-window", "string-window",
         "unknown-resource-key", "unknown-tile-key", "unknown-synthetic-key",
         "synthetic-under-one-segment",
     ],
@@ -378,6 +384,32 @@ def test_cli_trace_pipeline(tmp_path, capsys):
     assert figures == {"avg_leakage_vs_r_sv", "case_ratio_vs_r_sv", "mean_qoe_vs_r_sv"}
 
 
+def test_cli_trace_counts_samples_at_the_synthetic_rate(tmp_path, capsys):
+    synth = {**_SYNTH_DRIFT, "n_traces": 3, "duration_s": 20.0, "rate_hz": 4.0}
+    cfg = _cfg(tmp_path, {"synthetic": synth, "grids": {"r_sv": [0.5, 1.0]}})
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    # 20 segments of 4 samples per trace, 2 of them played passively
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["n_samples"] == 3 * 18 * 4
+
+
+def test_cli_trace_counts_samples_at_each_csv_trace_rate(tmp_path, capsys):
+    lines = ["user_id,video_id,timestamp_s,theta_rad,phi_rad"]
+    for user, rate in (("a", 5), ("b", 10)):
+        lines += [f"{user},v,{k / rate!r},{0.01 * k},0.0" for k in range(10 * rate)]
+    csv_path = tmp_path / "traces.csv"
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doc = {"traces_csv": str(csv_path), "grids": {"r_sv": [0.5, 1.0]}}
+    assert main(["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    # 10 segments per trace, 2 passive: 8 of 5 samples plus 8 of 10
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["n_samples"] == 8 * 5 + 8 * 10
+    # a 0.1 s window is half a period of the 5 Hz trace, one of the 10 Hz trace
+    doc["windowing"] = {"t_obw": 0.1, "t_cc": 0.9}
+    assert main(["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "p")]) == 3
+    assert "data error: trace a/v: t_obw 0.1 s is not a whole number" in capsys.readouterr().err
+
+
 def test_cli_trace_deterministic_and_threaded(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,
@@ -442,20 +474,11 @@ def test_cli_resource_requires_block(capsys):
 
 
 def test_cli_resource_channel_bandwidth_scaling(tmp_path, capsys):
-    channel = {
-        "bandwidth": 1e7,
-        "tx_power": 4.0,
-        "distance": 2.0,
-        "pathloss_exp": 2.5,
-        "noise_power": 1e-3,
-        "antennas": 8,
-        "users": 4,
-    }
     rates = []
     for i, bw in enumerate((1e7, 2e7)):
         cfg = _cfg(
             tmp_path,
-            {"resources": _RESOURCES, "tile": _TILE, "channel": {**channel, "bandwidth": bw}},
+            {"resources": _RESOURCES, "tile": _TILE, "channel": {**_CHANNEL, "bandwidth": bw}},
             name=f"ch{i}.json",
         )
         out = tmp_path / f"out{i}"
@@ -466,6 +489,52 @@ def test_cli_resource_channel_bandwidth_scaling(tmp_path, capsys):
         assert 0.0 < doc["capability_with_channel_rate"] <= 1.0
     # Same seed, doubled bandwidth: the estimate doubles to 12 digits.
     assert rates[1] == pytest.approx(2.0 * rates[0], rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"distance": 0.5, "pathloss_exp": 2000}, {"bandwidth": 1e308}, {"tx_power": 0}],
+    ids=["path-loss-overflow", "rate-overflow", "zero-power"],
+)
+def test_cli_resource_rejects_unusable_channel_rate(tmp_path, capsys, change):
+    doc = {"resources": _RESOURCES, "tile": _TILE, "channel": {**_CHANNEL, **change}}
+    out = tmp_path / "o"
+    assert main(["resource", "--config", _cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: config.channel: rate estimate: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: An integer no float can hold.
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("validate", {"r_fov_rad": _HUGE}, "config.r_fov_rad"),
+        ("validate", {"max_leak_prob": _HUGE}, "config.max_leak_prob"),
+        ("validate", {"synthetic": {"model": "random_walk", "kappa": _HUGE, "n_traces": 1,
+                                    "duration_s": 10.0, "rate_hz": 5.0}}, "config.synthetic.kappa"),
+        ("validate", {"grids": {"error": {"lo": 0, "hi": _HUGE, "n": 3}}}, "config.grids.error.hi"),
+        ("validate", {"grids": {"r_sv": [0.5, _HUGE]}}, "config.grids.r_sv[1]"),
+        ("validate", '{"seed": ' + "1" * 5001 + "}", "config: {cfg} is not valid JSON"),
+        ("validate", "[" * 100_000, "config: {cfg} is not valid JSON"),
+        ("resource", {"resources": _RESOURCES, "tile": {**_TILE, "px_w": _HUGE}},
+         "config.tile.px_w"),
+        ("resource", {"resources": {**_RESOURCES, "frames_per_segment": _HUGE}, "tile": _TILE},
+         "config.resources.frames_per_segment"),
+    ],
+    ids=["fov", "leak-budget", "kappa", "grid-bound", "grid-value", "seed-digits",
+         "deep-nesting", "tile-pixels", "frames"],
+)
+def test_cli_rejects_oversized_numbers(tmp_path, capsys, command, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field.format(cfg=cfg)}") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_check_report_catches_corruption():

@@ -22,7 +22,7 @@ from vrpl.traces import _points, _unit_tangents
 
 from support import scalar_synthetic_unit_vectors
 
-WIN = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
+WIN = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0)
 
 
 def _write(tmp_path, text: str):
@@ -270,16 +270,20 @@ def test_degenerate_tangent_uses_axis_fallback(monkeypatch, sign):
 
 
 def test_windowing_validation():
-    assert WIN.samples_per_segment == 5
-    assert WIN.obw_samples == 5
-    assert WIN.cc_samples == 5
-    assert WIN.min_samples == 15
+    assert WIN.samples(5.0) == (5, 5, 5)
+    assert WIN.passive_prefix == 2
     with pytest.raises(ValueError, match="t_obw \\+ t_cc"):
-        WindowingConfig(t_obw=1.0, t_cc=0.5, t_pdw=1.0, sample_rate=5.0, passive_prefix=2)
+        WindowingConfig(t_obw=1.0, t_cc=0.5, t_pdw=1.0)
     with pytest.raises(ValueError, match="whole number"):
-        WindowingConfig(t_obw=0.33, t_cc=0.33, t_pdw=0.33, sample_rate=5.0, passive_prefix=2)
-    with pytest.raises(ValueError):
-        WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0, sample_rate=5.0, passive_prefix=0)
+        WindowingConfig(t_obw=0.33, t_cc=0.33, t_pdw=0.33).samples(5.0)
+    # less than one segment ahead: no passive prefix
+    with pytest.raises(ValueError, match="t_obw \\+ t_cc"):
+        WindowingConfig(t_obw=0.2, t_cc=0.2, t_pdw=1.0)
+    with pytest.raises(ValueError, match="t_obw \\+ t_cc"):
+        WindowingConfig(t_obw=1e308, t_cc=1e308, t_pdw=1.0)
+    # a window shorter than one sample period rounds to no samples at all
+    with pytest.raises(ValueError, match="t_obw 1e-07 s is not a whole number"):
+        WindowingConfig(t_obw=1e-7, t_cc=1e-7, t_pdw=1e-7).samples(5.0)
 
 
 def test_predict_sample_count():
@@ -308,14 +312,14 @@ def test_predict_constant_trace_zero_error():
 
 def test_predict_last_position_lead_error():
     # Under steady drift the repeated last point lags by the lead time:
-    # the k-th frame of a predicted segment sits (cc_samples + k + 1)
+    # the k-th frame of a predicted segment sits (cc + k + 1)
     # sample periods past the last observed sample.
     (tr,) = generate_synthetic_traces(GreatCircleDrift(rate=0.1), 1, 60.0, 5.0, seed=5)
     errors = predict(tr, WIN, Predictor.LAST_POSITION)
     per_step = 0.1 / 5.0
+    _, cc, spseg = WIN.samples(5.0)
     for k, error in enumerate(errors[:25]):
-        frame = k % WIN.samples_per_segment
-        expected = (WIN.cc_samples + frame + 1) * per_step
+        expected = (cc + k % spseg + 1) * per_step
         assert error == pytest.approx(expected, abs=1e-9)
     assert max(errors) == pytest.approx(0.2, abs=1e-9)
 
@@ -325,10 +329,15 @@ def test_predict_great_circle_tracks_drift():
     assert max(predict(tr, WIN, Predictor.GREAT_CIRCLE)) < 1e-6
 
 
-def test_predict_rate_mismatch():
+def test_predict_counts_samples_at_the_trace_rate():
     (tr,) = generate_synthetic_traces(RandomWalk(kappa=100.0), 1, 60.0, 4.0, seed=1)
-    with pytest.raises(TraceFormatError, match="rate"):
-        predict(tr, WIN, Predictor.LAST_POSITION)
+    # 60 segments of 4 samples, the first two played passively.
+    assert len(predict(tr, WIN, Predictor.LAST_POSITION)) == (60 - 2) * 4
+    (tr,) = generate_synthetic_traces(RandomWalk(kappa=100.0), 1, 60.0, 3.0, seed=1)
+    half = WindowingConfig(t_obw=0.5, t_cc=0.5, t_pdw=1.0)
+    whole = "synthetic-000/randomwalk: t_obw 0.5 s is not a whole number"
+    with pytest.raises(TraceFormatError, match=whole):
+        predict(tr, half, Predictor.LAST_POSITION)
 
 
 def test_predict_short_trace():
