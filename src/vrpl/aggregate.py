@@ -10,9 +10,10 @@ The sweep decomposes the average by geometric case.  Within each constant
 case the leakage probability does not depend on the error, so the case
 contributes its probability times the fraction of errors falling in the
 case; partial-overlap errors contribute their individual error-upload
-probabilities.  At a fixed radius every case is an interval of errors,
-and the partial-overlap leakage does not depend on the radius, so the
-sweep sorts the errors and sums their leakage once for the whole grid.
+probabilities.  At a fixed radius every case is an interval of errors
+that ends where `classify` changes, and the partial-overlap leakage does
+not depend on the radius, so the sweep sorts the errors and sums their
+leakage once for the whole grid.
 """
 
 from __future__ import annotations
@@ -33,11 +34,14 @@ from .leakage import (
     min_leak_prob_error,
     min_leak_prob_qoe,
 )
-from .qoe import OverlapCase, qoe
+from .qoe import PARTITION_CASES, OverlapCase, classify, qoe
 from .sphere import EPSILON, ERROR, FOV, STREAMED_RADIUS, TWO_PI, cap_area, cap_overlap_area_vec
 
 #: The population sweep and its regions take a protection radius above 0 only.
 _SWEEP_EPSILON = replace(EPSILON, open_lo=True)
+
+#: The partition cases after the two nested ones, in `PARTITION_CASES` order.
+_DISJOINT, _COMPLEMENT, _REMAINING = PARTITION_CASES[2:]
 
 
 def _population(errors: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -161,8 +165,8 @@ def _sweep_point(
 
     ``e`` is sorted, and ``leak_csum[i]`` is the sum of the error-upload
     leakage ``min(eps / (pi sin e), 1)`` over ``e[:i]``.  At a fixed radius
-    every case is a contiguous run of ``e``; the boundaries reproduce the
-    closed-tie order of `classify`.
+    every case is a contiguous run of ``e``, and each run ends where
+    `classify` changes, so the closed-tie order is its own.
     """
     n = e.size
     if sv == 0.0 or sv == math.pi:
@@ -170,37 +174,30 @@ def _sweep_point(
         case = OverlapCase.DEGENERATE_EMPTY if sv == 0.0 else OverlapCase.DEGENERATE_FULL
         leak = min_leak_prob_qoe(eps)
         return SweepPoint(sv, {case: 1.0}, {case: leak}, leak, qoe(fov, sv, 0.0))
-    # Runs in e: [0, a) fov_in_sfov, [a, b) sfov_in_fov, [b, d) remaining,
-    # [d, c) sfov_complement_in_fov, [c, n) disjoint, split by the same
-    # floating-point tests as `classify`.
+    # Runs in e: [0, b) the nested case `near` (only one is live at a radius),
+    # [b, d) remaining, [d, c) sfov_complement_in_fov and [c, n) disjoint,
+    # each ending where `classify` changes.
+    near = classify(fov, sv, 0.0)
     s = fov + sv
-    a = _split(e, sv - fov, lambda x: fov + x <= sv)
-    b = max(a, _split(e, fov - sv, lambda x: sv + x <= fov))
-    c = max(b, int(np.searchsorted(e, s, side="left")))
-    d = min(max(b, _split(e, TWO_PI - s, lambda x: s + x < TWO_PI)), c)
-    counts = {
-        OverlapCase.FOV_IN_SFOV: a,
-        OverlapCase.SFOV_IN_FOV: b - a,
-        OverlapCase.DISJOINT: n - c,
-        OverlapCase.SFOV_COMPLEMENT_IN_FOV: c - d,
-        OverlapCase.REMAINING: d - b,
-    }
+    b = _split(e, abs(sv - fov), lambda x: classify(fov, sv, x) is near)
+    d = _split(e, min(s, TWO_PI - s), lambda x: classify(fov, sv, x) in (near, _REMAINING))
+    c = max(d, int(np.searchsorted(e, s, side="left")))
+    counts = dict.fromkeys(PARTITION_CASES, 0)
+    counts.update({near: b, _DISJOINT: n - c, _COMPLEMENT: c - d, _REMAINING: d - b})
     ratios = {case: count / n for case, count in counts.items()}
 
-    _, prob_contained = cap_zone(fov, sv, eps, True)
+    _, prob_near = cap_zone(fov, sv, eps, True)
     _, prob_far = cap_zone(fov, sv, eps, False)
     components = {
-        OverlapCase.FOV_IN_SFOV: prob_contained * ratios[OverlapCase.FOV_IN_SFOV],
-        OverlapCase.SFOV_IN_FOV: prob_contained * ratios[OverlapCase.SFOV_IN_FOV],
-        OverlapCase.DISJOINT: prob_far * ratios[OverlapCase.DISJOINT],
-        OverlapCase.SFOV_COMPLEMENT_IN_FOV: prob_far * ratios[OverlapCase.SFOV_COMPLEMENT_IN_FOV],
-        OverlapCase.REMAINING: float(leak_csum[d] - leak_csum[b]) / n,
+        case: (prob_far if case in (_DISJOINT, _COMPLEMENT) else prob_near) * ratio
+        for case, ratio in ratios.items()
     }
+    components[_REMAINING] = float(leak_csum[d] - leak_csum[b]) / n
     total = sum(components.values())
 
     # QoE is constant on each run but the partial-overlap one.
-    qoe_sum = a
-    for lo, hi in ((a, b), (d, c)):
+    qoe_sum = 0.0
+    for lo, hi in ((0, b), (d, c)):
         if hi > lo:
             qoe_sum += (hi - lo) * qoe(fov, sv, e[lo])
     if d > b:
@@ -214,8 +211,8 @@ def _split(e: np.ndarray, guess: float, holds: Callable[[float], bool]) -> int:
 
     ``guess`` is the threshold ``holds`` tests up to rounding: `searchsorted`
     finds it, then the index moves over whole runs of equal values until
-    the exact test agrees (``e <= sv - fov`` and ``fov + e <= sv``, say,
-    differ for errors within an ulp of the boundary).
+    ``holds`` agrees (``e <= |sv - fov|`` and `classify` giving a nested
+    case, say, differ for errors within an ulp of the boundary).
     """
     i = int(np.searchsorted(e, guess, side="right"))
     while i > 0 and not holds(e[i - 1]):

@@ -38,6 +38,7 @@ from .aggregate import AggregateReport, build_report
 from .config import (
     ConfigError,
     Scenario,
+    check_size,
     load_config,
     parse_grid_override,
     resolve_scenario,
@@ -106,9 +107,11 @@ def _emit_table(args: argparse.Namespace, name: str, header: list[str], columns:
     return path
 
 
-def _grid_pairs(outer: list[float], inner: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Every (outer, inner) grid pair, outer-major, as two columns."""
-    return np.repeat(outer, len(inner)), np.tile(inner, len(outer))
+def _grid_pairs(scenario: Scenario, outer: str, inner: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of the named grids, outer-major, as two columns."""
+    a, b = scenario.grids[outer], scenario.grids[inner]
+    check_size(len(a) * len(b), "config.grids", f"the {outer} x {inner} table")
+    return np.repeat(a, len(b)), np.tile(b, len(a))
 
 
 def _names(codes: np.ndarray, members: tuple) -> Categorical:
@@ -149,7 +152,7 @@ def _check_rows(table: str, header: list[str], columns: list, reference) -> None
 
 def cmd_sweep_error(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    eps, e = _grid_pairs(scenario.grids["epsilon"], scenario.grids["error"])
+    eps, e = _grid_pairs(scenario, "epsilon", "error")
     res = leak_prob_from_error_vec(e, eps)
     header = ["e_rad", "epsilon_rad", "leak_prob", "zone_kind", "zone_measure"]
     columns = [e, eps, res.probability, _names(res.zone_kind, ZONE_KINDS), res.zone_measure]
@@ -166,7 +169,7 @@ def cmd_sweep_error(args: argparse.Namespace) -> int:
 def cmd_sweep_qoe(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     fov = scenario.r_fov
-    sv, e = _grid_pairs(scenario.grids["r_sv"], scenario.grids["error"])
+    sv, e = _grid_pairs(scenario, "r_sv", "error")
     header = ["r_sv_rad", "e_rad", "qoe", "case"]
     columns = [sv, e, qoe_vec(fov, sv, e), _names(classify_vec(fov, sv, e), CASES)]
 
@@ -181,7 +184,7 @@ def cmd_sweep_qoe(args: argparse.Namespace) -> int:
 def cmd_sweep_leakage(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     fov, eps = scenario.r_fov, scenario.epsilon
-    sv, e = _grid_pairs(scenario.grids["r_sv"], scenario.grids["error"])
+    sv, e = _grid_pairs(scenario, "r_sv", "error")
     q = qoe_vec(fov, sv, e)
     res = leak_prob_from_qoe_vec(q, fov, sv, eps)
     header = ["r_sv_rad", "e_rad", "qoe", "case", "leak_prob", "zone_kind", "zone_measure"]

@@ -36,6 +36,10 @@ DEFAULT_EPSILON_FRAC = 0.4
 DEFAULT_WINDOWING = dict(t_obw=1.0, t_cc=1.0, t_pdw=1.0)
 DEFAULT_GRID_N = 181
 
+#: The most values a grid, a sweep table or a synthetic population may
+#: hold; a run at the limit stays near 1 GiB.
+MAX_ELEMENTS = 2**22
+
 #: The domain of each sweep grid, by grid name.
 GRIDS = {"error": ERROR, "epsilon": EPSILON, "r_sv": STREAMED_RADIUS}
 
@@ -55,6 +59,12 @@ def _float(value, path: str) -> float:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{path}: integer too large for a float") from None
+
+
+def check_size(count: int, path: str, what: str) -> None:
+    """Reject ``count`` values above `MAX_ELEMENTS`, before they are allocated."""
+    if count > MAX_ELEMENTS:
+        raise ConfigError(f"{path}: {what} gives {count} values, above the limit of {MAX_ELEMENTS}")
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -145,6 +155,7 @@ def _resolve_grid(spec, path: str) -> list[float]:
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{path}: expected a non-empty list")
+        check_size(len(spec), path, "the grid")
         return [_float(v, f"{path}[{i}]") for i, v in enumerate(spec)]
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object or list")
@@ -159,6 +170,7 @@ def _resolve_grid(spec, path: str) -> list[float]:
             raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
     if n < 1:
         raise ConfigError(f"{path}.n: must be >= 1")
+    check_size(n, f"{path}.n", "the grid")
     if hi < lo:
         raise ConfigError(f"{path}: hi {hi!r} below lo {lo!r}")
     if n == 1:
@@ -250,6 +262,7 @@ def _resolve_synthetic(doc: dict, windowing: WindowingConfig) -> SyntheticSpec:
     if not (math.isfinite(spec.rate) and spec.rate > 0.0):
         raise ConfigError(f"{path}.rate_hz: {spec.rate!r} must be > 0")
     n = _in_domain(sample_count, spec.duration, f"{path}.duration_s", rate=spec.rate)
+    check_size(spec.n_traces * n, path, "n_traces * duration_s * rate_hz")
     needs = sum(_in_domain(windowing.samples, spec.rate, "config.windowing"))
     if n < needs:
         raise ConfigError(

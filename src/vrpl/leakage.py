@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qoe import CASE_CODE, OverlapCase, _classify_codes, _qoe_from_codes, qoe
+from .qoe import CASE_CODE, OverlapCase, _classify_codes, _qoe_from_codes, classify, qoe
 from .sphere import (
     EPSILON,
     ERROR,
@@ -248,10 +248,13 @@ def _bisect_error(q: float, fov: float, sv: float) -> float:
 def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     """Infer the prediction error from a reported QoE.
 
-    The four constant cases are matched first (within `QOE_MATCH_TOL`), each
-    yielding the full error interval that produces that constant;
-    otherwise the report is inverted exactly by bisection inside the
-    partial-overlap interval.
+    A constant-case report is one end of the band of attainable QoE: the
+    containment case `classify` gives at zero error for the top end, and
+    the disjoint or complement case it gives at antipodal error for the
+    bottom end.  A report matching an end (within `QOE_MATCH_TOL`, top end
+    first) yields the full error interval of that case; otherwise the
+    report is inverted exactly by bisection inside the partial-overlap
+    interval.
 
     Args:
         q: reported covered fraction, in [0, 1].
@@ -276,26 +279,14 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     # report too; constant-case matches there are flagged as ambiguous.
     interior = q_low < qv < q_high
 
-    if sv >= fov and abs(qv - 1.0) <= tol:
+    if abs(qv - q_high) <= tol:
         return ErrorInference(
-            InferenceKind.RANGE, OverlapCase.FOV_IN_SFOV, lo=0.0, hi=sv - fov, ambiguous=interior
+            InferenceKind.RANGE, classify(fov, sv, 0.0), lo=0.0, hi=abs(sv - fov), ambiguous=interior
         )
-    if fov >= sv and abs(qv - q_high) <= tol:
-        return ErrorInference(
-            InferenceKind.RANGE, OverlapCase.SFOV_IN_FOV, lo=0.0, hi=fov - sv, ambiguous=interior
-        )
-    if fov + sv <= math.pi and qv <= tol:
-        return ErrorInference(
-            InferenceKind.RANGE, OverlapCase.DISJOINT, lo=fov + sv, hi=math.pi, ambiguous=interior
-        )
-    if fov + sv >= math.pi and abs(qv - q_low) <= tol:
-        return ErrorInference(
-            InferenceKind.RANGE,
-            OverlapCase.SFOV_COMPLEMENT_IN_FOV,
-            lo=TWO_PI - fov - sv,
-            hi=math.pi,
-            ambiguous=interior,
-        )
+    if abs(qv - q_low) <= tol:
+        case = classify(fov, sv, math.pi)
+        lo = fov + sv if case is OverlapCase.DISJOINT else TWO_PI - fov - sv
+        return ErrorInference(InferenceKind.RANGE, case, lo=lo, hi=math.pi, ambiguous=interior)
     return ErrorInference(InferenceKind.EXACT, OverlapCase.REMAINING, value=_bisect_error(qv, fov, sv))
 
 
@@ -417,10 +408,9 @@ def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
 def _infer_from_checked(qv: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> ErrorInferenceArrays:
     """`infer_error_from_qoe_vec` on broadcast arrays already checked."""
     tol = QOE_MATCH_TOL
-    q_high, q_low = (
-        _qoe_from_codes(fov, sv, e, _classify_codes(fov, sv, e))
-        for e in (np.zeros(fov.shape), np.full(fov.shape, math.pi))
-    )
+    ends = (np.zeros(fov.shape), np.full(fov.shape, math.pi))
+    codes = [_classify_codes(fov, sv, e) for e in ends]
+    q_high, q_low = (_qoe_from_codes(fov, sv, e, c) for e, c in zip(ends, codes))
     bad = (qv > q_high + tol) | (qv < q_low - tol)
     if bad.any():
         i = np.flatnonzero(bad)[0]
@@ -429,23 +419,9 @@ def _infer_from_checked(qv: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> Erro
             f"QoE {qi!r} unreachable for r_fov={fi!r}, r_sv={si!r}: "
             f"attainable band is [{float(q_low.flat[i])!r}, {float(q_high.flat[i])!r}]"
         )
-    # Constant-case matches in precedence order: the first match wins.
-    matches = [
-        (sv >= fov) & (np.abs(qv - 1.0) <= tol),
-        (fov >= sv) & (np.abs(qv - q_high) <= tol),
-        (fov + sv <= math.pi) & (qv <= tol),
-        (fov + sv >= math.pi) & (np.abs(qv - q_low) <= tol),
-    ]
-    codes = [
-        CASE_CODE[c]
-        for c in (
-            OverlapCase.FOV_IN_SFOV,
-            OverlapCase.SFOV_IN_FOV,
-            OverlapCase.DISJOINT,
-            OverlapCase.SFOV_COMPLEMENT_IN_FOV,
-        )
-    ]
-    case = np.select(matches, codes, default=_REMAINING).astype(np.int8)
+    # A report at an end of the band takes the case there; the top end wins a tie.
+    ends_matched = [np.abs(qv - q_high) <= tol, np.abs(qv - q_low) <= tol]
+    case = np.select(ends_matched, codes, default=_REMAINING).astype(np.int8)
     exact = case == _REMAINING
     value = np.full(case.shape, math.nan)
     value[exact] = _bisect_error_vec(qv[exact], fov[exact], sv[exact])

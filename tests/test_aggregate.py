@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vrpl import (
@@ -229,6 +229,10 @@ def _sweep_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_sweep_inputs())
+# fov + sv rounds to pi: both far cases are live at one radius
+@example((math.pi / 2, math.pi / 2, [math.pi / 2], [float(np.nextafter(math.pi, 0)), math.pi, 1.0]))
+# a nested error that also passes the disjoint test
+@example((math.pi / 2, math.pi / 2, [1.4091702570048054e-196], [math.pi / 2]))
 def test_sorted_sweep_matches_pointwise_reference(inputs):
     fov, eps, grid, errors = inputs
     for sv, pt in zip(grid, average_leakage_sweep(errors, fov, eps, grid)):

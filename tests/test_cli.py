@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ from vrpl import (
     resolve_scenario,
 )
 from vrpl.cli import InternalInconsistencyError, _check_report, main
-from vrpl.config import load_config
+from vrpl import config
+from vrpl.config import MAX_ELEMENTS, load_config
 from vrpl.tables import read_csv
 
 FOV = math.radians(50.0)
@@ -535,6 +537,61 @@ def test_cli_rejects_oversized_numbers(tmp_path, capsys, command, doc, field):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field.format(cfg=cfg)}") and "Traceback" not in err
     assert not out.exists()
+
+
+def _grid(n):
+    return {"lo": 0.0, "hi": 1.0, "n": n}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flag, field",
+    [
+        ("validate", {}, "error=0:1:1000000000000", "--grid error.n"),
+        ("validate", {"grids": {"r_sv": _grid(MAX_ELEMENTS + 1)}}, None, "config.grids.r_sv.n"),
+        ("validate", {"grids": {"epsilon": _grid(_HUGE)}}, None, "config.grids.epsilon.n"),
+        ("sweep-qoe", {"grids": {"r_sv": _grid(4096), "error": _grid(2048)}}, None,
+         "config.grids"),
+        ("sweep-leakage", {}, "r_sv=0:1:4096,error=0:1:2048", "config.grids"),
+        ("sweep-error", {"grids": {"epsilon": _grid(2048), "error": _grid(4096)}}, None,
+         "config.grids"),
+        ("trace", {"synthetic": {**_SYNTH_DRIFT, "n_traces": 10**9}}, None, "config.synthetic"),
+        ("validate", {"synthetic": {**_SYNTH_DRIFT, "duration_s": 1e7}}, None,
+         "config.synthetic"),
+    ],
+    ids=["flag-n", "config-n", "huge-n", "qoe-table", "leakage-table", "error-table",
+         "n-traces", "duration"],
+)
+def test_cli_rejects_oversized_runs(tmp_path, capsys, command, doc, flag, field):
+    out = tmp_path / "o"
+    argv = [command, "--config", _cfg(tmp_path, doc), "--out", str(out)]
+    start = time.perf_counter()
+    assert main(argv + (["--grid", flag] if flag else [])) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+    assert f"above the limit of {MAX_ELEMENTS}" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_oversized_grid_list(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(config, "MAX_ELEMENTS", 200)
+    cfg = _cfg(tmp_path, {"grids": {"error": [0.5] * 201}})
+    assert main(["validate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.grids.error: the grid gives 201 values")
+    cfg = _cfg(tmp_path, {"grids": {"error": [0.5] * 200}})
+    assert main(["validate", "--config", cfg]) == 0
+
+
+def test_sizes_at_the_limit_pass():
+    config.check_size(MAX_ELEMENTS, "config.grids", "the table")
+    with pytest.raises(ConfigError, match="^config.grids: the table gives 4194305 values"):
+        config.check_size(MAX_ELEMENTS + 1, "config.grids", "the table")
+    # 150 samples per trace
+    spec = {**_SYNTH_DRIFT, "n_traces": MAX_ELEMENTS // 150}
+    assert resolve_scenario({"synthetic": spec}).synthetic.n_traces == MAX_ELEMENTS // 150
+    with pytest.raises(ConfigError, match="^config.synthetic: n_traces"):
+        resolve_scenario({"synthetic": {**spec, "n_traces": MAX_ELEMENTS // 150 + 1}})
 
 
 def test_check_report_catches_corruption():

@@ -21,6 +21,7 @@ from vrpl import (
     error_range_for_requirement,
     full_leak_error_range,
     infer_error_from_qoe,
+    infer_error_from_qoe_vec,
     leak_prob_from_error,
     leak_prob_from_qoe,
     min_leak_prob_error,
@@ -28,6 +29,7 @@ from vrpl import (
     min_prob_comparison,
     qoe,
 )
+from vrpl.qoe import CASES
 
 FOV = math.radians(50.0)
 EPS = 0.4 * FOV  # 0.34906585039886595
@@ -155,6 +157,30 @@ def test_infer_constant_cases():
     assert inf.case == OverlapCase.SFOV_COMPLEMENT_IN_FOV
     assert inf.lo == pytest.approx(2.0 * math.pi - FOV - sv, abs=1e-12)
     assert inf.hi == math.pi
+
+
+_HALF_PI = math.pi / 2
+
+
+@pytest.mark.parametrize(
+    ("q", "fov", "sv", "case", "lo", "hi"),
+    [
+        # equal radii: fov_in_sfov wins the top end over sfov_in_fov
+        (1.0, 0.7, 0.7, OverlapCase.FOV_IN_SFOV, 0.0, 0.0),
+        # fov + sv == pi: disjoint wins the bottom end over the complement case
+        (0.0, _HALF_PI, _HALF_PI, OverlapCase.DISJOINT, math.pi, math.pi),
+        (qoe(_HALF_PI, _HALF_PI, math.pi), _HALF_PI, _HALF_PI, OverlapCase.DISJOINT, math.pi,
+         math.pi),
+        (qoe(_HALF_PI, 2.5, math.pi), _HALF_PI, 2.5, OverlapCase.SFOV_COMPLEMENT_IN_FOV,
+         2.2123889803846897, math.pi),
+        # a tiny streamed cap: both ends match 0, and the top end wins
+        (0.0, 1.0, 1e-6, OverlapCase.SFOV_IN_FOV, 0.0, 1.0 - 1e-6),
+    ],
+)
+def test_infer_band_end_precedence(q, fov, sv, case, lo, hi):
+    inf = infer_error_from_qoe(q, fov, sv)
+    assert (inf.kind, inf.case, inf.lo, inf.hi) == (InferenceKind.RANGE, case, lo, hi)
+    assert CASES[int(infer_error_from_qoe_vec(q, fov, sv).case)] is case
 
 
 def test_infer_exact_case_round_trip():
