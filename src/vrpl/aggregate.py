@@ -159,14 +159,15 @@ class SweepPoint:
 
 
 def _sweep_point(
-    e: np.ndarray, leak_csum: np.ndarray, fov: float, eps: float, sv: float
+    e: np.ndarray, leak_csum: np.ndarray, trig: tuple, fov: float, eps: float, sv: float
 ) -> SweepPoint:
     """Evaluate classification, leakage and QoE averages at one radius.
 
     ``e`` is sorted, and ``leak_csum[i]`` is the sum of the error-upload
     leakage ``min(eps / (pi sin e), 1)`` over ``e[:i]``.  At a fixed radius
     every case is a contiguous run of ``e``, and each run ends where
-    `classify` changes, so the closed-tie order is its own.
+    `classify` changes, so the closed-tie order is its own.  ``trig`` holds
+    the cosine and sine of ``e`` and the lens work rows (`average_leakage_sweep`).
     """
     n = e.size
     if sv == 0.0 or sv == math.pi:
@@ -201,8 +202,10 @@ def _sweep_point(
         if hi > lo:
             qoe_sum += (hi - lo) * qoe(fov, sv, e[lo])
     if d > b:
-        overlap = cap_overlap_area_vec(fov, sv, e[b:d])
-        qoe_sum += float(np.clip(overlap / cap_area(fov), 0.0, 1.0).sum())
+        cos_e, sin_e, work = trig
+        overlap = cap_overlap_area_vec(fov, sv, cos_e[b:d], sin_e[b:d], work[:, : d - b])
+        np.divide(overlap, cap_area(fov), out=overlap)
+        qoe_sum += float(np.clip(overlap, 0.0, 1.0, out=overlap).sum())
     return SweepPoint(sv, ratios, components, total, qoe_sum / n)
 
 
@@ -231,9 +234,10 @@ def average_leakage_sweep(
     """Average QoE-upload leakage over the error population per radius.
 
     The errors are sorted once, with a running sum of their error-upload
-    leakage; each radius then needs a few binary searches, one prefix-sum
-    difference, and the lens area of its partial-overlap errors only.
-    Output order follows the grid order.
+    leakage, and their cosine and sine are taken once; each radius then
+    needs a few binary searches, one prefix-sum difference, and the lens
+    area of its partial-overlap errors only, evaluated in place in work
+    rows allocated once for the grid.  Output order follows the grid order.
 
     Args:
         errors: prediction errors in radians, all in [0, pi].
@@ -247,9 +251,10 @@ def average_leakage_sweep(
     e = _population(errors)
     grid = STREAMED_RADIUS.check_array(list(r_sv_grid)).tolist()
     e.sort()
-    leak = _leak_from_checked_errors(e, eps).probability
-    leak_csum = np.concatenate(([0.0], np.cumsum(leak)))
-    return [_sweep_point(e, leak_csum, fov, eps, r) for r in grid]
+    leak_csum = np.zeros(e.size + 1)
+    np.cumsum(_leak_from_checked_errors(e, eps).probability, out=leak_csum[1:])
+    trig = np.cos(e), np.sin(e), np.empty((3, e.size))
+    return [_sweep_point(e, leak_csum, trig, fov, eps, r) for r in grid]
 
 
 @dataclass(frozen=True)

@@ -143,8 +143,8 @@ def _qoe_from_codes(
     )
     m = codes == CASE_CODE[OverlapCase.REMAINING]
     if m.any():
-        fov_m = fov[m]
-        overlap = cap_overlap_area_vec(fov_m, sv[m], err[m])
+        fov_m, err_m = fov[m], err[m]
+        overlap = cap_overlap_area_vec(fov_m, sv[m], np.cos(err_m), np.sin(err_m))
         out[m] = np.clip(overlap / (TWO_PI * (1.0 - np.cos(fov_m))), 0.0, 1.0)
     return out
 

@@ -144,26 +144,53 @@ def cap_overlap_area(r1: float, r2: float, d: float) -> float:
     return min(max(raw, 0.0), min(cap_area(a), cap_area(b)))
 
 
-def cap_overlap_area_vec(r1, r2, d) -> np.ndarray:
+def _arccos_clipped(x: np.ndarray) -> None:
+    """``x`` replaced by the arccos of its values clamped to [-1, 1]."""
+    np.clip(x, -1.0, 1.0, out=x)
+    np.arccos(x, out=x)
+
+
+def cap_overlap_area_vec(r1, r2, cos_d, sin_d, work: np.ndarray | None = None) -> np.ndarray:
     """Lens area of caps in partial overlap, elementwise over broadcastable inputs.
 
-    `cap_overlap_area`'s partial-overlap expression and clamp.  It checks
-    nothing: every element must lie strictly inside the partial-overlap
-    case, as the QoE kernel and the population sweep guarantee.  The
-    trigonometry runs on each input before broadcasting, so a scalar
-    radius costs one ``cos`` and one ``sin``, not one per element.
+    `cap_overlap_area`'s partial-overlap expression and clamp, with the
+    center distance given as its cosine ``cos_d`` and sine ``sin_d``: a
+    caller that evaluates one set of distances against many radii takes
+    their trigonometry once.  It checks nothing: every element must lie
+    strictly inside the partial-overlap case, as the QoE kernel and the
+    population sweep guarantee.  The trigonometry of the radii runs before
+    broadcasting, so a scalar radius costs one ``cos`` and one ``sin``.
+
+    The expression is evaluated term by term, in the scalar function's
+    order, in place in the three rows of ``work``: a float array of shape
+    ``(3, *shape)`` for the broadcast shape of the inputs, allocated when
+    not given.  The result is ``work[0]``, so a caller that reuses one work
+    array allocates nothing per call.
     """
-    a, b, dist = (np.asarray(x, dtype=float) for x in (r1, r2, d))
-    c1, c2, cd = np.cos(a), np.cos(b), np.cos(dist)
-    s1, s2, sd = np.sin(a), np.sin(b), np.sin(dist)
-    area_a = TWO_PI * (1.0 - c1)
-    area_b = TWO_PI * (1.0 - c2)
+    a, b = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
+    c1, c2, s1, s2 = np.cos(a), np.cos(b), np.sin(a), np.sin(b)
+    if work is None:
+        shape = np.broadcast_shapes(a.shape, b.shape, np.shape(cos_d), np.shape(sin_d))
+        work = np.empty((3, *shape))
+    lens, term, denom = work
     with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.arccos(np.clip((cd - c1 * c2) / (s1 * s2), -1.0, 1.0))
-        t1 = np.arccos(np.clip((-c2 + cd * c1) / (sd * s1), -1.0, 1.0))
-        t2 = np.arccos(np.clip((-c1 + cd * c2) / (sd * s2), -1.0, 1.0))
-        lens = TWO_PI - TWO_PI * c1 - TWO_PI * c2 - 2.0 * t0 + 2.0 * c1 * t1 + 2.0 * c2 * t2
-    return np.minimum(np.maximum(lens, 0.0), np.minimum(area_a, area_b))
+        # 2 pi - 2 pi c1 - 2 pi c2 - 2 t0, with t0 = acos((cd - c1 c2) / (s1 s2))
+        np.subtract(cos_d, c1 * c2, out=lens)
+        np.divide(lens, s1 * s2, out=lens)
+        _arccos_clipped(lens)
+        np.multiply(2.0, lens, out=lens)
+        np.subtract(TWO_PI - TWO_PI * c1 - TWO_PI * c2, lens, out=lens)
+        # + 2 c1 t1 + 2 c2 t2, with t1 = acos((-c2 + cd c1) / (sd s1)) and t2 alike
+        for c_own, c_other, s_own in ((c1, c2, s1), (c2, c1, s2)):
+            np.multiply(cos_d, c_own, out=term)
+            np.add(-c_other, term, out=term)
+            np.multiply(sin_d, s_own, out=denom)
+            np.divide(term, denom, out=term)
+            _arccos_clipped(term)
+            np.multiply(2.0 * c_own, term, out=term)
+            np.add(lens, term, out=lens)
+    np.maximum(lens, 0.0, out=lens)
+    return np.minimum(lens, np.minimum(TWO_PI * (1.0 - c1), TWO_PI * (1.0 - c2)), out=lens)
 
 
 def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[float, float]:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -108,8 +110,24 @@ def load_traces(path: str | Path) -> list[ViewpointTrace]:
     the same (user_id, video_id) form one trace, and each key's rows must
     be contiguous.  Malformed rows, and a key that reappears after its
     trace ended, are reported with their line number.
+
+    The file is parsed a block of lines at a time into columns
+    (`_load_columns`).  A file that parse does not take, a bad one among
+    them, is read again from the top by the row loop (`_load_rows`), which
+    returns the same traces or reports the first bad line.
     """
     path = Path(path)
+    try:
+        traces = _load_columns(path)
+    except ValueError:
+        traces = _load_rows(path)
+    if not traces:
+        raise TraceFormatError(f"{path}: file contains zero traces")
+    return traces
+
+
+def _load_rows(path: Path) -> list[ViewpointTrace]:
+    """`load_traces` by the csv module, one row at a time."""
     traces: list[ViewpointTrace] = []
     key: tuple[str, str] | None = None
     closed: set[tuple[str, str]] = set()  # keys whose run of rows has ended
@@ -161,8 +179,135 @@ def load_traces(path: str | Path) -> list[ViewpointTrace]:
             _flush()
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not UTF-8: {exc}") from None
-    if not traces:
-        raise TraceFormatError(f"{path}: file contains zero traces")
+    return traces
+
+
+#: Bytes `_load_columns` reads at a time: about a thousand 60-byte rows.
+_CHUNK_BYTES = 1 << 16
+
+#: Bytes on which commas and ``np.loadtxt`` could read a line otherwise than
+#: csv and ``float``: a quote (csv strips it), NUL (some csv versions reject
+#: it) and 0x1c-0x1f (``loadtxt`` strips them around a number, ``float`` not).
+_UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"')
+
+
+class _NotColumnar(ValueError):
+    """A trace file `_load_columns` does not vouch for; `_load_rows` reads it."""
+
+
+def _vouch(block: bytes) -> bytes:
+    """``block``, if it holds no `_UNSAFE` byte and no CR outside a CRLF."""
+    if any(c in block for c in _UNSAFE):
+        raise _NotColumnar("a byte the row loop reads otherwise")
+    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+        raise _NotColumnar("a line ending the row loop reads otherwise")
+    return block
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """The whole lines of binary file ``fh``, `_vouch`ed a block of about
+    `_CHUNK_BYTES` at a time; the last line gets the newline it may lack."""
+    carry = b""
+    while data := fh.read(_CHUNK_BYTES):
+        data = carry + data
+        cut = data.rfind(b"\n") + 1
+        if not cut and len(data) > _CHUNK_BYTES:
+            raise _NotColumnar("a line longer than a block")
+        if cut:
+            yield _vouch(data[:cut])
+        carry = data[cut:]
+    if carry:
+        yield _vouch(carry + b"\n")
+
+
+def _key_changes(a: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Whether the key ``a[starts[i] : starts[i] + widths[i]]`` of each row differs
+    from the row before's (False for the first row).
+
+    Keys as wide as the one before are compared byte by byte in one flat
+    pass, and their mismatches counted per row by a running sum.
+    """
+    differs = np.zeros(starts.size, dtype=bool)
+    differs[1:] = widths[1:] != widths[:-1]
+    same = np.flatnonzero(~differs[1:]) + 1
+    lens = widths[same]
+    seg_end = np.cumsum(lens)
+    pos = np.arange(lens.sum()) + np.repeat(starts[same] - (seg_end - lens), lens)
+    back = np.repeat(starts[same] - starts[same - 1], lens)
+    mismatches = np.concatenate(([0], np.cumsum(a[pos] != a[pos - back])))
+    differs[same] = mismatches[seg_end] != mismatches[seg_end - lens]
+    return differs
+
+
+def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+    """The ``(rows, 3)`` samples of a block of whole lines, the rows whose
+    ``user_id,video_id`` differs from the row before (``last_key`` for the
+    first), and those keys.  Blank lines hold no row, as in the csv module;
+    every other line must have exactly five fields.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    newlines = np.flatnonzero(a == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1))[:-1]
+    ends = newlines - (a[newlines - 1] == ord("\r"))
+    rows = ends > starts
+    commas = np.flatnonzero(a == ord(","))
+    if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != 4 * rows):
+        raise _NotColumnar("a row without five fields")
+    starts = starts[rows]
+    if not starts.size:
+        return np.empty((0, 3)), np.empty(0, dtype=np.intp), []
+    key_ends = commas[np.searchsorted(commas, starts) + 1]
+    new_key = _key_changes(a, starts, key_ends - starts)
+    new_key[0] = block[starts[0] : key_ends[0]] != last_key
+    changed = np.flatnonzero(new_key)
+    lines = block.decode("utf-8").split("\n")
+    samples = np.loadtxt(lines, delimiter=",", usecols=(2, 3, 4), comments=None, ndmin=2)
+    if len(samples) != len(starts):  # a guard: the rows must line up with their keys
+        raise _NotColumnar("a row loadtxt skipped")
+    return samples, changed, [block[starts[i] : key_ends[i]] for i in changed]
+
+
+def _load_columns(path: Path) -> list[ViewpointTrace]:
+    """`_load_rows`' traces, parsed a block of lines at a time into columns.
+
+    Only the rows where the key changes are recorded, and each trace is a
+    slice of the three contiguous sample columns.  Raises `ValueError` for
+    every file it cannot vouch the row loop reads the same: a header that
+    does not match, `_UNSAFE` bytes, lone CRs, rows without five fields,
+    values ``loadtxt`` rejects (``1_0``, full-width digits), rows of a key
+    after its trace ended, and samples `ViewpointTrace` rejects.
+    """
+    if not path.is_file():  # a pipe is read once, by the row loop
+        raise _NotColumnar("not a regular file")
+    firsts: list[int] = []  # the first row of each trace
+    keys: list[bytes] = []
+    seen: set[bytes] = set()
+    n = 0
+    with path.open("rb") as fh:
+        # a slot per line holds every row, so the blocks are never joined
+        lines = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(_CHUNK_BYTES), b""))
+        ts, th, ph = (np.empty(lines) for _ in range(3))
+        fh.seek(0)
+        blocks = _blocks(fh)
+        header, _, body = next(blocks, b"").partition(b"\n")
+        fields = header.removesuffix(b"\r").decode("utf-8").split(",")
+        if [f.strip() for f in fields] != TRACE_HEADER:
+            raise _NotColumnar("a header the row loop reads otherwise")
+        for block in itertools.chain([body], blocks):
+            values, changed, block_keys = _block_rows(block, keys[-1] if keys else b"")
+            for key in block_keys:
+                if key in seen:
+                    raise _NotColumnar("rows of a key after its trace ended")
+                seen.add(key)
+            m = len(values)
+            ts[n : n + m], th[n : n + m], ph[n : n + m] = values.T
+            firsts += (changed + n).tolist()
+            keys += block_keys
+            n += m
+    traces = []
+    for key, lo, hi in zip(keys, firsts, firsts[1:] + [n]):
+        user, video = key.decode("utf-8").split(",")
+        traces.append(ViewpointTrace(user, video, ts[lo:hi], th[lo:hi], ph[lo:hi]))
     return traces
 
 

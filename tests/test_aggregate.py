@@ -17,6 +17,7 @@ from vrpl import (
     leakage_regions,
     min_leak_prob_qoe,
     qoe,
+    qoe_vec,
     tradeoff_consistency_ratios,
 )
 from vrpl.leakage import cap_zone
@@ -180,6 +181,32 @@ def test_sweep_deterministic_and_parallel_equal():
     serial = average_leakage_sweep(errors, FOV, EPS, grid)
     again = average_leakage_sweep(errors, FOV, EPS, grid)
     assert serial == again
+
+
+def test_sweep_points_do_not_depend_on_grid_order():
+    # The lens work rows are reused from radius to radius: a short run after a
+    # long one must not read what the long one left behind.
+    rng = np.random.default_rng(37)
+    errors = rng.uniform(0.0, math.pi, 2000)
+    grid = np.linspace(0.0, math.pi, 37)
+    forward = average_leakage_sweep(errors, FOV, EPS, grid)
+    assert forward == [average_leakage_sweep(errors, FOV, EPS, [sv])[0] for sv in grid]
+    assert average_leakage_sweep(errors, FOV, EPS, grid[::-1]) == forward[::-1]
+    partial = [pt.case_ratios.get(OverlapCase.REMAINING, 0.0) for pt in forward]
+    order = np.argsort(partial, kind="stable")[::-1]  # the longest partial-overlap run first
+    assert partial[order[0]] > partial[order[-1]]
+    assert average_leakage_sweep(errors, FOV, EPS, grid[order]) == [forward[i] for i in order]
+
+
+def test_sweep_mean_qoe_matches_qoe_vec_in_every_case():
+    rng = np.random.default_rng(43)
+    errors = rng.uniform(0.0, math.pi, 3000)
+    grid = np.linspace(0.0, math.pi, 73)
+    points = average_leakage_sweep(errors, FOV, EPS, grid)
+    reached = {case for pt in points for case, ratio in pt.case_ratios.items() if ratio > 0.0}
+    assert reached >= set(PARTITION_CASES)
+    for sv, pt in zip(grid, points):
+        assert abs(pt.mean_qoe - float(np.mean(qoe_vec(FOV, sv, errors)))) <= 1e-13
 
 
 def _pointwise_sweep(errors: list[float], fov: float, eps: float, sv: float):

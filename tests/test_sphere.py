@@ -98,9 +98,14 @@ def test_overlap_matches_monte_carlo():
 def test_overlap_vectorised_matches_scalar():
     rng = np.random.default_rng(21)
     r1, r2, d = np.array(random_partial_overlap_triples(rng, 400)).T
-    vec = cap_overlap_area_vec(r1, r2, d)
+    vec = cap_overlap_area_vec(r1, r2, np.cos(d), np.sin(d))
     for i in range(len(d)):
         assert vec[i] == pytest.approx(cap_overlap_area(r1[i], r2[i], d[i]), abs=1e-12)
+    # in caller-owned work rows, dirty from a longer call, the result is the same bits
+    work = np.full((3, 2 * len(d)), np.nan)
+    again = cap_overlap_area_vec(r1, r2, np.cos(d), np.sin(d), work[:, : len(d)])
+    assert again.tobytes() == vec.tobytes()
+    assert np.shares_memory(again, work)
 
 
 def test_mc_overlap_full_sphere():

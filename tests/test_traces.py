@@ -1,8 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vrpl import (
@@ -18,6 +21,7 @@ from vrpl import (
     predict_all,
     save_traces,
 )
+from vrpl import traces as traces_module
 from vrpl.traces import _points, _unit_tangents
 
 from support import scalar_synthetic_unit_vectors
@@ -353,3 +357,131 @@ def test_predict_all_concatenates_in_order():
     for i, tr in enumerate(traces):
         solo = predict(tr, WIN, Predictor.LAST_POSITION)
         np.testing.assert_array_equal(errors[290 * i : 290 * (i + 1)], solo)
+
+
+# ---------------------------------------------------------------------------
+# the columnar parse against the row loop
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: each trace's key and sample bits, or its error."""
+    try:
+        traces = load(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    return [
+        (t.user_id, t.video_id, *(a.tobytes() for a in (t.timestamps, t.theta, t.phi)))
+        for t in traces
+    ]
+
+
+def _by_rows(path):
+    """`load_traces` with the columnar parse refusing every file."""
+
+    def refuse(path):
+        raise ValueError("refused")
+
+    with patch.object(traces_module, "_load_columns", refuse):
+        return load_traces(path)
+
+
+#: Numeric fields the row loop and ``np.loadtxt`` may read differently, or
+#: reject, made from a valid field ``v``: most keep its value under ``float``.
+_ODD_VALUES = [
+    lambda v: f"{v}\x1c",
+    lambda v: f"\x1f{v}",
+    lambda v: f" {v}\t",
+    lambda v: f"\x0c{v}",
+    lambda v: v.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    lambda v: v[0] + "_" + v[1:] if v[1:2].isdigit() else f"{v}_0",
+    lambda v: f"{v}#",
+    lambda v: f"#{v}",
+    lambda v: "nan",
+    lambda v: "-inf",
+    lambda v: "1e400",
+    lambda v: "1.6",  # a latitude beyond pi/2
+    lambda v: "",
+    lambda v: "0x1",
+]
+#: Keys, some as wide as others, with spaces, non-ASCII letters or a ``#``.
+_KEYS = [("u", "v"), ("w", "v"), ("u", "x"), ("a b", "v"), (" u", "v "), ("ü", "v"), ("u#", "v")]
+#: Ways a trace file can depart from the clean schema, one or two per text.
+_CHANGES = [
+    "quoted key", "4 columns", "6 columns", "odd value", "blank line", "repeated key",
+    "CRLF", "lone CR", "header spaces", "no final newline",
+]
+
+
+@st.composite
+def _trace_csv_texts(draw):
+    """Valid trace files, each with one or two `_CHANGES`."""
+    keys = draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=4, unique=True))
+    # one clock for all traces, so two traces read as one are still a valid trace
+    lengths = [draw(st.integers(2, 6)) for _ in keys]
+    rows = [
+        [*key, repr(t * 0.2), repr(draw(st.floats(-4.0, 4.0))), repr(draw(st.floats(-1.5, 1.5)))]
+        for t, key in enumerate(k for k, n in zip(keys, lengths) for _ in range(n))
+    ]
+    header, eol, last_eol = HEADER.strip(), "\n", True
+    changes = draw(st.lists(st.sampled_from(_CHANGES), min_size=1, max_size=2))
+    for change in changes:
+        i = draw(st.integers(0, len(rows) - 1))
+        if change == "quoted key":
+            for row in rows:
+                if row[:2] == rows[i][:2]:
+                    row[0] = f'"{row[0]}"'
+        elif change in ("4 columns", "6 columns"):
+            rows[i] = rows[i][:4] if change == "4 columns" else rows[i] + ["0"]
+        elif change == "odd value":
+            j = draw(st.integers(2, 4))
+            rows[i][j] = draw(st.sampled_from(_ODD_VALUES))(rows[i][j])
+        elif change == "blank line":
+            rows.insert(i, [])
+        elif change == "repeated key":
+            rows += [[*rows[0][:2], "0.0", "0.0", "0.0"], [*rows[0][:2], "0.2", "0.0", "0.0"]]
+        elif change == "CRLF":
+            eol = "\r\n"
+        elif change == "header spaces":
+            header = " user_id ,video_id, timestamp_s,theta_rad,phi_rad"
+        elif change == "no final newline":
+            last_eol = False
+    text = eol.join([header] + [",".join(row) for row in rows]) + (eol if last_eol else "")
+    if "lone CR" in changes:
+        at = draw(st.sampled_from([k for k, c in enumerate(text) if c in ",\n"]))
+        text = text[:at] + "\r" + text[at:]
+    return text
+
+
+@given(text=_trace_csv_texts(), chunk=st.sampled_from([64, 128, 1 << 16]))
+# each a way splitting at commas and loadtxt read a line otherwise than csv and float
+@example(text=HEADER + "u,v,0,0,0\nu,v,1,0,0,0\n", chunk=1 << 16)
+@example(text=HEADER + '"u",v,0,0,0\n"u",v,0.2,0,0\n', chunk=1 << 16)
+@example(text=HEADER + "u,v,0,0,0\nu,v,0.2\x1c,0,0\n", chunk=1 << 16)
+@example(text=HEADER.replace(",", "\r,", 1) + "u,v,0,0,0\nu,v,0.2,0,0\n", chunk=1 << 16)
+@example(text=HEADER + "u,v,0,0,0\nu,v,0.2,0,0\nw,v,0,0,0\nw,v,0.2,0,0\nu,v,0.4,0,0\nu,v,0.6,0,0\n", chunk=64)
+@settings(max_examples=300)
+def test_columnar_parse_agrees_with_row_loop(text, chunk):
+    with tempfile.TemporaryDirectory() as tmp, patch.object(traces_module, "_CHUNK_BYTES", chunk):
+        path = Path(tmp) / "traces.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_traces, path) == _outcome(_by_rows, path)
+        try:
+            columns = traces_module._load_columns(path)
+        except ValueError:
+            return
+        # what the columnar parse takes, the row loop reads the same
+        assert _outcome(lambda p: columns, path) == _outcome(traces_module._load_rows, path)
+
+
+def test_columnar_parse_takes_clean_files_of_many_blocks(tmp_path):
+    # 3 traces of 1,000 rows: about 50 KB each, so several blocks, with CRLF
+    # endings, blank lines and spaces in a key
+    lines = [HEADER.strip()]
+    for user in ("a", "b c", "d"):
+        lines += [f"{user},v,{i * 0.2!r},{math.sin(i)!r},{0.5 * math.cos(i)!r}" for i in range(1000)]
+        lines.append("")
+    path = _write(tmp_path, "\r\n".join(lines))
+    assert path.stat().st_size > 2 * traces_module._CHUNK_BYTES
+    columns = traces_module._load_columns(path)
+    assert _outcome(lambda p: columns, path) == _outcome(traces_module._load_rows, path)
+    assert [(t.user_id, len(t)) for t in columns] == [("a", 1000), ("b c", 1000), ("d", 1000)]
