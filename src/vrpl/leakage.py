@@ -43,6 +43,8 @@ from .sphere import (
     STREAMED_RADIUS,
     TWO_PI,
     cap_area,
+    lens_area,
+    lens_terms,
 )
 
 #: Absolute tolerance for matching a reported QoE to a constant-case value.
@@ -367,23 +369,49 @@ def _leak_from_checked_errors(err: np.ndarray, ep) -> LeakageArrays:
 def _bisect_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndarray:
     """`_bisect_error` over 1-d arrays, halving every unfinished bracket at once.
 
-    Same bracket and update rule as the scalar loop; an element stops after
-    the halving that brings its bracket within `BISECT_TOL`, or after
-    `_BISECT_MAX_ITER` halvings.
+    Same bracket and update rule as the scalar loop; an element freezes
+    after the halving that brings its bracket within `BISECT_TOL`, or after
+    `_BISECT_MAX_ITER` halvings.  The result is bit for bit that of halving
+    with ``qoe_vec``, but the lens's radius terms (`lens_terms`) and the
+    field-of-view area are taken once per report, and a halving evaluates,
+    over every report, only the midpoints, their cosine and sine, the lens
+    (`lens_area`), the divide, the clip and the comparison; only the live
+    reports move their bracket.
+
+    No case is classified per halving: every midpoint lies strictly inside
+    the partial-overlap interval, where ``qoe_vec`` takes the lens.  The
+    starting bracket lies in the interval, its top end 1e-12 below it and
+    its bottom end on the containment boundary (or at 1e-12).  A midpoint
+    is half its bracket's width from each end; the first halves the
+    starting bracket, of width ``w0``, and every later one a live bracket,
+    wider than `BISECT_TOL`, so each is at least ``min(w0, BISECT_TOL) / 2``
+    from the interval's ends.  A report reaches bisection only when its band
+    of attainable QoE is wider than ``2 * QOE_MATCH_TOL``; the thinnest such
+    band, at ``r_sv`` about ``4.5e-5 * r_fov`` (or ``pi - r_sv`` alike), has
+    ``w0 = 2 r_sv``, no less than about 9e-11.  Both margins exceed the
+    rounding of the case tests, about 4e-16 for sums up to ``2 pi``, by five
+    orders of magnitude.  A frozen report's midpoints halve its last
+    bracket, at least ``min(w0, BISECT_TOL) / 2`` wide, so they stay inside
+    too; their values are not used.
     """
     lo = np.maximum(1e-12, np.abs(fov - sv))
     hi = np.minimum(fov + sv, TWO_PI - (fov + sv)) - 1e-12
-    active = np.arange(q.size)
+    terms = lens_terms(fov, sv)
+    area = TWO_PI * (1.0 - terms[0])
+    mid, cos_d, sin_d = (np.empty(q.size) for _ in range(3))
+    work = np.empty((3, q.size))
+    above, move = np.empty((2, q.size), dtype=bool)
+    live = np.ones(q.size, dtype=bool)
     for _ in range(_BISECT_MAX_ITER):
-        if not active.size:
+        if not live.any():
             break
-        f, s, a, b = fov[active], sv[active], lo[active], hi[active]
-        mid = 0.5 * (a + b)
-        above = _qoe_from_codes(f, s, mid, _classify_codes(f, s, mid)) > q[active]
-        a = np.where(above, mid, a)
-        b = np.where(above, b, mid)
-        lo[active], hi[active] = a, b
-        active = active[b - a > BISECT_TOL]
+        np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
+        qm = lens_area(terms, np.cos(mid, out=cos_d), np.sin(mid, out=sin_d), work)
+        np.clip(np.divide(qm, area, out=qm), 0.0, 1.0, out=qm)
+        np.greater(qm, q, out=above)
+        np.copyto(lo, mid, where=np.logical_and(live, above, out=move))
+        np.copyto(hi, mid, where=np.logical_and(live, ~above, out=move))
+        np.logical_and(live, np.subtract(hi, lo, out=qm) > BISECT_TOL, out=live)
     return 0.5 * (lo + hi)
 
 

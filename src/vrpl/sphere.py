@@ -150,6 +150,49 @@ def _arccos_clipped(x: np.ndarray) -> None:
     np.arccos(x, out=x)
 
 
+def lens_terms(r1, r2) -> tuple:
+    """The radius step of `cap_overlap_area_vec`: the lens's terms of ``r1`` and ``r2`` alone.
+
+    ``(c1, c2, s1, s2, c1 c2, s1 s2, 2 pi - 2 pi c1 - 2 pi c2, 2 c1, 2 c2,
+    cap)``, with ``c = cos r``, ``s = sin r`` and ``cap`` the smaller cap's
+    area, elementwise over the radii as given (not broadcast).
+    """
+    a, b = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
+    c1, c2, s1, s2 = np.cos(a), np.cos(b), np.sin(a), np.sin(b)
+    base = TWO_PI - TWO_PI * c1 - TWO_PI * c2
+    cap = np.minimum(TWO_PI * (1.0 - c1), TWO_PI * (1.0 - c2))
+    return c1, c2, s1, s2, c1 * c2, s1 * s2, base, 2.0 * c1, 2.0 * c2, cap
+
+
+def lens_area(terms: tuple, cos_d, sin_d, work: np.ndarray) -> np.ndarray:
+    """The per-distance step of `cap_overlap_area_vec`, from `lens_terms`' ``terms``.
+
+    The lens at the distances of cosine ``cos_d`` and sine ``sin_d``,
+    evaluated in ``work`` as `cap_overlap_area_vec` describes; unchecked.
+    """
+    c1, c2, s1, s2, c1c2, s1s2, base, two_c1, two_c2, cap = terms
+    lens, term, denom = work
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 2 pi - 2 pi c1 - 2 pi c2 - 2 t0, with t0 = acos((cd - c1 c2) / (s1 s2))
+        np.subtract(cos_d, c1c2, out=lens)
+        np.divide(lens, s1s2, out=lens)
+        _arccos_clipped(lens)
+        np.multiply(2.0, lens, out=lens)
+        np.subtract(base, lens, out=lens)
+        # + 2 c1 t1 + 2 c2 t2, with t1 = acos((-c2 + cd c1) / (sd s1)) and t2 alike;
+        # cd c1 - c2 rounds as -c2 + cd c1 does
+        for c_own, c_other, s_own, two_c in ((c1, c2, s1, two_c1), (c2, c1, s2, two_c2)):
+            np.multiply(cos_d, c_own, out=term)
+            np.subtract(term, c_other, out=term)
+            np.multiply(sin_d, s_own, out=denom)
+            np.divide(term, denom, out=term)
+            _arccos_clipped(term)
+            np.multiply(two_c, term, out=term)
+            np.add(lens, term, out=lens)
+    np.maximum(lens, 0.0, out=lens)
+    return np.minimum(lens, cap, out=lens)
+
+
 def cap_overlap_area_vec(r1, r2, cos_d, sin_d, work: np.ndarray | None = None) -> np.ndarray:
     """Lens area of caps in partial overlap, elementwise over broadcastable inputs.
 
@@ -158,39 +201,23 @@ def cap_overlap_area_vec(r1, r2, cos_d, sin_d, work: np.ndarray | None = None) -
     caller that evaluates one set of distances against many radii takes
     their trigonometry once.  It checks nothing: every element must lie
     strictly inside the partial-overlap case, as the QoE kernel and the
-    population sweep guarantee.  The trigonometry of the radii runs before
-    broadcasting, so a scalar radius costs one ``cos`` and one ``sin``.
+    population sweep guarantee.
 
-    The expression is evaluated term by term, in the scalar function's
-    order, in place in the three rows of ``work``: a float array of shape
-    ``(3, *shape)`` for the broadcast shape of the inputs, allocated when
-    not given.  The result is ``work[0]``, so a caller that reuses one work
-    array allocates nothing per call.
+    It is two steps.  `lens_terms` takes every term of the radii alone
+    (their cosines, sines and products) before broadcasting, so a scalar
+    radius costs one ``cos`` and one ``sin``, and a caller that holds the
+    same radii at many distances (the QoE inversion) takes them once.
+    `lens_area` then evaluates the expression term by term, in the scalar
+    function's order, in place in the three rows of ``work``: a float array
+    of shape ``(3, *shape)`` for the broadcast shape of the inputs,
+    allocated when not given.  The result is ``work[0]``, so a caller that
+    reuses one work array allocates nothing per call.
     """
-    a, b = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
-    c1, c2, s1, s2 = np.cos(a), np.cos(b), np.sin(a), np.sin(b)
+    terms = lens_terms(r1, r2)
     if work is None:
-        shape = np.broadcast_shapes(a.shape, b.shape, np.shape(cos_d), np.shape(sin_d))
+        shape = np.broadcast_shapes(*(np.shape(x) for x in (*terms[:2], cos_d, sin_d)))
         work = np.empty((3, *shape))
-    lens, term, denom = work
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # 2 pi - 2 pi c1 - 2 pi c2 - 2 t0, with t0 = acos((cd - c1 c2) / (s1 s2))
-        np.subtract(cos_d, c1 * c2, out=lens)
-        np.divide(lens, s1 * s2, out=lens)
-        _arccos_clipped(lens)
-        np.multiply(2.0, lens, out=lens)
-        np.subtract(TWO_PI - TWO_PI * c1 - TWO_PI * c2, lens, out=lens)
-        # + 2 c1 t1 + 2 c2 t2, with t1 = acos((-c2 + cd c1) / (sd s1)) and t2 alike
-        for c_own, c_other, s_own in ((c1, c2, s1), (c2, c1, s2)):
-            np.multiply(cos_d, c_own, out=term)
-            np.add(-c_other, term, out=term)
-            np.multiply(sin_d, s_own, out=denom)
-            np.divide(term, denom, out=term)
-            _arccos_clipped(term)
-            np.multiply(2.0 * c_own, term, out=term)
-            np.add(lens, term, out=lens)
-    np.maximum(lens, 0.0, out=lens)
-    return np.minimum(lens, np.minimum(TWO_PI * (1.0 - c1), TWO_PI * (1.0 - c2)), out=lens)
+    return lens_area(terms, cos_d, sin_d, work)
 
 
 def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[float, float]:

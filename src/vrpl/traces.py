@@ -179,6 +179,8 @@ def _load_rows(path: Path) -> list[ViewpointTrace]:
             _flush()
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not UTF-8: {exc}") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from None
     return traces
 
 

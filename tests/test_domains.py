@@ -7,8 +7,9 @@ exactly when the value lies in the domain, and otherwise raise
 `ValueError`.  The ``*_vec`` functions get the probe as the second element
 of an array whose first element is the base value.
 
-`vrpl.sphere.cap_overlap_area_vec` has no row: it is the unchecked
-partial-overlap lens kernel the checked functions feed.
+`vrpl.sphere.cap_overlap_area_vec` and its two steps, `lens_terms` and
+`lens_area`, have no row: they are the unchecked partial-overlap lens
+kernel the checked functions feed.
 """
 
 import inspect

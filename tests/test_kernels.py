@@ -20,7 +20,9 @@ import vrpl.leakage
 from vrpl import OverlapCase, classify, infer_error_from_qoe, leak_prob_from_error, leak_prob_from_qoe, qoe
 from vrpl.cli import SELF_CHECK_ROWS, main
 from vrpl.leakage import (
+    _BISECT_MAX_ITER,
     BISECT_TOL,
+    QOE_MATCH_TOL,
     ZONE_CODE,
     InferenceKind,
     QoeInconsistencyError,
@@ -194,6 +196,114 @@ def test_bisection_stops_each_element_at_tolerance():
     want = [_bisect_error(qi, fov, si) for qi, si in zip(q.tolist(), sv.tolist())]
     assert got.tolist() == pytest.approx(want, abs=TOL)
     assert np.abs(got - e).max() <= BISECT_TOL
+
+
+def _bracket(fov, sv):
+    """The starting bracket of the QoE inversion's bisection."""
+    lo = np.maximum(1e-12, np.abs(fov - sv))
+    return lo, np.minimum(fov + sv, 2.0 * math.pi - (fov + sv)) - 1e-12
+
+
+def _halve_with_qoe_vec(q, fov, sv):
+    """`_bisect_error_vec`'s reference: each halving gathers the live brackets and asks `qoe_vec`.
+
+    Same bracket, update and stopping rule.  Returns the errors and, for
+    each halving, the field-of-view and streamed radii and the midpoints it
+    evaluated.
+    """
+    lo, hi = _bracket(fov, sv)
+    active = np.arange(q.size)
+    halvings = []
+    for _ in range(_BISECT_MAX_ITER):
+        if not active.size:
+            break
+        f, s, a, b = fov[active], sv[active], lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        halvings.append((f, s, mid))
+        above = qoe_vec(f, s, mid) > q[active]
+        a, b = np.where(above, mid, a), np.where(above, b, mid)
+        lo[active], hi[active] = a, b
+        active = active[b - a > BISECT_TOL]
+    return 0.5 * (lo + hi), halvings
+
+
+def _reports(triples):
+    """Two reports for each ``(r_fov, r_sv, u)``, and which ones the QoE inversion bisects.
+
+    The first of each pair sits at the fraction ``u`` of the band of
+    attainable QoE; the second ties with the QoE at the first midpoint, so
+    that a rounding change in the lens moves the bisection.  A report is
+    bisected when it lies more than `QOE_MATCH_TOL` from both ends of its
+    band.  Returns ``(q, r_fov, r_sv, bisected)`` arrays, the ``u`` reports
+    first.
+    """
+    fov, sv, u = (np.tile(np.array(x, dtype=float), 2) for x in zip(*triples))
+    q_high, q_low = qoe_vec(fov, sv, 0.0), qoe_vec(fov, sv, math.pi)
+    q = q_low + u * (q_high - q_low)
+    tie = slice(len(triples), None)
+    lo, hi = _bracket(fov[tie], sv[tie])
+    q[tie] = qoe_vec(fov[tie], sv[tie], 0.5 * (lo + hi))
+    bisected = (np.abs(q - q_high) > QOE_MATCH_TOL) & (np.abs(q - q_low) > QOE_MATCH_TOL)
+    return q, fov, sv, bisected
+
+
+def _bisected(triples):
+    """The reports of `_reports` that the QoE inversion bisects, as ``(q, r_fov, r_sv)``."""
+    q, fov, sv, bisected = _reports(triples)
+    return q[bisected], fov[bisected], sv[bisected]
+
+
+#: Reports at the edges of the domain, one list per batch: the smallest
+#: field of view, a hemisphere, r_sv within 1e-12 of r_fov, the thinnest
+#: band still bisected (r_sv about 4.5e-5 r_fov, and pi - r_sv alike),
+#: r_fov + r_sv within 1e-9 of pi on either side, and a report whose tie at
+#: the first midpoint moves when the lens takes the radii the other way
+#: round.  A batch mixes brackets that freeze after different numbers of
+#: halvings.
+_EDGE_REPORTS = [
+    [(1e-6, 5e-7, 0.5), (1e-6, 1.5e-6, 0.3), (1e-6, 2.0, 0.7)],
+    [(math.pi / 2, 1.0, 0.5), (math.pi / 2, math.pi / 2, 0.999), (math.pi / 2, 3.0, 1e-3)],
+    [(0.8, 0.8 + 5e-13, 0.5), (0.8, 0.8 - 5e-13, 0.5), (0.8, 0.8, 0.25)],
+    [(0.01, 4.5e-7, 0.5), (0.01, math.pi - 4.5e-7, 0.5), (1e-3, 4.6e-8, 0.5), (1.0, 0.5, 0.5)],
+    [(1.0, math.pi - 1.0 - 5e-10, 0.5), (1.0, math.pi - 1.0 + 5e-10, 0.5), (0.3, 1.0, 0.5)],
+    [(FOVS[0], 2.0, 0.5)],
+]
+
+_bisection_reports = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from((1e-6, FOVS[0], math.pi / 2)), st.floats(1e-6, math.pi / 2)),
+        st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _over_the_domain(test):
+    """``test`` as a property over batches of reports, `_EDGE_REPORTS` among them."""
+    for triples in _EDGE_REPORTS:
+        test = example(triples)(test)
+    return settings(max_examples=200, deadline=None)(given(_bisection_reports)(test))
+
+
+def test_edge_reports_are_bisected():
+    for triples in _EDGE_REPORTS:
+        assert _reports(triples)[3][: len(triples)].all()
+
+
+@_over_the_domain
+def test_bisection_is_bit_identical_to_halving_with_qoe_vec(triples):
+    q, fov, sv = _bisected(triples)
+    want, _ = _halve_with_qoe_vec(q, fov, sv)
+    assert np.array_equal(_bisect_error_vec(q, fov, sv), want)
+
+
+@_over_the_domain
+def test_every_bisection_midpoint_is_partial_overlap(triples):
+    # what lets the kernel take the lens at every midpoint without classifying it
+    for f, s, mid in _halve_with_qoe_vec(*_bisected(triples))[1]:
+        assert (classify_vec(f, s, mid) == CASE_CODE[OverlapCase.REMAINING]).all()
 
 
 # ---------------------------------------------------------------------------

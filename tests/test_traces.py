@@ -100,6 +100,17 @@ def test_load_rejects_non_numeric_with_line(tmp_path):
         load_traces(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("line", [1, 5], ids=["header", "row"])
+def test_load_rejects_oversized_field_with_line(tmp_path, line):
+    # a field over csv.field_size_limit() (131,072 characters) stops the csv reader
+    lines = [HEADER.strip()] + [f"u,v,{i / 5},0.0,0.0" for i in range(20)]
+    lines[line - 1] = "u" * 140_000 + lines[line - 1][1:]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    message = _outcome(load_traces, path)
+    assert message.startswith(f"{path}:{line}: field larger than field limit")
+    assert _outcome(_by_rows, path) == message
+
+
 def test_load_rejects_column_mismatch(tmp_path):
     text = HEADER + "u,v,0.0,0.0\n"
     with pytest.raises(TraceFormatError, match="columns"):
@@ -425,7 +436,8 @@ def _trace_csv_texts(draw):
     header, eol, last_eol = HEADER.strip(), "\n", True
     changes = draw(st.lists(st.sampled_from(_CHANGES), min_size=1, max_size=2))
     for change in changes:
-        i = draw(st.integers(0, len(rows) - 1))
+        # a row that a "blank line" change inserted has no fields to change
+        i = draw(st.sampled_from([k for k, row in enumerate(rows) if row]))
         if change == "quoted key":
             for row in rows:
                 if row[:2] == rows[i][:2]:
@@ -433,7 +445,7 @@ def _trace_csv_texts(draw):
         elif change in ("4 columns", "6 columns"):
             rows[i] = rows[i][:4] if change == "4 columns" else rows[i] + ["0"]
         elif change == "odd value":
-            j = draw(st.integers(2, 4))
+            j = draw(st.integers(2, min(4, len(rows[i]) - 1)))  # a "4 columns" row has 2 numbers
             rows[i][j] = draw(st.sampled_from(_ODD_VALUES))(rows[i][j])
         elif change == "blank line":
             rows.insert(i, [])
