@@ -11,7 +11,7 @@ from .aggregate import (
     AggregateReport,
     ErrorSubset,
     RegionBounds,
-    SweepPoint,
+    SweepTable,
     average_leakage_sweep,
     build_report,
     error_subset_for_requirement,

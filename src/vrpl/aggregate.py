@@ -34,7 +34,7 @@ from .leakage import (
     min_leak_prob_error,
     min_leak_prob_qoe,
 )
-from .qoe import PARTITION_CASES, OverlapCase, classify, qoe
+from .qoe import CASE_CODE, CASES, PARTITION_CASES, classify, qoe
 from .sphere import EPSILON, ERROR, FOV, STREAMED_RADIUS, TWO_PI, cap_area, cap_overlap_area_vec
 
 #: The population sweep and its regions take a protection radius above 0 only.
@@ -141,60 +141,68 @@ def leakage_regions(r_fov: float, eps: float) -> RegionBounds:
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Average leakage decomposition at one streamed-cap radius.
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Average leakage decomposition over a grid of streamed-cap radii.
 
-    ``case_ratios`` holds the fraction of errors classified into each
-    case; away from the degenerate radii the five partition cases sum to
-    one.  ``leakage_components`` are the per-case contributions to the
-    average leakage probability and sum to ``leakage_total``.
+    One row per radius.  The columns of ``ratios`` (the fraction of errors
+    in each case) and ``components`` (each case's contribution to the
+    average leakage, summing to ``total``) are the cases of `CASES` in code
+    order; a case the radius does not report (`reported`) reads 0.0.
     """
 
-    r_sv: float
-    case_ratios: dict[OverlapCase, float]
-    leakage_components: dict[OverlapCase, float]
-    leakage_total: float
-    mean_qoe: float
+    r_sv: np.ndarray
+    ratios: np.ndarray
+    components: np.ndarray
+    total: np.ndarray
+    mean_qoe: np.ndarray
+
+    def __len__(self) -> int:
+        return self.r_sv.size
+
+    @property
+    def reported(self) -> np.ndarray:
+        """Per radius, its own case at 0 and pi, else the five partition cases."""
+        empty, full = self.r_sv == 0.0, self.r_sv == math.pi
+        return np.column_stack([~(empty | full)] * len(PARTITION_CASES) + [empty, full])
 
 
-def _sweep_point(
-    e: np.ndarray, leak_csum: np.ndarray, trig: tuple, fov: float, eps: float, sv: float
-) -> SweepPoint:
-    """Evaluate classification, leakage and QoE averages at one radius.
+def _sweep_row(
+    table: SweepTable, i: int, e: np.ndarray, leak_csum: np.ndarray, trig: tuple, fov: float, eps: float
+) -> None:
+    """Fill row ``i`` of ``table`` with the averages at its radius.
 
-    ``e`` is sorted, and ``leak_csum[i]`` is the sum of the error-upload
-    leakage ``min(eps / (pi sin e), 1)`` over ``e[:i]``.  At a fixed radius
+    ``e`` is sorted, and ``leak_csum[k]`` is the sum of the error-upload
+    leakage ``min(eps / (pi sin e), 1)`` over ``e[:k]``.  At a fixed radius
     every case is a contiguous run of ``e``, and each run ends where
     `classify` changes, so the closed-tie order is its own.  ``trig`` holds
     the cosine and sine of ``e`` and the lens work rows (`average_leakage_sweep`).
     """
-    n = e.size
+    n, sv = e.size, float(table.r_sv[i])
+    near = classify(fov, sv, 0.0)
     if sv == 0.0 or sv == math.pi:
         # a degenerate cap: every error shares one case, leakage and QoE
-        case = OverlapCase.DEGENERATE_EMPTY if sv == 0.0 else OverlapCase.DEGENERATE_FULL
-        leak = min_leak_prob_qoe(eps)
-        return SweepPoint(sv, {case: 1.0}, {case: leak}, leak, qoe(fov, sv, 0.0))
+        table.ratios[i, CASE_CODE[near]] = 1.0
+        table.components[i, CASE_CODE[near]] = table.total[i] = min_leak_prob_qoe(eps)
+        table.mean_qoe[i] = qoe(fov, sv, 0.0)
+        return
     # Runs in e: [0, b) the nested case `near` (only one is live at a radius),
     # [b, d) remaining, [d, c) sfov_complement_in_fov and [c, n) disjoint,
     # each ending where `classify` changes.
-    near = classify(fov, sv, 0.0)
     s = fov + sv
     b = _split(e, abs(sv - fov), lambda x: classify(fov, sv, x) is near)
     d = _split(e, min(s, TWO_PI - s), lambda x: classify(fov, sv, x) in (near, _REMAINING))
     c = max(d, int(np.searchsorted(e, s, side="left")))
     counts = dict.fromkeys(PARTITION_CASES, 0)
     counts.update({near: b, _DISJOINT: n - c, _COMPLEMENT: c - d, _REMAINING: d - b})
-    ratios = {case: count / n for case, count in counts.items()}
+    ratios = [count / n for count in counts.values()]
 
-    _, prob_near = cap_zone(fov, sv, eps, True)
-    _, prob_far = cap_zone(fov, sv, eps, False)
-    components = {
-        case: (prob_far if case in (_DISJOINT, _COMPLEMENT) else prob_near) * ratio
-        for case, ratio in ratios.items()
-    }
-    components[_REMAINING] = float(leak_csum[d] - leak_csum[b]) / n
-    total = sum(components.values())
+    prob_near, prob_far = (cap_zone(fov, sv, eps, nested)[1] for nested in (True, False))
+    probs = {_DISJOINT: prob_far, _COMPLEMENT: prob_far}
+    components = [probs.get(case, prob_near) * ratio for case, ratio in zip(counts, ratios)]
+    components[-1] = float(leak_csum[d] - leak_csum[b]) / n  # _REMAINING, the last
+    table.ratios[i, : len(ratios)], table.components[i, : len(ratios)] = ratios, components
+    table.total[i] = sum(components)
 
     # QoE is constant on each run but the partial-overlap one.
     qoe_sum = 0.0
@@ -206,7 +214,7 @@ def _sweep_point(
         overlap = cap_overlap_area_vec(fov, sv, cos_e[b:d], sin_e[b:d], work[:, : d - b])
         np.divide(overlap, cap_area(fov), out=overlap)
         qoe_sum += float(np.clip(overlap, 0.0, 1.0, out=overlap).sum())
-    return SweepPoint(sv, ratios, components, total, qoe_sum / n)
+    table.mean_qoe[i] = qoe_sum / n
 
 
 def _split(e: np.ndarray, guess: float, holds: Callable[[float], bool]) -> int:
@@ -230,14 +238,14 @@ def average_leakage_sweep(
     r_fov: float,
     eps: float,
     r_sv_grid: Iterable[float],
-) -> list[SweepPoint]:
+) -> SweepTable:
     """Average QoE-upload leakage over the error population per radius.
 
     The errors are sorted once, with a running sum of their error-upload
     leakage, and their cosine and sine are taken once; each radius then
     needs a few binary searches, one prefix-sum difference, and the lens
     area of its partial-overlap errors only, evaluated in place in work
-    rows allocated once for the grid.  Output order follows the grid order.
+    rows allocated once for the grid.  Rows follow the grid order.
 
     Args:
         errors: prediction errors in radians, all in [0, pi].
@@ -249,12 +257,15 @@ def average_leakage_sweep(
     fov = FOV.check(r_fov)
     eps = _SWEEP_EPSILON.check(eps, hi=fov)
     e = _population(errors)
-    grid = STREAMED_RADIUS.check_array(list(r_sv_grid)).tolist()
+    grid = STREAMED_RADIUS.check_array(list(r_sv_grid))
     e.sort()
     leak_csum = np.zeros(e.size + 1)
     np.cumsum(_leak_from_checked_errors(e, eps).probability, out=leak_csum[1:])
     trig = np.cos(e), np.sin(e), np.empty((3, e.size))
-    return [_sweep_point(e, leak_csum, trig, fov, eps, r) for r in grid]
+    table = SweepTable(grid, *np.zeros((2, grid.size, len(CASES))), *np.empty((2, grid.size)))
+    for i in range(grid.size):
+        _sweep_row(table, i, e, leak_csum, trig, fov, eps)
+    return table
 
 
 @dataclass(frozen=True)
@@ -269,7 +280,7 @@ class AggregateReport:
     r_fov: float
     epsilon: float
     regions: RegionBounds
-    points: tuple[SweepPoint, ...]
+    sweep: SweepTable
     mean_error_subset: float | None = None
     gamma_tradeoff: float | None = None
     gamma_consist: float | None = None
@@ -287,7 +298,7 @@ def build_report(
     The errors are checked once, by `average_leakage_sweep`; the
     requirement statistics then read them unchecked.
     """
-    points = average_leakage_sweep(errors, r_fov, eps, r_sv_grid)
+    sweep = average_leakage_sweep(errors, r_fov, eps, r_sv_grid)
     values = np.asarray(errors, dtype=float)
     mean_error = gamma_t = gamma_c = None
     if req is not None:
@@ -298,7 +309,7 @@ def build_report(
         r_fov=float(r_fov),
         epsilon=float(eps),
         regions=leakage_regions(r_fov, eps),
-        points=tuple(points),
+        sweep=sweep,
         mean_error_subset=mean_error,
         gamma_tradeoff=gamma_t,
         gamma_consist=gamma_c,

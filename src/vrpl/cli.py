@@ -30,11 +30,12 @@ import json
 import math
 import os
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .aggregate import AggregateReport, build_report
+from .aggregate import AggregateReport, SweepTable, build_report
 from .config import (
     ConfigError,
     Scenario,
@@ -55,7 +56,7 @@ from .leakage import (
 )
 from .qoe import CASES, classify, classify_vec, qoe, qoe_vec
 from .resources import capability, mc_avg_rate, sfov_radius
-from .tables import Categorical, write_csv, write_json
+from .tables import CHUNK_ROWS, Categorical, round_floats, write_csv, write_json
 from .traces import TraceFormatError, generate_synthetic_traces, load_traces, predict_all
 
 #: Samples for the optional channel-rate estimate in ``resource``.
@@ -94,17 +95,14 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return resolve_scenario(doc, overrides)
 
 
-def _emit_table(args: argparse.Namespace, name: str, header: list[str], columns: list) -> Path:
+def _emit_table(args: argparse.Namespace, name: str, header: list[str], columns: list,
+                fmt: str | None = None) -> None:
+    """Write a table in ``fmt``, by default the ``--format`` asked for."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        path = out_dir / f"{name}.json"
-        write_json(path, header, columns)
-    else:
-        path = out_dir / f"{name}.csv"
-        write_csv(path, header, columns)
+    path = out_dir / f"{name}.{fmt or args.format}"
+    (write_json if path.suffix == ".json" else write_csv)(path, header, columns)
     _say(f"wrote {path}")
-    return path
 
 
 def _grid_pairs(scenario: Scenario, outer: str, inner: str) -> tuple[np.ndarray, np.ndarray]:
@@ -207,51 +205,54 @@ def cmd_sweep_leakage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_to_dict(report: AggregateReport) -> dict:
-    return {
+def _write_report(args: argparse.Namespace, report: AggregateReport) -> None:
+    """Write ``report.json`` as `write_json` would, the points `CHUNK_ROWS` radii at a time."""
+    path = Path(args.out) / "report.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    head = {
         "n_samples": report.n_samples,
         "r_fov_rad": report.r_fov,
         "epsilon_rad": report.epsilon,
         "mean_error_subset_rad": report.mean_error_subset,
         "gamma_tradeoff": report.gamma_tradeoff,
         "gamma_consist": report.gamma_consist,
-        "regions": {
-            name: list(getattr(report.regions, name)) for name in ("i1", "d2", "c", "i2", "d1")
-        },
-        "points": [
-            {
-                "r_sv_rad": p.r_sv,
-                "case_ratios": {case.value: ratio for case, ratio in p.case_ratios.items()},
-                "leakage_components": {
-                    case.value: comp for case, comp in p.leakage_components.items()
-                },
-                "leakage_total": p.leakage_total,
-                "mean_qoe": p.mean_qoe,
-            }
-            for p in report.points
-        ],
+        "regions": dataclasses.asdict(report.regions),
+        "points": None,
     }
+    before, after = json.dumps(round_floats(head), indent=2, sort_keys=True).split('"points": null')
+    sweep, names = report.sweep, [case.value for case in CASES]
+    columns = (sweep.r_sv, sweep.ratios, sweep.components, sweep.reported, sweep.total, sweep.mean_qoe)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(before + '"points": [')
+        for a in range(0, len(sweep), CHUNK_ROWS):
+            points = [
+                {"r_sv_rad": r_sv, "case_ratios": dict(compress(zip(names, ratios), keep)),
+                 "leakage_components": dict(compress(zip(names, comps), keep)),
+                 "leakage_total": total, "mean_qoe": mean_qoe}
+                for r_sv, ratios, comps, keep, total, mean_qoe
+                in zip(*(c[a:a + CHUNK_ROWS].tolist() for c in columns))
+            ]
+            # the chunk's points one level deeper, without the list's brackets
+            text = json.dumps(round_floats(points), indent=2, sort_keys=True)[1:-2]
+            fh.write(("," if a else "") + text.replace("\n", "\n  "))
+        fh.write(("\n  ]" if len(sweep) else "]") + after + "\n")
+    _say(f"wrote {path}")
 
 
-def _check_report(report: AggregateReport) -> None:
-    """Structural self-checks on an aggregate report before emission."""
-    for p in report.points:
-        ratio_sum = sum(p.case_ratios.values())
-        comp_sum = sum(p.leakage_components.values())
-        if abs(ratio_sum - 1.0) > SELF_CHECK_TOL:
-            raise InternalInconsistencyError(
-                f"case ratios at r_sv={p.r_sv!r} sum to {ratio_sum!r}, expected 1"
-            )
-        if abs(comp_sum - p.leakage_total) > SELF_CHECK_TOL:
-            raise InternalInconsistencyError(
-                f"leakage components at r_sv={p.r_sv!r} sum to {comp_sum!r}, "
-                f"expected total {p.leakage_total!r}"
-            )
-        if not 0.0 <= p.leakage_total <= 1.0 or not 0.0 <= p.mean_qoe <= 1.0:
-            raise InternalInconsistencyError(
-                f"averages at r_sv={p.r_sv!r} left [0, 1]: "
-                f"leakage {p.leakage_total!r}, qoe {p.mean_qoe!r}"
-            )
+def _check_report(sweep: SweepTable) -> None:
+    """Structural self-checks on an aggregate sweep before emission."""
+    averages = np.column_stack([sweep.total, sweep.mean_qoe])
+    claims = {
+        "case ratios sum to 1": np.abs(sweep.ratios.sum(axis=1) - 1.0) <= SELF_CHECK_TOL,
+        "leakage components sum to the total":
+            np.abs(sweep.components.sum(axis=1) - sweep.total) <= SELF_CHECK_TOL,
+        "average leakage and QoE lie in [0, 1]": ((0.0 <= averages) & (averages <= 1.0)).all(axis=1),
+    }
+    for claim, holds in claims.items():
+        if not holds.all():
+            i = int(np.argmin(holds))  # the first radius where it fails
+            cells = {f.name: getattr(sweep, f.name)[i].tolist() for f in dataclasses.fields(sweep)}
+            raise InternalInconsistencyError(f"expected {claim} at r_sv={cells.pop('r_sv')!r}: {cells}")
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -283,41 +284,30 @@ def cmd_trace(args: argparse.Namespace) -> int:
         else None
     )
     report = build_report(errors, scenario.r_fov, scenario.epsilon, scenario.grids["r_sv"], req=req)
-    _check_report(report)
+    _check_report(report.sweep)
+    _write_report(args, report)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    write_json(report_path, _report_to_dict(report))
-    _say(f"wrote {report_path}")
-
-    case_order = sorted({case for p in report.points for case in p.case_ratios}, key=lambda c: c.value)
-    header = (
-        ["r_sv_rad"]
-        + [f"ratio_{c.value}" for c in case_order]
-        + [f"leak_{c.value}" for c in case_order]
-        + ["leak_total", "mean_qoe"]
-    )
-    points = report.points
-    columns = (
-        [[p.r_sv for p in points]]
-        + [[p.case_ratios.get(c, 0.0) for p in points] for c in case_order]
-        + [[p.leakage_components.get(c, 0.0) for p in points] for c in case_order]
-        + [[p.leakage_total for p in points], [p.mean_qoe for p in points]]
-    )
+    sweep, reported = report.sweep, report.sweep.reported
+    order = sorted(np.flatnonzero(reported.any(axis=0)), key=lambda k: CASES[k].value)
+    names = [CASES[k].value for k in order]
+    header = ["r_sv_rad", *(f"ratio_{c}" for c in names), *(f"leak_{c}" for c in names),
+              "leak_total", "mean_qoe"]
+    columns = [sweep.r_sv, *(sweep.ratios[:, k] for k in order),
+               *(sweep.components[:, k] for k in order), sweep.total, sweep.mean_qoe]
     _emit_table(args, "aggregate_sweep", header, columns)
 
-    fig_rows = []
-    for p in points:
-        fig_rows.append(("avg_leakage_vs_r_sv", "total", p.r_sv, p.leakage_total))
-        for c, comp in p.leakage_components.items():
-            fig_rows.append(("avg_leakage_vs_r_sv", f"component:{c.value}", p.r_sv, comp))
-        for c, ratio in p.case_ratios.items():
-            fig_rows.append(("case_ratio_vs_r_sv", c.value, p.r_sv, ratio))
-        fig_rows.append(("mean_qoe_vs_r_sv", "mean_qoe", p.r_sv, p.mean_qoe))
-    fig_path = out_dir / "figures.csv"
-    write_csv(fig_path, ["figure", "series", "x", "y"], list(zip(*fig_rows)))
-    _say(f"wrote {fig_path}")
+    # A figures.csv row per kept cell of this block, radius by radius: the total,
+    # the components and ratios of the cases the radius reports, the mean QoE.
+    block = np.column_stack([sweep.total, sweep.components, sweep.ratios, sweep.mean_qoe])
+    keep = np.pad(np.tile(reported, 2), ((0, 0), (1, 1)), constant_values=True)
+    series = np.broadcast_to(np.arange(block.shape[1], dtype=np.int8), block.shape)[keep]
+    figures = ["avg_leakage_vs_r_sv"] * (1 + len(CASES)) + ["case_ratio_vs_r_sv"] * len(CASES)
+    labels = ["total", *(f"component:{c.value}" for c in CASES), *(c.value for c in CASES)]
+    columns = [
+        Categorical(series, figures + ["mean_qoe_vs_r_sv"]), Categorical(series, labels + ["mean_qoe"]),
+        np.repeat(sweep.r_sv, keep.sum(axis=1)), block[keep],
+    ]
+    _emit_table(args, "figures", ["figure", "series", "x", "y"], columns, "csv")
     return 0
 
 

@@ -145,8 +145,6 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
 
 def round_floats(obj: Any) -> Any:
     """Recursively round floats to 12 significant digits for JSON output."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return None

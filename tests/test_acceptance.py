@@ -223,18 +223,18 @@ def population_sweep():
             ("d1", regions.d1),
         )
     }
-    points = {
+    tables = {
         name: average_leakage_sweep(errors, R_FOV, EPS, grid) for name, grid in grids.items()
     }
-    return {"errors": errors, "points": points, "elapsed": time.perf_counter() - t0}
+    return {"errors": errors, "tables": tables, "elapsed": time.perf_counter() - t0}
 
 
 def test_criterion_07_average_leakage_region_shape(population_sweep):
     t0 = time.perf_counter()
     errors = population_sweep["errors"]
     assert errors.max() < 0.3, "population precondition: every error below 0.3 rad"
-    points = population_sweep["points"]
-    totals = {name: [p.leakage_total for p in pts] for name, pts in points.items()}
+    tables = population_sweep["tables"]
+    totals = {name: table.total.tolist() for name, table in tables.items()}
     for name in ("i1", "i2"):
         seq = totals[name]
         assert all(x <= y for x, y in zip(seq, seq[1:])), f"{name} not non-decreasing"
@@ -258,9 +258,9 @@ def test_criterion_08_predicted_sample_count():
 
 def test_criterion_09_case_ratios_partition(population_sweep):
     t0 = time.perf_counter()
-    for pts in population_sweep["points"].values():
-        for p in pts:
-            assert abs(sum(p.case_ratios.values()) - 1.0) <= 1e-12
+    for table in population_sweep["tables"].values():
+        for ratios in table.ratios.tolist():
+            assert abs(sum(ratios) - 1.0) <= 1e-12
     _passed(9, "case ratios sum to 1 within 1e-12 at every sweep radius", t0, 5.0)
 
 

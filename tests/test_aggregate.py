@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vrpl import (
+    CASES,
     OverlapCase,
     PrivacyRequirement,
     RangeKind,
+    SweepTable,
     average_leakage_sweep,
     build_report,
     classify,
@@ -21,7 +24,7 @@ from vrpl import (
     tradeoff_consistency_ratios,
 )
 from vrpl.leakage import cap_zone
-from vrpl.qoe import PARTITION_CASES
+from vrpl.qoe import CASE_CODE, PARTITION_CASES
 
 FOV = math.radians(50.0)
 EPS = 0.4 * FOV
@@ -120,58 +123,91 @@ def test_leakage_regions_layout():
         leakage_regions(FOV, 0.0)
 
 
+def _reported_cells(table: SweepTable, i: int) -> tuple[dict, dict]:
+    """The ratios and components of the cases row ``i`` reports, by case.
+
+    Every cell of a case the row does not report must be exactly +0.0.
+    """
+    keep = table.reported[i]
+    for cells in (table.ratios[i], table.components[i]):
+        assert not cells[~keep].view(np.uint64).any(), cells
+    cases = [case for case, kept in zip(CASES, keep) if kept]
+    return (
+        {case: table.ratios[i, CASE_CODE[case]] for case in cases},
+        {case: table.components[i, CASE_CODE[case]] for case in cases},
+    )
+
+
+def _rows(table: SweepTable, index) -> SweepTable:
+    """The rows ``index`` of a sweep table, as a table."""
+    return SweepTable(*(getattr(table, f.name)[index] for f in dataclasses.fields(SweepTable)))
+
+
+def _stack(tables: list[SweepTable]) -> SweepTable:
+    """Sweep tables one after another, as one table."""
+    fields = [f.name for f in dataclasses.fields(SweepTable)]
+    return SweepTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in fields))
+
+
+def _assert_same(a: SweepTable, b: SweepTable) -> None:
+    for f in dataclasses.fields(SweepTable):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
 def test_sweep_degenerate_endpoints():
-    pts = average_leakage_sweep([0.5, 1.0], FOV, EPS, [0.0, math.pi])
-    empty, full = pts
-    assert empty.case_ratios == {OverlapCase.DEGENERATE_EMPTY: 1.0}
-    assert empty.leakage_total == pytest.approx((1.0 - math.cos(EPS)) / 2.0, abs=1e-15)
-    assert empty.mean_qoe == 0.0
-    assert full.case_ratios == {OverlapCase.DEGENERATE_FULL: 1.0}
-    assert full.leakage_total == empty.leakage_total
-    assert full.mean_qoe == 1.0
+    table = average_leakage_sweep([0.5, 1.0], FOV, EPS, [0.0, math.pi])
+    assert len(table) == 2
+    assert _reported_cells(table, 0)[0] == {OverlapCase.DEGENERATE_EMPTY: 1.0}
+    assert table.total[0] == pytest.approx((1.0 - math.cos(EPS)) / 2.0, abs=1e-15)
+    assert table.mean_qoe[0] == 0.0
+    assert _reported_cells(table, 1)[0] == {OverlapCase.DEGENERATE_FULL: 1.0}
+    assert table.total[1] == table.total[0]
+    assert table.mean_qoe[1] == 1.0
 
 
 def test_sweep_single_error_containment():
     # One error, streamed cap big enough to contain the whole field of view.
-    (pt,) = average_leakage_sweep([0.2], FOV, EPS, [FOV + 0.3])
-    assert pt.case_ratios[OverlapCase.FOV_IN_SFOV] == 1.0
+    table = average_leakage_sweep([0.2], FOV, EPS, [FOV + 0.3])
+    assert table.ratios[0, CASE_CODE[OverlapCase.FOV_IN_SFOV]] == 1.0
     # Zone radius 0.3 is inside the protection radius: certain leak.
-    assert pt.leakage_total == 1.0
-    assert pt.mean_qoe == 1.0
+    assert table.total[0] == 1.0
+    assert table.mean_qoe[0] == 1.0
 
-    (pt,) = average_leakage_sweep([0.2], FOV, EPS, [FOV + 0.6])
-    assert pt.case_ratios[OverlapCase.FOV_IN_SFOV] == 1.0
+    table = average_leakage_sweep([0.2], FOV, EPS, [FOV + 0.6])
+    assert table.ratios[0, CASE_CODE[OverlapCase.FOV_IN_SFOV]] == 1.0
     expected = (1.0 - math.cos(EPS)) / (1.0 - math.cos(0.6))
-    assert pt.leakage_total == pytest.approx(expected, abs=1e-12)
+    assert table.total[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_sweep_partition_and_component_sums():
     rng = np.random.default_rng(17)
     errors = rng.uniform(0.0, math.pi, 400)
-    pts = average_leakage_sweep(errors, FOV, EPS, np.linspace(0.0, math.pi, 41))
-    for pt in pts:
-        assert sum(pt.case_ratios.values()) == pytest.approx(1.0, abs=1e-12)
-        assert sum(pt.leakage_components.values()) == pt.leakage_total
-        assert 0.0 <= pt.leakage_total <= 1.0
-        assert 0.0 <= pt.mean_qoe <= 1.0
+    table = average_leakage_sweep(errors, FOV, EPS, np.linspace(0.0, math.pi, 41))
+    for i in range(len(table)):
+        ratios, components = _reported_cells(table, i)
+        assert sum(ratios.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(components.values()) == table.total[i]
+        assert 0.0 <= table.total[i] <= 1.0
+        assert 0.0 <= table.mean_qoe[i] <= 1.0
 
 
 def test_sweep_remaining_component_matches_direct():
     errors = np.array([0.5, 0.8, 1.2, 2.0, 3.0])
     sv = 0.9
-    (pt,) = average_leakage_sweep(errors, FOV, EPS, [sv])
+    table = average_leakage_sweep(errors, FOV, EPS, [sv])
     remaining = [e for e in errors if abs(sv - FOV) < e < min(FOV + sv, 2 * math.pi - FOV - sv)]
     direct = sum(min(EPS / (math.pi * math.sin(e)), 1.0) for e in remaining) / len(errors)
-    assert pt.leakage_components[OverlapCase.REMAINING] == pytest.approx(direct, abs=1e-14)
+    got = table.components[0, CASE_CODE[OverlapCase.REMAINING]]
+    assert got == pytest.approx(direct, abs=1e-14)
 
 
 def test_sweep_mean_qoe_matches_pointwise():
     rng = np.random.default_rng(23)
     errors = rng.uniform(0.0, math.pi, 50)
     for sv in (0.4, 0.9, 2.0, 2.9):
-        (pt,) = average_leakage_sweep(errors, FOV, EPS, [sv])
+        table = average_leakage_sweep(errors, FOV, EPS, [sv])
         direct = float(np.mean([qoe(FOV, sv, float(e)) for e in errors]))
-        assert pt.mean_qoe == pytest.approx(direct, abs=1e-12)
+        assert table.mean_qoe[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_sweep_deterministic_and_parallel_equal():
@@ -180,7 +216,7 @@ def test_sweep_deterministic_and_parallel_equal():
     grid = np.linspace(0.0, math.pi, 21)
     serial = average_leakage_sweep(errors, FOV, EPS, grid)
     again = average_leakage_sweep(errors, FOV, EPS, grid)
-    assert serial == again
+    _assert_same(serial, again)
 
 
 def test_sweep_points_do_not_depend_on_grid_order():
@@ -190,23 +226,24 @@ def test_sweep_points_do_not_depend_on_grid_order():
     errors = rng.uniform(0.0, math.pi, 2000)
     grid = np.linspace(0.0, math.pi, 37)
     forward = average_leakage_sweep(errors, FOV, EPS, grid)
-    assert forward == [average_leakage_sweep(errors, FOV, EPS, [sv])[0] for sv in grid]
-    assert average_leakage_sweep(errors, FOV, EPS, grid[::-1]) == forward[::-1]
-    partial = [pt.case_ratios.get(OverlapCase.REMAINING, 0.0) for pt in forward]
+    _assert_same(forward, _stack([average_leakage_sweep(errors, FOV, EPS, [sv]) for sv in grid]))
+    backward = average_leakage_sweep(errors, FOV, EPS, grid[::-1])
+    _assert_same(backward, _rows(forward, slice(None, None, -1)))
+    partial = forward.ratios[:, CASE_CODE[OverlapCase.REMAINING]]
     order = np.argsort(partial, kind="stable")[::-1]  # the longest partial-overlap run first
     assert partial[order[0]] > partial[order[-1]]
-    assert average_leakage_sweep(errors, FOV, EPS, grid[order]) == [forward[i] for i in order]
+    _assert_same(average_leakage_sweep(errors, FOV, EPS, grid[order]), _rows(forward, order))
 
 
 def test_sweep_mean_qoe_matches_qoe_vec_in_every_case():
     rng = np.random.default_rng(43)
     errors = rng.uniform(0.0, math.pi, 3000)
     grid = np.linspace(0.0, math.pi, 73)
-    points = average_leakage_sweep(errors, FOV, EPS, grid)
-    reached = {case for pt in points for case, ratio in pt.case_ratios.items() if ratio > 0.0}
+    table = average_leakage_sweep(errors, FOV, EPS, grid)
+    reached = {CASES[k] for k in np.flatnonzero((table.ratios > 0.0).any(axis=0))}
     assert reached >= set(PARTITION_CASES)
-    for sv, pt in zip(grid, points):
-        assert abs(pt.mean_qoe - float(np.mean(qoe_vec(FOV, sv, errors)))) <= 1e-13
+    for sv, mean_qoe in zip(grid, table.mean_qoe):
+        assert abs(mean_qoe - float(np.mean(qoe_vec(FOV, sv, errors)))) <= 1e-13
 
 
 def _pointwise_sweep(errors: list[float], fov: float, eps: float, sv: float):
@@ -262,15 +299,18 @@ def _sweep_inputs(draw):
 @example((math.pi / 2, math.pi / 2, [1.4091702570048054e-196], [math.pi / 2]))
 def test_sorted_sweep_matches_pointwise_reference(inputs):
     fov, eps, grid, errors = inputs
-    for sv, pt in zip(grid, average_leakage_sweep(errors, fov, eps, grid)):
+    table = average_leakage_sweep(errors, fov, eps, grid)
+    assert len(table) == len(grid)
+    for i, sv in enumerate(grid):
         ratios, components, mean_qoe = _pointwise_sweep(errors, fov, eps, sv)
-        assert pt.r_sv == sv
-        assert pt.case_ratios == ratios
-        assert pt.leakage_components.keys() == components.keys()
+        got_ratios, got_components = _reported_cells(table, i)
+        assert table.r_sv[i] == sv
+        assert got_ratios == ratios
+        assert got_components.keys() == components.keys()
         for case, value in components.items():
-            assert abs(pt.leakage_components[case] - value) <= 1e-12
-        assert abs(pt.leakage_total - sum(components.values())) <= 1e-12
-        assert abs(pt.mean_qoe - mean_qoe) <= 1e-12
+            assert abs(got_components[case] - value) <= 1e-12
+        assert abs(table.total[i] - sum(components.values())) <= 1e-12
+        assert abs(table.mean_qoe[i] - mean_qoe) <= 1e-12
 
 
 def test_sweep_validation():
@@ -288,7 +328,7 @@ def test_build_report():
     grid = np.linspace(0.0, math.pi, 19)
     bare = build_report(errors, FOV, EPS, grid)
     assert bare.n_samples == 300
-    assert len(bare.points) == 19
+    assert len(bare.sweep) == 19
     assert bare.mean_error_subset is None
     assert bare.gamma_tradeoff is None and bare.gamma_consist is None
 

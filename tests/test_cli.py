@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,26 +7,29 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vrpl
 
 from vrpl import (
-    AggregateReport,
+    CASES,
     ConfigError,
     OverlapCase,
     Predictor,
-    RegionBounds,
-    SweepPoint,
+    PrivacyRequirement,
+    SweepTable,
+    build_report,
     leak_prob_from_error,
     parse_grid_override,
     qoe,
     resolve_scenario,
 )
-from vrpl.cli import InternalInconsistencyError, _check_report, main
+from vrpl.cli import InternalInconsistencyError, _check_report, _write_report, main
 from vrpl import config
 from vrpl.config import MAX_ELEMENTS, load_config
-from vrpl.tables import read_csv
+from vrpl.qoe import CASE_CODE, PARTITION_CASES
+from vrpl.tables import read_csv, write_json
 
 FOV = math.radians(50.0)
 
@@ -594,23 +598,112 @@ def test_sizes_at_the_limit_pass():
         resolve_scenario({"synthetic": {**spec, "n_traces": MAX_ELEMENTS // 150 + 1}})
 
 
-def test_check_report_catches_corruption():
-    point = SweepPoint(
-        r_sv=1.0,
-        case_ratios={OverlapCase.REMAINING: 0.5},  # does not sum to 1
-        leakage_components={OverlapCase.REMAINING: 0.2},
-        leakage_total=0.2,
-        mean_qoe=0.5,
-    )
-    report = AggregateReport(
-        n_samples=1,
-        r_fov=FOV,
-        epsilon=0.4 * FOV,
-        regions=RegionBounds((0, 1), (1, 2), (2, 3), (3, 4), (4, math.pi)),
-        points=(point,),
-    )
-    with pytest.raises(InternalInconsistencyError, match="ratios"):
-        _check_report(report)
+def _sweep_with(**row) -> SweepTable:
+    """A consistent two-radius sweep whose second row takes the cells in ``row``."""
+    remaining = CASE_CODE[OverlapCase.REMAINING]
+    ratios, components = np.zeros((2, 2, len(CASES)))
+    ratios[:, remaining] = 1.0
+    components[:, remaining] = [0.2, row.pop("component", 0.2)]
+    ratios[1, remaining] = row.pop("ratio", 1.0)
+    total = np.array([0.2, row.pop("total", 0.2)])
+    mean_qoe = np.array([0.5, row.pop("mean_qoe", 0.5)])
+    assert not row
+    return SweepTable(np.array([0.5, 1.25]), ratios, components, total, mean_qoe)
+
+
+@pytest.mark.parametrize(
+    "row, claim",
+    [
+        ({"ratio": 0.5}, "case ratios sum to 1"),
+        ({"total": 0.3}, "leakage components sum to the total"),
+        ({"component": 1.5, "total": 1.5}, "lie in \\[0, 1\\]"),
+        ({"component": -0.25, "total": -0.25}, "lie in \\[0, 1\\]"),
+        ({"mean_qoe": math.nan}, "lie in \\[0, 1\\]"),
+    ],
+    ids=["ratio-sum", "component-sum", "total-above-1", "total-below-0", "nan-qoe"],
+)
+def test_check_report_catches_corruption(row, claim):
+    with pytest.raises(InternalInconsistencyError, match=f"{claim} at r_sv=1.25:"):
+        _check_report(_sweep_with(**row))
+
+
+def _report_oracle(report) -> dict:
+    """The whole report as one document of per-radius dicts, for `write_json`."""
+    points = []
+    for i, r_sv in enumerate(report.sweep.r_sv.tolist()):
+        if r_sv in (0.0, math.pi):
+            cases = (OverlapCase.DEGENERATE_EMPTY if r_sv == 0.0 else OverlapCase.DEGENERATE_FULL,)
+        else:
+            cases = PARTITION_CASES
+        points.append({
+            "r_sv_rad": r_sv,
+            "case_ratios": {c.value: float(report.sweep.ratios[i, CASE_CODE[c]]) for c in cases},
+            "leakage_components": {
+                c.value: float(report.sweep.components[i, CASE_CODE[c]]) for c in cases
+            },
+            "leakage_total": float(report.sweep.total[i]),
+            "mean_qoe": float(report.sweep.mean_qoe[i]),
+        })
+    regions = report.regions
+    return {
+        "n_samples": report.n_samples,
+        "r_fov_rad": report.r_fov,
+        "epsilon_rad": report.epsilon,
+        "mean_error_subset_rad": report.mean_error_subset,
+        "gamma_tradeoff": report.gamma_tradeoff,
+        "gamma_consist": report.gamma_consist,
+        "regions": {name: list(getattr(regions, name)) for name in ("i1", "d2", "c", "i2", "d1")},
+        "points": points,
+    }
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[math.pi], [0.0, 0.5, 2.0, math.pi], [0.0, 0.5, 1.0, 2.0, math.pi]],
+    ids=["one-radius", "one-chunk", "one-chunk-plus-one"],
+)
+@pytest.mark.parametrize("req", [None, PrivacyRequirement(0.4 * FOV, 0.2)], ids=["bare", "req"])
+def test_streamed_report_matches_whole_document(tmp_path, monkeypatch, grid, req):
+    monkeypatch.setattr("vrpl.cli.CHUNK_ROWS", 4)
+    errors = np.random.default_rng(5).uniform(0.0, math.pi, 60)
+    report = build_report(errors, FOV, 0.4 * FOV, grid, req=req)
+    _write_report(argparse.Namespace(out=str(tmp_path)), report)
+    write_json(tmp_path / "whole.json", _report_oracle(report))
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+
+_TRACE_MEMORY_PROBE = """
+import contextlib, io, json, sys
+def hwm_kib():
+    with open('/proc/self/status') as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))
+import vrpl.cli
+base = hwm_kib()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = vrpl.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "grew_kib": hwm_kib() - base}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_trace_memory_does_not_grow_per_radius(tmp_path):
+    # Peak memory over the import, in a fresh interpreter per run: 9,000
+    # more radii may cost arrays of a few floats each, not Python objects.
+    src = str(Path(vrpl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    grew = []
+    for n in (1_000, 10_000):
+        grid = {"lo": 0.0, "hi": math.pi, "n": n}
+        cfg = _cfg(tmp_path, {"synthetic": _SYNTH_DRIFT, "grids": {"r_sv": grid}}, name=f"{n}.json")
+        argv = ["trace", "--config", cfg, "--out", str(tmp_path / str(n))]
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACE_MEMORY_PROBE, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["code"] == 0, proc.stderr
+        grew.append(result["grew_kib"])
+    assert (grew[1] - grew[0]) / 1024 < 20, grew
 
 
 def test_cli_trace_rejects_zero_epsilon(tmp_path, capsys):
