@@ -10,17 +10,19 @@ The sweep decomposes the average by geometric case.  Within each constant
 case the leakage probability does not depend on the error, so the case
 contributes its probability times the fraction of errors falling in the
 case; partial-overlap errors contribute their individual error-upload
-probabilities.  At a fixed radius every case is an interval of errors
-that ends where `classify` changes, and the partial-overlap leakage does
-not depend on the radius, so the sweep sorts the errors and sums their
-leakage once for the whole grid.
+probabilities.  At a fixed radius every case is a run of the sorted
+errors, and the partial-overlap leakage does not depend on the radius, so
+the sweep sorts the errors and sums their leakage once for the whole grid,
+finds the run ends of all radii together, and computes each radius's
+averages as array expressions over the grid; only the lens area of the
+partial-overlap runs is evaluated radius by radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,16 +34,15 @@ from .leakage import (
     cap_zone,
     error_range_for_requirement,
     min_leak_prob_error,
-    min_leak_prob_qoe,
 )
-from .qoe import CASE_CODE, CASES, PARTITION_CASES, classify, qoe
+from .qoe import CASE_CODE, CASES, PARTITION_CASES, _classify_codes, _qoe_from_codes
 from .sphere import EPSILON, ERROR, FOV, STREAMED_RADIUS, TWO_PI, cap_area, cap_overlap_area_vec
 
 #: The population sweep and its regions take a protection radius above 0 only.
 _SWEEP_EPSILON = replace(EPSILON, open_lo=True)
 
-#: The partition cases after the two nested ones, in `PARTITION_CASES` order.
-_DISJOINT, _COMPLEMENT, _REMAINING = PARTITION_CASES[2:]
+#: The codes of the partition cases after the two nested ones.
+_DISJOINT, _COMPLEMENT, _REMAINING = (CASE_CODE[case] for case in PARTITION_CASES[2:])
 
 
 def _population(errors: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -167,85 +168,55 @@ class SweepTable:
         return np.column_stack([~(empty | full)] * len(PARTITION_CASES) + [empty, full])
 
 
-def _sweep_row(
-    table: SweepTable, i: int, e: np.ndarray, leak_csum: np.ndarray, trig: tuple, fov: float, eps: float
-) -> None:
-    """Fill row ``i`` of ``table`` with the averages at its radius.
+def _run_ends(e: np.ndarray, fov: float, sv: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Where each radius's nested and partial-overlap runs end in sorted ``e``.
 
-    ``e`` is sorted, and ``leak_csum[k]`` is the sum of the error-upload
-    leakage ``min(eps / (pi sin e), 1)`` over ``e[:k]``.  At a fixed radius
-    every case is a contiguous run of ``e``, and each run ends where
-    `classify` changes, so the closed-tie order is its own.  ``trig`` holds
-    the cosine and sine of ``e`` and the lens work rows (`average_leakage_sweep`).
+    Returns the rows ``b`` and ``d``: at radius ``sv[i]`` the errors
+    ``e[:b[i]]`` are in its nested case ``near[i]`` and ``e[b[i]:d[i]]`` in
+    the partial-overlap one.  Each end starts at its threshold,
+    ``|sv - fov|`` or ``min(fov + sv, 2 pi - fov - sv)``, found by
+    `searchsorted`; a degenerate cap's one run holds every error, so its
+    ends start at ``e.size``.  Then every end moves over whole runs of equal
+    errors until `_classify_codes` agrees: down while the error below it is
+    outside its run, else up while the error at it is inside (the threshold
+    and the case tests differ for errors within an ulp of the boundary).
+    Each step asks `_classify_codes` once, for the ends still moving.
     """
-    n, sv = e.size, float(table.r_sv[i])
-    near = classify(fov, sv, 0.0)
-    if sv == 0.0 or sv == math.pi:
-        # a degenerate cap: every error shares one case, leakage and QoE
-        table.ratios[i, CASE_CODE[near]] = 1.0
-        table.components[i, CASE_CODE[near]] = table.total[i] = min_leak_prob_qoe(eps)
-        table.mean_qoe[i] = qoe(fov, sv, 0.0)
-        return
-    # Runs in e: [0, b) the nested case `near` (only one is live at a radius),
-    # [b, d) remaining, [d, c) sfov_complement_in_fov and [c, n) disjoint,
-    # each ending where `classify` changes.
-    s = fov + sv
-    b = _split(e, abs(sv - fov), lambda x: classify(fov, sv, x) is near)
-    d = _split(e, min(s, TWO_PI - s), lambda x: classify(fov, sv, x) in (near, _REMAINING))
-    c = max(d, int(np.searchsorted(e, s, side="left")))
-    counts = dict.fromkeys(PARTITION_CASES, 0)
-    counts.update({near: b, _DISJOINT: n - c, _COMPLEMENT: c - d, _REMAINING: d - b})
-    ratios = [count / n for count in counts.values()]
-
-    prob_near, prob_far = (cap_zone(fov, sv, eps, nested)[1] for nested in (True, False))
-    probs = {_DISJOINT: prob_far, _COMPLEMENT: prob_far}
-    components = [probs.get(case, prob_near) * ratio for case, ratio in zip(counts, ratios)]
-    components[-1] = float(leak_csum[d] - leak_csum[b]) / n  # _REMAINING, the last
-    table.ratios[i, : len(ratios)], table.components[i, : len(ratios)] = ratios, components
-    table.total[i] = sum(components)
-
-    # QoE is constant on each run but the partial-overlap one.
-    qoe_sum = 0.0
-    for lo, hi in ((0, b), (d, c)):
-        if hi > lo:
-            qoe_sum += (hi - lo) * qoe(fov, sv, e[lo])
-    if d > b:
-        cos_e, sin_e, work = trig
-        overlap = cap_overlap_area_vec(fov, sv, cos_e[b:d], sin_e[b:d], work[:, : d - b])
-        np.divide(overlap, cap_area(fov), out=overlap)
-        qoe_sum += float(np.clip(overlap, 0.0, 1.0, out=overlap).sum())
-    table.mean_qoe[i] = qoe_sum / n
-
-
-def _split(e: np.ndarray, guess: float, holds: Callable[[float], bool]) -> int:
-    """First index of sorted ``e`` where ``holds`` fails; it holds on a prefix.
-
-    ``guess`` is the threshold ``holds`` tests up to rounding: `searchsorted`
-    finds it, then the index moves over whole runs of equal values until
-    ``holds`` agrees (``e <= |sv - fov|`` and `classify` giving a nested
-    case, say, differ for errors within an ulp of the boundary).
-    """
-    i = int(np.searchsorted(e, guess, side="right"))
-    while i > 0 and not holds(e[i - 1]):
-        i = int(np.searchsorted(e, e[i - 1], side="left"))
-    while i < e.size and holds(e[i]):
-        i = int(np.searchsorted(e, e[i], side="right"))
-    return i
+    n, s = e.size, fov + sv
+    starts = np.searchsorted(e, [np.abs(sv - fov), np.minimum(s, TWO_PI - s)], side="right")
+    ends = np.where((sv == 0.0) | (sv == math.pi), n, starts).ravel()
+    # errors below b are in the case `near`, those below d in `near` or `_REMAINING`
+    radii, nears = np.tile(sv, 2), np.tile(near, 2)
+    also = np.concatenate([near, np.full_like(near, _REMAINING)])
+    for down in (True, False):
+        k = np.flatnonzero(ends > 0 if down else ends < n)
+        while k.size:
+            x = e[ends[k] - 1] if down else e[ends[k]]
+            codes = _classify_codes(fov, radii[k], x)
+            step = ((codes == nears[k]) | (codes == also[k])) != down
+            k, x = k[step], x[step]
+            ends[k] = np.searchsorted(e, x, side="left" if down else "right")
+            k = k[ends[k] > 0] if down else k[ends[k] < n]
+    return ends.reshape(2, -1)
 
 
 def average_leakage_sweep(
     errors: Sequence[float] | np.ndarray,
     r_fov: float,
     eps: float,
-    r_sv_grid: Iterable[float],
+    r_sv_grid: Sequence[float] | np.ndarray,
 ) -> SweepTable:
     """Average QoE-upload leakage over the error population per radius.
 
     The errors are sorted once, with a running sum of their error-upload
-    leakage, and their cosine and sine are taken once; each radius then
-    needs a few binary searches, one prefix-sum difference, and the lens
-    area of its partial-overlap errors only, evaluated in place in work
-    rows allocated once for the grid.  Rows follow the grid order.
+    leakage, and their cosine and sine are taken once.  At each radius the
+    cases are runs of the sorted errors, in the order nested, partial
+    overlap, complement containment, disjoint; `_run_ends` finds the run
+    ends of all radii together, and the counts, the constant cases' odds
+    (`cap_zone`) and QoE, and the partial-overlap leakage (a prefix-sum
+    difference) are columns over the grid.  Only the lens area of each
+    radius's partial-overlap run is evaluated radius by radius, in place in
+    work rows allocated once for the grid.  Rows follow the grid order.
 
     Args:
         errors: prediction errors in radians, all in [0, pi].
@@ -257,15 +228,41 @@ def average_leakage_sweep(
     fov = FOV.check(r_fov)
     eps = _SWEEP_EPSILON.check(eps, hi=fov)
     e = _population(errors)
-    grid = STREAMED_RADIUS.check_array(list(r_sv_grid))
+    sv = STREAMED_RADIUS.check_array(np.array(r_sv_grid, dtype=float))
     e.sort()
-    leak_csum = np.zeros(e.size + 1)
+    n, rows = e.size, np.arange(sv.size)
+    leak_csum = np.zeros(n + 1)
     np.cumsum(_leak_from_checked_errors(e, eps).probability, out=leak_csum[1:])
-    trig = np.cos(e), np.sin(e), np.empty((3, e.size))
-    table = SweepTable(grid, *np.zeros((2, grid.size, len(CASES))), *np.empty((2, grid.size)))
-    for i in range(grid.size):
-        _sweep_row(table, i, e, leak_csum, trig, fov, eps)
-    return table
+
+    # Runs in e: [0, b) the nested case `near` (only one is live at a radius),
+    # [b, d) remaining, [d, c) sfov_complement_in_fov and [c, n) disjoint.
+    near = _classify_codes(fov, sv, 0.0)
+    b, d = _run_ends(e, fov, sv, near)
+    c = np.maximum(d, np.searchsorted(e, fov + sv, side="left"))
+    ratios, components = np.zeros((2, sv.size, len(CASES)))
+    ratios[rows, near] = b / n
+    ratios[:, [_DISJOINT, _COMPLEMENT, _REMAINING]] = np.column_stack([n - c, c - d, d - b]) / n
+    prob_near, prob_far = (cap_zone(fov, sv, eps, code)[1] for code in (near, _COMPLEMENT))
+    components[rows, near] = prob_near * ratios[rows, near]
+    components[:, _DISJOINT] = prob_far * ratios[:, _DISJOINT]
+    components[:, _COMPLEMENT] = prob_far * ratios[:, _COMPLEMENT]
+    components[:, _REMAINING] = (leak_csum[d] - leak_csum[b]) / n
+    total = sum(components.T)  # a running sum, in case order
+
+    # QoE is constant on each run but the partial-overlap one.
+    codes = np.stack([near, np.full_like(near, _COMPLEMENT)])
+    qoe_near, qoe_far = _qoe_from_codes(*np.broadcast_arrays(fov, sv, 0.0, codes))
+    lens, area = np.zeros(sv.size), cap_area(fov)
+    cos_e, sin_e, work = np.cos(e), np.sin(e), np.empty((3, n))
+    for i in np.flatnonzero(d > b):
+        lo, hi = b[i], d[i]
+        overlap = cap_overlap_area_vec(
+            fov, float(sv[i]), cos_e[lo:hi], sin_e[lo:hi], work[:, : hi - lo]
+        )
+        np.divide(overlap, area, out=overlap)
+        lens[i] = np.clip(overlap, 0.0, 1.0, out=overlap).sum()
+    mean_qoe = (b * qoe_near + (c - d) * qoe_far + lens) / n
+    return SweepTable(sv, ratios, components, total, mean_qoe)
 
 
 @dataclass(frozen=True)
@@ -290,7 +287,7 @@ def build_report(
     errors: Sequence[float] | np.ndarray,
     r_fov: float,
     eps: float,
-    r_sv_grid: Iterable[float],
+    r_sv_grid: Sequence[float] | np.ndarray,
     req: PrivacyRequirement | None = None,
 ) -> AggregateReport:
     """Run the full aggregate pipeline over one error population.

@@ -17,6 +17,8 @@ import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .resources import ChannelConfig, ResourceConfig, TileSpec
 from .sphere import EPSILON, ERROR, FOV, PROBABILITY, STREAMED_RADIUS
 from .traces import (
@@ -122,7 +124,7 @@ class Scenario:
     epsilon: float
     max_leak_prob: float | None
     seed: int
-    grids: dict[str, list[float]]
+    grids: dict[str, np.ndarray]
     windowing: WindowingConfig
     predictor: Predictor
     traces_csv: str | None
@@ -150,13 +152,13 @@ def load_config(path: str | Path) -> dict:
     return doc
 
 
-def _resolve_grid(spec, path: str) -> list[float]:
-    """A grid given as a non-empty list of values or as ``{lo, hi, n}``."""
+def _resolve_grid(spec, path: str) -> np.ndarray:
+    """A grid given as a non-empty list of values or as ``{lo, hi, n}``, as a float array."""
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{path}: expected a non-empty list")
         check_size(len(spec), path, "the grid")
-        return [_float(v, f"{path}[{i}]") for i, v in enumerate(spec)]
+        return np.array([_float(v, f"{path}[{i}]") for i, v in enumerate(spec)])
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object or list")
     for key in spec:
@@ -174,17 +176,17 @@ def _resolve_grid(spec, path: str) -> list[float]:
     if hi < lo:
         raise ConfigError(f"{path}: hi {hi!r} below lo {lo!r}")
     if n == 1:
-        return [lo]
+        return np.array([lo])
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return lo + np.arange(n) * step
 
 
-def parse_grid_override(spec: str) -> dict[str, list[float]]:
+def parse_grid_override(spec: str) -> dict[str, np.ndarray]:
     """Parse a ``--grid`` flag: ``name=lo:hi:n`` terms, comma separated.
 
     Valid names are ``error``, ``epsilon`` and ``r_sv``.
     """
-    grids: dict[str, list[float]] = {}
+    grids: dict[str, np.ndarray] = {}
     for term in spec.split(","):
         if "=" not in term:
             raise ConfigError(f"--grid: term {term!r} is not name=lo:hi:n")
@@ -348,7 +350,7 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         channel = _resolve_block(ChannelConfig, ch_doc, "config.channel")
 
     grid_doc = _optional(doc, "grids", dict, "config", default={})
-    grids: dict[str, list[float]] = {}
+    grids: dict[str, np.ndarray] = {}
     for name in GRIDS:
         if name in grid_doc:
             grids[name] = _resolve_grid(grid_doc[name], f"config.grids.{name}")
@@ -357,10 +359,10 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
             raise ConfigError(f"config.grids.{name}: unknown grid")
     grids.update(overrides.get("grids", {}))
     grids.setdefault("error", _resolve_grid({"lo": 0.0, "hi": math.pi, "n": DEFAULT_GRID_N}, "default"))
-    grids.setdefault("epsilon", [epsilon])
+    grids.setdefault("epsilon", np.array([epsilon]))
     grids.setdefault("r_sv", _resolve_grid({"lo": 0.0, "hi": math.pi, "n": DEFAULT_GRID_N}, "default"))
     for name, grid in grids.items():
-        _in_domain(GRIDS[name].check_array, grid, f"config.grids.{name}")
+        grids[name] = _in_domain(GRIDS[name].check_array, grid, f"config.grids.{name}")
 
     return Scenario(
         r_fov=r_fov,

@@ -80,6 +80,10 @@ class ZoneKind(enum.Enum):
 ZONE_KINDS = tuple(ZoneKind)
 ZONE_CODE = {kind: i for i, kind in enumerate(ZONE_KINDS)}
 
+#: The case codes whose cap zone is the radii's gap, and the full sphere's.
+_NESTED = (CASE_CODE[OverlapCase.FOV_IN_SFOV], CASE_CODE[OverlapCase.SFOV_IN_FOV])
+_DEGENERATE = (CASE_CODE[OverlapCase.DEGENERATE_EMPTY], CASE_CODE[OverlapCase.DEGENERATE_FULL])
+
 
 @dataclass(frozen=True)
 class LeakageResult:
@@ -146,25 +150,31 @@ class ErrorInference:
     ambiguous: bool = False
 
 
-def cap_zone(fov: float, sv: float, ep: float, nested: bool) -> tuple[float, float]:
+def cap_zone(fov, sv, ep, case):
     """Cap zone of a constant-case QoE report and the odds of guessing in it.
 
     The report confines the viewpoint to a cap of radius ``r_z``: the gap
-    ``|r_sv - r_fov|`` when the caps nest (``nested``: the two containment
-    cases) and ``|pi - r_sv - r_fov|`` otherwise (disjoint caps or
-    complement containment).  A cap guess of radius ``ep`` succeeds with
-    probability ``(1 - cos ep) / (1 - cos r_z)``, or 1 once ``r_z <= ep`` or
-    the zone's ``1 - cos r_z`` rounds to 0 (a tangency gap of rounding size
-    leaves a single point).  Inputs are validated radians.
+    ``|r_sv - r_fov|`` when the caps nest (the two containment cases),
+    ``pi``, the full sphere, when the streamed cap is degenerate, and
+    ``|pi - r_sv - r_fov|`` otherwise (disjoint caps or complement
+    containment).  A cap guess of radius ``ep`` succeeds with probability
+    ``(1 - cos ep) / (1 - cos r_z)``, or 1 once ``r_z <= ep`` or the zone's
+    ``1 - cos r_z`` rounds to 0 (a tangency gap of rounding size leaves a
+    single point); at ``r_z = pi`` that is `min_leak_prob_qoe`.  Inputs are
+    validated radians and int8 codes into `CASES`, as floats or
+    broadcastable arrays; floats give floats.
 
     Returns:
         ``(r_z, probability)``.
     """
-    r_z = abs(sv - fov) if nested else abs(math.pi - sv - fov)
-    cap = 1.0 - math.cos(r_z)
-    if r_z <= ep or cap == 0.0:
-        return r_z, 1.0
-    return r_z, (1.0 - math.cos(ep)) / cap
+    nested, full = ((case == a) | (case == b) for a, b in (_NESTED, _DEGENERATE))
+    r_z = np.where(nested, np.abs(sv - fov), np.where(full, math.pi, np.abs(math.pi - sv - fov)))
+    cap = 1.0 - np.cos(r_z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prob = np.where((r_z <= ep) | (cap == 0.0), 1.0, (1.0 - np.cos(ep)) / cap)
+    if any(isinstance(x, np.ndarray) for x in (fov, sv, ep, case)):
+        return r_z, prob
+    return float(r_z), float(prob)
 
 
 def leak_prob_from_error(e: float, eps: float) -> LeakageResult:
@@ -313,8 +323,7 @@ def leak_prob_from_qoe(q: float, r_fov: float, r_sv: float, eps: float) -> Leaka
     if inferred.kind == InferenceKind.EXACT:
         base = leak_prob_from_error(inferred.value, ep)
         return LeakageResult(base.probability, base.zone_kind, base.zone_measure, inferred.case)
-    nested = inferred.case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV)
-    r_z, prob = cap_zone(fov, sv, ep, nested)
+    r_z, prob = cap_zone(fov, sv, ep, CASE_CODE[inferred.case])
     return LeakageResult(prob, ZoneKind.CAP, cap_area(r_z), inferred.case)
 
 
@@ -469,30 +478,18 @@ def leak_prob_from_qoe_vec(q, r_fov, r_sv, eps) -> LeakageArrays:
         EPSILON.check_array(eps, hi=fov),
         np.asarray(q, dtype=float),
     )
-    prob = np.array((1.0 - np.cos(ep)) / 2.0)
-    kind = np.full(prob.shape, ZONE_CODE[ZoneKind.FULL_SPHERE], dtype=np.int8)
-    measure = np.full(prob.shape, SPHERE_AREA)
-    case = np.where(
-        sv == 0.0, CASE_CODE[OverlapCase.DEGENERATE_EMPTY], CASE_CODE[OverlapCase.DEGENERATE_FULL]
-    ).astype(np.int8)
-
     live = (sv != 0.0) & (sv != math.pi)
-    f, s, e = fov[live], sv[live], ep[live]
+    case = np.where(sv == 0.0, *_DEGENERATE).astype(np.int8)
     # the report is read only where the streamed cap is not degenerate
-    inferred = _infer_from_checked(QOE.check_array(qv[live]), f, s)
-    exact = inferred.case == _REMAINING
-    nested = np.isin(
-        inferred.case, (CASE_CODE[OverlapCase.FOV_IN_SFOV], CASE_CODE[OverlapCase.SFOV_IN_FOV])
-    )
-    r_z = np.where(nested, np.abs(s - f), np.abs(math.pi - s - f))
-    cap = 1.0 - np.cos(r_z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cap_prob = np.where((r_z <= e) | (cap == 0.0), 1.0, (1.0 - np.cos(e)) / cap)
-    circle = _leak_from_checked_errors(np.where(exact, inferred.value, 0.0), e)
-    prob[live] = np.where(exact, circle.probability, cap_prob)
-    kind[live] = np.where(exact, circle.zone_kind, ZONE_CODE[ZoneKind.CAP])
-    measure[live] = np.where(exact, circle.zone_measure, TWO_PI * cap)
+    inferred = _infer_from_checked(QOE.check_array(qv[live]), fov[live], sv[live])
     case[live] = inferred.case
+    r_z, prob = cap_zone(fov, sv, ep, case)
+    kind = np.where(live, ZONE_CODE[ZoneKind.CAP], ZONE_CODE[ZoneKind.FULL_SPHERE]).astype(np.int8)
+    measure = np.where(live, TWO_PI * (1.0 - np.cos(r_z)), SPHERE_AREA)
+    exact = case == _REMAINING
+    circle = _leak_from_checked_errors(inferred.value[exact[live]], ep[exact])
+    prob[exact], kind[exact] = circle.probability, circle.zone_kind
+    measure[exact] = circle.zone_measure
     return LeakageArrays(prob, kind, measure, case)
 
 
@@ -536,7 +533,7 @@ def case_leakage_profile(
         OverlapCase.SFOV_COMPLEMENT_IN_FOV,
     ):
         raise ValueError(f"no per-case leakage profile for {case!r}")
-    r_z, _ = cap_zone(fov, sv, ep, case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV))
+    r_z, _ = cap_zone(fov, sv, ep, CASE_CODE[case])
     if case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_COMPLEMENT_IN_FOV):
         # zone radius grows with the streamed cap, so leakage falls
         mono = Monotonicity.DECREASING

@@ -23,6 +23,7 @@ from vrpl import (
     qoe_vec,
     tradeoff_consistency_ratios,
 )
+from vrpl import aggregate
 from vrpl.leakage import cap_zone
 from vrpl.qoe import CASE_CODE, PARTITION_CASES
 
@@ -253,7 +254,10 @@ def _pointwise_sweep(errors: list[float], fov: float, eps: float, sv: float):
     if sv in (0.0, math.pi):
         probs = [min_leak_prob_qoe(eps)] * n
     else:
-        nested, far = cap_zone(fov, sv, eps, True)[1], cap_zone(fov, sv, eps, False)[1]
+        nested, far = (
+            cap_zone(fov, sv, eps, CASE_CODE[case])[1]
+            for case in (OverlapCase.FOV_IN_SFOV, OverlapCase.DISJOINT)
+        )
         by_case = {
             OverlapCase.FOV_IN_SFOV: nested,
             OverlapCase.SFOV_IN_FOV: nested,
@@ -271,20 +275,33 @@ def _pointwise_sweep(errors: list[float], fov: float, eps: float, sv: float):
 
 
 _FOVS = st.one_of(st.sampled_from((math.pi / 2, FOV)), st.floats(0.01, math.pi / 2))
-_RADII = st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi))
+
+
+def _nudged(values) -> list[float]:
+    """Each value and its two floating-point neighbours, inside [0, pi]."""
+    out = [float(np.nextafter(t, side)) for t in values for side in (-np.inf, t, np.inf)]
+    return [x for x in out if 0.0 <= x <= math.pi]
 
 
 @st.composite
 def _sweep_inputs(draw):
-    """A radius grid and errors on, beside and between its case boundaries."""
+    """A grid of up to eight radii, and errors on, beside and between its case boundaries.
+
+    Radii are drawn at random, at 0, pi, ``r_fov`` and ``pi - r_fov``, and
+    where a few anchor errors sit on a case boundary, so that at one grid
+    some run ends must move down and others up before they agree with the
+    case tests.
+    """
     fov = draw(_FOVS)
     eps = draw(st.one_of(st.just(fov), st.floats(0.01, 1.0).map(lambda f: f * fov)))
-    grid = draw(st.lists(_RADII, min_size=1, max_size=3))
-    edges = [0.0, math.pi / 2, math.pi]
+    anchors = draw(st.lists(st.floats(0.0, math.pi), max_size=3))
+    special = [0.0, math.pi, fov, math.pi - fov]
+    special += [t for a in anchors for t in (fov + a, fov - a, a - fov, 2.0 * math.pi - fov - a)]
+    radii = st.one_of(st.sampled_from(_nudged(special)), st.floats(0.0, math.pi))
+    grid = draw(st.lists(radii, min_size=1, max_size=8))
+    edges = [0.0, math.pi / 2, math.pi, *anchors]
     for sv in grid:
-        for t in (sv - fov, fov - sv, fov + sv, 2.0 * math.pi - fov - sv):
-            edges += [float(np.nextafter(t, -np.inf)), t, float(np.nextafter(t, np.inf))]
-    edges = [x for x in edges if 0.0 <= x <= math.pi]
+        edges += _nudged((sv - fov, fov - sv, fov + sv, 2.0 * math.pi - fov - sv))
     errors = draw(
         st.lists(st.one_of(st.sampled_from(edges), st.floats(0.0, math.pi)), min_size=1, max_size=40)
     )
@@ -311,6 +328,32 @@ def test_sorted_sweep_matches_pointwise_reference(inputs):
             assert abs(got_components[case] - value) <= 1e-12
         assert abs(table.total[i] - sum(components.values())) <= 1e-12
         assert abs(table.mean_qoe[i] - mean_qoe) <= 1e-12
+
+
+def test_degenerate_radii_do_not_walk_the_population(monkeypatch):
+    # A degenerate cap's one run holds every error.  Were its run ends to
+    # start at the threshold |sv - fov|, the tie fix-up would step over every
+    # distinct error above it, one `_classify_codes` call per step.
+    calls = []
+    classify_codes = aggregate._classify_codes
+
+    def counting(*args):
+        calls.append(args)
+        return classify_codes(*args)
+
+    monkeypatch.setattr(aggregate, "_classify_codes", counting)
+    rng = np.random.default_rng(53)
+    grid = [0.0, math.pi, 1.0]
+    counts = []
+    for n in (500, 50_000):
+        errors = rng.uniform(0.0, math.pi, n)
+        assert np.unique(errors).size == n
+        calls.clear()
+        table = average_leakage_sweep(errors, FOV, EPS, grid)
+        counts.append(len(calls))
+        assert table.ratios[0, CASE_CODE[OverlapCase.DEGENERATE_EMPTY]] == 1.0
+        assert table.ratios[1, CASE_CODE[OverlapCase.DEGENERATE_FULL]] == 1.0
+    assert counts[0] == counts[1] <= 5, counts
 
 
 def test_sweep_validation():

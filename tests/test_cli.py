@@ -46,7 +46,7 @@ def test_scenario_defaults():
     assert s.seed == 0
     assert s.predictor == Predictor.LAST_POSITION
     assert len(s.grids["error"]) == 181
-    assert s.grids["epsilon"] == [s.epsilon]
+    assert s.grids["epsilon"].tolist() == [s.epsilon]
     assert len(s.grids["r_sv"]) == 181
     assert s.grids["error"][0] == 0.0
     assert s.grids["error"][-1] == pytest.approx(math.pi, abs=1e-12)
@@ -95,11 +95,23 @@ def test_scenario_rejects_unknown_fields():
         resolve_scenario({"grids": {"error": {"values": [0.5], "lo": 7}}})
 
 
+def test_scenario_grids_are_float_arrays():
+    # A range grid holds the same bits as lo + i * step taken one value at a time.
+    lo, hi, n = 0.1, 3.0, 181
+    s = resolve_scenario({"grids": {"r_sv": {"lo": lo, "hi": hi, "n": n}, "error": [0.5, 1]}})
+    step = (hi - lo) / (n - 1)
+    want = np.array([lo + i * step for i in range(n)])
+    assert s.grids["r_sv"].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    for grid in s.grids.values():
+        assert isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.ndim == 1
+    assert s.grids["error"].tolist() == [0.5, 1.0]
+
+
 def test_scenario_grid_forms():
     s = resolve_scenario({"grids": {"error": {"lo": 0.0, "hi": 1.0, "n": 5}}})
-    assert s.grids["error"] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-15)
+    assert s.grids["error"].tolist() == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-15)
     s = resolve_scenario({"grids": {"error": [0.1, 0.2]}})
-    assert s.grids["error"] == [0.1, 0.2]
+    assert s.grids["error"].tolist() == [0.1, 0.2]
     with pytest.raises(ConfigError, match="config.grids.error"):
         resolve_scenario({"grids": {"error": {"lo": 0.0, "hi": 5.0, "n": 5}}})
     # Protection radii are capped at pi/2, tighter than the other grids.
@@ -111,7 +123,7 @@ def test_scenario_overrides_win():
     doc = {"seed": 3, "grids": {"error": [0.5]}}
     s = resolve_scenario(doc, {"seed": 7, "grids": {"error": [0.1, 0.2]}})
     assert s.seed == 7
-    assert s.grids["error"] == [0.1, 0.2]
+    assert s.grids["error"].tolist() == [0.1, 0.2]
 
 
 def test_scenario_windows_fit_the_synthetic_rate():
@@ -140,8 +152,8 @@ def test_scenario_source_exclusivity():
 
 def test_parse_grid_override():
     grids = parse_grid_override("error=0:1:3,epsilon=0.1:0.2:2")
-    assert grids["error"] == pytest.approx([0.0, 0.5, 1.0], abs=1e-15)
-    assert grids["epsilon"] == pytest.approx([0.1, 0.2], abs=1e-15)
+    assert grids["error"].tolist() == pytest.approx([0.0, 0.5, 1.0], abs=1e-15)
+    assert grids["epsilon"].tolist() == pytest.approx([0.1, 0.2], abs=1e-15)
     with pytest.raises(ConfigError, match="unknown grid"):
         parse_grid_override("theta=0:1:3")
     with pytest.raises(ConfigError, match="lo:hi:n"):
