@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from itertools import compress
@@ -56,7 +57,7 @@ from .leakage import (
 )
 from .qoe import CASES, classify, classify_vec, qoe, qoe_vec
 from .resources import capability, mc_avg_rate, sfov_radius
-from .tables import CHUNK_ROWS, Categorical, round_floats, write_csv, write_json
+from .tables import CHUNK_ROWS, Categorical, json_cells, round_floats, write_csv, write_json
 from .traces import TraceFormatError, generate_synthetic_traces, load_traces, predict_all
 
 #: Samples for the optional channel-rate estimate in ``resource``.
@@ -205,8 +206,21 @@ def cmd_sweep_leakage(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_objects(names: list[str], block: np.ndarray, keep: np.ndarray) -> list[str]:
+    """Per row of ``block`` (row, name), the JSON object of the ``names``
+    (sorted) that ``keep`` marks, at a point's depth; every radius reports
+    at least one case."""
+    keys = [f'\n        "{name}": ' for name in names]
+    return [
+        "{" + ",".join(compress(map(operator.add, keys, cells), kept)) + "\n      }"
+        for cells, kept in zip(zip(*map(json_cells, block.T)), keep.tolist())
+    ]
+
+
 def _write_report(args: argparse.Namespace, report: AggregateReport) -> None:
-    """Write ``report.json`` as `write_json` would, the points `CHUNK_ROWS` radii at a time."""
+    """Write ``report.json``: the bytes of ``json.dumps(round_floats(doc), indent=2,
+    sort_keys=True)``, with the points rendered from the sweep's columns
+    `CHUNK_ROWS` radii at a time."""
     path = Path(args.out) / "report.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     head = {
@@ -220,21 +234,23 @@ def _write_report(args: argparse.Namespace, report: AggregateReport) -> None:
         "points": None,
     }
     before, after = json.dumps(round_floats(head), indent=2, sort_keys=True).split('"points": null')
-    sweep, names = report.sweep, [case.value for case in CASES]
-    columns = (sweep.r_sv, sweep.ratios, sweep.components, sweep.reported, sweep.total, sweep.mean_qoe)
+    sweep, reported = report.sweep, report.sweep.reported
+    order = sorted(range(len(CASES)), key=lambda k: CASES[k].value)
+    names = [CASES[k].value for k in order]
     with path.open("w", encoding="utf-8") as fh:
         fh.write(before + '"points": [')
         for a in range(0, len(sweep), CHUNK_ROWS):
+            rows = slice(a, a + CHUNK_ROWS)
+            keep = reported[rows, order]
+            ratios = _json_objects(names, sweep.ratios[rows, order], keep)
+            components = _json_objects(names, sweep.components[rows, order], keep)
+            scalars = map(json_cells, (sweep.total[rows], sweep.mean_qoe[rows], sweep.r_sv[rows]))
             points = [
-                {"r_sv_rad": r_sv, "case_ratios": dict(compress(zip(names, ratios), keep)),
-                 "leakage_components": dict(compress(zip(names, comps), keep)),
-                 "leakage_total": total, "mean_qoe": mean_qoe}
-                for r_sv, ratios, comps, keep, total, mean_qoe
-                in zip(*(c[a:a + CHUNK_ROWS].tolist() for c in columns))
+                f'{{\n      "case_ratios": {r},\n      "leakage_components": {c},\n      '
+                f'"leakage_total": {t},\n      "mean_qoe": {q},\n      "r_sv_rad": {s}\n    }}'
+                for r, c, t, q, s in zip(ratios, components, *scalars)
             ]
-            # the chunk's points one level deeper, without the list's brackets
-            text = json.dumps(round_floats(points), indent=2, sort_keys=True)[1:-2]
-            fh.write(("," if a else "") + text.replace("\n", "\n  "))
+            fh.write(("," if a else "") + "\n    " + ",\n    ".join(points))
         fh.write(("\n  ]" if len(sweep) else "]") + after + "\n")
     _say(f"wrote {path}")
 

@@ -88,6 +88,11 @@ def _cells(column, style: _Style) -> list[str]:
     return np.array(list(text), dtype=object)[index].tolist()
 
 
+def json_cells(column: np.ndarray) -> list[str]:
+    """The cells of a float column as `write_json` renders them."""
+    return _cells(column, _JSON)
+
+
 def _table(header: Sequence[str], columns: Sequence) -> tuple[list, int]:
     """Columns as arrays (a `Categorical` as is), and their common length."""
     columns = [c if isinstance(c, Categorical) else np.asarray(c) for c in columns]

@@ -15,7 +15,7 @@ import csv
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -49,35 +49,14 @@ class ViewpointTrace:
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.timestamps, dtype=float)
-        th = np.asarray(self.theta, dtype=float)
+        th = np.array(self.theta, dtype=float)  # a copy: the longitude wrap works in place
         ph = np.asarray(self.phi, dtype=float)
         if not (ts.ndim == th.ndim == ph.ndim == 1) or not (len(ts) == len(th) == len(ph)):
             raise TraceFormatError("timestamps/theta/phi must be 1-d arrays of equal length")
-        if len(ts) < 2:
-            raise TraceFormatError(f"trace {self.user_id}/{self.video_id} has fewer than 2 samples")
-        if not (np.isfinite(ts).all() and np.isfinite(th).all() and np.isfinite(ph).all()):
-            raise TraceFormatError(f"trace {self.user_id}/{self.video_id} has non-finite samples")
-        if np.any(np.abs(ph) > math.pi / 2):
-            bad = int(np.argmax(np.abs(ph) > math.pi / 2))
-            raise TraceFormatError(
-                f"trace {self.user_id}/{self.video_id} sample {bad}: "
-                f"latitude {ph[bad]!r} outside [-pi/2, pi/2]"
-            )
-        gaps = np.diff(ts)
-        if np.any(gaps <= 0):
-            bad = int(np.argmax(gaps <= 0))
-            raise TraceFormatError(
-                f"trace {self.user_id}/{self.video_id} sample {bad + 1}: "
-                "timestamps not strictly increasing"
-            )
-        if np.max(gaps) - np.min(gaps) > SPACING_TOL:
-            raise TraceFormatError(
-                f"trace {self.user_id}/{self.video_id}: non-uniform sample spacing "
-                f"(min {np.min(gaps)!r}, max {np.max(gaps)!r})"
-            )
-        # wrap the longitude to [-pi, pi) with an exact fmod
-        th = np.fmod(th + math.pi, TWO_PI)
-        th = np.where(th < 0.0, th + TWO_PI, th) - math.pi
+        key, bounds = [(self.user_id, self.video_id)], np.array([0, len(ts)])
+        fault = _check_population(key, ts, th, ph, bounds)
+        if fault is not None:
+            raise TraceFormatError(fault)
         for name, arr in (("timestamps", ts), ("theta", th), ("phi", ph)):
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
@@ -92,14 +71,79 @@ class ViewpointTrace:
 
     def unit_vectors(self) -> np.ndarray:
         """Samples as rows of unit 3-vectors."""
-        return np.stack(
-            [
-                np.cos(self.phi) * np.cos(self.theta),
-                np.cos(self.phi) * np.sin(self.theta),
-                np.sin(self.phi),
-            ],
-            axis=1,
-        )
+        return _unit_vectors(self.theta, self.phi)
+
+
+def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit 3-vectors (..., xyz) at longitude ``theta`` and latitude ``phi``."""
+    return np.stack(
+        [np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta), np.sin(phi)], axis=-1
+    )
+
+
+def _check_population(
+    keys: list[tuple[str, str]], ts: np.ndarray, th: np.ndarray, ph: np.ndarray,
+    bounds: np.ndarray,
+) -> str | None:
+    """Check traces laid end to end in flat float64 columns, then wrap their
+    longitudes to [-pi, pi) in place.
+
+    Trace ``i`` is rows ``bounds[i]:bounds[i + 1]``, keyed ``keys[i]``.  A
+    trace is bad when it has fewer than 2 samples, a non-finite sample, a
+    latitude beyond pi/2, timestamps not strictly increasing, or sample
+    spacings differing by more than `SPACING_TOL`, in that order.  Returns
+    the `TraceFormatError` message of the first bad trace, leaving ``th``
+    as it was, or None once ``th`` is wrapped with an exact fmod.
+    """
+    starts = bounds[:-1]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
+        finite = np.isfinite(ts)
+        finite &= np.isfinite(th)
+        finite &= np.isfinite(ph)
+        # gaps[j] = ts[j + 1] - ts[j] within a trace; NaN after each trace's last
+        # sample (and one past the end), which the comparisons and fmin/fmax skip
+        gaps = np.full(len(ts) + 1, np.nan)
+        np.subtract(ts[1:], ts[:-1], out=gaps[: len(ts) - 1])
+        gaps[bounds[1:] - 1] = np.nan
+        lo, hi = np.fmin.reduceat(gaps, starts), np.fmax.reduceat(gaps, starts)
+        uneven = hi - lo > SPACING_TOL
+    # the first row failing each row check
+    bad, steep, back = (
+        np.flatnonzero(mask)[:1]
+        for mask in (~finite, (ph > math.pi / 2) | (ph < -math.pi / 2), gaps <= 0.0)
+    )
+
+    def trace_of(rows: np.ndarray) -> np.ndarray:
+        return np.searchsorted(bounds, rows, side="right") - 1
+
+    checks = [  # each check's first failing trace, if any, and what is said of it
+        (np.flatnonzero(np.diff(bounds) < 2)[:1], lambda i: " has fewer than 2 samples"),
+        (trace_of(bad), lambda i: " has non-finite samples"),
+        (trace_of(steep), lambda i: (
+            f" sample {steep[0] - starts[i]}: latitude {ph[steep[0]]!r} outside [-pi/2, pi/2]")),
+        (trace_of(back), lambda i: (
+            f" sample {back[0] - starts[i] + 1}: timestamps not strictly increasing")),
+        (np.flatnonzero(uneven)[:1], lambda i: (
+            f": non-uniform sample spacing (min {lo[i]!r}, max {hi[i]!r})")),
+    ]
+    failing = [(int(first[0]), k) for k, (first, _) in enumerate(checks) if first.size]
+    if failing:
+        i, k = min(failing)  # the first bad trace, and the first check it fails
+        return f"trace {keys[i][0]}/{keys[i][1]}{checks[k][1](i)}"
+    th += math.pi
+    np.fmod(th, TWO_PI, out=th)
+    np.add(th, TWO_PI, out=th, where=th < 0.0)
+    th -= math.pi
+    return None
+
+
+def _trusted(*values) -> ViewpointTrace:
+    """A trace of the field ``values``, its arrays read-only ones that
+    `_check_population` passed, not checked again."""
+    trace = object.__new__(ViewpointTrace)
+    for field, value in zip(fields(ViewpointTrace), values):
+        object.__setattr__(trace, field.name, value)
+    return trace
 
 
 def load_traces(path: str | Path) -> list[ViewpointTrace]:
@@ -277,7 +321,8 @@ def _load_columns(path: Path) -> list[ViewpointTrace]:
     every file it cannot vouch the row loop reads the same: a header that
     does not match, `_UNSAFE` bytes, lone CRs, rows without five fields,
     values ``loadtxt`` rejects (``1_0``, full-width digits), rows of a key
-    after its trace ended, and samples `ViewpointTrace` rejects.
+    after its trace ended, and traces `_check_population` rejects, which it
+    checks together once every row is read.
     """
     if not path.is_file():  # a pipe is read once, by the row loop
         raise _NotColumnar("not a regular file")
@@ -306,11 +351,18 @@ def _load_columns(path: Path) -> list[ViewpointTrace]:
             firsts += (changed + n).tolist()
             keys += block_keys
             n += m
-    traces = []
-    for key, lo, hi in zip(keys, firsts, firsts[1:] + [n]):
-        user, video = key.decode("utf-8").split(",")
-        traces.append(ViewpointTrace(user, video, ts[lo:hi], th[lo:hi], ph[lo:hi]))
-    return traces
+    pairs = [tuple(key.decode("utf-8").split(",")) for key in keys]
+    bounds = np.array(firsts + [n])
+    ts, th, ph = ts[:n], th[:n], ph[:n]
+    fault = _check_population(pairs, ts, th, ph, bounds)
+    if fault is not None:
+        raise _NotColumnar(fault)
+    for column in (ts, th, ph):
+        column.flags.writeable = False
+    return [
+        _trusted(user, video, ts[lo:hi], th[lo:hi], ph[lo:hi])
+        for (user, video), lo, hi in zip(pairs, firsts, bounds[1:].tolist())
+    ]
 
 
 def save_traces(path: str | Path, traces: list[ViewpointTrace]) -> None:
@@ -408,6 +460,18 @@ def _unit_tangents(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p / norm[:, None]
 
 
+#: Steps whose random points `_step_points` computes at a time.
+_STEP_BLOCK = 64
+
+
+def _step_points(steps: np.ndarray) -> Iterator[np.ndarray]:
+    """The random points (trace, xyz) of the steps (trace, step, (u, z, t)),
+    step by step, computed `_STEP_BLOCK` steps at a time."""
+    for k in range(0, steps.shape[1], _STEP_BLOCK):
+        block = steps[:, k : k + _STEP_BLOCK]
+        yield from _points(block[:, :, 1].T, block[:, :, 2].T)  # (step, trace, xyz)
+
+
 def _random_walk(draws: np.ndarray, kappa: float) -> np.ndarray:
     """Unit vectors (trace, sample, xyz) of von-Mises-Fisher random walks.
 
@@ -427,8 +491,8 @@ def _random_walk(draws: np.ndarray, kappa: float) -> np.ndarray:
     vecs = np.empty((n_traces, steps.shape[1] + 1, 3))
     v = _points(draws[:, 0], draws[:, 1])
     vecs[:, 0] = v
-    for k in range(steps.shape[1]):
-        tangent = _unit_tangents(v, _points(steps[:, k, 1], steps[:, k, 2]))
+    for k, point in enumerate(_step_points(steps)):
+        tangent = _unit_tangents(v, point)
         v = w[:, k, None] * v + s[:, k, None] * tangent
         v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
         vecs[:, k + 1] = v
@@ -474,10 +538,14 @@ def generate_synthetic_traces(
     phi = np.arcsin(np.clip(vecs[:, :, 2], -1.0, 1.0))
     del vecs
     label = type(model).__name__.lower()
-    return [
-        ViewpointTrace(f"synthetic-{i:03d}", label, times, theta[i], phi[i])
-        for i in range(n_traces)
-    ]
+    keys = [(f"synthetic-{i:03d}", label) for i in range(n_traces)]
+    bounds = np.arange(n_traces + 1) * n
+    fault = _check_population(keys, np.tile(times, n_traces), theta.ravel(), phi.ravel(), bounds)
+    if fault is not None:
+        raise TraceFormatError(fault)
+    for column in (times, theta, phi):
+        column.flags.writeable = False
+    return [_trusted(user, video, times, theta[i], phi[i]) for i, (user, video) in enumerate(keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +605,19 @@ class Predictor(enum.Enum):
     GREAT_CIRCLE = "great_circle_extrapolation"
 
 
+#: Frames `predict_all` predicts at a time, about 100 KiB per work array.
+_CHUNK_FRAMES = 4096
+
+
 def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -> np.ndarray:
-    """Run segment-wise prediction over a trace and emit per-frame errors.
+    """`predict_all` of the one trace."""
+    return predict_all([trace], win, predictor)
+
+
+def predict_all(
+    traces: list[ViewpointTrace], win: WindowingConfig, predictor: Predictor
+) -> np.ndarray:
+    """Run segment-wise prediction over traces and emit per-frame errors.
 
     For each predicted segment the observation window ends ``t_cc`` before
     the segment starts; the predictor sees only those samples.
@@ -546,34 +625,66 @@ def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -
     continues the great circle through the last two observed points at
     their observed angular rate (holding position when they coincide).
     Trailing samples that do not fill a whole segment are ignored.  Window
-    sample counts are `WindowingConfig.samples` at the trace's own rate; a
-    window that is not a whole number of them raises `TraceFormatError`.
+    sample counts are `WindowingConfig.samples` at each trace's own rate; a
+    window that is not a whole number of them, or a trace too short for one
+    predicted segment, raises `TraceFormatError` for the first such trace.
+
+    Consecutive traces of one length and rate are predicted together, a
+    chunk of about `_CHUNK_FRAMES` frames at a time.
 
     Returns:
-        The errors in radians, one per frame of every predicted segment,
-        segment-major: ``(len(trace) // spseg - passive_prefix) * spseg``
-        of them, ``spseg`` being the samples per segment.
+        The errors in radians, in trace order, and per trace one per frame
+        of every predicted segment, segment-major:
+        ``(len(trace) // spseg - passive_prefix) * spseg`` of them,
+        ``spseg`` being the samples per segment.
     """
-    try:
-        obw, cc, spseg = win.samples(trace.sample_rate)
-    except ValueError as exc:
-        raise TraceFormatError(f"trace {trace.user_id}/{trace.video_id}: {exc}") from None
-    if len(trace) < obw + cc + spseg:
-        raise TraceFormatError(
-            f"trace {trace.user_id}/{trace.video_id} has {len(trace)} samples, "
-            f"needs at least {obw + cc + spseg} for one predicted segment"
-        )
-    vecs = trace.unit_vectors()
-    segments = np.arange(win.passive_prefix, len(trace) // spseg)
+    if not traces:
+        raise ValueError("no traces given")
+    runs = []  # (first trace, past the last, window samples, frames per trace)
+    lo = 0
+    for (n, rate), run in itertools.groupby(traces, key=lambda tr: (len(tr), tr.sample_rate)):
+        hi, name = lo + len(list(run)), f"{traces[lo].user_id}/{traces[lo].video_id}"
+        try:
+            obw, cc, spseg = win.samples(rate)
+        except ValueError as exc:
+            raise TraceFormatError(f"trace {name}: {exc}") from None
+        if n < obw + cc + spseg:
+            raise TraceFormatError(
+                f"trace {name} has {n} samples, "
+                f"needs at least {obw + cc + spseg} for one predicted segment"
+            )
+        runs.append((lo, hi, (obw, cc, spseg), max(0, n // spseg - win.passive_prefix) * spseg))
+        lo = hi
+    out = np.empty(sum((hi - lo) * frames for lo, hi, _, frames in runs))
+    at = 0
+    for lo, hi, windows, frames in runs:
+        step = max(1, _CHUNK_FRAMES // max(1, frames))  # traces per chunk
+        for first in range(lo, hi, step):
+            chunk = traces[first : min(first + step, hi)]
+            theta, phi = (np.stack([getattr(tr, name) for tr in chunk]) for name in ("theta", "phi"))
+            errors = out[at : at + len(chunk) * frames]
+            _predict_block(_unit_vectors(theta, phi), win.passive_prefix, windows, predictor, errors)
+            at += errors.size
+    return out
+
+
+def _predict_block(
+    vecs: np.ndarray, prefix: int, windows: tuple[int, int, int], predictor: Predictor,
+    out: np.ndarray,
+) -> None:
+    """`predict_all` over the unit vectors (trace, sample, xyz) of traces of
+    one length and rate, into ``out``."""
+    obw, cc, spseg = windows
+    segments = np.arange(prefix, vecs.shape[1] // spseg)
     frames = np.arange(spseg)
     seg_start = segments * spseg
     # the observation window ends cc samples before each segment starts
     last_i = seg_start - cc - 1
-    last = vecs[last_i]
-    actual = vecs[seg_start[:, None] + frames]  # (segment, frame, xyz)
+    last = vecs[:, last_i].reshape(-1, 3)  # (trace and segment, xyz)
+    actual = vecs[:, seg_start[:, None] + frames].reshape(-1, spseg, 3)  # (.., frame, xyz)
     pred = np.repeat(last[:, None, :], spseg, axis=1)
     if predictor is Predictor.GREAT_CIRCLE and obw >= 2:
-        prev = vecs[last_i - 1]
+        prev = vecs[:, last_i - 1].reshape(-1, 3)
         gap = np.arccos(np.clip(np.einsum("ij,ij->i", prev, last), -1.0, 1.0))
         # below ~1e-7 rad/sample, 1 - cos(gap) drowns in rounding and the
         # frame construction degenerates; those segments hold position
@@ -589,13 +700,4 @@ def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -
         angles = (gap[:, None] * (frames + cc + 1))[:, :, None]
         pred[moving] = np.cos(angles) * last[:, None, :] + np.sin(angles) * t_hat[:, None, :]
     dots = np.clip(np.einsum("ijk,ijk->ij", actual, pred), -1.0, 1.0)
-    return np.arccos(dots).ravel()
-
-
-def predict_all(
-    traces: list[ViewpointTrace], win: WindowingConfig, predictor: Predictor
-) -> np.ndarray:
-    """Concatenate `predict` over one or more traces, in trace order."""
-    if not traces:
-        raise ValueError("no traces given")
-    return np.concatenate([predict(tr, win, predictor) for tr in traces])
+    np.arccos(dots, out=out.reshape(dots.shape))

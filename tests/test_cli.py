@@ -6,14 +6,18 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vrpl
 
 from vrpl import (
     CASES,
+    AggregateReport,
     ConfigError,
     OverlapCase,
     Predictor,
@@ -21,6 +25,7 @@ from vrpl import (
     SweepTable,
     build_report,
     leak_prob_from_error,
+    leakage_regions,
     parse_grid_override,
     qoe,
     resolve_scenario,
@@ -29,7 +34,7 @@ from vrpl.cli import InternalInconsistencyError, _check_report, _write_report, m
 from vrpl import config
 from vrpl.config import MAX_ELEMENTS, load_config
 from vrpl.qoe import CASE_CODE, PARTITION_CASES
-from vrpl.tables import read_csv, write_json
+from vrpl.tables import read_csv, round_floats, write_json
 
 FOV = math.radians(50.0)
 
@@ -682,6 +687,43 @@ def test_streamed_report_matches_whole_document(tmp_path, monkeypatch, grid, req
     _write_report(argparse.Namespace(out=str(tmp_path)), report)
     write_json(tmp_path / "whole.json", _report_oracle(report))
     assert (tmp_path / "report.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+
+
+#: Report cells: signed zeros, a subnormal, NaN and infinities (JSON null),
+#: and values whose 12-digit rendering rounds.
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 / 3.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def _sweep_tables(draw) -> SweepTable:
+    """Sweep tables of 1 to 12 radii, the degenerate radii 0, -0.0 and pi among them."""
+    radius = st.one_of(st.sampled_from([0.0, -0.0, math.pi]), st.floats(0.0, math.pi))
+    r_sv = np.array(draw(st.lists(radius, min_size=1, max_size=12)))
+    n = r_sv.size
+    blocks = [np.array(draw(st.lists(_CELLS, min_size=n * k, max_size=n * k))).reshape(n, k)
+              for k in (len(CASES), len(CASES), 1, 1)]
+    return SweepTable(r_sv, *blocks[:2], blocks[2][:, 0], blocks[3][:, 0])
+
+
+@given(sweep=_sweep_tables(), chunk=st.integers(1, 5))
+@example(
+    sweep=SweepTable(np.array([0.0, 0.5, math.pi]), np.full((3, len(CASES)), -0.0),
+                     np.zeros((3, len(CASES))), np.array([-0.0, 0.25, 1.0]), np.full(3, -0.0)),
+    chunk=2,
+)
+@settings(max_examples=100)
+def test_report_json_is_json_dumps_of_the_points(tmp_path_factory, sweep, chunk):
+    # the columnar rendering against json.dumps of per-radius dicts, across chunks
+    out = tmp_path_factory.mktemp("report")
+    report = AggregateReport(3, FOV, 0.4 * FOV, leakage_regions(FOV, 0.4 * FOV), sweep)
+    with patch("vrpl.cli.CHUNK_ROWS", chunk):
+        _write_report(argparse.Namespace(out=str(out)), report)
+    want = json.dumps(round_floats(_report_oracle(report)), indent=2, sort_keys=True) + "\n"
+    assert (out / "report.json").read_text(encoding="utf-8") == want
 
 
 _TRACE_MEMORY_PROBE = """

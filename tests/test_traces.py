@@ -236,10 +236,10 @@ def test_synthetic_matches_scalar_reference(model, seed):
 
 class _RecordingRng:
     """Stands in for `np.random.default_rng`: records each ``uniform`` size
-    and returns ``draws`` instead of fresh numbers when given."""
+    and result, and returns ``draws`` instead of fresh numbers when given."""
 
     def __init__(self, draws=None):
-        self.draws, self.sizes = draws, []
+        self.draws, self.sizes, self.results = draws, [], []
         self.default_rng = np.random.default_rng
 
     def __call__(self, seed):
@@ -248,7 +248,8 @@ class _RecordingRng:
 
     def uniform(self, low, high, size):
         self.sizes.append(size)
-        return self.rng.uniform(low, high, size) if self.draws is None else self.draws
+        self.results.append(self.rng.uniform(low, high, size) if self.draws is None else self.draws)
+        return self.results[-1]
 
 
 def test_synthetic_draws_one_block(monkeypatch):
@@ -497,3 +498,247 @@ def test_columnar_parse_takes_clean_files_of_many_blocks(tmp_path):
     columns = traces_module._load_columns(path)
     assert _outcome(lambda p: columns, path) == _outcome(traces_module._load_rows, path)
     assert [(t.user_id, len(t)) for t in columns] == [("a", 1000), ("b c", 1000), ("d", 1000)]
+
+
+# ---------------------------------------------------------------------------
+# the batched prediction kernel against the per-trace one it replaced
+
+
+def _predict_reference(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -> np.ndarray:
+    """One trace's errors, computed on that trace alone (the kernel before batching)."""
+    try:
+        obw, cc, spseg = win.samples(trace.sample_rate)
+    except ValueError as exc:
+        raise TraceFormatError(f"trace {trace.user_id}/{trace.video_id}: {exc}") from None
+    if len(trace) < obw + cc + spseg:
+        raise TraceFormatError(
+            f"trace {trace.user_id}/{trace.video_id} has {len(trace)} samples, "
+            f"needs at least {obw + cc + spseg} for one predicted segment"
+        )
+    vecs = trace.unit_vectors()
+    segments = np.arange(win.passive_prefix, len(trace) // spseg)
+    frames = np.arange(spseg)
+    seg_start = segments * spseg
+    last_i = seg_start - cc - 1
+    last = vecs[last_i]
+    actual = vecs[seg_start[:, None] + frames]
+    pred = np.repeat(last[:, None, :], spseg, axis=1)
+    if predictor is Predictor.GREAT_CIRCLE and obw >= 2:
+        prev = vecs[last_i - 1]
+        gap = np.arccos(np.clip(np.einsum("ij,ij->i", prev, last), -1.0, 1.0))
+        moving = gap > 1e-7
+        gap, prev, last = gap[moving], prev[moving], last[moving]
+        cos_gap, sin_gap = np.cos(gap)[:, None], np.sin(gap)[:, None]
+        side = last - prev * cos_gap
+        side /= np.linalg.norm(side, axis=1, keepdims=True)
+        t_hat = side * cos_gap - prev * sin_gap
+        angles = (gap[:, None] * (frames + cc + 1))[:, :, None]
+        pred[moving] = np.cos(angles) * last[:, None, :] + np.sin(angles) * t_hat[:, None, :]
+    dots = np.clip(np.einsum("ijk,ijk->ij", actual, pred), -1.0, 1.0)
+    return np.arccos(dots).ravel()
+
+
+def _errors_or_message(run):
+    """``run()``'s result bytes, or its `TraceFormatError` message."""
+    try:
+        return run().tobytes()
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+#: Windows whole at 4, 5 and 10 Hz; (0.5, 0.5, 1.0) is not whole at 3 Hz.
+_WINDOWS = [WIN, WindowingConfig(t_obw=0.4, t_cc=0.6, t_pdw=0.5), WindowingConfig(0.5, 0.5, 1.0)]
+
+
+@st.composite
+def _populations(draw):
+    """Runs of traces sharing a length and rate, some moving, some holding
+    position (or creeping by at most 1e-7 rad a sample), a short or odd-rate
+    trace among them now and then."""
+    traces = []
+    for run in range(draw(st.integers(1, 4))):
+        rate = draw(st.sampled_from([4.0, 5.0, 10.0, 3.0] if run else [4.0, 5.0, 10.0]))
+        n = draw(st.integers(12, 70))
+        for _ in range(draw(st.integers(1, 4))):
+            steps = draw(st.sampled_from([0.0, 1e-9, 5e-8, 1e-7, 1e-3, 0.05, 0.4]))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            theta = np.cumsum(rng.normal(0.0, steps, n)) + draw(st.floats(-4.0, 4.0))
+            phi = np.clip(np.cumsum(rng.normal(0.0, steps, n)), -1.5, 1.5)
+            if draw(st.booleans()):  # hold position over a stretch
+                lo = draw(st.integers(0, n - 1))
+                theta[lo:], phi[lo:] = theta[lo], phi[lo]
+            traces.append(ViewpointTrace(f"u{len(traces)}", "v", np.arange(n) / rate, theta, phi))
+    return traces
+
+
+@given(
+    traces=_populations(),
+    win=st.sampled_from(_WINDOWS),
+    predictor=st.sampled_from(list(Predictor)),
+    chunk=st.sampled_from([1, 7, 64, 8192]),
+)
+@example(  # a segment whose two last observed points are 1e-7 apart holds position
+    traces=[ViewpointTrace("u", "v", np.arange(40) / 5.0, np.arange(40) * 1e-7, np.zeros(40))],
+    win=WIN, predictor=Predictor.GREAT_CIRCLE, chunk=8192,
+)
+@example(  # two runs, the first shorter than a chunk
+    traces=[ViewpointTrace(u, "v", np.arange(n) / 5.0, np.linspace(0.0, 1.0, n), np.zeros(n))
+            for u, n in (("a", 30), ("b", 30), ("c", 40))],
+    win=WIN, predictor=Predictor.LAST_POSITION, chunk=64,
+)
+@settings(max_examples=300, deadline=None)
+def test_predict_all_is_bit_identical_to_per_trace_prediction(traces, win, predictor, chunk):
+    def outcomes(population):
+        """What the batched kernel and the per-trace one make of ``population``."""
+        return (
+            _errors_or_message(lambda: predict_all(population, win, predictor)),
+            _errors_or_message(lambda: np.concatenate(
+                [_predict_reference(tr, win, predictor) for tr in population]
+            )),
+        )
+
+    short = ViewpointTrace("short", "v", np.arange(6) / 5.0, np.zeros(6), np.zeros(6))
+    with patch.object(traces_module, "_CHUNK_FRAMES", chunk):
+        got, want = outcomes(traces)
+        assert got == want
+        # a too-short trace among them: the first bad trace in order is reported
+        for at in (0, len(traces) // 2, len(traces)):
+            got, want = outcomes(traces[:at] + [short] + traces[at:])
+            assert got == want and isinstance(got, str)
+
+
+# ---------------------------------------------------------------------------
+# the population check against one trace at a time
+
+
+def _reference_fault(name: str, ts: np.ndarray, th: np.ndarray, ph: np.ndarray) -> str | None:
+    """What checking one trace on its own says of it (the check before populations)."""
+    if len(ts) < 2:
+        return f"trace {name} has fewer than 2 samples"
+    if not (np.isfinite(ts).all() and np.isfinite(th).all() and np.isfinite(ph).all()):
+        return f"trace {name} has non-finite samples"
+    if np.any(np.abs(ph) > math.pi / 2):
+        bad = int(np.argmax(np.abs(ph) > math.pi / 2))
+        return f"trace {name} sample {bad}: latitude {ph[bad]!r} outside [-pi/2, pi/2]"
+    gaps = np.diff(ts)
+    if np.any(gaps <= 0):
+        bad = int(np.argmax(gaps <= 0))
+        return f"trace {name} sample {bad + 1}: timestamps not strictly increasing"
+    if np.max(gaps) - np.min(gaps) > traces_module.SPACING_TOL:
+        return (f"trace {name}: non-uniform sample spacing "
+                f"(min {np.min(gaps)!r}, max {np.max(gaps)!r})")
+    return None
+
+
+#: Ways a trace's samples can be bad, injected at a drawn sample.
+_FAULTS = ["nan", "inf", "latitude", "pole", "repeat", "backwards", "uneven", "jitter", "short"]
+
+
+@st.composite
+def _sample_blocks(draw, min_traces=1):
+    """Traces as (key, timestamps, theta, phi), each with a few `_FAULTS`."""
+    blocks = []
+    for i in range(draw(st.integers(min_traces, 5))):
+        n = draw(st.integers(2, 8))
+        start, dt = draw(st.sampled_from([0.0, 3.5, -1e3])), draw(st.sampled_from([0.2, 0.25, 1 / 3]))
+        ts = start + np.arange(n) * dt
+        th = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+        ph = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+        for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+            j = draw(st.integers(0, n - 1))
+            if fault == "nan":
+                draw(st.sampled_from([ts, th, ph]))[j] = math.nan
+            elif fault == "inf":
+                draw(st.sampled_from([ts, th, ph]))[j] = draw(st.sampled_from([math.inf, -math.inf]))
+            elif fault == "latitude":
+                ph[j] = draw(st.sampled_from([1.6, -1.6, np.nextafter(math.pi / 2, 2.0)]))
+            elif fault == "pole":  # on the bound: still good
+                ph[j] = draw(st.sampled_from([math.pi / 2, -math.pi / 2]))
+            elif fault == "repeat" and j:
+                ts[j] = ts[j - 1]
+            elif fault == "backwards":
+                ts[j:] -= draw(st.sampled_from([dt, 2 * dt, 5.0]))
+            elif fault == "uneven":
+                ts[j:] += draw(st.sampled_from([2e-6, 0.05]))
+            elif fault == "jitter":  # within SPACING_TOL: still good
+                ts[j:] += 4e-7
+            elif fault == "short":
+                ts, th, ph = ts[:1], th[:1], ph[:1]
+                break
+        blocks.append(((f"u{i}", "v"), ts, th, ph))
+    return blocks
+
+
+def _population_fault(blocks):
+    """`_check_population` over ``blocks`` laid end to end: its message, and the wrapped theta."""
+    keys = [key for key, *_ in blocks]
+    ts, th, ph = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
+    bounds = np.cumsum([0] + [len(b[1]) for b in blocks])
+    return traces_module._check_population(keys, ts, th, ph, bounds), th
+
+
+@given(blocks=_sample_blocks())
+@example(blocks=[(("u", "v"), np.array([0.0, 0.2, 0.3]), np.zeros(3), np.zeros(3)),
+                 (("w", "v"), np.array([0.0]), np.zeros(1), np.zeros(1))])
+@settings(max_examples=300)
+def test_population_check_matches_one_trace_at_a_time(blocks):
+    want = next(
+        (fault for key, *cols in blocks if (fault := _reference_fault("/".join(key), *cols))), None
+    )
+    got, theta = _population_fault(blocks)
+    assert got == want
+    for key, ts, th, ph in blocks:  # each trace on its own: the same message, the same theta
+        fault = _reference_fault("/".join(key), ts, th, ph)
+        try:
+            tr = ViewpointTrace(*key, ts, th, ph)
+        except TraceFormatError as exc:
+            assert str(exc) == fault
+            continue
+        assert fault is None
+        want_theta = np.array([_wrap_longitude(x) for x in th])
+        assert tr.theta.tobytes() == want_theta.tobytes()
+    if want is None:
+        wrapped = np.array([_wrap_longitude(x) for _, _, th, _ in blocks for x in th])
+        assert theta.tobytes() == wrapped.tobytes()
+
+
+def test_bad_csv_trace_is_reported_by_the_row_loop(tmp_path):
+    # the columnar parse refuses the file; the row loop gives the same message
+    text = HEADER + "a,v,0.0,0.0,0.0\na,v,0.2,0.0,0.0\nb,v,0.0,0.0,0.0\nb,v,0.2,0.0,0.0\nb,v,0.5,0.0,0.0\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(traces_module._NotColumnar, match=r"^trace b/v: non-uniform sample spacing"):
+        traces_module._load_columns(path)
+    assert _outcome(load_traces, path) == _outcome(traces_module._load_rows, path)
+    assert _outcome(load_traces, path).startswith("trace b/v: non-uniform")
+
+
+@given(thetas=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=12), split=st.integers(1, 11))
+@settings(max_examples=100)
+def test_loaded_longitudes_are_the_scalar_wrap(thetas, split):
+    thetas = [math.pi, -math.pi, 3 * math.pi, *thetas]
+    cut = min(split, len(thetas) - 3)  # two samples at least in each trace
+    rows = [f"{'a' if i <= cut else 'b'},v,{i / 5!r},{x!r},0.0\n" for i, x in enumerate(thetas)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traces.csv"
+        path.write_text(HEADER + "".join(rows), encoding="utf-8")
+        traces = traces_module._load_columns(path)
+    got = np.concatenate([tr.theta for tr in traces])
+    assert got.tobytes() == np.array([_wrap_longitude(x) for x in thetas]).tobytes()
+
+
+@pytest.mark.parametrize("model", [RandomWalk(5.0), GreatCircleDrift(0.7)], ids=repr)
+def test_synthetic_longitudes_are_the_scalar_wrap(monkeypatch, model):
+    rec = _RecordingRng()
+    monkeypatch.setattr(np.random, "default_rng", rec)
+    traces = generate_synthetic_traces(model, 30, 40.0, 5.0, seed=2)
+    (d,) = rec.results
+    if isinstance(model, GreatCircleDrift):
+        start = _points(d[:, 0], d[:, 1])
+        tangent = _unit_tangents(start, _points(d[:, 2], d[:, 3]))
+        angles = (model.rate * (np.arange(200) / 5.0))[:, None]
+        vecs = np.cos(angles) * start[:, None, :] + np.sin(angles) * tangent[:, None, :]
+    else:
+        vecs = traces_module._random_walk(d, model.kappa)
+    raw = np.arctan2(vecs[:, :, 1], vecs[:, :, 0])
+    for tr, row in zip(traces, raw):
+        assert tr.theta.tobytes() == np.array([_wrap_longitude(x) for x in row]).tobytes()
