@@ -48,9 +48,9 @@ class ViewpointTrace:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps, dtype=float)
-        th = np.array(self.theta, dtype=float)  # a copy: the longitude wrap works in place
-        ph = np.asarray(self.phi, dtype=float)
+        # copies: the longitude wrap works in place, and the trace's arrays
+        # are made read-only, which must not freeze the caller's
+        ts, th, ph = (np.array(a, dtype=float) for a in (self.timestamps, self.theta, self.phi))
         if not (ts.ndim == th.ndim == ph.ndim == 1) or not (len(ts) == len(th) == len(ph)):
             raise TraceFormatError("timestamps/theta/phi must be 1-d arrays of equal length")
         key, bounds = [(self.user_id, self.video_id)], np.array([0, len(ts)])

@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 
+from vrpl.qoe import qoe_vec
 from vrpl.traces import GreatCircleDrift, MotionModel
 
 TWO_PI = 2.0 * math.pi
+ULP = float(np.finfo(float).eps)
 
 
 def random_partial_overlap_triples(
@@ -49,6 +51,102 @@ def random_view_triples(
             rng, n, margin=margin, r1_range=(0.2, math.pi / 2)
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# the QoE inversion's references
+
+
+#: Width the oracle halves its bracket to, the QoE inversion's old tolerance.
+ORACLE_TOL = 1e-9
+
+#: Slack of a residual comparison, about two ulps of a QoE near 1.
+RESIDUAL_SLACK = 4e-16
+
+
+def inversion_bracket(fov, sv):
+    """The QoE inversion's starting bracket: the partial-overlap interval,
+    1e-12 inside at the top, and at the bottom where that end is 0."""
+    lo = np.maximum(1e-12, np.abs(fov - sv))
+    return lo, np.minimum(fov + sv, TWO_PI - (fov + sv)) - 1e-12
+
+
+def halve_with_qoe_vec(q, fov, sv):
+    """The oracle of the QoE inversion: bisection on ``qoe_vec``.
+
+    The inversion's bracket and update rule (a QoE above the report moves
+    the bottom end); each halving gathers the live brackets and asks
+    ``qoe_vec``, and a bracket stops once at most `ORACLE_TOL` wide (or
+    after 64 halvings).  Returns the midpoints of the last brackets and,
+    for each halving, the field-of-view and streamed radii and the
+    midpoints it evaluated.
+    """
+    lo, hi = inversion_bracket(fov, sv)
+    active = np.arange(q.size)
+    halvings = []
+    for _ in range(64):
+        if not active.size:
+            break
+        f, s, a, b = fov[active], sv[active], lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        halvings.append((f, s, mid))
+        above = qoe_vec(f, s, mid) > q[active]
+        a, b = np.where(above, mid, a), np.where(above, b, mid)
+        lo[active], hi[active] = a, b
+        active = active[b - a > ORACLE_TOL]
+    return 0.5 * (lo + hi), halvings
+
+
+def residual_bound(fov, sv, e, step_ulps=4.0):
+    """The residual the QoE inversion may stop at, for the report whose root is ``e``.
+
+    Twice the rounding floor at ``e``, plus ``|dQoE/de|`` times ``step_ulps``
+    ulps of ``e``.  The slope is ``2 sin r_sv sin a_sv / area``, with
+    ``a_sv`` the angle at the streamed cap's center between the other center
+    and an intersection point (law of cosines).  The rounding floor is the
+    QoE the lens's rounding hides: a quarter ulp of the magnitudes of the
+    lens's terms, plus two ulps of an arccos argument magnified by
+    ``1 / (sin e sin r_sv sin a_sv)``, over the field-of-view area, and
+    infinite where ``sin a_sv`` rounds to 0.
+    """
+    c1, c2, s2 = np.cos(fov), np.cos(sv), np.sin(sv)
+    area = TWO_PI * (1.0 - c1)
+    sin_e = np.sin(e)
+    cos_a = (c1 - np.cos(e) * c2) / (sin_e * s2)
+    sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
+    magnitude = np.abs(TWO_PI * (1.0 - c1 - c2)) + TWO_PI * (1.0 + np.abs(c1) + np.abs(c2))
+    with np.errstate(divide="ignore"):
+        floor = (0.25 * ULP * magnitude + 2.0 * ULP / (sin_e * s2 * sin_a)) / area
+    return 2.0 * floor + 2.0 * s2 * sin_a / area * step_ulps * ULP * e
+
+
+def assert_roots(q, fov, sv, *roots, strict=False):
+    """Each array of ``roots`` the QoE inversion returned for reports ``q`` holds roots.
+
+    Each root lies strictly inside the partial-overlap interval.  Its
+    residual ``|qoe_vec(e) - q|`` is no worse than the oracle's
+    (`halve_with_qoe_vec`) plus `RESIDUAL_SLACK`; unless ``strict``, a
+    residual within `residual_bound` passes too, since below it the
+    residual measures the lens's rounding, not the root.  And the inversion
+    went as far as rounding lets it: the residual is within
+    `residual_bound` plus the slack.  Returns the residuals and the bounds,
+    one pair per array of roots.
+    """
+    q, fov, sv = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (q, fov, sv)))
+    oracle = np.abs(qoe_vec(fov, sv, halve_with_qoe_vec(q, fov, sv)[0]) - q)
+    out = []
+    for e in roots:
+        e = np.broadcast_to(np.asarray(e, dtype=float), q.shape)
+        inside = (np.abs(fov - sv) < e) & (e < np.minimum(fov + sv, TWO_PI - (fov + sv)))
+        assert inside.all(), e[~inside]
+        res = np.abs(qoe_vec(fov, sv, e) - q)
+        bound = residual_bound(fov, sv, e)
+        worse = res > (oracle if strict else np.maximum(oracle, bound)) + RESIDUAL_SLACK
+        assert not worse.any(), list(zip(q[worse], fov[worse], sv[worse], res[worse], oracle[worse]))
+        short = res > bound + RESIDUAL_SLACK
+        assert not short.any(), list(zip(q[short], fov[short], sv[short], res[short], bound[short]))
+        out.append((res, bound))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The array kernels against the scalar reference.
 
 Every array kernel must reproduce its scalar counterpart: case codes,
-inferred cases and zone kinds exactly, floats within 1e-12.  The grids are
-the CLI's default 181 x 181 (r_sv, e) sweep at two field-of-view radii;
-hypothesis adds errors placed exactly on the case boundaries and the
-degenerate streamed-cap radii.
+inferred cases and zone kinds exactly, floats within 1e-12.  The QoE
+inversion is the exception: its scalar and array Newton iterations may land
+on different floats where the QoE is flat, so their errors are compared as
+roots, by residual (`support.assert_roots`).  The grids are the CLI's
+default 181 x 181 (r_sv, e) sweep at two field-of-view radii; hypothesis
+adds errors placed exactly on the case boundaries and the degenerate
+streamed-cap radii.
 """
 
 import functools
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vrpl.cli
@@ -20,19 +23,20 @@ import vrpl.leakage
 from vrpl import OverlapCase, classify, infer_error_from_qoe, leak_prob_from_error, leak_prob_from_qoe, qoe
 from vrpl.cli import SELF_CHECK_ROWS, main
 from vrpl.leakage import (
-    _BISECT_MAX_ITER,
-    BISECT_TOL,
+    _NEWTON_MAX_ITER,
     QOE_MATCH_TOL,
     ZONE_CODE,
     InferenceKind,
     QoeInconsistencyError,
-    _bisect_error,
-    _bisect_error_vec,
+    _newton_error,
+    _newton_error_vec,
     infer_error_from_qoe_vec,
     leak_prob_from_error_vec,
     leak_prob_from_qoe_vec,
 )
 from vrpl.qoe import CASE_CODE, CASES, classify_vec, qoe_vec
+
+from support import RESIDUAL_SLACK, assert_roots, halve_with_qoe_vec, inversion_bracket
 
 TOL = 1e-12
 FOVS = (math.radians(50.0), math.pi / 2)
@@ -63,24 +67,53 @@ def _assert_close(got, want):
     assert np.abs(got[ok] - want[ok]).max(initial=0.0) <= TOL
 
 
-def _assert_leakage_matches(arrays, scalars):
-    _assert_close(arrays.probability, [r.probability for r in scalars])
-    _assert_close(arrays.zone_measure, [r.zone_measure for r in scalars])
+def _assert_leakage_matches(arrays, scalars, uploads=None, strict=False):
+    """Array leakages against scalar ones.
+
+    With the QoE ``uploads`` ``(q, r_fov, r_sv, eps)``, a report that pins
+    the error down is compared through its roots: the array leakage must be
+    the error upload's at the array inversion's root, and that root and the
+    scalar one are compared by residual (``strict`` as in `assert_roots`).
+    """
     assert arrays.zone_kind.tolist() == [ZONE_CODE[r.zone_kind] for r in scalars]
     if arrays.case is None:
         assert all(r.case is None for r in scalars)
     else:
         assert arrays.case.tolist() == [CASE_CODE[r.case] for r in scalars]
+    exact = np.zeros(len(scalars), dtype=bool)
+    if uploads is not None:
+        exact = arrays.case == CASE_CODE[OverlapCase.REMAINING]
+        q, fov, sv, eps = (np.broadcast_to(x, exact.shape)[exact] for x in uploads)
+        roots = infer_error_from_qoe_vec(q, fov, sv).value
+        circle = leak_prob_from_error_vec(roots, eps)
+        _assert_close(arrays.probability[exact], circle.probability)
+        _assert_close(arrays.zone_measure[exact], circle.zone_measure)
+        want = [_infer_cached(*x).value for x in zip(q.tolist(), fov.tolist(), sv.tolist())]
+        _assert_same_roots(q, fov, sv, roots, np.array(want), strict)
+    _assert_close(arrays.probability[~exact], [r.probability for r, x in zip(scalars, exact) if not x])
+    _assert_close(arrays.zone_measure[~exact], [r.zone_measure for r, x in zip(scalars, exact) if not x])
 
 
-def _assert_inference_matches(arrays, q, fov, sv):
-    for i, (qi, si) in enumerate(zip(q, sv)):
-        ref = _infer_cached(float(qi), fov, float(si))
-        assert arrays.case[i] == CASE_CODE[ref.case]
-        if ref.kind is InferenceKind.EXACT:
-            assert abs(arrays.value[i] - ref.value) <= TOL
-        else:
-            assert math.isnan(arrays.value[i])
+def _assert_same_roots(q, fov, sv, got, want, strict=False):
+    """Array roots ``got`` and scalar roots ``want`` of the same reports, compared by residual.
+
+    Both are roots (`assert_roots`), and neither residual is worse than the
+    other's, or than its own `support.residual_bound`, plus `RESIDUAL_SLACK`.
+    """
+    (res_got, bound_got), (res_want, bound_want) = assert_roots(q, fov, sv, got, want, strict=strict)
+    assert (res_got <= np.maximum(res_want, bound_got) + RESIDUAL_SLACK).all()
+    assert (res_want <= np.maximum(res_got, bound_want) + RESIDUAL_SLACK).all()
+
+
+def _assert_inference_matches(arrays, q, fov, sv, strict=False):
+    refs = [_infer_cached(float(qi), fov, float(si)) for qi, si in zip(q, sv)]
+    assert arrays.case.tolist() == [CASE_CODE[r.case] for r in refs]
+    exact = np.array([r.kind is InferenceKind.EXACT for r in refs], dtype=bool)
+    assert np.isnan(arrays.value[~exact]).all()
+    if exact.any():
+        want = [r.value for r in refs if r.kind is InferenceKind.EXACT]
+        q, sv = np.asarray(q, dtype=float)[exact], np.asarray(sv, dtype=float)[exact]
+        _assert_same_roots(q, fov, sv, arrays.value[exact], np.array(want), strict)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +129,8 @@ def test_classify_and_qoe_on_grid(grid):
 def test_inference_on_grid(grid):
     fov, sv, _, q, _ = grid
     live = (sv > 0.0) & (sv < math.pi)
-    _assert_inference_matches(infer_error_from_qoe_vec(q[live], fov, sv[live]), q[live], fov, sv[live])
+    q, sv = q[live], sv[live]
+    _assert_inference_matches(infer_error_from_qoe_vec(q, fov, sv), q, fov, sv, strict=True)
 
 
 @pytest.mark.parametrize("eps_frac", EPS_FRACS)
@@ -105,7 +139,7 @@ def test_qoe_leakage_on_grid(grid, eps_frac, monkeypatch):
     eps = eps_frac * fov
     monkeypatch.setattr(vrpl.leakage, "infer_error_from_qoe", _infer_cached)
     scalars = [leak_prob_from_qoe(qi, fov, si, eps) for qi, si in zip(q.tolist(), sv.tolist())]
-    _assert_leakage_matches(leak_prob_from_qoe_vec(q, fov, sv, eps), scalars)
+    _assert_leakage_matches(leak_prob_from_qoe_vec(q, fov, sv, eps), scalars, (q, fov, sv, eps), strict=True)
 
 
 @pytest.mark.parametrize("fov", FOVS)
@@ -144,12 +178,25 @@ def test_kernels_on_boundaries(fov, sv, eps_frac):
     _assert_close(qoe_vec(fov, sv, e), q)
     eps = eps_frac * fov
     scalars = [leak_prob_from_qoe(qi, fov, sv, eps) for qi in q]
-    _assert_leakage_matches(leak_prob_from_qoe_vec(np.array(q), fov, sv, eps), scalars)
+    _assert_leakage_matches(leak_prob_from_qoe_vec(np.array(q), fov, sv, eps), scalars, (q, fov, sv, eps))
     _assert_leakage_matches(
         leak_prob_from_error_vec(e, eps), [leak_prob_from_error(x, eps) for x in e.tolist()]
     )
     if 0.0 < sv < math.pi:
         _assert_inference_matches(infer_error_from_qoe_vec(np.array(q), fov, sv), q, fov, [sv] * len(q))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=QoeInconsistencyError,
+    reason="ROADMAP direction 1 (a well-conditioned lens): at the complement tangency the lens's "
+    "arccos is ill-conditioned, and qoe puts the boundary report 1.04e-9 below its own band",
+)
+def test_complement_tangency_report_is_consistent():
+    fov, sv = 1.4977861741794256, 2.8728768593783167
+    q = qoe(fov, sv, 2.0 * math.pi - fov - sv)
+    leak_prob_from_qoe_vec([q], fov, sv, 0.5 * fov)
+    leak_prob_from_qoe(q, fov, sv, 0.5 * fov)
 
 
 def test_rounding_size_cap_zone_is_a_point():
@@ -161,105 +208,86 @@ def test_rounding_size_cap_zone_is_a_point():
     _assert_leakage_matches(leak_prob_from_qoe_vec([0.0], fov, sv, 0.0), [ref])
 
 
+def _place(q, fov, sv):
+    """Each report's place in its band of attainable QoE, 0 at the top."""
+    q_high, q_low = qoe_vec(fov, sv, 0.0), qoe_vec(fov, sv, math.pi)
+    return (q_high - q) / (q_high - q_low)
+
+
+def _scalar_roots(q, fov, sv):
+    args = np.broadcast_arrays(q, fov, sv, _place(q, fov, sv))
+    return np.array([_newton_error(*a) for a in zip(*(x.tolist() for x in args))])
+
+
 @settings(max_examples=200, deadline=None)
 @given(fovs, st.floats(1e-3, math.pi - 1e-3), st.floats(0.0, 1.0))
 @example(0.23696113497054547, 0.23696113497054547, 0.5)
 @example(0.8125, 0.8125, 0.5)
-def test_bisection_matches_scalar(fov, sv, t):
-    """The two bisections land within `BISECT_TOL` of each other.
+def test_newton_matches_scalar_by_residual(fov, sv, t):
+    """The array and scalar Newton iterations find roots equally good.
 
-    Both halve the same starting bracket and take the same step wherever
-    ``qoe`` and ``qoe_vec`` agree on which side of the report a midpoint
-    lies.  The two QoEs differ at the ulp level only, so they can disagree
-    only at a midpoint ``m`` in a band around the true error far narrower
-    than `BISECT_TOL` / 4.  Every later midpoint lies at least that far from
-    ``m``, so both bisections keep ``m`` as a bracket end: one ends in
-    ``[m, m + w]`` and the other in ``[m - w', m]``, each no wider than
-    `BISECT_TOL`, and their midpoints are ``(w + w') / 2 <= BISECT_TOL``
-    apart.  With ``r_fov == r_sv`` and ``t = 0.5`` (the examples) the true
-    error is the first midpoint, and the answers are 0.88 and 0.76 times
-    `BISECT_TOL` apart.
+    They take the same steps wherever ``qoe`` and ``qoe_vec`` agree, but
+    the two QoEs differ at the ulp level, so where the QoE is flat their
+    roots can be floats apart (up to about 2e-12 on the default grids):
+    they are compared by residual.  ``t`` places the error in the
+    partial-overlap interval; reports the inversion answers with a case's
+    interval (within `QOE_MATCH_TOL` of a band end) are skipped.
     """
     lo, hi = abs(fov - sv), min(fov + sv, 2.0 * math.pi - fov - sv)
-    e = lo + t * (hi - lo)
-    q = qoe(fov, sv, e)
-    got = _bisect_error_vec(np.array([q]), np.array([fov]), np.array([sv]))
-    assert abs(got[0] - _bisect_error(q, fov, sv)) <= BISECT_TOL
+    q, f, s = (np.array([x]) for x in (qoe(fov, sv, lo + t * (hi - lo)), fov, sv))
+    assume(_reports_inverted_exactly(q, f, s).all())
+    _assert_same_roots(q, f, s, _newton_error_vec(q, f, s, _place(q, f, s)), _scalar_roots(q, f, s))
 
 
 def test_bisection_stops_each_element_at_tolerance():
+    """Each report stops on its own root: at the rounding floor, within 1e-13 of the error it came from."""
     fov = FOVS[0]
     sv = np.array([0.5, 0.9, 1.3, 2.0])
     e = np.array([0.6, 0.5, 1.0, 1.4])
     q = qoe_vec(fov, sv, e)
-    got = _bisect_error_vec(q, np.full(4, fov), sv)
-    want = [_bisect_error(qi, fov, si) for qi, si in zip(q.tolist(), sv.tolist())]
-    assert got.tolist() == pytest.approx(want, abs=TOL)
-    assert np.abs(got - e).max() <= BISECT_TOL
+    f = np.full(4, fov)
+    got = _newton_error_vec(q, f, sv, _place(q, f, sv))
+    _assert_same_roots(q, f, sv, got, _scalar_roots(q, f, sv))
+    assert np.abs(got - e).max() <= 1e-13
 
 
-def _bracket(fov, sv):
-    """The starting bracket of the QoE inversion's bisection."""
-    lo = np.maximum(1e-12, np.abs(fov - sv))
-    return lo, np.minimum(fov + sv, 2.0 * math.pi - (fov + sv)) - 1e-12
-
-
-def _halve_with_qoe_vec(q, fov, sv):
-    """`_bisect_error_vec`'s reference: each halving gathers the live brackets and asks `qoe_vec`.
-
-    Same bracket, update and stopping rule.  Returns the errors and, for
-    each halving, the field-of-view and streamed radii and the midpoints it
-    evaluated.
-    """
-    lo, hi = _bracket(fov, sv)
-    active = np.arange(q.size)
-    halvings = []
-    for _ in range(_BISECT_MAX_ITER):
-        if not active.size:
-            break
-        f, s, a, b = fov[active], sv[active], lo[active], hi[active]
-        mid = 0.5 * (a + b)
-        halvings.append((f, s, mid))
-        above = qoe_vec(f, s, mid) > q[active]
-        a, b = np.where(above, mid, a), np.where(above, b, mid)
-        lo[active], hi[active] = a, b
-        active = active[b - a > BISECT_TOL]
-    return 0.5 * (lo + hi), halvings
+def _reports_inverted_exactly(q, fov, sv):
+    """Which reports lie more than `QOE_MATCH_TOL` from both ends of their band."""
+    q_high, q_low = qoe_vec(fov, sv, 0.0), qoe_vec(fov, sv, math.pi)
+    return (np.abs(q - q_high) > QOE_MATCH_TOL) & (np.abs(q - q_low) > QOE_MATCH_TOL)
 
 
 def _reports(triples):
-    """Two reports for each ``(r_fov, r_sv, u)``, and which ones the QoE inversion bisects.
+    """Two reports for each ``(r_fov, r_sv, u)``, and which ones the QoE inversion inverts exactly.
 
     The first of each pair sits at the fraction ``u`` of the band of
-    attainable QoE; the second ties with the QoE at the first midpoint, so
-    that a rounding change in the lens moves the bisection.  A report is
-    bisected when it lies more than `QOE_MATCH_TOL` from both ends of its
-    band.  Returns ``(q, r_fov, r_sv, bisected)`` arrays, the ``u`` reports
-    first.
+    attainable QoE; the second ties with the QoE at the oracle's first
+    midpoint, where the oracle's first comparison is a tie.  Returns
+    ``(q, r_fov, r_sv, exact)`` arrays, the ``u`` reports first, with
+    ``exact`` from `_reports_inverted_exactly`.
     """
     fov, sv, u = (np.tile(np.array(x, dtype=float), 2) for x in zip(*triples))
     q_high, q_low = qoe_vec(fov, sv, 0.0), qoe_vec(fov, sv, math.pi)
     q = q_low + u * (q_high - q_low)
     tie = slice(len(triples), None)
-    lo, hi = _bracket(fov[tie], sv[tie])
+    lo, hi = inversion_bracket(fov[tie], sv[tie])
     q[tie] = qoe_vec(fov[tie], sv[tie], 0.5 * (lo + hi))
-    bisected = (np.abs(q - q_high) > QOE_MATCH_TOL) & (np.abs(q - q_low) > QOE_MATCH_TOL)
-    return q, fov, sv, bisected
+    return q, fov, sv, _reports_inverted_exactly(q, fov, sv)
 
 
-def _bisected(triples):
-    """The reports of `_reports` that the QoE inversion bisects, as ``(q, r_fov, r_sv)``."""
-    q, fov, sv, bisected = _reports(triples)
-    return q[bisected], fov[bisected], sv[bisected]
+def _exact(triples):
+    """The reports of `_reports` that the QoE inversion inverts exactly, as ``(q, r_fov, r_sv)``."""
+    q, fov, sv, exact = _reports(triples)
+    return q[exact], fov[exact], sv[exact]
 
 
 #: Reports at the edges of the domain, one list per batch: the smallest
 #: field of view, a hemisphere, r_sv within 1e-12 of r_fov, the thinnest
-#: band still bisected (r_sv about 4.5e-5 r_fov, and pi - r_sv alike),
-#: r_fov + r_sv within 1e-9 of pi on either side, and a report whose tie at
-#: the first midpoint moves when the lens takes the radii the other way
-#: round.  A batch mixes brackets that freeze after different numbers of
-#: halvings.
+#: band still inverted exactly (r_sv about 4.5e-5 r_fov, and pi - r_sv
+#: alike), r_fov + r_sv within 1e-9 of pi on either side, and a report whose
+#: tie at the oracle's first midpoint moves when the lens takes the radii
+#: the other way round.  A batch mixes reports that stop after different
+#: numbers of iterations.
 _EDGE_REPORTS = [
     [(1e-6, 5e-7, 0.5), (1e-6, 1.5e-6, 0.3), (1e-6, 2.0, 0.7)],
     [(math.pi / 2, 1.0, 0.5), (math.pi / 2, math.pi / 2, 0.999), (math.pi / 2, 3.0, 1e-3)],
@@ -269,7 +297,7 @@ _EDGE_REPORTS = [
     [(FOVS[0], 2.0, 0.5)],
 ]
 
-_bisection_reports = st.lists(
+_inversion_reports = st.lists(
     st.tuples(
         st.one_of(st.sampled_from((1e-6, FOVS[0], math.pi / 2)), st.floats(1e-6, math.pi / 2)),
         st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
@@ -284,26 +312,85 @@ def _over_the_domain(test):
     """``test`` as a property over batches of reports, `_EDGE_REPORTS` among them."""
     for triples in _EDGE_REPORTS:
         test = example(triples)(test)
-    return settings(max_examples=200, deadline=None)(given(_bisection_reports)(test))
+    return settings(max_examples=200, deadline=None)(given(_inversion_reports)(test))
 
 
 def test_edge_reports_are_bisected():
+    """Every edge report reaches the exact inversion."""
     for triples in _EDGE_REPORTS:
         assert _reports(triples)[3][: len(triples)].all()
 
 
 @_over_the_domain
-def test_bisection_is_bit_identical_to_halving_with_qoe_vec(triples):
-    q, fov, sv = _bisected(triples)
-    want, _ = _halve_with_qoe_vec(q, fov, sv)
-    assert np.array_equal(_bisect_error_vec(q, fov, sv), want)
+def test_newton_root_is_no_worse_than_halving_with_qoe_vec(triples):
+    """Array and scalar roots lie inside the interval, as good as the oracle's or at the rounding floor."""
+    q, fov, sv = _exact(triples)
+    assert_roots(q, fov, sv, _newton_error_vec(q, fov, sv, _place(q, fov, sv)), _scalar_roots(q, fov, sv))
 
 
 @_over_the_domain
-def test_every_bisection_midpoint_is_partial_overlap(triples):
-    # what lets the kernel take the lens at every midpoint without classifying it
-    for f, s, mid in _halve_with_qoe_vec(*_bisected(triples))[1]:
-        assert (classify_vec(f, s, mid) == CASE_CODE[OverlapCase.REMAINING]).all()
+def test_every_newton_iterate_is_partial_overlap(triples):
+    """What lets the kernel take the lens at every iterate without classifying it.
+
+    The scalar mirror's iterates are what the hooked qoe sees, the array
+    kernel's (one report at a time) the angles of the hooked lens's cosines
+    and sines.  Each report also starts from the wrong side of its band,
+    ``1 - u``, in the flat tail where the first Newton step overshoots the
+    interval and only the safeguard keeps the iterate inside; it still
+    ends on a root.
+    """
+    q, fov, sv = _exact(triples)
+    roots = []
+    for report in zip(q, fov, sv, _place(q, fov, sv)):
+        q1, f1, s1 = (np.array([x]) for x in report[:3])
+        for u in (report[3], 1.0 - report[3]):
+            with pytest.MonkeyPatch.context() as mp:
+                _, iterates = _count_iterations(mp)
+                lens_area = vrpl.leakage.lens_area
+                mp.setattr(vrpl.leakage, "lens_area", lambda t, c, s, w: iterates.append(
+                    (report[1], report[2], float(np.arctan2(s[0], c[0])))) or lens_area(t, c, s, w))
+                roots += [_newton_error_vec(q1, f1, s1, np.array([u]))[0], _newton_error(*report[:3], u)]
+            assert all(classify(*x) is OverlapCase.REMAINING for x in iterates), iterates
+    assert_roots(q, fov, sv, *np.reshape(roots, (q.size, 4)).T)
+
+
+def _count_iterations(monkeypatch):
+    """Hooks counting the array iterations, as the number of reports each
+    one runs, and the scalar mirror's evaluations, as their arguments."""
+    sizes, evals = [], []
+    lens_area = vrpl.leakage.lens_area
+    monkeypatch.setattr(
+        vrpl.leakage, "lens_area", lambda t, c, s, w: sizes.append(c.size) or lens_area(t, c, s, w)
+    )
+    monkeypatch.setattr(vrpl.leakage, "qoe", lambda *a: evals.append(a) or qoe(*a))
+    return sizes, evals
+
+
+@_over_the_domain
+def test_newton_never_reaches_the_iteration_cap(triples):
+    q, fov, sv = _exact(triples)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes, evals = _count_iterations(mp)
+        _newton_error_vec(q, fov, sv, _place(q, fov, sv))
+        assert len(sizes) < _NEWTON_MAX_ITER
+        for report in zip(q, fov, sv):
+            evals.clear()
+            _scalar_roots(*(np.array([x]) for x in report))
+            assert len(evals) < _NEWTON_MAX_ITER
+
+
+def test_newton_takes_about_five_evaluations_on_the_grid(grid, monkeypatch):
+    """At most 5 lens evaluations per report, where bisection took 35.7."""
+    fov, sv, _, q, _ = grid
+    live = (sv > 0.0) & (sv < math.pi)
+    q, sv = q[live], sv[live]
+    exact = _reports_inverted_exactly(q, fov, sv)
+    q, sv, f = q[exact], sv[exact], np.full(np.count_nonzero(exact), fov)
+    sizes, evals = _count_iterations(monkeypatch)
+    _newton_error_vec(q, f, sv, _place(q, f, sv))
+    assert sum(sizes) <= 5.0 * q.size and len(sizes) <= 16
+    _scalar_roots(q[::25], f[::25], sv[::25])
+    assert len(evals) <= 5.0 * len(q[::25])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import random_view_triples
+from support import assert_roots, random_view_triples
 from vrpl import (
     CaseLeakageProfile,
     ErrorInference,
@@ -271,13 +271,22 @@ def test_qoe_upload_far_case_formula():
 
 
 def test_qoe_upload_partial_overlap_matches_error_upload():
+    """A partial-overlap report leaks what its root's error upload leaks.
+
+    The root lies inside the interval with a residual no worse than the
+    bisection oracle's.  It lands within 4e-15 of the error the report came
+    from (the lens's rounding floor over the QoE's slope, about 2e-15), so
+    the leakage matches the direct one to 2e-15.
+    """
     q = qoe(FOV, 0.9, 0.5)
     res = leak_prob_from_qoe(q, FOV, 0.9, EPS)
     assert res.case == OverlapCase.REMAINING
     assert res.zone_kind == ZoneKind.CIRCLE
-    direct = leak_prob_from_error(0.5, EPS)
-    assert res.probability == pytest.approx(direct.probability, abs=1e-8)
-    assert res.probability == pytest.approx(0.2317588492442432, abs=1e-12)
+    root = infer_error_from_qoe(q, FOV, 0.9).value
+    assert_roots(q, FOV, 0.9, root, strict=True)
+    assert root == pytest.approx(0.5, abs=4e-15)
+    assert res.probability == leak_prob_from_error(root, EPS).probability
+    assert res.probability == pytest.approx(leak_prob_from_error(0.5, EPS).probability, abs=2e-15)
 
 
 def test_qoe_upload_epsilon_cannot_exceed_fov():

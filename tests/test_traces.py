@@ -140,6 +140,20 @@ def test_trace_validation():
     assert not tr.theta.flags.writeable
 
 
+def test_trace_leaves_the_callers_arrays_alone(tmp_path):
+    ts, th, ph = np.array([0.0, 0.2]), np.array([4.0, 0.0]), np.zeros(2)
+    tr = ViewpointTrace("u", "v", ts, th, ph)
+    assert all(a.flags.writeable for a in (ts, th, ph))
+    ts[0], th[0], ph[0] = -1.0, 1.0, 1.0
+    assert (tr.timestamps[0], tr.phi[0]) == (0.0, 0.0)
+    assert tr.theta[0] == pytest.approx(4.0 - 2.0 * math.pi, abs=1e-12)
+    # traces built from checked columns stay views of them, not copies
+    other = ViewpointTrace("w", "v", np.array([0.0, 0.2]), np.zeros(2), np.zeros(2))
+    save_traces(tmp_path / "two.csv", [tr, other])
+    loaded = load_traces(tmp_path / "two.csv")[0]
+    assert not any(a.flags.owndata for a in (loaded.timestamps, loaded.theta, loaded.phi))
+
+
 def test_save_load_round_trip(tmp_path):
     traces = generate_synthetic_traces(RandomWalk(kappa=100.0), 3, 10.0, 5.0, seed=4)
     p = tmp_path / "out.csv"
