@@ -50,19 +50,28 @@ from .sphere import (
 #: Absolute tolerance for matching a reported QoE to a constant-case value.
 QOE_MATCH_TOL = 1e-9
 
-#: The QoE inversion stops once its Newton step is at most this many ulps
-#: of the error, or its bracket is that narrow.
+#: Width (in radians of error) the QoE inversion's bisection halves its
+#: bracket to.
+BISECT_TOL = 1e-9
+
+_BISECT_MAX_ITER = 64
+
+#: The QoE inversion's Newton iteration stops once its step is at most
+#: this many ulps of the error, or its bracket is that narrow.
 _STEP_ULPS = 4.0
 
-#: A report takes at most this many Newton iterations; the tests check that
-#: none needs all of them.
+#: A report takes at most this many Newton iterations; the tests check
+#: that none needs all of them.
 _NEWTON_MAX_ITER = 64
 
-#: Ulps of an arccos argument in the QoE inversion's rounding floor (see
-#: `_floor_sum`).
+#: Ulps of an arccos argument in the lens's rounding (see `_floor_sum`).
 _ACOS_ULPS = 2.0
 
-_ULP = float(np.finfo(float).eps)
+#: The bisection's answer competes with the Newton root only within this
+#: many times the root's uncertainty (see `_newton_error_vec`).
+_WINDOW = 8.0
+
+_ULP = math.ulp(1.0)
 
 #: Streamed radii a QoE report can be inverted at: the degenerate caps 0
 #: and pi give the same report for every error.
@@ -246,10 +255,9 @@ def full_leak_error_range(eps: float) -> tuple[tuple[float, float], tuple[float,
 
 
 def _floor_sum(c1, c2):
-    """The part of the QoE inversion's rounding floor the radii fix.
+    """The part of the lens's rounding that the radii fix.
 
-    The rounding floor is the residual, in area units, below which one
-    lens evaluation's rounding hides the report.  It is this part, a
+    The rounding of one lens evaluation, in area units, is this part, a
     quarter ulp of the magnitudes of the lens's terms, plus `_ACOS_ULPS`
     ulps of an arccos argument magnified by the arccos's slope, which the
     sine rule puts within the radii's sines of ``1 / (sin e sin r_sv sin
@@ -257,35 +265,46 @@ def _floor_sum(c1, c2):
     The two weights are calibrated: over 12,000 random partial-overlap
     points with ``r_fov`` from 1e-6 to pi/2, the lens's largest departure
     from its tangent within 32 ulps of the error was a median 0.15-0.54
-    floors and at most 2.1.  ``c1 = cos r_fov`` and ``c2 = cos r_sv``, as
-    floats or arrays.
+    times this rounding and at most 2.1 times.  ``c1 = cos r_fov`` and
+    ``c2 = cos r_sv``, as floats or arrays.
     """
     return 0.25 * _ULP * (abs(TWO_PI - TWO_PI * c1 - TWO_PI * c2) + TWO_PI * (1.0 + abs(c1) + abs(c2)))
 
 
-def _newton_start(lo, hi, u):
-    """Where the QoE inversion starts in the bracket ``[lo, hi]``.
+def _bisect_error(q: float, fov: float, sv: float, guess: float, window: float) -> float:
+    """The QoE inversion's bisection, told the side of a midpoint far from ``guess``.
 
-    ``u`` is the report's place in its band of attainable QoE, from 0 at
-    the top to 1 at the bottom.  Near each end of the band the QoE moves as
-    the 3/2 power of the error's distance from the tangency, so the start
-    takes the fraction ``a / (a + b)`` of the bracket, with ``a = u^(2/3)``
-    and ``b = (1 - u)^(2/3)``, squeezed into ``[0.001, 0.999]`` so that it
-    lies strictly inside.  A report outside its band (the lens can put the
-    QoE there by rounding) takes ``|u|`` and ``|1 - u|``, so it starts inside
-    too.  Floats or arrays.
+    Monotone bisection on the partial-overlap QoE: the QoE is continuous
+    and strictly decreasing in the error across the partial-overlap
+    interval, so plain interval halving converges; the bracket is pulled
+    marginally inside the interval to keep every evaluation in the regime
+    where the overlap formula is defined.  A midpoint more than ``window``
+    from ``guess`` takes the side of ``guess`` it lies on, unevaluated.
     """
-    a, b = abs(u) ** (2.0 / 3.0), abs(1.0 - u) ** (2.0 / 3.0)
-    return lo + (hi - lo) * (0.001 + 0.998 * a / (a + b))
+    lo = max(1e-12, abs(fov - sv))
+    hi = min(fov + sv, TWO_PI - (fov + sv)) - 1e-12
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if abs(mid - guess) > window:
+            above = mid < guess
+        else:
+            above = qoe(fov, sv, mid) > q
+        if above:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= BISECT_TOL:
+            break
+    return 0.5 * (lo + hi)
 
 
-def _newton_error(q: float, fov: float, sv: float, u: float) -> float:
+def _newton_error(q: float, fov: float, sv: float) -> float:
     """Invert the partial-overlap QoE for the error by safeguarded Newton.
 
-    The scalar mirror of `_newton_error_vec`: the same bracket, start,
-    update, safeguard and stopping rules, in QoE units.  ``u`` is the
-    report's place in its band (see `_newton_start`).  Each iterate's QoE
-    is the module-global `qoe`, so a hook on it counts the evaluations.
+    The scalar mirror of `_newton_error_vec`, which describes it: the same
+    bracket, start, update, safeguard, stopping rules and check against
+    the bisection (`_bisect_error`), with the QoE of each iterate from the
+    module-global `qoe`, so that a hook on it counts the evaluations.
 
     The QoE falls with the error at the rate ``2 sin r_sv sin a_sv / area``,
     where ``a_sv`` is the angle at the streamed cap's center between the
@@ -298,7 +317,7 @@ def _newton_error(q: float, fov: float, sv: float, u: float) -> float:
     c1, c2, s2 = math.cos(fov), math.cos(sv), math.sin(sv)
     area = TWO_PI * (1.0 - c1)
     floor_sum = _floor_sum(c1, c2)
-    x = _newton_start(lo, hi, u)
+    x, window = 0.5 * (lo + hi), math.inf
     for _ in range(_NEWTON_MAX_ITER):
         r = qoe(fov, sv, x) - q
         if r > 0.0:
@@ -307,19 +326,21 @@ def _newton_error(q: float, fov: float, sv: float, u: float) -> float:
             hi = x
         cd, sd = math.cos(x), math.sin(x)
         denom = sd * s2
-        sin_a = math.sqrt(max(0.0, 1.0 - ((cd * c2 - c1) / denom) ** 2))
+        cos_a = (cd * c2 - c1) / denom
+        sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
+        if sin_a == 0.0:
+            break
+        slope = 2.0 * s2 * sin_a
+        noise = _ACOS_ULPS * _ULP / (denom * sin_a) + floor_sum
+        step = r * area / slope
         tol = _STEP_ULPS * _ULP * x
-        if sin_a > 0.0:
-            step = r * area / (2.0 * s2 * sin_a)
-            if abs(r) * area <= floor_sum + _ACOS_ULPS * _ULP / (denom * sin_a):
-                return x
-        else:
-            step = math.inf
-        if abs(step) <= tol or hi - lo <= tol:
-            return x
+        if abs(r) * area <= noise or abs(step) <= tol or hi - lo <= tol:
+            window = _WINDOW * (noise / slope + tol)
+            break
         nxt = x + step
         x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    return x
+    bisected = _bisect_error(q, fov, sv, x, window)
+    return bisected if abs(bisected - x) <= window else x
 
 
 def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
@@ -333,8 +354,9 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     report is inverted exactly inside the partial-overlap interval, by the
     safeguarded Newton iteration `_newton_error` (the scalar mirror of
     `_newton_error_vec`, which describes it).  The root is good to the
-    lens's rounding: its residual is within the rounding floor, or its
-    last step was a few ulps.
+    lens's rounding, and no worse than bisecting to `BISECT_TOL`: where
+    the bisection's answer lands within the root's uncertainty, it is
+    the answer.
 
     Args:
         q: reported covered fraction, in [0, 1].
@@ -367,8 +389,7 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
         case = classify(fov, sv, math.pi)
         lo = fov + sv if case is OverlapCase.DISJOINT else TWO_PI - fov - sv
         return ErrorInference(InferenceKind.RANGE, case, lo=lo, hi=math.pi, ambiguous=interior)
-    u = (q_high - qv) / (q_high - q_low)
-    return ErrorInference(InferenceKind.EXACT, OverlapCase.REMAINING, value=_newton_error(qv, fov, sv, u))
+    return ErrorInference(InferenceKind.EXACT, OverlapCase.REMAINING, value=_newton_error(qv, fov, sv))
 
 
 def leak_prob_from_qoe(q: float, r_fov: float, r_sv: float, eps: float) -> LeakageResult:
@@ -444,112 +465,188 @@ def _leak_from_checked_errors(err: np.ndarray, ep) -> LeakageArrays:
     return LeakageArrays(prob, kind.astype(np.int8), np.where(point, 0.0, TWO_PI * sin_e))
 
 
-def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _bisect_error_vec(
+    q: np.ndarray, fov: np.ndarray, sv: np.ndarray, guess: np.ndarray, window: np.ndarray
+) -> np.ndarray:
+    """`_bisect_error` over 1-d arrays, halving every unfinished bracket at once.
+
+    Same bracket, update rule and unevaluated sides; an element freezes
+    after the halving that brings its bracket within `BISECT_TOL`, or after
+    `_BISECT_MAX_ITER` halvings.  Where it evaluates, it takes the QoE of
+    ``qoe_vec`` bit for bit: the lens (`lens_area`, on `lens_terms` taken
+    once per report) over the field of view's area, clipped to [0, 1].
+
+    No case is classified per halving: every midpoint lies strictly inside
+    the partial-overlap interval, where ``qoe_vec`` takes the lens.  The
+    starting bracket lies in the interval, its top end 1e-12 below it and
+    its bottom end on the containment boundary (or at 1e-12).  A midpoint
+    is half its bracket's width from each end; the first halves the
+    starting bracket, of width ``w0``, and every later one a live bracket,
+    wider than `BISECT_TOL`, so each is at least ``min(w0, BISECT_TOL) / 2``
+    from the interval's ends.  A report reaches the inversion only when its
+    band of attainable QoE is wider than ``2 * QOE_MATCH_TOL``; the thinnest
+    such band, at ``r_sv`` about ``4.5e-5 * r_fov`` (or ``pi - r_sv``
+    alike), has ``w0 = 2 r_sv``, no less than about 9e-11.  Both margins
+    exceed the rounding of the case tests, about 4e-16 for sums up to
+    ``2 pi``, by five orders of magnitude.
+    """
+    lo = np.maximum(1e-12, np.abs(fov - sv))
+    hi = np.minimum(fov + sv, TWO_PI - (fov + sv)) - 1e-12
+    terms = lens_terms(fov, sv)
+    area = TWO_PI * (1.0 - terms[0])
+    mid, gap = np.empty((2, q.size))
+    above, doubt, move = np.empty((3, q.size), dtype=bool)
+    live = np.ones(q.size, dtype=bool)
+    for _ in range(_BISECT_MAX_ITER):
+        if not live.any():
+            break
+        np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
+        np.less(mid, guess, out=above)
+        np.less_equal(np.abs(np.subtract(mid, guess, out=gap), out=gap), window, out=doubt)
+        if np.logical_and(doubt, live, out=doubt).any():
+            i = np.flatnonzero(doubt)
+            at = mid[i]
+            qm = lens_area(tuple(t[i] for t in terms), np.cos(at), np.sin(at), np.empty((3, i.size)))
+            above[i] = np.clip(np.divide(qm, area[i], out=qm), 0.0, 1.0, out=qm) > q[i]
+        np.copyto(lo, mid, where=np.logical_and(live, above, out=move))
+        np.copyto(hi, mid, where=np.logical_and(live, np.logical_not(above, out=above), out=move))
+        np.logical_and(live, np.greater(np.subtract(hi, lo, out=gap), BISECT_TOL, out=doubt), out=live)
+    return 0.5 * (lo + hi)
+
+
+def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndarray:
     """Invert the partial-overlap QoE for the error of every report at once.
 
     A safeguarded Newton iteration, written again for floats as
-    `_newton_error`; ``u`` is each report's place in its band (see
-    `_newton_start`).  The bracket is the partial-overlap interval, pulled
-    1e-12 inside at the top (and at the bottom to 1e-12 when that end is 0).
-    An iteration evaluates the lens at the iterate, moves the bracket's
-    bottom there if the QoE exceeds the report and its top otherwise, and
-    steps by the residual over the slope, which `_newton_error` derives,
-    taken from the cosine and sine of the iterate that the lens uses.  Where
-    the step leaves the open bracket, or the slope is 0 (a tangency), it
-    takes the bracket's midpoint instead.  A report stops at its iterate
-    once the residual is within the rounding floor (see `_floor_sum`)
-    where the slope is not 0, or once the step or the bracket is at most
-    `_STEP_ULPS` ulps of the iterate; a report still running after
-    `_NEWTON_MAX_ITER` iterations keeps its iterate.
+    `_newton_error`, on the bisection's bracket (`_bisect_error_vec`),
+    from its midpoint.  An iteration evaluates the QoE at the iterate,
+    moves the bracket's bottom there if the QoE exceeds the report and its
+    top otherwise, and steps by the residual over the slope, which
+    `_newton_error` derives, taken from the cosine and sine of the iterate
+    that the lens uses.  Where the step leaves the open bracket it takes
+    the bracket's midpoint instead.  A report stops at its iterate once
+    the residual is within the lens's rounding (see `_floor_sum`), or once
+    the step or the bracket is at most `_STEP_ULPS` ulps of the iterate.
+
+    The root is then checked against the bisection of `_bisect_error_vec`.
+    Its uncertainty is the lens's rounding over the slope plus the step
+    bound; within it the computed QoE need not be monotone, but beyond
+    `_WINDOW` uncertainties (about four times the largest rounding seen in
+    `_floor_sum`'s calibration) its side of the report is the root's side.
+    So the bisection is replayed with every midpoint beyond that window
+    put on its side of the root unevaluated: it takes the bisection's own
+    path, evaluating only the midpoints near the root.  If its answer lies
+    within the window, the report takes that answer, residual and all;
+    otherwise the root, whose residual is then the smaller.  So no root's
+    residual is worse than the bisection's.  `_near_a_halving` picks the
+    reports whose bisection can come within their window at all: on the
+    default 50-degree grid, fewer than one in a hundred.  A report whose
+    slope is 0 (a tangency), or that is still running after
+    `_NEWTON_MAX_ITER` iterations, has an infinite window: it is bisected.
 
     No case is classified per iteration: every iterate lies strictly inside
     the starting bracket, so strictly inside the partial-overlap interval,
-    where ``qoe_vec`` takes the lens.  The first iterate is strictly inside
-    by `_newton_start`.  Every later bracket lies inside the starting one,
+    where the QoE is the lens's.  The first iterate is the starting
+    bracket's midpoint.  Every later bracket lies inside the starting one,
     since its ends are the starting ends or earlier iterates, and a running
     report's bracket is wider than `_STEP_ULPS` ulps; each later iterate is
     a Newton step kept only strictly inside the current bracket, or that
     bracket's midpoint, which is strictly inside too.
 
-    The residual is kept in area units, ``lens - q * area``, so that the
-    QoE's divide and clip (the lens never exceeds the field of view's area)
-    leave the loop, and the step is ``residual / (2 sin r_sv sin a_sv)``.
-    The lens's radius terms (`lens_terms`) and the other terms of a report
-    are taken once.  Every row is allocated once, and an iteration works in
-    place on the first ``m`` columns, the running reports; the reports that
-    stop leave the rows by compaction.
+    The QoE is that of ``qoe_vec``, bit for bit.  Every row is allocated
+    once; an iteration works in place on the first ``m`` columns, the
+    running reports, and the reports that stop leave them by compaction.
     """
     n = q.size
-    out = np.empty(n)
-    if not n:
-        return out
-    state = np.empty((5, n))
-    q_area, lo, hi, x, floor_sum = state
-    np.maximum(1e-12, np.abs(fov - sv), out=lo)
-    np.subtract(np.minimum(fov + sv, TWO_PI - (fov + sv)), 1e-12, out=hi)
-    x[:] = _newton_start(lo, hi, u)
+    x_out, window_out = np.empty(n), np.full(n, math.inf)
+    lo0 = np.maximum(1e-12, np.abs(fov - sv))
+    hi0 = np.minimum(fov + sv, TWO_PI - (fov + sv)) - 1e-12
     terms = lens_terms(fov, sv)
-    c1, c2, s2 = terms[0], terms[1], terms[3]
-    np.multiply(q, TWO_PI * (1.0 - c1), out=q_area)
-    floor_sum[:] = _floor_sum(c1, c2)
+    state = np.empty((6, n))
+    state[:3] = q, lo0, hi0
+    np.multiply(0.5, lo0 + hi0, out=state[3])
+    np.multiply(TWO_PI, 1.0 - terms[0], out=state[4])
+    state[5] = _floor_sum(terms[0], terms[1])
+    rows = (*state, *terms)
     where = np.arange(n)
-    rows = np.empty((5, n))
+    work = np.empty((6, n))
     flags = np.empty((3, n), dtype=bool)
     m = n
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
-            q_area, lo, hi, x, floor_sum = state[:, :m]
-            c1, c2, s2 = terms[0][:m], terms[1][:m], terms[3][:m]
-            cos_d, sin_d, r, nxt, denom = rows[:, :m]
+            if not m:
+                break
+            q_m, lo, hi, x, area, floor_sum = state[:, :m]
+            terms = tuple(t[:m] for t in rows[6:])
+            c1, c2, s2 = terms[0], terms[1], terms[3]
+            cos_d, sin_d, r, step, noise, tol = work[:, :m]
             above, done, spare = flags[:, :m]
-            lens_area(tuple(t[:m] for t in terms), np.cos(x, out=cos_d), np.sin(x, out=sin_d), rows[2:, :m])
-            np.subtract(r, q_area, out=r)
+            r = lens_area(terms, np.cos(x, out=cos_d), np.sin(x, out=sin_d), work[2:5, :m])
+            np.clip(np.divide(r, area, out=r), 0.0, 1.0, out=r)
+            np.subtract(r, q_m, out=r)
             np.greater(r, 0.0, out=above)
             np.copyto(lo, x, where=above)
             np.copyto(hi, x, where=np.logical_not(above, out=above))
-            # sin a_sv from the lens's t2 argument (cos_d c2 - c1) / (sin_d s2),
-            # whose denominator lens_area leaves in its last row
-            sin_a = cos_d
-            np.subtract(np.multiply(cos_d, c2, out=sin_a), c1, out=sin_a)
+            # sin a_sv, from the lens's t2 argument (cos_d c2 - c1) / (sin_d s2)
+            denom = np.multiply(sin_d, s2, out=step)
+            sin_a = np.subtract(np.multiply(cos_d, c2, out=cos_d), c1, out=cos_d)
             np.divide(sin_a, denom, out=sin_a)
             np.subtract(1.0, np.multiply(sin_a, sin_a, out=sin_a), out=sin_a)
             np.sqrt(np.maximum(sin_a, 0.0, out=sin_a), out=sin_a)
-            np.multiply(2.0, np.multiply(s2, sin_a, out=nxt), out=nxt)
-            np.divide(r, nxt, out=nxt)
-            # the residual within the rounding floor, where the slope is not 0
-            np.multiply(denom, sin_a, out=denom)
-            np.add(np.divide(_ACOS_ULPS * _ULP, denom, out=sin_d), floor_sum, out=sin_d)
-            np.less_equal(np.abs(r, out=r), sin_d, out=done)
-            np.logical_and(done, np.greater(denom, 0.0, out=above), out=done)
-            # the step or the bracket within the ulp-scale bound
-            tol = np.multiply(_STEP_ULPS * _ULP, x, out=sin_d)
-            done |= np.less_equal(np.abs(nxt, out=r), tol, out=above)
-            done |= np.less_equal(np.subtract(hi, lo, out=r), tol, out=above)
+            # the lens's rounding at x, in area units, infinite where the slope is 0
+            np.divide(_ACOS_ULPS * _ULP, np.multiply(denom, sin_a, out=noise), out=noise)
+            np.add(noise, floor_sum, out=noise)
+            # the slope 2 sin r_sv sin a_sv, in area units, and the step
+            slope = np.multiply(np.multiply(2.0, s2, out=sin_d), sin_a, out=sin_d)
+            np.divide(np.multiply(r, area, out=step), slope, out=step)
+            # stop within the rounding, or at a step or bracket of a few ulps
+            np.multiply(_STEP_ULPS * _ULP, x, out=tol)
+            np.less_equal(np.multiply(np.abs(r, out=r), area, out=r), noise, out=done)
+            done |= np.less_equal(np.abs(step, out=r), tol, out=spare)
+            done |= np.less_equal(np.subtract(hi, lo, out=r), tol, out=spare)
             # the Newton iterate, or the midpoint where it leaves the open bracket
-            np.add(x, nxt, out=nxt)
-            np.logical_and(np.greater(nxt, lo, out=above), np.less(nxt, hi, out=spare), out=above)
-            np.copyto(nxt, np.multiply(0.5, np.add(lo, hi, out=r), out=r), where=~above)
-            # a stopped report keeps its iterate, so it stops again, until a
-            # quarter of the running reports have stopped and leave the rows
-            stopped = np.count_nonzero(done)
-            if stopped:
-                out[where[:m][done]] = x[done]
-                if stopped == m:
-                    return out
-                if 4 * stopped >= m:
-                    keep = np.flatnonzero(~done)
-                    m = keep.size
-                    state[:, :m] = state[:, keep]
-                    for t in terms:
-                        t[:m] = t[keep]
-                    where[:m] = where[keep]
-                    rows[3, :m] = nxt[keep]
-                    x, nxt = state[3, :m], rows[3, :m]
-                    done, spare = flags[1:, :m]
-                    done[:] = False
-            np.copyto(x, nxt, where=np.logical_not(done, out=spare))
-    out[where[:m]] = state[3, :m]
-    return out
+            np.add(x, step, out=step)
+            np.logical_and(np.greater(step, lo, out=above), np.less(step, hi, out=spare), out=above)
+            np.multiply(0.5, np.add(lo, hi, out=r), out=r)
+            np.copyto(step, r, where=np.logical_not(above, out=above))
+            if done.any():
+                # the stopping reports' windows, _WINDOW (rounding / slope + tol)
+                np.add(np.divide(noise, slope, out=noise), tol, out=noise)
+                stop = where[:m][done]
+                x_out[stop], window_out[stop] = x[done], _WINDOW * noise[done]
+                running = np.flatnonzero(np.logical_not(done, out=done))
+                x[running] = step[running]
+                m = running.size
+                for row in (*rows, where):
+                    row[:m] = row[running]
+            else:
+                np.copyto(x, step)
+    x_out[where[:m]] = state[3, :m]
+    i = np.flatnonzero(_near_a_halving(x_out, window_out, lo0, hi0))
+    x, window = x_out[i], window_out[i]
+    bisected = _bisect_error_vec(q[i], fov[i], sv[i], x, window)
+    x_out[i] = np.where(np.abs(bisected - x) <= window, bisected, x)
+    return x_out
+
+
+def _near_a_halving(x: np.ndarray, window: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where bisecting ``[lo, hi]`` may come within ``window`` of ``x``.
+
+    `_bisect_error_vec` with the guesses ``x`` evaluates a midpoint, or
+    answers, within ``window`` of ``x`` only where this is true.  It halves
+    ``[lo, hi]`` ``j = ceil(log2((hi - lo) / BISECT_TOL))`` times, give or
+    take one for rounding, so its midpoints and its answer lie on the grid
+    of spacing ``(hi - lo) / 2^(j + 2)`` from ``lo``, to within 1e-13: the
+    rounding of 64 halvings is at most 64 half-ulps of 2 pi, 2.8e-14.  Where ``x`` is farther than
+    ``window`` and that from every grid point, its bisection is the one
+    that decides every midpoint by its side of ``x`` and ends on a point
+    more than ``window`` from it.
+    """
+    width = hi - lo
+    levels = np.maximum(np.ceil(np.log2(width / BISECT_TOL)), 1.0) + 2.0
+    spacing = np.ldexp(width, -levels.astype(int))
+    frac = np.mod((x - lo) / spacing, 1.0)
+    return ~(np.minimum(frac, 1.0 - frac) * spacing > window + 1e-13)
 
 
 def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
@@ -558,7 +655,8 @@ def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
     Same constant-case matching within `QOE_MATCH_TOL` and precedence as the
     scalar function; the remaining reports are inverted together, by
     `_newton_error_vec`.  Where the QoE is flat, the root may be floats
-    away from the scalar function's, with a residual as good.
+    away from the scalar function's; each is no worse than bisecting in
+    its own arithmetic.
 
     Raises:
         ValueError: if any element lies outside its domain.
@@ -591,9 +689,7 @@ def _infer_from_checked(qv: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> Erro
     case = np.select(ends_matched, codes, default=_REMAINING).astype(np.int8)
     exact = case == _REMAINING
     value = np.full(case.shape, math.nan)
-    q_exact, top = qv[exact], q_high[exact]
-    u = np.subtract(top, q_exact, out=top) / (q_high[exact] - q_low[exact])
-    value[exact] = _newton_error_vec(q_exact, fov[exact], sv[exact], u)
+    value[exact] = _newton_error_vec(qv[exact], fov[exact], sv[exact])
     return ErrorInferenceArrays(case, value)
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from vrpl.qoe import qoe_vec
+from vrpl.qoe import qoe, qoe_vec
 from vrpl.traces import GreatCircleDrift, MotionModel
 
 TWO_PI = 2.0 * math.pi
@@ -57,7 +57,8 @@ def random_view_triples(
 # the QoE inversion's references
 
 
-#: Width the oracle halves its bracket to, the QoE inversion's old tolerance.
+#: Width the oracles halve their brackets to, the QoE inversion's own
+#: bisection tolerance.
 ORACLE_TOL = 1e-9
 
 #: Slack of a residual comparison, about two ulps of a QoE near 1.
@@ -72,7 +73,7 @@ def inversion_bracket(fov, sv):
 
 
 def halve_with_qoe_vec(q, fov, sv):
-    """The oracle of the QoE inversion: bisection on ``qoe_vec``.
+    """The array oracle of the QoE inversion: bisection on ``qoe_vec``.
 
     The inversion's bracket and update rule (a QoE above the report moves
     the bottom end); each halving gathers the live brackets and asks
@@ -97,17 +98,63 @@ def halve_with_qoe_vec(q, fov, sv):
     return 0.5 * (lo + hi), halvings
 
 
-def residual_bound(fov, sv, e, step_ulps=4.0):
-    """The residual the QoE inversion may stop at, for the report whose root is ``e``.
+def halve_with_qoe(q, fov, sv):
+    """The scalar oracle of the QoE inversion: `halve_with_qoe_vec`'s
+    bisection report by report on ``qoe``, returning the roots only."""
+    roots = []
+    for qi, f, s in zip(q.tolist(), fov.tolist(), sv.tolist()):
+        lo, hi = (float(x) for x in inversion_bracket(f, s))
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if qoe(f, s, mid) > qi:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= ORACLE_TOL:
+                break
+        roots.append(0.5 * (lo + hi))
+    return np.array(roots)
 
-    Twice the rounding floor at ``e``, plus ``|dQoE/de|`` times ``step_ulps``
-    ulps of ``e``.  The slope is ``2 sin r_sv sin a_sv / area``, with
-    ``a_sv`` the angle at the streamed cap's center between the other center
-    and an intersection point (law of cosines).  The rounding floor is the
-    QoE the lens's rounding hides: a quarter ulp of the magnitudes of the
-    lens's terms, plus two ulps of an arccos argument magnified by
-    ``1 / (sin e sin r_sv sin a_sv)``, over the field-of-view area, and
-    infinite where ``sin a_sv`` rounds to 0.
+
+def residuals(q, fov, sv, e, scalar=False):
+    """``|QoE(e) - q|`` elementwise, by ``qoe`` if ``scalar`` else by ``qoe_vec``."""
+    if scalar:
+        return np.abs([qoe(*a) for a in zip(fov.tolist(), sv.tolist(), e.tolist())] - q)
+    return np.abs(qoe_vec(fov, sv, e) - q)
+
+
+def assert_roots(q, fov, sv, e, scalar=False):
+    """``e``, the QoE inversion's errors for reports ``q``, are roots.
+
+    Each lies strictly inside the partial-overlap interval, and its
+    residual is no worse than its oracle's plus `RESIDUAL_SLACK`: the
+    array kernel's, by ``qoe_vec``, than `halve_with_qoe_vec`'s; the
+    scalar one's (``scalar``), by ``qoe``, than `halve_with_qoe`'s.  The
+    two lenses differ in the arccos's last bit, which the QoE magnifies
+    where it is flat, so each is held to bisecting in its own arithmetic.
+    Returns the residuals.
+    """
+    q, fov, sv, e = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (q, fov, sv, e)))
+    inside = (np.abs(fov - sv) < e) & (e < np.minimum(fov + sv, TWO_PI - (fov + sv)))
+    assert inside.all(), e[~inside]
+    oracle = halve_with_qoe(q, fov, sv) if scalar else halve_with_qoe_vec(q, fov, sv)[0]
+    res, best = residuals(q, fov, sv, e, scalar), residuals(q, fov, sv, oracle, scalar)
+    worse = res > best + RESIDUAL_SLACK
+    assert not worse.any(), list(zip(q[worse], fov[worse], sv[worse], res[worse], best[worse]))
+    return res
+
+
+def rounding_bound(fov, sv, e, step_ulps=4.0):
+    """The residual at which the QoE inversion's Newton iteration stops, for a root ``e``.
+
+    Twice the lens's rounding at ``e``, plus ``|dQoE/de|`` times
+    ``step_ulps`` ulps of ``e``.  The slope is ``2 sin r_sv sin a_sv /
+    area``, with ``a_sv`` the angle at the streamed cap's center between
+    the other center and an intersection point (law of cosines).  The
+    rounding is a quarter ulp of the magnitudes of the lens's terms, plus
+    two ulps of an arccos argument magnified by ``1 / (sin e sin r_sv sin
+    a_sv)``, over the field-of-view area, and infinite where ``sin a_sv``
+    rounds to 0.
     """
     c1, c2, s2 = np.cos(fov), np.cos(sv), np.sin(sv)
     area = TWO_PI * (1.0 - c1)
@@ -118,35 +165,6 @@ def residual_bound(fov, sv, e, step_ulps=4.0):
     with np.errstate(divide="ignore"):
         floor = (0.25 * ULP * magnitude + 2.0 * ULP / (sin_e * s2 * sin_a)) / area
     return 2.0 * floor + 2.0 * s2 * sin_a / area * step_ulps * ULP * e
-
-
-def assert_roots(q, fov, sv, *roots, strict=False):
-    """Each array of ``roots`` the QoE inversion returned for reports ``q`` holds roots.
-
-    Each root lies strictly inside the partial-overlap interval.  Its
-    residual ``|qoe_vec(e) - q|`` is no worse than the oracle's
-    (`halve_with_qoe_vec`) plus `RESIDUAL_SLACK`; unless ``strict``, a
-    residual within `residual_bound` passes too, since below it the
-    residual measures the lens's rounding, not the root.  And the inversion
-    went as far as rounding lets it: the residual is within
-    `residual_bound` plus the slack.  Returns the residuals and the bounds,
-    one pair per array of roots.
-    """
-    q, fov, sv = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (q, fov, sv)))
-    oracle = np.abs(qoe_vec(fov, sv, halve_with_qoe_vec(q, fov, sv)[0]) - q)
-    out = []
-    for e in roots:
-        e = np.broadcast_to(np.asarray(e, dtype=float), q.shape)
-        inside = (np.abs(fov - sv) < e) & (e < np.minimum(fov + sv, TWO_PI - (fov + sv)))
-        assert inside.all(), e[~inside]
-        res = np.abs(qoe_vec(fov, sv, e) - q)
-        bound = residual_bound(fov, sv, e)
-        worse = res > (oracle if strict else np.maximum(oracle, bound)) + RESIDUAL_SLACK
-        assert not worse.any(), list(zip(q[worse], fov[worse], sv[worse], res[worse], oracle[worse]))
-        short = res > bound + RESIDUAL_SLACK
-        assert not short.any(), list(zip(q[short], fov[short], sv[short], res[short], bound[short]))
-        out.append((res, bound))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def test_qoe_upload_partial_overlap_matches_error_upload():
     assert res.case == OverlapCase.REMAINING
     assert res.zone_kind == ZoneKind.CIRCLE
     root = infer_error_from_qoe(q, FOV, 0.9).value
-    assert_roots(q, FOV, 0.9, root, strict=True)
+    assert_roots(q, FOV, 0.9, root, scalar=True)
     assert root == pytest.approx(0.5, abs=4e-15)
     assert res.probability == leak_prob_from_error(root, EPS).probability
     assert res.probability == pytest.approx(leak_prob_from_error(0.5, EPS).probability, abs=2e-15)
