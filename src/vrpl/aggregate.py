@@ -15,7 +15,8 @@ errors, and the partial-overlap leakage does not depend on the radius, so
 the sweep sorts the errors and sums their leakage once for the whole grid,
 finds the run ends of all radii together, and computes each radius's
 averages as array expressions over the grid; only the lens area of the
-partial-overlap runs is evaluated radius by radius.
+partial-overlap runs is summed radius by radius, by `sphere.lens_area_sum`,
+in blocks of errors sized for a core's cache.
 """
 
 from __future__ import annotations
@@ -36,10 +37,23 @@ from .leakage import (
     min_leak_prob_error,
 )
 from .qoe import CASE_CODE, CASES, PARTITION_CASES, _classify_codes, _qoe_from_codes
-from .sphere import EPSILON, ERROR, FOV, STREAMED_RADIUS, TWO_PI, cap_area, cap_overlap_area_vec
+from .sphere import (
+    EPSILON,
+    ERROR,
+    FOV,
+    STREAMED_RADIUS,
+    TWO_PI,
+    cap_area,
+    lens_area_sum,
+    lens_terms,
+)
 
 #: The population sweep and its regions take a protection radius above 0 only.
 _SWEEP_EPSILON = replace(EPSILON, open_lo=True)
+
+#: Errors per block of the sweep's lens: its three work rows, 384 KiB, and
+#: the block's four input slices stay in a core's L2 cache.
+_LENS_BLOCK = 16384
 
 #: The codes of the partition cases after the two nested ones.
 _DISJOINT, _COMPLEMENT, _REMAINING = (CASE_CODE[case] for case in PARTITION_CASES[2:])
@@ -200,6 +214,31 @@ def _run_ends(e: np.ndarray, fov: float, sv: np.ndarray, near: np.ndarray) -> np
     return ends.reshape(2, -1)
 
 
+def _lens_sums(e: np.ndarray, fov: float, sv: np.ndarray, b: np.ndarray, d: np.ndarray):
+    """Per radius, the sum of the lens area over its partial-overlap run ``e[b:d]``.
+
+    0 where the run is empty.  The errors' cosine and sine, and their
+    products with the field of view's, are taken once, over the errors some
+    run holds; each run is summed by `lens_area_sum` in blocks of
+    `_LENS_BLOCK` errors, in three work rows allocated once.
+    """
+    lens, runs = np.zeros(sv.size), np.flatnonzero(d > b)
+    if not runs.size:
+        return lens
+    span = slice(b[runs].min(), d[runs].max())
+    cos_e, sin_e = np.cos(e[span]), np.sin(e[span])
+    # one row of radius terms per radius; c1 and s1 are the same on every row
+    terms = np.column_stack(np.broadcast_arrays(*lens_terms(fov, sv[runs])))
+    cos_e_c1, sin_e_s1 = cos_e * terms[0, 0], sin_e * terms[0, 2]
+    work = np.empty((3, min(cos_e.size, _LENS_BLOCK)))
+    for i, t in zip(runs, terms):
+        run = slice(b[i] - span.start, d[i] - span.start)
+        lens[i] = lens_area_sum(
+            t.tolist(), cos_e[run], sin_e[run], cos_e_c1[run], sin_e_s1[run], work
+        )
+    return lens
+
+
 def average_leakage_sweep(
     errors: Sequence[float] | np.ndarray,
     r_fov: float,
@@ -215,8 +254,11 @@ def average_leakage_sweep(
     ends of all radii together, and the counts, the constant cases' odds
     (`cap_zone`) and QoE, and the partial-overlap leakage (a prefix-sum
     difference) are columns over the grid.  Only the lens area of each
-    radius's partial-overlap run is evaluated radius by radius, in place in
-    work rows allocated once for the grid.  Rows follow the grid order.
+    radius's partial-overlap run is summed radius by radius (`_lens_sums`),
+    before the leakage's prefix sums are made, so the two never hold memory
+    at once.  Each lens value is `cap_overlap_area_vec`'s bit for bit,
+    clamped to the smaller cap, so the run's sum is divided by the field
+    of view's area once, with no clip.  Rows follow the grid order.
 
     Args:
         errors: prediction errors in radians, all in [0, pi].
@@ -231,14 +273,16 @@ def average_leakage_sweep(
     sv = STREAMED_RADIUS.check_array(np.array(r_sv_grid, dtype=float))
     e.sort()
     n, rows = e.size, np.arange(sv.size)
-    leak_csum = np.zeros(n + 1)
-    np.cumsum(_leak_from_checked_errors(e, eps).probability, out=leak_csum[1:])
 
     # Runs in e: [0, b) the nested case `near` (only one is live at a radius),
     # [b, d) remaining, [d, c) sfov_complement_in_fov and [c, n) disjoint.
     near = _classify_codes(fov, sv, 0.0)
     b, d = _run_ends(e, fov, sv, near)
     c = np.maximum(d, np.searchsorted(e, fov + sv, side="left"))
+    # the lens first, so its arrays are freed before the leakage's are made
+    lens = _lens_sums(e, fov, sv, b, d)
+    leak_csum = np.zeros(n + 1)
+    np.cumsum(_leak_from_checked_errors(e, eps).probability, out=leak_csum[1:])
     ratios, components = np.zeros((2, sv.size, len(CASES)))
     ratios[rows, near] = b / n
     ratios[:, [_DISJOINT, _COMPLEMENT, _REMAINING]] = np.column_stack([n - c, c - d, d - b]) / n
@@ -252,16 +296,7 @@ def average_leakage_sweep(
     # QoE is constant on each run but the partial-overlap one.
     codes = np.stack([near, np.full_like(near, _COMPLEMENT)])
     qoe_near, qoe_far = _qoe_from_codes(*np.broadcast_arrays(fov, sv, 0.0, codes))
-    lens, area = np.zeros(sv.size), cap_area(fov)
-    cos_e, sin_e, work = np.cos(e), np.sin(e), np.empty((3, n))
-    for i in np.flatnonzero(d > b):
-        lo, hi = b[i], d[i]
-        overlap = cap_overlap_area_vec(
-            fov, float(sv[i]), cos_e[lo:hi], sin_e[lo:hi], work[:, : hi - lo]
-        )
-        np.divide(overlap, area, out=overlap)
-        lens[i] = np.clip(overlap, 0.0, 1.0, out=overlap).sum()
-    mean_qoe = (b * qoe_near + (c - d) * qoe_far + lens) / n
+    mean_qoe = (b * qoe_near + (c - d) * qoe_far + lens / cap_area(fov)) / n
     return SweepTable(sv, ratios, components, total, mean_qoe)
 
 

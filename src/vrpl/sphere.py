@@ -144,53 +144,102 @@ def cap_overlap_area(r1: float, r2: float, d: float) -> float:
     return min(max(raw, 0.0), min(cap_area(a), cap_area(b)))
 
 
-def _arccos_clipped(x: np.ndarray) -> None:
-    """``x`` replaced by the arccos of its values clamped to [-1, 1]."""
-    np.clip(x, -1.0, 1.0, out=x)
-    np.arccos(x, out=x)
+def _arccos_clipped(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The arccos of ``x``'s values clamped to [-1, 1], into ``out``."""
+    return np.arccos(np.clip(x, -1.0, 1.0, out=out), out=out)
 
 
 def lens_terms(r1, r2) -> tuple:
     """The radius step of `cap_overlap_area_vec`: the lens's terms of ``r1`` and ``r2`` alone.
 
-    ``(c1, c2, s1, s2, c1 c2, s1 s2, 2 pi - 2 pi c1 - 2 pi c2, 2 c1, 2 c2,
-    cap)``, with ``c = cos r``, ``s = sin r`` and ``cap`` the smaller cap's
-    area, elementwise over the radii as given (not broadcast).
+    ``(c1, c2, s1, s2, c1 c2, s1 s2, pi - pi c1 - pi c2, cap / 2)``, with
+    ``c = cos r``, ``s = sin r`` and ``cap`` the smaller cap's area,
+    elementwise over the radii as given (not broadcast).  The last two are
+    halves of the lens's constant term and of its clamp, exactly, since
+    scaling by 2 is exact: the lens is evaluated halved and doubled last.
     """
     a, b = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
     c1, c2, s1, s2 = np.cos(a), np.cos(b), np.sin(a), np.sin(b)
-    base = TWO_PI - TWO_PI * c1 - TWO_PI * c2
-    cap = np.minimum(TWO_PI * (1.0 - c1), TWO_PI * (1.0 - c2))
-    return c1, c2, s1, s2, c1 * c2, s1 * s2, base, 2.0 * c1, 2.0 * c2, cap
+    half_base = math.pi - math.pi * c1 - math.pi * c2
+    half_cap = np.minimum(math.pi * (1.0 - c1), math.pi * (1.0 - c2))
+    return c1, c2, s1, s2, c1 * c2, s1 * s2, half_base, half_cap
+
+
+def _half_lens(terms: tuple, cos_d, sin_d, cos_d_c1, sin_d_s1, work: np.ndarray, clip: bool):
+    """Half the lens, clamped to ``[0, cap / 2]``, written into ``work[0]``.
+
+    The one array form of `_lens_area`'s expression: ``(pi - pi c1 - pi c2
+    - t0) + c1 t1 + c2 t2``, term by term in its order, from `lens_terms`'
+    ``terms`` and the distances' cosine ``cos_d`` and sine ``sin_d``.  The
+    products ``cos_d c1`` and ``sin_d s1`` of ``t1``'s argument come in
+    ready, so a caller that holds ``r1`` fixed takes them once.  Twice the
+    result is the full expression's lens (with ``2 pi``, ``2 c1``, ``2 c2``
+    and the whole cap) bit for bit, as scaling by 2 is exact.
+
+    With ``clip`` each arccos argument is clamped to [-1, 1] first.
+    Without it, an argument that rounds past ±1 gives NaN, which the clamp
+    (`np.maximum`, `np.minimum`) carries through: the caller sees it in
+    the result and evaluates again with ``clip``.  ``work`` holds three
+    rows of the broadcast shape; the last two are scratch, and may hold
+    ``cos_d_c1`` and ``sin_d_s1`` on entry, as `lens_area` passes them.
+    """
+    c1, c2, s1, s2, c1c2, s1s2, half_base, half_cap = terms
+    lens, term, denom = work
+    arccos = _arccos_clipped if clip else np.arccos
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # pi - pi c1 - pi c2 - t0, with t0 = acos((cd - c1 c2) / (s1 s2))
+        np.subtract(cos_d, c1c2, out=lens)
+        arccos(np.divide(lens, s1s2, out=lens), out=lens)
+        np.subtract(half_base, lens, out=lens)
+        # + c1 t1, with t1 = acos((-c2 + cd c1) / (sd s1)); cd c1 - c2 rounds alike
+        np.subtract(cos_d_c1, c2, out=term)
+        arccos(np.divide(term, sin_d_s1, out=term), out=term)
+        np.add(lens, np.multiply(c1, term, out=term), out=lens)
+        # + c2 t2, with t2 = acos((-c1 + cd c2) / (sd s2))
+        np.subtract(np.multiply(cos_d, c2, out=term), c1, out=term)
+        np.divide(term, np.multiply(sin_d, s2, out=denom), out=term)
+        arccos(term, out=term)
+        np.add(lens, np.multiply(c2, term, out=term), out=lens)
+        np.maximum(lens, 0.0, out=lens)
+        return np.minimum(lens, half_cap, out=lens)
 
 
 def lens_area(terms: tuple, cos_d, sin_d, work: np.ndarray) -> np.ndarray:
     """The per-distance step of `cap_overlap_area_vec`, from `lens_terms`' ``terms``.
 
-    The lens at the distances of cosine ``cos_d`` and sine ``sin_d``,
-    evaluated in ``work`` as `cap_overlap_area_vec` describes; unchecked.
+    The lens at the distances of cosine ``cos_d`` and sine ``sin_d``: twice
+    `_half_lens` with every arccos argument clamped, in ``work`` as
+    `cap_overlap_area_vec` describes; unchecked.
     """
-    c1, c2, s1, s2, c1c2, s1s2, base, two_c1, two_c2, cap = terms
-    lens, term, denom = work
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # 2 pi - 2 pi c1 - 2 pi c2 - 2 t0, with t0 = acos((cd - c1 c2) / (s1 s2))
-        np.subtract(cos_d, c1c2, out=lens)
-        np.divide(lens, s1s2, out=lens)
-        _arccos_clipped(lens)
-        np.multiply(2.0, lens, out=lens)
-        np.subtract(base, lens, out=lens)
-        # + 2 c1 t1 + 2 c2 t2, with t1 = acos((-c2 + cd c1) / (sd s1)) and t2 alike;
-        # cd c1 - c2 rounds as -c2 + cd c1 does
-        for c_own, c_other, s_own, two_c in ((c1, c2, s1, two_c1), (c2, c1, s2, two_c2)):
-            np.multiply(cos_d, c_own, out=term)
-            np.subtract(term, c_other, out=term)
-            np.multiply(sin_d, s_own, out=denom)
-            np.divide(term, denom, out=term)
-            _arccos_clipped(term)
-            np.multiply(two_c, term, out=term)
-            np.add(lens, term, out=lens)
-    np.maximum(lens, 0.0, out=lens)
-    return np.minimum(lens, cap, out=lens)
+    _, term, denom = work
+    np.multiply(cos_d, terms[0], out=term)
+    np.multiply(sin_d, terms[2], out=denom)
+    half = _half_lens(terms, cos_d, sin_d, term, denom, work, clip=True)
+    return np.multiply(2.0, half, out=half)
+
+
+def lens_area_sum(terms: tuple, cos_d, sin_d, cos_d_c1, sin_d_s1, work: np.ndarray) -> float:
+    """The sum of `lens_area` over a run of distances, for one pair of radii.
+
+    ``terms`` are `lens_terms` of two scalar radii, ``cos_d`` and ``sin_d``
+    1-d arrays of the distances' cosine and sine, and ``cos_d_c1`` and
+    ``sin_d_s1`` their products with ``c1`` and ``s1`` of ``terms``.  The
+    run is walked in blocks of the width of ``work``, a ``(3, width)``
+    float array: each block's half-lens is evaluated without clamping the
+    arccos arguments, and again with clamping only when its sum is NaN
+    (an argument rounded past ±1).  Every element is `lens_area`'s bit for
+    bit; the sum is doubled once.  Unchecked, like `cap_overlap_area_vec`.
+    """
+    n, width, total = cos_d.size, work.shape[1], 0.0
+    for lo in range(0, n, width):
+        block = slice(lo, min(lo + width, n))
+        args = (terms, cos_d[block], sin_d[block], cos_d_c1[block], sin_d_s1[block])
+        rows = work[:, : block.stop - lo]
+        part = _half_lens(*args, rows, clip=False).sum()
+        if math.isnan(part):
+            part = _half_lens(*args, rows, clip=True).sum()
+        total += part
+    return 2.0 * total
 
 
 def cap_overlap_area_vec(r1, r2, cos_d, sin_d, work: np.ndarray | None = None) -> np.ndarray:
@@ -208,10 +257,12 @@ def cap_overlap_area_vec(r1, r2, cos_d, sin_d, work: np.ndarray | None = None) -
     radius costs one ``cos`` and one ``sin``, and a caller that holds the
     same radii at many distances (the QoE inversion) takes them once.
     `lens_area` then evaluates the expression term by term, in the scalar
-    function's order, in place in the three rows of ``work``: a float array
-    of shape ``(3, *shape)`` for the broadcast shape of the inputs,
+    function's order, halved (`_half_lens`, the formula's one array form)
+    and doubled last, in place in the three rows of ``work``: a float
+    array of shape ``(3, *shape)`` for the broadcast shape of the inputs,
     allocated when not given.  The result is ``work[0]``, so a caller that
-    reuses one work array allocates nothing per call.
+    reuses one work array allocates nothing per call.  `lens_area_sum`
+    sums the same values over a run of distances without storing them.
     """
     terms = lens_terms(r1, r2)
     if work is None:

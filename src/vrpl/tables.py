@@ -2,7 +2,8 @@
 
 All emitted floats are rendered with 12 significant digits, identically in
 CSV cells and JSON documents, so reruns with identical inputs and seeds
-are byte-identical and every table re-parses with `read_csv`.
+are byte-identical and every CSV table re-parses with the standard `csv`
+module.
 
 Tables are written from columns.  A column holds one kind of value:
 
@@ -20,7 +21,6 @@ text (``-0`` and ``0``).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -134,18 +134,6 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
         _write_rows(fh, columns, n, style, ",", "\r\n")
         if n:
             fh.write("\r\n")
-
-
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read back a table written by `write_csv` (header, string rows)."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty table")
-        rows = [row for row in reader if row]
-    return header, rows
 
 
 def round_floats(obj: Any) -> Any:

@@ -7,7 +7,9 @@ boundaries where a different branch could legitimately answer.
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +53,48 @@ def random_view_triples(
             rng, n, margin=margin, r1_range=(0.2, math.pi / 2)
         )
     ]
+
+
+def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Read back a table written by `vrpl.tables.write_csv` (header, string rows)."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty table")
+        rows = [row for row in reader if row]
+    return header, rows
+
+
+def reference_lens(r1, r2, d):
+    """The array lens as one expression, in full, and its three arccos arguments.
+
+    The partial-overlap lens ``2 pi - 2 pi c1 - 2 pi c2 - 2 t0 + 2 c1 t1 +
+    2 c2 t2`` clamped to ``[0, cap]``, each term doubled in place: since
+    scaling by 2 is exact, ``vrpl.sphere.lens_area``, which evaluates the
+    lens halved and doubles it last, must match it bit for bit.  Returns
+    ``(lens, (a0, a1, a2))``, the arguments before they are clamped to
+    [-1, 1].
+    """
+    r1, r2, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (r1, r2, d)))
+    c1, c2, s1, s2, cd, sd = np.cos(r1), np.cos(r2), np.sin(r1), np.sin(r2), np.cos(d), np.sin(d)
+    args = ((cd - c1 * c2) / (s1 * s2), (cd * c1 - c2) / (sd * s1), (cd * c2 - c1) / (sd * s2))
+    t0, t1, t2 = (np.arccos(np.clip(a, -1.0, 1.0)) for a in args)
+    lens = TWO_PI - TWO_PI * c1 - TWO_PI * c2 - 2.0 * t0 + 2.0 * c1 * t1 + 2.0 * c2 * t2
+    cap = np.minimum(TWO_PI * (1.0 - c1), TWO_PI * (1.0 - c2))
+    return np.minimum(np.maximum(lens, 0.0), cap), args
+
+
+def boundary_neighbours(fov, sv, ulps: int = 2):
+    """Errors within ``ulps`` floats of each end of the partial-overlap interval, in [0, pi]."""
+    out = []
+    for end in (abs(fov - sv), fov + sv, TWO_PI - fov - sv):
+        x = y = end
+        for _ in range(ulps):
+            x, y = math.nextafter(x, -math.inf), math.nextafter(y, math.inf)
+            out += [x, y]
+    return [x for x in out if 0.0 <= x <= math.pi]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ from vrpl import (
 )
 from vrpl import aggregate
 from vrpl.leakage import cap_zone
-from vrpl.qoe import CASE_CODE, PARTITION_CASES
+from vrpl.qoe import CASE_CODE, PARTITION_CASES, classify_vec
+
+from support import boundary_neighbours, reference_lens
 
 FOV = math.radians(50.0)
 EPS = 0.4 * FOV
@@ -247,6 +249,26 @@ def test_sweep_mean_qoe_matches_qoe_vec_in_every_case():
         assert abs(mean_qoe - float(np.mean(qoe_vec(FOV, sv, errors)))) <= 1e-13
 
 
+def test_sweep_lens_redoes_a_block_whose_arccos_rounds_past_one():
+    """Errors within 2 floats of the partial-overlap ends, where arccos arguments round past ±1.
+
+    The sweep takes the arccos of unclamped arguments and redoes with
+    clamping a block whose sum is NaN; its mean QoE still matches `qoe_vec`.
+    """
+    rng = np.random.default_rng(59)
+    past_one = 0
+    for fov in (FOV, math.pi / 2, *rng.uniform(0.01, math.pi / 2, 4)):
+        grid = rng.uniform(0.0, math.pi, 8)
+        errors = np.array([e for sv in grid for e in boundary_neighbours(fov, sv)])
+        table = average_leakage_sweep(errors, fov, EPS * fov / FOV, grid)
+        for sv, mean_qoe in zip(grid, table.mean_qoe):
+            assert abs(mean_qoe - float(np.mean(qoe_vec(fov, sv, errors)))) <= 1e-13
+            partial = errors[classify_vec(fov, sv, errors) == CASE_CODE[OverlapCase.REMAINING]]
+            args = reference_lens(fov, sv, partial)[1]
+            past_one += np.count_nonzero(np.any(np.abs(args) > 1.0, axis=0))
+    assert past_one > 0
+
+
 def _pointwise_sweep(errors: list[float], fov: float, eps: float, sv: float):
     """Scalar reference: classify, score and average every error on its own."""
     n = len(errors)
@@ -314,6 +336,9 @@ def _sweep_inputs(draw):
 @example((math.pi / 2, math.pi / 2, [math.pi / 2], [float(np.nextafter(math.pi, 0)), math.pi, 1.0]))
 # a nested error that also passes the disjoint test
 @example((math.pi / 2, math.pi / 2, [1.4091702570048054e-196], [math.pi / 2]))
+# an error one float past the containment tangency at r_sv = 2 r_fov, where the lens is
+# ill-conditioned: only a per-element clamp holds its run's sum to 1e-12
+@example((FOV, FOV, [math.pi / 2, 2 * FOV], [float(np.nextafter(FOV, 4.0)), math.pi / 2]))
 def test_sorted_sweep_matches_pointwise_reference(inputs):
     fov, eps, grid, errors = inputs
     table = average_leakage_sweep(errors, fov, eps, grid)

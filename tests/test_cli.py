@@ -34,7 +34,9 @@ from vrpl.cli import InternalInconsistencyError, _check_report, _write_report, m
 from vrpl import config
 from vrpl.config import MAX_ELEMENTS, load_config
 from vrpl.qoe import CASE_CODE, PARTITION_CASES
-from vrpl.tables import read_csv, round_floats, write_json
+from vrpl.tables import round_floats, write_json
+
+from support import read_csv
 
 FOV = math.radians(50.0)
 

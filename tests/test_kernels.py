@@ -35,12 +35,15 @@ from vrpl.leakage import (
     leak_prob_from_qoe_vec,
 )
 from vrpl.qoe import CASE_CODE, CASES, classify_vec, qoe_vec
+from vrpl.sphere import cap_overlap_area_vec
 
 from support import (
     RESIDUAL_SLACK,
     assert_roots,
+    boundary_neighbours,
     halve_with_qoe_vec,
     inversion_bracket,
+    reference_lens,
     residuals,
     rounding_bound,
 )
@@ -232,6 +235,21 @@ def test_complement_tangency_report_is_consistent():
     leak_prob_from_qoe(q, fov, sv, 0.5 * fov)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 1 (a well-conditioned lens): at the containment tangency the lens's "
+    "arccos is ill-conditioned, and qoe puts the boundary report 1.11e-8 below its band's top, so "
+    "it inverts to an exact error 1.01e-5 above the boundary",
+)
+def test_containment_tangency_report_infers_the_containment_interval():
+    fov, sv = 0.99999, 0.23188840876711264
+    e = fov - sv
+    assert classify(fov, sv, e) is OverlapCase.REMAINING  # the case test rounds it inside
+    inference = infer_error_from_qoe(qoe(fov, sv, e), fov, sv)
+    assert (inference.kind, inference.case) == (InferenceKind.RANGE, OverlapCase.SFOV_IN_FOV)
+
+
 def test_rounding_size_cap_zone_is_a_point():
     # r_sv + r_fov misses pi by one rounding step: the disjoint zone is a point.
     fov, sv = math.radians(50.0), math.radians(130.0)
@@ -353,6 +371,25 @@ def test_edge_reports_are_bisected():
     """Every edge report reaches the exact inversion."""
     for triples in _EDGE_REPORTS:
         assert _reports(triples)[3][: len(triples)].all()
+
+
+@_over_the_domain
+def test_lens_area_is_the_full_expression_bit_for_bit(triples):
+    """The lens, evaluated halved and doubled, is the full expression's bit for bit.
+
+    At the fraction ``u`` of each report's partial-overlap interval and
+    within 2 floats of its ends, where the arccos arguments round past ±1
+    and the clamp to ``[0, cap]`` binds.
+    """
+    points = []
+    for fov, sv, u in triples:
+        lo, hi = abs(fov - sv), min(fov + sv, 2.0 * math.pi - fov - sv)
+        points += [(fov, sv, e) for e in (lo + u * (hi - lo), *boundary_neighbours(fov, sv))]
+    fov, sv, e = (np.array(x) for x in zip(*points))
+    partial = classify_vec(fov, sv, e) == CASE_CODE[OverlapCase.REMAINING]
+    fov, sv, e = fov[partial], sv[partial], e[partial]
+    got = cap_overlap_area_vec(fov, sv, np.cos(e), np.sin(e))
+    assert np.array_equal(got, reference_lens(fov, sv, e)[0])
 
 
 @_over_the_domain

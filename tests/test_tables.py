@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from vrpl.cli import main
 from vrpl.config import DEFAULT_R_FOV_RAD
 from vrpl.qoe import CASES, classify_vec, qoe_vec
+from support import read_csv
 from vrpl.tables import (
     CHUNK_ROWS,
     Categorical,
     format_float,
-    read_csv,
     round_floats,
     write_csv,
     write_json,
