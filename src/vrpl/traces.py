@@ -432,10 +432,13 @@ def sample_count(duration: float, rate: float) -> int:
     return round(count)
 
 
-def _points(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Unit vectors (..., xyz) at height ``z`` and longitude ``t``."""
+def _points(
+    z: np.ndarray, t: np.ndarray, axis: int = -1, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unit vectors at height ``z`` and longitude ``t``, xyz along ``axis``,
+    into ``out`` if given."""
     c = np.sqrt(1.0 - z * z)
-    return np.stack((c * np.cos(t), c * np.sin(t), z), axis=-1)
+    return np.stack((c * np.cos(t), c * np.sin(t), z), axis=axis, out=out)
 
 
 def _unit_tangents(v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -460,16 +463,8 @@ def _unit_tangents(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p / norm[:, None]
 
 
-#: Steps whose random points `_step_points` computes at a time.
+#: Steps whose random points, ``w`` and ``s`` `_random_walk` takes at a time.
 _STEP_BLOCK = 64
-
-
-def _step_points(steps: np.ndarray) -> Iterator[np.ndarray]:
-    """The random points (trace, xyz) of the steps (trace, step, (u, z, t)),
-    step by step, computed `_STEP_BLOCK` steps at a time."""
-    for k in range(0, steps.shape[1], _STEP_BLOCK):
-        block = steps[:, k : k + _STEP_BLOCK]
-        yield from _points(block[:, :, 1].T, block[:, :, 2].T)  # (step, trace, xyz)
 
 
 def _random_walk(draws: np.ndarray, kappa: float) -> np.ndarray:
@@ -477,25 +472,60 @@ def _random_walk(draws: np.ndarray, kappa: float) -> np.ndarray:
 
     Row ``i`` of ``draws`` holds trace ``i``'s start point ``(z, t)``, then
     ``(u, z, t)`` per step.  A step deviates from the current point by an
-    angle whose cosine is drawn by inverse CDF from ``u`` (exact on the
-    2-sphere, stable for large kappa where exp(-2*kappa) underflows),
-    toward the tangent given by the random point ``(z, t)``.  All traces
-    take each step together.
+    angle whose cosine ``w`` is drawn by inverse CDF from ``u`` (exact on
+    the 2-sphere, stable for large kappa where exp(-2*kappa) underflows),
+    toward the tangent given by the random point ``(z, t)``.
+
+    All traces take each step together, on component rows (xyz, trace) in
+    buffers made once per walk; the points, ``w`` and ``s = sqrt(1 - w²)``
+    are taken `_STEP_BLOCK` steps at a time.  Each dot product is summed in
+    one fixed order, ``(x·x′ + z·z′) + y·y′``, so the walk does not depend
+    on the order a numpy build's ``einsum`` takes.  The traces whose
+    tangent is degenerate at a step take `_unit_tangents`' fallback.
     """
     n_traces = len(draws)
     steps = draws[:, 2:].reshape(n_traces, -1, 3)
+    n_steps = steps.shape[1]
     floor = math.exp(-2.0 * kappa)
-    w = 1.0 + np.log(steps[:, :, 0] * (1.0 - floor) + floor) / kappa
-    np.clip(w, -1.0, 1.0, out=w)
-    s = np.sqrt(np.maximum(0.0, 1.0 - w * w))
-    vecs = np.empty((n_traces, steps.shape[1] + 1, 3))
-    v = _points(draws[:, 0], draws[:, 1])
-    vecs[:, 0] = v
-    for k, point in enumerate(_step_points(steps)):
-        tangent = _unit_tangents(v, point)
-        v = w[:, k, None] * v + s[:, k, None] * tangent
-        v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
-        vecs[:, k + 1] = v
+    vecs = np.empty((n_traces, n_steps + 1, 3))
+    vecs[:, 0] = _points(draws[:, 0], draws[:, 1])
+    v = start = vecs[:, 0].T.copy()  # (xyz, trace)
+    block = np.empty((min(_STEP_BLOCK, n_steps), 3, n_traces))  # (step, xyz, trace)
+    tangent, prod = np.empty((2, 3, n_traces))
+    dot = np.empty(n_traces)
+    prod_x, prod_y, prod_z = prod
+
+    def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The dot products of the columns of ``a`` and ``b``, into ``dot``."""
+        np.multiply(a, b, out=prod)
+        np.add(prod_x, prod_z, out=dot)
+        return np.add(dot, prod_y, out=dot)
+
+    for k in range(0, n_steps, _STEP_BLOCK):
+        u, z_draw, t_draw = steps[:, k : k + _STEP_BLOCK].T  # each (step, trace)
+        w = 1.0 + np.log(u * (1.0 - floor) + floor) / kappa
+        np.clip(w, -1.0, 1.0, out=w)
+        s = np.sqrt(np.maximum(0.0, 1.0 - w * w))
+        # each step's random point is overwritten by the point the step reaches
+        walked = _points(z_draw, t_draw, axis=1, out=block[: len(u)])
+        for j, p in enumerate(walked):
+            # the tangent: p less its component along v, normalized
+            np.multiply(v, dot_rows(p, v), out=tangent)
+            np.subtract(p, tangent, out=tangent)
+            norm = np.sqrt(dot_rows(tangent, tangent), out=dot)
+            if norm.min() <= _TANGENT_MIN_NORM:
+                bad = norm <= _TANGENT_MIN_NORM
+                tangent[:, bad] = _unit_tangents(v.T[bad], p.T[bad]).T
+                norm[bad] = 1.0
+            tangent /= norm
+            tangent *= s[j]
+            np.multiply(v, w[j], out=p)
+            p += tangent
+            p /= np.sqrt(dot_rows(p, p), out=dot)
+            v = p
+        vecs[:, k + 1 : k + 1 + len(walked)] = walked.transpose(2, 0, 1)
+        start[...] = v  # the next block's points overwrite v
+        v = start
     return vecs
 
 

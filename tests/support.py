@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from vrpl.qoe import qoe, qoe_vec
-from vrpl.traces import GreatCircleDrift, MotionModel
+from vrpl.traces import (
+    _TANGENT_MIN_NORM,
+    GreatCircleDrift,
+    MotionModel,
+    _points,
+    _unit_tangents,
+)
 
 TWO_PI = 2.0 * math.pi
 ULP = float(np.finfo(float).eps)
@@ -263,3 +269,37 @@ def scalar_synthetic_unit_vectors(
             vecs[k] = v
         out.append(vecs)
     return out
+
+
+def dot_xzy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of ``(n, 3)`` arrays, summed ``(x·x′ + z·z′) + y·y′``."""
+    return (a[:, 0] * b[:, 0] + a[:, 2] * b[:, 2]) + a[:, 1] * b[:, 1]
+
+
+def reference_random_walk(draws: np.ndarray, kappa: float, dot=dot_xzy) -> np.ndarray:
+    """`vrpl.traces._random_walk` as a loop over steps on (trace, xyz) rows.
+
+    Each step allocates its arrays, and ``dot`` sums each dot product: the
+    fixed order of `dot_xzy` by default, which ``_random_walk`` must match
+    bit for bit on every platform.  The step points, ``w`` and ``s`` are
+    taken for all steps at once, and a trace whose tangent is no longer
+    than `_TANGENT_MIN_NORM` takes `_unit_tangents`' fallback.
+    """
+    n_traces = len(draws)
+    steps = draws[:, 2:].reshape(n_traces, -1, 3)
+    floor = math.exp(-2.0 * kappa)
+    w = np.clip(1.0 + np.log(steps[:, :, 0] * (1.0 - floor) + floor) / kappa, -1.0, 1.0)
+    s = np.sqrt(np.maximum(0.0, 1.0 - w * w))
+    points = _points(steps[:, :, 1], steps[:, :, 2]).transpose(1, 0, 2)  # (step, trace, xyz)
+    vecs = np.empty((n_traces, steps.shape[1] + 1, 3))
+    v = vecs[:, 0] = _points(draws[:, 0], draws[:, 1])
+    for k, p in enumerate(points):
+        tangent = p - dot(p, v)[:, None] * v
+        norm = np.sqrt(dot(tangent, tangent))
+        bad = norm <= _TANGENT_MIN_NORM
+        tangent[bad] = _unit_tangents(v[bad], p[bad])
+        norm[bad] = 1.0
+        v = w[:, k, None] * v + s[:, k, None] * (tangent / norm[:, None])
+        v = v / np.sqrt(dot(v, v))[:, None]
+        vecs[:, k + 1] = v
+    return vecs

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -24,7 +25,7 @@ from vrpl import (
 from vrpl import traces as traces_module
 from vrpl.traces import _points, _unit_tangents
 
-from support import scalar_synthetic_unit_vectors
+from support import reference_random_walk, scalar_synthetic_unit_vectors
 
 WIN = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0)
 
@@ -273,6 +274,67 @@ def test_synthetic_draws_one_block(monkeypatch):
     generate_synthetic_traces(GreatCircleDrift(rate=0.1), 4, 10.0, 5.0, seed=1)
     # 2 start draws plus 3 per step for each of 50 samples; 4 for a drift.
     assert rec.sizes == [(4, 2 + 3 * 49), (4, 4)]
+
+
+def _walk_draws(n_traces: int, n: int, seed: int) -> np.ndarray:
+    """The draws of ``n_traces`` random walks of ``n`` samples, laid out as
+    `generate_synthetic_traces` draws them."""
+    lo, hi = np.array(traces_module._POINT_DRAWS + traces_module._STEP_DRAWS * (n - 1)).T
+    return np.random.default_rng(seed).uniform(lo, hi, size=(n_traces, len(lo)))
+
+
+def _einsum_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+@pytest.mark.parametrize("kappa", [5e4, 5.0, 0.01])
+@pytest.mark.parametrize("n_traces", [1, 7, 200])
+# 1 step; 64, one whole block; then across 1, 2 and 4 block edges
+@pytest.mark.parametrize("n", [2, 65, 66, 130, 300])
+def test_random_walk_matches_reference_bit_for_bit(kappa, n_traces, n):
+    d = _walk_draws(n_traces, n, seed=1000 * n_traces + n)
+    vecs = traces_module._random_walk(d, kappa)
+    assert vecs.shape == (n_traces, n, 3)
+    assert vecs.tobytes() == reference_random_walk(d, kappa).tobytes()
+    # summed in whatever order np.einsum takes, the walk moves by rounding only
+    einsum_walk = reference_random_walk(d, kappa, dot=_einsum_dot)
+    np.testing.assert_allclose(vecs, einsum_walk, rtol=0, atol=1e-15)
+
+
+def test_random_walk_degenerate_steps_among_regular_ones():
+    kappa, k = 5.0, 70  # step k lies in the second block
+    d = _walk_draws(7, 100, seed=5)
+    # at step 0, trace 2's point is its start point and trace 5's is the antipode
+    d[2, 3:5] = d[2, 0:2]
+    d[5, 3:5] = -d[5, 0], d[5, 1] + math.pi
+    # at step k, trace 3's point is where its walk then is
+    x, y, z = traces_module._random_walk(d, kappa)[3, k]
+    d[3, 3 + 3 * k : 5 + 3 * k] = z, math.atan2(y, x)
+    vecs = traces_module._random_walk(d, kappa)
+    assert vecs.tobytes() == reference_random_walk(d, kappa).tobytes()
+    floor = math.exp(-2.0 * kappa)
+    for trace, step in ((2, 0), (5, 0), (3, k)):
+        u, z, t = d[trace, 2 + 3 * step : 5 + 3 * step]
+        v = vecs[trace, step]
+        assert np.linalg.norm(np.cross(_points(z, t), v)) < 1e-6
+        # the fallback tangent still takes the step acos(w) off the point
+        w = 1.0 + math.log(u * (1.0 - floor) + floor) / kappa
+        assert vecs[trace, step + 1] @ v == pytest.approx(w, abs=1e-12)
+
+
+def test_random_walk_memory_stays_flat():
+    # The walk holds one block of steps' points, w and s at a time: a 3.7 MiB
+    # peak on numpy 2.4, against 6.5 MiB with one block of every step, and
+    # 4.6 MiB for the walk that took w and s for every step at once.
+    args = (RandomWalk(5e4), 200, 60.0, 5.0, 3)
+    generate_synthetic_traces(*args)  # a first call also fills numpy's caches
+    tracemalloc.start()
+    try:
+        generate_synthetic_traces(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["same", "antipode"])
