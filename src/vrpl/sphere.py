@@ -208,8 +208,9 @@ def lens_area(terms: tuple, cos_d, sin_d, work: np.ndarray) -> np.ndarray:
     """The per-distance step of `cap_overlap_area_vec`, from `lens_terms`' ``terms``.
 
     The lens at the distances of cosine ``cos_d`` and sine ``sin_d``: twice
-    `_half_lens` with every arccos argument clamped, in ``work`` as
-    `cap_overlap_area_vec` describes; unchecked.
+    `_half_lens` with every arccos argument clamped, in the three rows of
+    ``work`` (a ``(3, *shape)`` float array for the inputs' broadcast
+    shape), returned in ``work[0]``; unchecked.
     """
     _, term, denom = work
     np.multiply(cos_d, terms[0], out=term)
@@ -242,7 +243,7 @@ def lens_area_sum(terms: tuple, cos_d, sin_d, cos_d_c1, sin_d_s1, work: np.ndarr
     return 2.0 * total
 
 
-def cap_overlap_area_vec(r1, r2, cos_d, sin_d, work: np.ndarray | None = None) -> np.ndarray:
+def cap_overlap_area_vec(r1, r2, cos_d, sin_d) -> np.ndarray:
     """Lens area of caps in partial overlap, elementwise over broadcastable inputs.
 
     `cap_overlap_area`'s partial-overlap expression and clamp, with the
@@ -258,17 +259,12 @@ def cap_overlap_area_vec(r1, r2, cos_d, sin_d, work: np.ndarray | None = None) -
     same radii at many distances (the QoE inversion) takes them once.
     `lens_area` then evaluates the expression term by term, in the scalar
     function's order, halved (`_half_lens`, the formula's one array form)
-    and doubled last, in place in the three rows of ``work``: a float
-    array of shape ``(3, *shape)`` for the broadcast shape of the inputs,
-    allocated when not given.  The result is ``work[0]``, so a caller that
-    reuses one work array allocates nothing per call.  `lens_area_sum`
-    sums the same values over a run of distances without storing them.
+    and doubled last.  `lens_area_sum` sums the same values over a run of
+    distances without storing them.
     """
     terms = lens_terms(r1, r2)
-    if work is None:
-        shape = np.broadcast_shapes(*(np.shape(x) for x in (*terms[:2], cos_d, sin_d)))
-        work = np.empty((3, *shape))
-    return lens_area(terms, cos_d, sin_d, work)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (*terms[:2], cos_d, sin_d)))
+    return lens_area(terms, cos_d, sin_d, np.empty((3, *shape)))
 
 
 def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[float, float]:

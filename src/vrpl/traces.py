@@ -56,7 +56,7 @@ class ViewpointTrace:
         key, bounds = [(self.user_id, self.video_id)], np.array([0, len(ts)])
         fault = _check_population(key, ts, th, ph, bounds)
         if fault is not None:
-            raise TraceFormatError(fault)
+            raise TraceFormatError(fault[0])
         for name, arr in (("timestamps", ts), ("theta", th), ("phi", ph)):
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
@@ -84,7 +84,7 @@ def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def _check_population(
     keys: list[tuple[str, str]], ts: np.ndarray, th: np.ndarray, ph: np.ndarray,
     bounds: np.ndarray,
-) -> str | None:
+) -> tuple[str, int] | None:
     """Check traces laid end to end in flat float64 columns, then wrap their
     longitudes to [-pi, pi) in place.
 
@@ -92,8 +92,10 @@ def _check_population(
     trace is bad when it has fewer than 2 samples, a non-finite sample, a
     latitude beyond pi/2, timestamps not strictly increasing, or sample
     spacings differing by more than `SPACING_TOL`, in that order.  Returns
-    the `TraceFormatError` message of the first bad trace, leaving ``th``
-    as it was, or None once ``th`` is wrapped with an exact fmod.
+    the `TraceFormatError` message of the first bad trace and the row it
+    names (the first failing; for uneven spacing, the first taking the
+    spread past the tolerance), leaving ``th`` as it was, or None once
+    ``th`` is wrapped with an exact fmod.
     """
     starts = bounds[:-1]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
@@ -116,20 +118,27 @@ def _check_population(
     def trace_of(rows: np.ndarray) -> np.ndarray:
         return np.searchsorted(bounds, rows, side="right") - 1
 
-    checks = [  # each check's first failing trace, if any, and what is said of it
-        (np.flatnonzero(np.diff(bounds) < 2)[:1], lambda i: " has fewer than 2 samples"),
-        (trace_of(bad), lambda i: " has non-finite samples"),
-        (trace_of(steep), lambda i: (
-            f" sample {steep[0] - starts[i]}: latitude {ph[steep[0]]!r} outside [-pi/2, pi/2]")),
+    def spread_row(i: int) -> int:
+        spacing = gaps[starts[i] : bounds[i + 1] - 1]
+        spread = np.fmax.accumulate(spacing) - np.fmin.accumulate(spacing)
+        return starts[i] + 1 + np.flatnonzero(spread > SPACING_TOL)[0]
+
+    checks = [  # each check's first failing trace, if any, what is said of it and its row
+        (np.flatnonzero(np.diff(bounds) < 2)[:1], lambda i: (" has fewer than 2 samples", starts[i])),
+        (trace_of(bad), lambda i: (" has non-finite samples", bad[0])),
+        (trace_of(steep), lambda i: (f" sample {steep[0] - starts[i]}: latitude "
+                                     f"{float(ph[steep[0]])!r} outside [-pi/2, pi/2]", steep[0])),
         (trace_of(back), lambda i: (
-            f" sample {back[0] - starts[i] + 1}: timestamps not strictly increasing")),
+            f" sample {back[0] - starts[i] + 1}: timestamps not strictly increasing", back[0] + 1)),
         (np.flatnonzero(uneven)[:1], lambda i: (
-            f": non-uniform sample spacing (min {lo[i]!r}, max {hi[i]!r})")),
+            f": non-uniform sample spacing (min {float(lo[i])!r}, max {float(hi[i])!r})",
+            spread_row(i))),
     ]
     failing = [(int(first[0]), k) for k, (first, _) in enumerate(checks) if first.size]
     if failing:
         i, k = min(failing)  # the first bad trace, and the first check it fails
-        return f"trace {keys[i][0]}/{keys[i][1]}{checks[k][1](i)}"
+        message, row = checks[k][1](i)
+        return f"trace {keys[i][0]}/{keys[i][1]}{message}", int(row)
     th += math.pi
     np.fmod(th, TWO_PI, out=th)
     np.add(th, TWO_PI, out=th, where=th < 0.0)
@@ -151,38 +160,51 @@ def load_traces(path: str | Path) -> list[ViewpointTrace]:
 
     Expected schema (exact header): ``user_id,video_id,timestamp_s,
     theta_rad,phi_rad``, UTF-8, one sample per row.  Consecutive rows with
-    the same (user_id, video_id) form one trace, and each key's rows must
-    be contiguous.  Malformed rows, and a key that reappears after its
-    trace ended, are reported with their line number.
-
-    The file is parsed a block of lines at a time into columns
-    (`_load_columns`).  A file that parse does not take, a bad one among
-    them, is read again from the top by the row loop (`_load_rows`), which
-    returns the same traces or reports the first bad line.
+    the same (user_id, video_id) form one trace; each key's rows must be
+    contiguous.  The file is read once into columns by `_load_columns`, or
+    by the row loop `_load_rows` if that parse does not take it, and the
+    columns are checked once.  The first fault raises `TraceFormatError`:
+    one the tokenizer sees (header, encoding, csv error, column count,
+    non-numeric value); else the first key that reappears after its trace
+    ended; else the first bad trace in file order, with the first
+    `_check_population` check it fails.  A fault in the rows reads
+    ``{path}:{line}: {message}``, naming the physical line its row starts on.
     """
     path = Path(path)
     try:
-        traces = _load_columns(path)
+        keys, ts, th, ph, bounds, skips = _load_columns(path)
     except ValueError:
-        traces = _load_rows(path)
-    if not traces:
+        keys, ts, th, ph, bounds, skips = _load_rows(path)
+    if not keys:
         raise TraceFormatError(f"{path}: file contains zero traces")
-    return traces
+    first: dict[tuple[str, str], int] = {}
+    again = next((i for i, key in enumerate(keys) if first.setdefault(key, i) != i), None)
+    if again is not None:
+        fault = (f"rows of trace {keys[again][0]}/{keys[again][1]} are not contiguous "
+                 "(the trace already ended on an earlier line)", bounds[again])
+    else:
+        fault = _check_population(keys, ts, th, ph, bounds)
+    if fault is not None:
+        message, row = fault
+        # the header is line 1; each line that starts no row pushes the rows after it down
+        line = 2 + row + np.searchsorted(skips, row, side="right")
+        raise TraceFormatError(f"{path}:{line}: {message}")
+    for column in (ts, th, ph):
+        column.flags.writeable = False
+    return [
+        _trusted(user, video, ts[lo:hi], th[lo:hi], ph[lo:hi])
+        for (user, video), lo, hi in zip(keys, bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
 
-def _load_rows(path: Path) -> list[ViewpointTrace]:
-    """`load_traces` by the csv module, one row at a time."""
-    traces: list[ViewpointTrace] = []
-    key: tuple[str, str] | None = None
-    closed: set[tuple[str, str]] = set()  # keys whose run of rows has ended
-    buf: list[tuple[float, float, float]] = []
-
-    def _flush() -> None:
-        if key is None:
-            return
-        ts, th, ph = (np.array(col, dtype=float) for col in zip(*buf))
-        traces.append(ViewpointTrace(key[0], key[1], ts, th, ph))
-
+def _load_rows(path: Path) -> tuple:
+    """`_load_columns`' columns by the csv module, one record at a time: the
+    tokenizer of the files that parse does not take.  Its `TraceFormatError`
+    for a malformed record names the line the record starts on."""
+    keys: list[tuple[str, str]] = []
+    firsts: list[int] = []  # the first row of each trace
+    samples: list[tuple[float, float, float]] = []
+    skips: list[int] = []
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -193,39 +215,29 @@ def _load_rows(path: Path) -> list[ViewpointTrace]:
                 raise TraceFormatError(
                     f"{path}: unexpected header {header!r}, expected {TRACE_HEADER!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(TRACE_HEADER):
-                    raise TraceFormatError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} columns")
-                user, video = row[0], row[1]
-                try:
-                    t, theta, phi = float(row[2]), float(row[3]), float(row[4])
-                except ValueError as exc:
-                    raise TraceFormatError(f"{path}:{lineno}: non-numeric sample: {exc}") from None
-                if not (math.isfinite(t) and math.isfinite(theta) and math.isfinite(phi)):
-                    raise TraceFormatError(f"{path}:{lineno}: non-finite sample")
-                if abs(phi) > math.pi / 2:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: latitude {phi!r} outside [-pi/2, pi/2]"
-                    )
-                if (user, video) != key:
-                    if (user, video) in closed:
-                        raise TraceFormatError(
-                            f"{path}:{lineno}: rows of trace {user}/{video} are not contiguous "
-                            "(the trace already ended on an earlier line)"
-                        )
-                    _flush()
-                    if key is not None:
-                        closed.add(key)
-                    key, buf = (user, video), []
-                buf.append((t, theta, phi))
-            _flush()
+            last = reader.line_num
+            skips += [0] * (last - 1)  # a quoted header's lines after its first
+            for row in reader:
+                lineno, last = last + 1, reader.line_num  # the lines this record spans
+                if row:
+                    if len(row) != len(TRACE_HEADER):
+                        raise TraceFormatError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} columns")
+                    try:
+                        samples.append((float(row[2]), float(row[3]), float(row[4])))
+                    except ValueError as exc:
+                        raise TraceFormatError(f"{path}:{lineno}: non-numeric sample: {exc}") from None
+                    if not keys or (row[0], row[1]) != keys[-1]:
+                        keys.append((row[0], row[1]))
+                        firsts.append(len(samples) - 1)
+                    lineno += 1
+                # the lines from lineno on start no row: a blank one, or a row's after its first
+                skips += [len(samples)] * (last - lineno + 1)
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not UTF-8: {exc}") from None
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    return traces
+    ts, th, ph = np.array(samples, dtype=float).reshape(-1, 3).T.copy()
+    return keys, ts, th, ph, np.array(firsts + [len(samples)]), skips
 
 
 #: Bytes `_load_columns` reads at a time: about a thousand 60-byte rows.
@@ -237,16 +249,12 @@ _CHUNK_BYTES = 1 << 16
 _UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"')
 
 
-class _NotColumnar(ValueError):
-    """A trace file `_load_columns` does not vouch for; `_load_rows` reads it."""
-
-
 def _vouch(block: bytes) -> bytes:
     """``block``, if it holds no `_UNSAFE` byte and no CR outside a CRLF."""
     if any(c in block for c in _UNSAFE):
-        raise _NotColumnar("a byte the row loop reads otherwise")
+        raise ValueError("a byte the row loop reads otherwise")
     if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-        raise _NotColumnar("a line ending the row loop reads otherwise")
+        raise ValueError("a line ending the row loop reads otherwise")
     return block
 
 
@@ -258,7 +266,7 @@ def _blocks(fh) -> Iterator[bytes]:
         data = carry + data
         cut = data.rfind(b"\n") + 1
         if not cut and len(data) > _CHUNK_BYTES:
-            raise _NotColumnar("a line longer than a block")
+            raise ValueError("a line longer than a block")
         if cut:
             yield _vouch(data[:cut])
         carry = data[cut:]
@@ -285,23 +293,26 @@ def _key_changes(a: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.nd
     return differs
 
 
-def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, np.ndarray, list[bytes], np.ndarray]:
     """The ``(rows, 3)`` samples of a block of whole lines, the rows whose
     ``user_id,video_id`` differs from the row before (``last_key`` for the
-    first), and those keys.  Blank lines hold no row, as in the csv module;
-    every other line must have exactly five fields.
+    first), those keys, and for each blank line the rows of the block before
+    it.  Blank lines hold no row, as in the csv module; every other line
+    must have exactly five fields.
     """
     a = np.frombuffer(block, dtype=np.uint8)
     newlines = np.flatnonzero(a == ord("\n"))
     starts = np.concatenate(([0], newlines + 1))[:-1]
     ends = newlines - (a[newlines - 1] == ord("\r"))
     rows = ends > starts
+    blank = np.flatnonzero(~rows)
+    blank -= np.arange(blank.size)
     commas = np.flatnonzero(a == ord(","))
     if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != 4 * rows):
-        raise _NotColumnar("a row without five fields")
+        raise ValueError("a row without five fields")
     starts = starts[rows]
     if not starts.size:
-        return np.empty((0, 3)), np.empty(0, dtype=np.intp), []
+        return np.empty((0, 3)), np.empty(0, dtype=np.intp), [], blank
     key_ends = commas[np.searchsorted(commas, starts) + 1]
     new_key = _key_changes(a, starts, key_ends - starts)
     new_key[0] = block[starts[0] : key_ends[0]] != last_key
@@ -309,26 +320,28 @@ def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, np.ndarray, 
     lines = block.decode("utf-8").split("\n")
     samples = np.loadtxt(lines, delimiter=",", usecols=(2, 3, 4), comments=None, ndmin=2)
     if len(samples) != len(starts):  # a guard: the rows must line up with their keys
-        raise _NotColumnar("a row loadtxt skipped")
-    return samples, changed, [block[starts[i] : key_ends[i]] for i in changed]
+        raise ValueError("a row loadtxt skipped")
+    return samples, changed, [block[starts[i] : key_ends[i]] for i in changed], blank
 
 
-def _load_columns(path: Path) -> list[ViewpointTrace]:
-    """`_load_rows`' traces, parsed a block of lines at a time into columns.
+def _load_columns(path: Path) -> tuple:
+    """Tokenize a trace file into columns, a block of lines at a time.
 
-    Only the rows where the key changes are recorded, and each trace is a
-    slice of the three contiguous sample columns.  Raises `ValueError` for
-    every file it cannot vouch the row loop reads the same: a header that
-    does not match, `_UNSAFE` bytes, lone CRs, rows without five fields,
-    values ``loadtxt`` rejects (``1_0``, full-width digits), rows of a key
-    after its trace ended, and traces `_check_population` rejects, which it
-    checks together once every row is read.
+    Returns the trace keys ``(user_id, video_id)`` in file order, the flat
+    float64 ``ts``, ``theta`` and ``phi`` columns, the trace bounds (trace
+    ``i`` is rows ``bounds[i]:bounds[i + 1]``) and the line map: for each
+    line after the header that starts no row, the number of rows before
+    it.  `_load_rows` returns the same of each file this takes.  Raises a
+    plain `ValueError`, never `TraceFormatError`, for each file the row
+    loop might read otherwise: a header that does not match, `_UNSAFE`
+    bytes, lone CRs, rows without five fields, values ``loadtxt`` rejects
+    (``1_0``, full-width digits).
     """
     if not path.is_file():  # a pipe is read once, by the row loop
-        raise _NotColumnar("not a regular file")
+        raise ValueError("not a regular file")
     firsts: list[int] = []  # the first row of each trace
     keys: list[bytes] = []
-    seen: set[bytes] = set()
+    skips: list[int] = []
     n = 0
     with path.open("rb") as fh:
         # a slot per line holds every row, so the blocks are never joined
@@ -339,30 +352,17 @@ def _load_columns(path: Path) -> list[ViewpointTrace]:
         header, _, body = next(blocks, b"").partition(b"\n")
         fields = header.removesuffix(b"\r").decode("utf-8").split(",")
         if [f.strip() for f in fields] != TRACE_HEADER:
-            raise _NotColumnar("a header the row loop reads otherwise")
+            raise ValueError("a header the row loop reads otherwise")
         for block in itertools.chain([body], blocks):
-            values, changed, block_keys = _block_rows(block, keys[-1] if keys else b"")
-            for key in block_keys:
-                if key in seen:
-                    raise _NotColumnar("rows of a key after its trace ended")
-                seen.add(key)
+            values, changed, block_keys, blank = _block_rows(block, keys[-1] if keys else b"")
             m = len(values)
             ts[n : n + m], th[n : n + m], ph[n : n + m] = values.T
             firsts += (changed + n).tolist()
+            skips += (blank + n).tolist()
             keys += block_keys
             n += m
     pairs = [tuple(key.decode("utf-8").split(",")) for key in keys]
-    bounds = np.array(firsts + [n])
-    ts, th, ph = ts[:n], th[:n], ph[:n]
-    fault = _check_population(pairs, ts, th, ph, bounds)
-    if fault is not None:
-        raise _NotColumnar(fault)
-    for column in (ts, th, ph):
-        column.flags.writeable = False
-    return [
-        _trusted(user, video, ts[lo:hi], th[lo:hi], ph[lo:hi])
-        for (user, video), lo, hi in zip(pairs, firsts, bounds[1:].tolist())
-    ]
+    return pairs, ts[:n], th[:n], ph[:n], np.array(firsts + [n]), skips
 
 
 def save_traces(path: str | Path, traces: list[ViewpointTrace]) -> None:
@@ -572,7 +572,7 @@ def generate_synthetic_traces(
     bounds = np.arange(n_traces + 1) * n
     fault = _check_population(keys, np.tile(times, n_traces), theta.ravel(), phi.ravel(), bounds)
     if fault is not None:
-        raise TraceFormatError(fault)
+        raise TraceFormatError(fault[0])
     for column in (times, theta, phi):
         column.flags.writeable = False
     return [_trusted(user, video, times, theta[i], phi[i]) for i, (user, video) in enumerate(keys)]

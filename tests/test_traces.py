@@ -473,6 +473,22 @@ def _by_rows(path):
         return load_traces(path)
 
 
+def _by_columns(path):
+    """`load_traces` with the row loop failing the test if the file reaches it."""
+
+    def refuse(path):
+        raise AssertionError("the row loop read the file again")
+
+    with patch.object(traces_module, "_load_rows", refuse):
+        return load_traces(path)
+
+
+def _tokens(tokenize, path):
+    """What tokenizer ``tokenize`` makes of ``path``: keys, sample bits, bounds, line map."""
+    keys, ts, th, ph, bounds, skips = tokenize(path)
+    return keys, ts.tobytes(), th.tobytes(), ph.tobytes(), bounds.tolist(), list(skips)
+
+
 #: Numeric fields the row loop and ``np.loadtxt`` may read differently, or
 #: reject, made from a valid field ``v``: most keep its value under ``float``.
 _ODD_VALUES = [
@@ -555,11 +571,11 @@ def test_columnar_parse_agrees_with_row_loop(text, chunk):
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(load_traces, path) == _outcome(_by_rows, path)
         try:
-            columns = traces_module._load_columns(path)
+            columns = _tokens(traces_module._load_columns, path)
         except ValueError:
             return
         # what the columnar parse takes, the row loop reads the same
-        assert _outcome(lambda p: columns, path) == _outcome(traces_module._load_rows, path)
+        assert columns == _tokens(traces_module._load_rows, path)
 
 
 def test_columnar_parse_takes_clean_files_of_many_blocks(tmp_path):
@@ -571,9 +587,12 @@ def test_columnar_parse_takes_clean_files_of_many_blocks(tmp_path):
         lines.append("")
     path = _write(tmp_path, "\r\n".join(lines))
     assert path.stat().st_size > 2 * traces_module._CHUNK_BYTES
-    columns = traces_module._load_columns(path)
-    assert _outcome(lambda p: columns, path) == _outcome(traces_module._load_rows, path)
-    assert [(t.user_id, len(t)) for t in columns] == [("a", 1000), ("b c", 1000), ("d", 1000)]
+    columns = _tokens(traces_module._load_columns, path)
+    assert columns == _tokens(traces_module._load_rows, path)
+    assert columns[0] == [("a", "v"), ("b c", "v"), ("d", "v")]
+    # the blank lines after the first two traces; the last "" only ends the file
+    assert columns[4:] == ([0, 1000, 2000, 3000], [1000, 2000])
+    assert _outcome(load_traces, path) == _outcome(_by_rows, path)
 
 
 # ---------------------------------------------------------------------------
@@ -687,22 +706,27 @@ def test_predict_all_is_bit_identical_to_per_trace_prediction(traces, win, predi
 # the population check against one trace at a time
 
 
-def _reference_fault(name: str, ts: np.ndarray, th: np.ndarray, ph: np.ndarray) -> str | None:
-    """What checking one trace on its own says of it (the check before populations)."""
+def _reference_fault(name: str, ts: np.ndarray, th: np.ndarray, ph: np.ndarray):
+    """What checking one trace on its own says of it (the check before
+    populations), and the sample it names; None for a good trace."""
     if len(ts) < 2:
-        return f"trace {name} has fewer than 2 samples"
-    if not (np.isfinite(ts).all() and np.isfinite(th).all() and np.isfinite(ph).all()):
-        return f"trace {name} has non-finite samples"
+        return f"trace {name} has fewer than 2 samples", 0
+    finite = np.isfinite(ts) & np.isfinite(th) & np.isfinite(ph)
+    if not finite.all():
+        return f"trace {name} has non-finite samples", int(np.argmin(finite))
     if np.any(np.abs(ph) > math.pi / 2):
         bad = int(np.argmax(np.abs(ph) > math.pi / 2))
-        return f"trace {name} sample {bad}: latitude {ph[bad]!r} outside [-pi/2, pi/2]"
+        return f"trace {name} sample {bad}: latitude {float(ph[bad])!r} outside [-pi/2, pi/2]", bad
     gaps = np.diff(ts)
     if np.any(gaps <= 0):
         bad = int(np.argmax(gaps <= 0))
-        return f"trace {name} sample {bad + 1}: timestamps not strictly increasing"
-    if np.max(gaps) - np.min(gaps) > traces_module.SPACING_TOL:
+        return f"trace {name} sample {bad + 1}: timestamps not strictly increasing", bad + 1
+    tol = traces_module.SPACING_TOL
+    if np.max(gaps) - np.min(gaps) > tol:
+        # the first sample whose spacing takes the spread past the tolerance
+        bad = next(j for j in range(1, len(gaps) + 1) if max(gaps[:j]) - min(gaps[:j]) > tol)
         return (f"trace {name}: non-uniform sample spacing "
-                f"(min {np.min(gaps)!r}, max {np.max(gaps)!r})")
+                f"(min {float(np.min(gaps))!r}, max {float(np.max(gaps))!r})", bad)
     return None
 
 
@@ -746,7 +770,8 @@ def _sample_blocks(draw, min_traces=1):
 
 
 def _population_fault(blocks):
-    """`_check_population` over ``blocks`` laid end to end: its message, and the wrapped theta."""
+    """`_check_population` over ``blocks`` laid end to end: its message and
+    row, and the wrapped theta."""
     keys = [key for key, *_ in blocks]
     ts, th, ph = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3))
     bounds = np.cumsum([0] + [len(b[1]) for b in blocks])
@@ -758,9 +783,13 @@ def _population_fault(blocks):
                  (("w", "v"), np.array([0.0]), np.zeros(1), np.zeros(1))])
 @settings(max_examples=300)
 def test_population_check_matches_one_trace_at_a_time(blocks):
-    want = next(
-        (fault for key, *cols in blocks if (fault := _reference_fault("/".join(key), *cols))), None
-    )
+    want, start = None, 0  # the first bad trace's message, and the row it names
+    for key, *cols in blocks:
+        fault = _reference_fault("/".join(key), *cols)
+        if fault is not None:
+            want = fault[0], start + fault[1]
+            break
+        start += len(cols[0])
     got, theta = _population_fault(blocks)
     assert got == want
     for key, ts, th, ph in blocks:  # each trace on its own: the same message, the same theta
@@ -768,7 +797,7 @@ def test_population_check_matches_one_trace_at_a_time(blocks):
         try:
             tr = ViewpointTrace(*key, ts, th, ph)
         except TraceFormatError as exc:
-            assert str(exc) == fault
+            assert str(exc) == fault[0]
             continue
         assert fault is None
         want_theta = np.array([_wrap_longitude(x) for x in th])
@@ -778,14 +807,88 @@ def test_population_check_matches_one_trace_at_a_time(blocks):
         assert theta.tobytes() == wrapped.tobytes()
 
 
-def test_bad_csv_trace_is_reported_by_the_row_loop(tmp_path):
-    # the columnar parse refuses the file; the row loop gives the same message
-    text = HEADER + "a,v,0.0,0.0,0.0\na,v,0.2,0.0,0.0\nb,v,0.0,0.0,0.0\nb,v,0.2,0.0,0.0\nb,v,0.5,0.0,0.0\n"
-    path = _write(tmp_path, text)
-    with pytest.raises(traces_module._NotColumnar, match=r"^trace b/v: non-uniform sample spacing"):
-        traces_module._load_columns(path)
-    assert _outcome(load_traces, path) == _outcome(traces_module._load_rows, path)
-    assert _outcome(load_traces, path).startswith("trace b/v: non-uniform")
+#: Trace b's rows, after trace a's two and a blank line (line 4), holding one
+#: fault each; the line and the message naming it.
+_BAD_TRACE_B = {
+    "non-finite": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0", "b,v,0.4,nan,0.0"],
+                   7, "trace b/v has non-finite samples"),
+    "latitude": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,1.6", "b,v,0.4,0.0,0.0"],
+                 6, "trace b/v sample 1: latitude 1.6 outside [-pi/2, pi/2]"),
+    "not increasing": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0", "b,v,0.2,0.0,0.0"],
+                       7, "trace b/v sample 2: timestamps not strictly increasing"),
+    "uneven": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0", "b,v,0.5,0.0,0.0", "b,v,0.8,0.0,0.0"],
+               7, "trace b/v: non-uniform sample spacing (min 0.2, max 0.30000000000000004)"),
+    "one sample": (["b,v,0.0,0.0,0.0", "c,v,0.0,0.0,0.0", "c,v,0.2,0.0,0.0"],
+                   5, "trace b/v has fewer than 2 samples"),
+    "key again": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0", "a,v,0.4,0.0,0.0"],
+                  7, "rows of trace a/v are not contiguous (the trace already ended on an earlier line)"),
+}
+
+
+def _after_trace_a(path, rows):
+    """``path``, holding trace a's two rows, a blank line and ``rows``."""
+    path.write_text(HEADER + "a,v,0.0,0.0,0.0\na,v,0.2,0.0,0.0\n\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_bad_csv_trace_is_reported_without_the_row_loop(tmp_path):
+    # the columnar parse takes each file, and the one check names the line
+    for fault, (rows, line, message) in _BAD_TRACE_B.items():
+        path = _after_trace_a(tmp_path / f"{fault}.csv", rows)
+        assert _outcome(_by_columns, path) == f"{path}:{line}: {message}", fault
+        assert _outcome(_by_rows, path) == f"{path}:{line}: {message}", fault
+
+
+def test_a_columnar_file_is_parsed_and_checked_once(tmp_path):
+    checks, check_population = [], traces_module._check_population
+
+    def check(keys, *columns):
+        checks.append(keys)
+        return check_population(keys, *columns)
+
+    good = _after_trace_a(tmp_path / "good.csv", ["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0"])
+    rows, line, message = _BAD_TRACE_B["uneven"]
+    bad = _after_trace_a(tmp_path / "bad.csv", rows)
+    with patch.object(traces_module, "_check_population", check):
+        assert [t.user_id for t in _by_columns(good)] == ["a", "b"]
+        assert _outcome(_by_columns, bad) == f"{bad}:{line}: {message}"
+    assert checks == [[("a", "v"), ("b", "v")]] * 2
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # a tokenizer fault wins over a reappearing key and a bad trace before it
+    (["a,v,0.0,0.0,2.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
+      "a,v,0.4,0.0,0.0", "a,v,0.6,abc,0.0"], 7, "non-numeric sample: could not convert"),
+    # a reappearing key wins over a bad trace before it
+    (["a,v,0.0,0.0,2.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
+      "a,v,0.4,0.0,0.0", "a,v,0.6,nan,0.0"], 6, "rows of trace a/v are not contiguous"),
+    # the first bad trace in file order wins, with the first check it fails:
+    # b's latitude (sample 3) over its uneven spacing (sample 2) and c's non-finite sample
+    (["a,v,0.0,0.0,0.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
+      "b,v,0.5,0.0,0.0", "b,v,0.8,0.0,-1.6", "c,v,0.0,inf,0.0", "c,v,0.2,0.0,0.0"],
+     7, "trace b/v sample 3: latitude -1.6 outside [-pi/2, pi/2]"),
+], ids=["tokenizer", "contiguity", "first trace"])
+def test_csv_faults_take_precedence_in_order(tmp_path, rows, line, message):
+    path = _write(tmp_path, HEADER + "\n".join(rows) + "\n")
+    assert _outcome(load_traces, path).startswith(f"{path}:{line}: {message}")
+    assert _outcome(_by_rows, path) == _outcome(load_traces, path)
+
+
+def test_save_load_round_trips_quoted_keys(tmp_path):
+    # only the csv module reads these keys back, which is why the row loop stays
+    keys = [("a,b", "v"), ('say "hi"', "v"), ("two\nlines", 'x"y')]
+    traces = [
+        ViewpointTrace(u, v, np.arange(3) * 0.2, np.array([0.0, -1.0, 2.5]) * k, np.full(3, 0.1 * k))
+        for k, (u, v) in enumerate(keys)
+    ]
+    path = tmp_path / "quoted.csv"
+    save_traces(path, traces)
+    assert _outcome(load_traces, path) == _outcome(lambda p: traces, path)
+    # the key with a newline spans two lines a row: header, 3 + 3 + 6 lines, then c's rows
+    with path.open("a", newline="") as fh:
+        fh.write("c,v,0.0,0.0,0.0\r\nc,v,0.2,0.0,2.0\r\n")
+    message = f"{path}:15: trace c/v sample 1: latitude 2.0 outside [-pi/2, pi/2]"
+    assert _outcome(load_traces, path) == message
 
 
 @given(thetas=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=12), split=st.integers(1, 11))
@@ -797,7 +900,7 @@ def test_loaded_longitudes_are_the_scalar_wrap(thetas, split):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "traces.csv"
         path.write_text(HEADER + "".join(rows), encoding="utf-8")
-        traces = traces_module._load_columns(path)
+        traces = _by_columns(path)
     got = np.concatenate([tr.theta for tr in traces])
     assert got.tobytes() == np.array([_wrap_longitude(x) for x in thetas]).tobytes()
 
