@@ -14,9 +14,13 @@ probabilities.  At a fixed radius every case is a run of the sorted
 errors, and the partial-overlap leakage does not depend on the radius, so
 the sweep sorts the errors and sums their leakage once for the whole grid,
 finds the run ends of all radii together, and computes each radius's
-averages as array expressions over the grid; only the lens area of the
-partial-overlap runs is summed radius by radius, by `sphere.lens_area_sum`,
-in blocks of errors sized for a core's cache.
+averages as array expressions over the grid.  Only the lens area of the
+partial-overlap runs is summed per radius, block-major: the errors some
+run holds are walked once, in blocks of `_LENS_BLOCK`, each block's
+trigonometry is taken once, and every run that meets the block adds the
+`sphere.lens_area_sum` of its part.  No array the size of the population
+is made for the lens, and the leakage's prefix sum reads the error-upload
+probabilities alone, so the sweep holds little beyond its sorted errors.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .leakage import (
     ErrorRange,
     PrivacyRequirement,
     RangeKind,
-    _leak_from_checked_errors,
+    _error_upload_prob,
     cap_zone,
     error_range_for_requirement,
     min_leak_prob_error,
@@ -51,8 +55,8 @@ from .sphere import (
 #: The population sweep and its regions take a protection radius above 0 only.
 _SWEEP_EPSILON = replace(EPSILON, open_lo=True)
 
-#: Errors per block of the sweep's lens: its three work rows, 384 KiB, and
-#: the block's four input slices stay in a core's L2 cache.
+#: Errors per block of the sweep's lens: the block's four rows of
+#: trigonometry and three work rows take 896 KiB.
 _LENS_BLOCK = 16384
 
 #: The codes of the partition cases after the two nested ones.
@@ -217,25 +221,35 @@ def _run_ends(e: np.ndarray, fov: float, sv: np.ndarray, near: np.ndarray) -> np
 def _lens_sums(e: np.ndarray, fov: float, sv: np.ndarray, b: np.ndarray, d: np.ndarray):
     """Per radius, the sum of the lens area over its partial-overlap run ``e[b:d]``.
 
-    0 where the run is empty.  The errors' cosine and sine, and their
-    products with the field of view's, are taken once, over the errors some
-    run holds; each run is summed by `lens_area_sum` in blocks of
-    `_LENS_BLOCK` errors, in three work rows allocated once.
+    0 where the run is empty.  The errors that some run holds are walked in
+    blocks of `_LENS_BLOCK`: each block's cosine and sine, and their
+    products with the field of view's, are taken once, into rows allocated
+    once, and every run that meets the block adds the `lens_area_sum` of
+    its part of the block (which redoes that part clamped when its sum is
+    NaN).  So each error's trigonometry is taken once, and the memory held
+    does not grow with the population.
     """
     lens, runs = np.zeros(sv.size), np.flatnonzero(d > b)
     if not runs.size:
         return lens
-    span = slice(b[runs].min(), d[runs].max())
-    cos_e, sin_e = np.cos(e[span]), np.sin(e[span])
+    b, d = b[runs], d[runs]
     # one row of radius terms per radius; c1 and s1 are the same on every row
     terms = np.column_stack(np.broadcast_arrays(*lens_terms(fov, sv[runs])))
-    cos_e_c1, sin_e_s1 = cos_e * terms[0, 0], sin_e * terms[0, 2]
-    work = np.empty((3, min(cos_e.size, _LENS_BLOCK)))
-    for i, t in zip(runs, terms):
-        run = slice(b[i] - span.start, d[i] - span.start)
-        lens[i] = lens_area_sum(
-            t.tolist(), cos_e[run], sin_e[run], cos_e_c1[run], sin_e_s1[run], work
-        )
+    c1, s1, terms = terms[0, 0], terms[0, 2], terms.tolist()
+    lo, hi = int(b.min()), int(d.max())
+    rows = np.empty((7, min(hi - lo, _LENS_BLOCK)))  # the block's trigonometry, then work rows
+    for start in range(lo, hi, _LENS_BLOCK):
+        stop = min(start + _LENS_BLOCK, hi)
+        cos_e, sin_e, cos_e_c1, sin_e_s1 = rows[:4, : stop - start]
+        np.cos(e[start:stop], out=cos_e)
+        np.sin(e[start:stop], out=sin_e)
+        np.multiply(cos_e, c1, out=cos_e_c1)
+        np.multiply(sin_e, s1, out=sin_e_s1)
+        for k in np.flatnonzero((b < stop) & (d > start)).tolist():
+            run = slice(max(b[k], start) - start, min(d[k], stop) - start)
+            lens[runs[k]] += lens_area_sum(
+                terms[k], cos_e[run], sin_e[run], cos_e_c1[run], sin_e_s1[run], rows[4:]
+            )
     return lens
 
 
@@ -248,15 +262,14 @@ def average_leakage_sweep(
     """Average QoE-upload leakage over the error population per radius.
 
     The errors are sorted once, with a running sum of their error-upload
-    leakage, and their cosine and sine are taken once.  At each radius the
-    cases are runs of the sorted errors, in the order nested, partial
-    overlap, complement containment, disjoint; `_run_ends` finds the run
-    ends of all radii together, and the counts, the constant cases' odds
-    (`cap_zone`) and QoE, and the partial-overlap leakage (a prefix-sum
-    difference) are columns over the grid.  Only the lens area of each
-    radius's partial-overlap run is summed radius by radius (`_lens_sums`),
-    before the leakage's prefix sums are made, so the two never hold memory
-    at once.  Each lens value is `cap_overlap_area_vec`'s bit for bit,
+    leakage.  At each radius the cases are runs of the sorted errors, in
+    the order nested, partial overlap, complement containment, disjoint;
+    `_run_ends` finds the run ends of all radii together, and the counts,
+    the constant cases' odds (`cap_zone`) and QoE, and the partial-overlap
+    leakage (a prefix-sum difference) are columns over the grid.  Only the
+    lens area of each radius's partial-overlap run is summed per radius, a
+    block of errors at a time (`_lens_sums`), before the leakage's prefix
+    sums are made.  Each lens value is `cap_overlap_area_vec`'s bit for bit,
     clamped to the smaller cap, so the run's sum is divided by the field
     of view's area once, with no clip.  Rows follow the grid order.
 
@@ -282,7 +295,7 @@ def average_leakage_sweep(
     # the lens first, so its arrays are freed before the leakage's are made
     lens = _lens_sums(e, fov, sv, b, d)
     leak_csum = np.zeros(n + 1)
-    np.cumsum(_leak_from_checked_errors(e, eps).probability, out=leak_csum[1:])
+    np.cumsum(_error_upload_prob(e, eps), out=leak_csum[1:])
     ratios, components = np.zeros((2, sv.size, len(CASES)))
     ratios[rows, near] = b / n
     ratios[:, [_DISJOINT, _COMPLEMENT, _REMAINING]] = np.column_stack([n - c, c - d, d - b]) / n

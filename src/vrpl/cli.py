@@ -271,6 +271,18 @@ def _check_report(sweep: SweepTable) -> None:
             raise InternalInconsistencyError(f"expected {claim} at r_sv={cells.pop('r_sv')!r}: {cells}")
 
 
+def _population_traces(scenario: Scenario) -> list:
+    """The scenario's traces: read from ``traces_csv``, else synthesized."""
+    if scenario.traces_csv is not None:
+        return load_traces(scenario.traces_csv)
+    if scenario.synthetic is not None:
+        spec = scenario.synthetic
+        return generate_synthetic_traces(
+            spec.model, spec.n_traces, spec.duration, spec.rate, scenario.seed
+        )
+    raise ConfigError("config: trace pipeline needs traces_csv or a synthetic block")
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     if scenario.epsilon <= 0.0:
@@ -284,16 +296,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"config.max_leak_prob: {scenario.max_leak_prob!r} is below the attainable "
             f"minimum epsilon/pi = {min_leak!r}"
         )
-    if scenario.traces_csv is not None:
-        traces = load_traces(scenario.traces_csv)
-    elif scenario.synthetic is not None:
-        spec = scenario.synthetic
-        traces = generate_synthetic_traces(
-            spec.model, spec.n_traces, spec.duration, spec.rate, scenario.seed
-        )
-    else:
-        raise ConfigError("config: trace pipeline needs traces_csv or a synthetic block")
-    errors = predict_all(traces, scenario.windowing, scenario.predictor)
+    # the traces are an argument only: their last reference goes when predict_all returns
+    errors = predict_all(_population_traces(scenario), scenario.windowing, scenario.predictor)
     req = (
         PrivacyRequirement(scenario.epsilon, scenario.max_leak_prob)
         if scenario.max_leak_prob is not None

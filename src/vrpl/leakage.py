@@ -458,11 +458,23 @@ def leak_prob_from_error_vec(e, eps) -> LeakageArrays:
 def _leak_from_checked_errors(err: np.ndarray, ep) -> LeakageArrays:
     """`leak_prob_from_error_vec` on errors and radii already checked."""
     point = (err == 0.0) | (err == math.pi)
-    sin_e = np.sin(err)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        prob = np.where(point, 1.0, np.minimum(ep / (math.pi * sin_e), 1.0))
     kind = np.where(point, ZONE_CODE[ZoneKind.SINGLE_POINT], ZONE_CODE[ZoneKind.CIRCLE])
-    return LeakageArrays(prob, kind.astype(np.int8), np.where(point, 0.0, TWO_PI * sin_e))
+    measure = np.where(point, 0.0, TWO_PI * np.sin(err))
+    return LeakageArrays(_error_upload_prob(err, ep), kind.astype(np.int8), measure)
+
+
+def _error_upload_prob(err: np.ndarray, ep) -> np.ndarray:
+    """The probability of `_leak_from_checked_errors` alone, in one new array.
+
+    ``min(ep / (pi sin e), 1)``, and 1 where ``e`` is 0 or pi, on errors and
+    radii already checked; ``ep`` is a float or an array of ``err``'s shape.
+    """
+    prob = np.sin(err, out=np.empty(np.shape(err)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(ep, np.multiply(prob, math.pi, out=prob), out=prob)
+        np.minimum(prob, 1.0, out=prob)
+    prob[(err == 0.0) | (err == math.pi)] = 1.0
+    return prob
 
 
 def _bisect_error_vec(

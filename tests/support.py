@@ -303,3 +303,24 @@ def reference_random_walk(draws: np.ndarray, kappa: float, dot=dot_xzy) -> np.nd
         v = v / np.sqrt(dot(v, v))[:, None]
         vecs[:, k + 1] = v
     return vecs
+
+
+def write_drifting_csv(path: str | Path, n_traces: int, duration_s: float, seed: int = 0) -> int:
+    """Write drifting 5 Hz head traces in the trace-CSV schema; return the row count.
+
+    Each trace turns in longitude at a steady rate of up to 1.5 rad/s,
+    swings in latitude, and is observed with 0.06 rad of jitter, so the
+    great-circle predictor's errors fall in every overlap case.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.arange(round(5.0 * duration_s)) / 5.0
+    jitter = rng.normal(0.0, 0.06, (2, n_traces, t.size))
+    theta = rng.uniform(-3.0, 3.0, (n_traces, 1)) + rng.uniform(-1.5, 1.5, (n_traces, 1)) * t
+    phi = 0.7 * np.sin(rng.uniform(0.0, 2.0, (n_traces, 1)) * t + rng.uniform(0.0, 6.0, (n_traces, 1)))
+    rows = ["user_id,video_id,timestamp_s,theta_rad,phi_rad"] + [
+        f"u{i},drift,{s!r},{a!r},{b!r}"
+        for i in range(n_traces)
+        for s, a, b in zip(t.tolist(), (theta[i] + jitter[0, i]).tolist(), (phi[i] + jitter[1, i]).tolist())
+    ]
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return len(rows) - 1

@@ -269,6 +269,44 @@ def test_sweep_lens_redoes_a_block_whose_arccos_rounds_past_one():
     assert past_one > 0
 
 
+@pytest.mark.parametrize("block", [5, 7])
+def test_sweep_lens_blocks_meet_runs_at_every_edge(monkeypatch, block):
+    """The block-major lens with blocks of 5 and 7 errors still matches `qoe_vec`.
+
+    Its runs start and end mid-block, span three blocks or more, miss some
+    blocks, and hold a single error (the error at ``r_fov``, at
+    ``r_sv = 1e-3``); and a block holds errors within 2 floats of the run
+    ends at ``r_sv = 0.1``, whose arccos arguments round past ±1, beside the
+    run at ``r_sv = 0.3``, whose do not.  At ``r_sv = 2.9`` complement
+    containment errors, whose clamped lens is not 0, follow the run, so a
+    run end one error late is seen too.
+    """
+    monkeypatch.setattr(aggregate, "_LENS_BLOCK", block)
+    rng = np.random.default_rng(5)
+    grid = np.array([1e-3, 0.1, 0.3, 0.9, 1.7, 2.6, 2.9])
+    errors = np.sort(np.concatenate([
+        rng.uniform(0.0, math.pi, 40), [FOV], boundary_neighbours(FOV, 0.1)
+    ]))
+    table = average_leakage_sweep(errors, FOV, EPS, grid)
+    for sv, mean_qoe in zip(grid, table.mean_qoe):
+        assert abs(mean_qoe - float(np.mean(qoe_vec(FOV, sv, errors)))) <= 1e-13
+
+    # the runs meet the blocks in every way the docstring names
+    partial = CASE_CODE[OverlapCase.REMAINING]
+    runs = [np.flatnonzero(classify_vec(FOV, sv, errors) == partial) for sv in grid]
+    assert all(run.size == run[-1] - run[0] + 1 for run in runs)
+    lo = min(run[0] for run in runs)
+    n_blocks = (max(run[-1] for run in runs) - lo) // block + 1
+    blocks = [set(((run - lo) // block).tolist()) for run in runs]
+    assert any((run[0] - lo) % block and (run[-1] + 1 - lo) % block for run in runs)
+    assert max(map(len, blocks)) >= 3
+    assert any(len(met) < n_blocks for met in blocks)
+    assert min(run.size for run in runs) == 1
+    past_one = [set(((run[np.any(np.abs(reference_lens(FOV, sv, errors[run])[1]) > 1.0, axis=0)]
+                      - lo) // block).tolist()) for sv, run in zip(grid, runs)]
+    assert past_one[1] & blocks[2] and not past_one[2]
+
+
 def _pointwise_sweep(errors: list[float], fov: float, eps: float, sv: float):
     """Scalar reference: classify, score and average every error on its own."""
     n = len(errors)

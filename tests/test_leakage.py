@@ -23,12 +23,14 @@ from vrpl import (
     infer_error_from_qoe,
     infer_error_from_qoe_vec,
     leak_prob_from_error,
+    leak_prob_from_error_vec,
     leak_prob_from_qoe,
     min_leak_prob_error,
     min_leak_prob_qoe,
     min_prob_comparison,
     qoe,
 )
+from vrpl.leakage import _error_upload_prob
 from vrpl.qoe import CASES
 
 FOV = math.radians(50.0)
@@ -62,6 +64,24 @@ def test_error_upload_mirror_symmetry():
         a = leak_prob_from_error(float(e), EPS).probability
         b = leak_prob_from_error(math.pi - float(e), EPS).probability
         assert a == pytest.approx(b, abs=1e-13)
+
+
+def test_error_upload_prob_kernel_is_the_vector_probability_bit_for_bit():
+    # the sweep's probability-only kernel against `leak_prob_from_error_vec`
+    # and the expression it replaced there, at the ends, a float off each and at random
+    rng = np.random.default_rng(67)
+    edges = [0.0, math.pi, 5e-324, float(np.nextafter(math.pi, 0.0))]
+    e = np.concatenate([edges, rng.uniform(0.0, math.pi, 500)])
+    for eps in (0.0, 1e-300, EPS, math.pi / 2, rng.uniform(0.0, math.pi / 2, e.size)):
+        got = _error_upload_prob(e, eps)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = np.where((e == 0.0) | (e == math.pi), 1.0,
+                            np.minimum(eps / (math.pi * np.sin(e)), 1.0))
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == leak_prob_from_error_vec(e, eps).probability.tobytes()
+    for x in edges:  # 0-d errors keep their shape
+        got = _error_upload_prob(np.array(x), EPS)
+        assert got.shape == () and got == leak_prob_from_error_vec(x, EPS).probability
 
 
 @given(st.floats(1e-6, math.pi - 1e-6), st.floats(0.0, math.pi / 2))
