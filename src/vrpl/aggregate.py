@@ -18,7 +18,7 @@ averages as array expressions over the grid.  Only the lens area of the
 partial-overlap runs is summed per radius, block-major: the errors some
 run holds are walked once, in blocks of `_LENS_BLOCK`, each block's
 trigonometry is taken once, and every run that meets the block adds the
-`sphere.lens_area_sum` of its part.  No array the size of the population
+sum of the lens over its part.  No array the size of the population
 is made for the lens, and the leakage's prefix sum reads the error-upload
 probabilities alone, so the sweep holds little beyond its sorted errors.
 """
@@ -47,8 +47,8 @@ from .sphere import (
     FOV,
     STREAMED_RADIUS,
     TWO_PI,
+    _half_lens,
     cap_area,
-    lens_area_sum,
     lens_terms,
 )
 
@@ -224,10 +224,11 @@ def _lens_sums(e: np.ndarray, fov: float, sv: np.ndarray, b: np.ndarray, d: np.n
     0 where the run is empty.  The errors that some run holds are walked in
     blocks of `_LENS_BLOCK`: each block's cosine and sine, and their
     products with the field of view's, are taken once, into rows allocated
-    once, and every run that meets the block adds the `lens_area_sum` of
-    its part of the block (which redoes that part clamped when its sum is
-    NaN).  So each error's trigonometry is taken once, and the memory held
-    does not grow with the population.
+    once, and every run that meets the block adds twice the sum of
+    `sphere._half_lens` over its part, unclamped, or clamped where that sum
+    is NaN (an arccos argument rounded past ±1): each element is
+    `sphere.lens_area`'s bit for bit.  The memory held does not grow with
+    the population.
     """
     lens, runs = np.zeros(sv.size), np.flatnonzero(d > b)
     if not runs.size:
@@ -247,9 +248,12 @@ def _lens_sums(e: np.ndarray, fov: float, sv: np.ndarray, b: np.ndarray, d: np.n
         np.multiply(sin_e, s1, out=sin_e_s1)
         for k in np.flatnonzero((b < stop) & (d > start)).tolist():
             run = slice(max(b[k], start) - start, min(d[k], stop) - start)
-            lens[runs[k]] += lens_area_sum(
-                terms[k], cos_e[run], sin_e[run], cos_e_c1[run], sin_e_s1[run], rows[4:]
-            )
+            args = (terms[k], cos_e[run], sin_e[run], cos_e_c1[run], sin_e_s1[run])
+            work = rows[4:, : run.stop - run.start]
+            part = _half_lens(*args, work, clip=False).sum()
+            if math.isnan(part):
+                part = _half_lens(*args, work, clip=True).sum()
+            lens[runs[k]] += 2.0 * part
     return lens
 
 
@@ -269,7 +273,7 @@ def average_leakage_sweep(
     leakage (a prefix-sum difference) are columns over the grid.  Only the
     lens area of each radius's partial-overlap run is summed per radius, a
     block of errors at a time (`_lens_sums`), before the leakage's prefix
-    sums are made.  Each lens value is `cap_overlap_area_vec`'s bit for bit,
+    sums are made.  Each lens value is `sphere.lens_area`'s bit for bit,
     clamped to the smaller cap, so the run's sum is divided by the field
     of view's area once, with no clip.  Rows follow the grid order.
 

@@ -271,40 +271,15 @@ def _floor_sum(c1, c2):
     return 0.25 * _ULP * (abs(TWO_PI - TWO_PI * c1 - TWO_PI * c2) + TWO_PI * (1.0 + abs(c1) + abs(c2)))
 
 
-def _bisect_error(q: float, fov: float, sv: float, guess: float, window: float) -> float:
-    """The QoE inversion's bisection, told the side of a midpoint far from ``guess``.
-
-    Monotone bisection on the partial-overlap QoE: the QoE is continuous
-    and strictly decreasing in the error across the partial-overlap
-    interval, so plain interval halving converges; the bracket is pulled
-    marginally inside the interval to keep every evaluation in the regime
-    where the overlap formula is defined.  A midpoint more than ``window``
-    from ``guess`` takes the side of ``guess`` it lies on, unevaluated.
-    """
-    lo = max(1e-12, abs(fov - sv))
-    hi = min(fov + sv, TWO_PI - (fov + sv)) - 1e-12
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if abs(mid - guess) > window:
-            above = mid < guess
-        else:
-            above = qoe(fov, sv, mid) > q
-        if above:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _newton_error(q: float, fov: float, sv: float) -> float:
     """Invert the partial-overlap QoE for the error by safeguarded Newton.
 
     The scalar mirror of `_newton_error_vec`, which describes it: the same
-    bracket, start, update, safeguard, stopping rules and check against
-    the bisection (`_bisect_error`), with the QoE of each iterate from the
-    module-global `qoe`, so that a hook on it counts the evaluations.
+    bracket, start, update, safeguard and stopping rules, with the QoE of
+    each iterate from the module-global `qoe`, so that a hook on it counts
+    the evaluations.  The root is checked against the bisection by the
+    kernel's own `_replay_bisection`, on 1-element arrays, and only where
+    `_near_a_halving` finds that the bisection can come within its window.
 
     The QoE falls with the error at the rate ``2 sin r_sv sin a_sv / area``,
     where ``a_sv`` is the angle at the streamed cap's center between the
@@ -312,8 +287,8 @@ def _newton_error(q: float, fov: float, sv: float) -> float:
     ``pi - a_sv``, so ``cos a_sv = -(cos e cos r_sv - cos r_fov) / (sin e
     sin r_sv)``, from the cosine and sine of the error the lens takes.
     """
-    lo = max(1e-12, abs(fov - sv))
-    hi = min(fov + sv, TWO_PI - (fov + sv)) - 1e-12
+    lo = lo0 = max(1e-12, abs(fov - sv))
+    hi = hi0 = min(fov + sv, TWO_PI - (fov + sv)) - 1e-12
     c1, c2, s2 = math.cos(fov), math.cos(sv), math.sin(sv)
     area = TWO_PI * (1.0 - c1)
     floor_sum = _floor_sum(c1, c2)
@@ -339,8 +314,9 @@ def _newton_error(q: float, fov: float, sv: float) -> float:
             break
         nxt = x + step
         x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    bisected = _bisect_error(q, fov, sv, x, window)
-    return bisected if abs(bisected - x) <= window else x
+    if _near_a_halving(x, window, lo0, hi0):
+        x = float(_replay_bisection(*(np.array([v]) for v in (q, fov, sv, x, window, lo0, hi0)))[0])
+    return x
 
 
 def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
@@ -354,9 +330,9 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     report is inverted exactly inside the partial-overlap interval, by the
     safeguarded Newton iteration `_newton_error` (the scalar mirror of
     `_newton_error_vec`, which describes it).  The root is good to the
-    lens's rounding, and no worse than bisecting to `BISECT_TOL`: where
-    the bisection's answer lands within the root's uncertainty, it is
-    the answer.
+    lens's rounding, and no worse than bisecting to `BISECT_TOL` on the
+    array lens: where the bisection's answer lands within the root's
+    uncertainty, it is the answer.
 
     Args:
         q: reported covered fraction, in [0, 1].
@@ -477,33 +453,35 @@ def _error_upload_prob(err: np.ndarray, ep) -> np.ndarray:
     return prob
 
 
-def _bisect_error_vec(
-    q: np.ndarray, fov: np.ndarray, sv: np.ndarray, guess: np.ndarray, window: np.ndarray
-) -> np.ndarray:
-    """`_bisect_error` over 1-d arrays, halving every unfinished bracket at once.
+def _bisect_error_vec(q, fov, sv, guess, window, lo, hi) -> np.ndarray:
+    """The QoE inversion's bisection, told the side of a midpoint far from ``guess``.
 
-    Same bracket, update rule and unevaluated sides; an element freezes
-    after the halving that brings its bracket within `BISECT_TOL`, or after
-    `_BISECT_MAX_ITER` halvings.  Where it evaluates, it takes the QoE of
-    ``qoe_vec`` bit for bit: the lens (`lens_area`, on `lens_terms` taken
-    once per report) over the field of view's area, clipped to [0, 1].
+    The partial-overlap QoE falls strictly with the error, so halving
+    converges.  Every unfinished bracket ``[lo, hi]`` of the 1-d arrays is
+    halved at once, in place: a midpoint whose QoE exceeds the report
+    becomes its bottom, any other its top, and one more than ``window``
+    from ``guess`` takes the side of ``guess`` it lies on, unevaluated.  An
+    element answers its bracket's midpoint after the halving that brings
+    the bracket within `BISECT_TOL`, or after `_BISECT_MAX_ITER` halvings.
+    Where it evaluates, it takes the QoE of ``qoe_vec`` bit for bit: the
+    lens (`lens_area`, on `lens_terms` taken once per report) over the
+    field of view's area, clipped to [0, 1].
 
     No case is classified per halving: every midpoint lies strictly inside
     the partial-overlap interval, where ``qoe_vec`` takes the lens.  The
-    starting bracket lies in the interval, its top end 1e-12 below it and
-    its bottom end on the containment boundary (or at 1e-12).  A midpoint
-    is half its bracket's width from each end; the first halves the
-    starting bracket, of width ``w0``, and every later one a live bracket,
-    wider than `BISECT_TOL`, so each is at least ``min(w0, BISECT_TOL) / 2``
-    from the interval's ends.  A report reaches the inversion only when its
+    starting bracket, the Newton iterations', lies in the interval, pulled
+    marginally inside it: its top end 1e-12 below it and its bottom end on
+    the containment boundary (or at 1e-12).  A midpoint is half its
+    bracket's width from each end; the first halves the starting bracket,
+    of width ``w0``, and every later one a live bracket, wider than
+    `BISECT_TOL`, so each is at least ``min(w0, BISECT_TOL) / 2`` from the
+    interval's ends.  A report reaches the inversion only when its
     band of attainable QoE is wider than ``2 * QOE_MATCH_TOL``; the thinnest
     such band, at ``r_sv`` about ``4.5e-5 * r_fov`` (or ``pi - r_sv``
     alike), has ``w0 = 2 r_sv``, no less than about 9e-11.  Both margins
     exceed the rounding of the case tests, about 4e-16 for sums up to
     ``2 pi``, by five orders of magnitude.
     """
-    lo = np.maximum(1e-12, np.abs(fov - sv))
-    hi = np.minimum(fov + sv, TWO_PI - (fov + sv)) - 1e-12
     terms = lens_terms(fov, sv)
     area = TWO_PI * (1.0 - terms[0])
     mid, gap = np.empty((2, q.size))
@@ -530,31 +508,20 @@ def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndar
     """Invert the partial-overlap QoE for the error of every report at once.
 
     A safeguarded Newton iteration, written again for floats as
-    `_newton_error`, on the bisection's bracket (`_bisect_error_vec`),
-    from its midpoint.  An iteration evaluates the QoE at the iterate,
-    moves the bracket's bottom there if the QoE exceeds the report and its
-    top otherwise, and steps by the residual over the slope, which
-    `_newton_error` derives, taken from the cosine and sine of the iterate
-    that the lens uses.  Where the step leaves the open bracket it takes
-    the bracket's midpoint instead.  A report stops at its iterate once
-    the residual is within the lens's rounding (see `_floor_sum`), or once
-    the step or the bracket is at most `_STEP_ULPS` ulps of the iterate.
-
-    The root is then checked against the bisection of `_bisect_error_vec`.
-    Its uncertainty is the lens's rounding over the slope plus the step
-    bound; within it the computed QoE need not be monotone, but beyond
-    `_WINDOW` uncertainties (about four times the largest rounding seen in
-    `_floor_sum`'s calibration) its side of the report is the root's side.
-    So the bisection is replayed with every midpoint beyond that window
-    put on its side of the root unevaluated: it takes the bisection's own
-    path, evaluating only the midpoints near the root.  If its answer lies
-    within the window, the report takes that answer, residual and all;
-    otherwise the root, whose residual is then the smaller.  So no root's
-    residual is worse than the bisection's.  `_near_a_halving` picks the
-    reports whose bisection can come within their window at all: on the
-    default 50-degree grid, fewer than one in a hundred.  A report whose
-    slope is 0 (a tangency), or that is still running after
-    `_NEWTON_MAX_ITER` iterations, has an infinite window: it is bisected.
+    `_newton_error`, on the partial-overlap interval pulled marginally
+    inside (see `_bisect_error_vec`), from its midpoint.  An iteration
+    evaluates the QoE at the iterate, moves the bracket's bottom there if
+    the QoE exceeds the report and its top otherwise, and steps by the
+    residual over the slope, which `_newton_error` derives, taken from the
+    cosine and sine of the iterate that the lens uses.  Where the step
+    leaves the open bracket it takes the bracket's midpoint instead.  A
+    report stops at its iterate once the residual is within the lens's
+    rounding (see `_floor_sum`), or once the step or the bracket is at most
+    `_STEP_ULPS` ulps of the iterate.  The root is then checked against the
+    bisection, within a window of `_WINDOW` times its uncertainty
+    (`_replay_bisection`).  A report whose slope is 0 (a tangency), or that
+    is still running after `_NEWTON_MAX_ITER` iterations, has an infinite
+    window: it is bisected.
 
     No case is classified per iteration: every iterate lies strictly inside
     the starting bracket, so strictly inside the partial-overlap interval,
@@ -634,25 +601,47 @@ def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndar
             else:
                 np.copyto(x, step)
     x_out[where[:m]] = state[3, :m]
-    i = np.flatnonzero(_near_a_halving(x_out, window_out, lo0, hi0))
-    x, window = x_out[i], window_out[i]
-    bisected = _bisect_error_vec(q[i], fov[i], sv[i], x, window)
-    x_out[i] = np.where(np.abs(bisected - x) <= window, bisected, x)
-    return x_out
+    return _replay_bisection(q, fov, sv, x_out, window_out, lo0, hi0)
 
 
-def _near_a_halving(x: np.ndarray, window: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _replay_bisection(q, fov, sv, x, window, lo, hi) -> np.ndarray:
+    """The Newton roots ``x``, checked against bisecting their brackets ``[lo, hi]``.
+
+    A root's uncertainty is the lens's rounding over the slope plus the
+    step bound; within it the computed QoE need not be monotone, but beyond
+    `_WINDOW` uncertainties (``window``, about four times the largest
+    rounding seen in `_floor_sum`'s calibration) its side of the report is
+    the root's side.  So the bisection (`_bisect_error_vec`) is replayed
+    with every midpoint beyond that window put on its side of the root
+    unevaluated: it takes the bisection's own path, evaluating only the
+    midpoints near the root.  If its answer lies within the window, the
+    report takes that answer, residual and all; otherwise the root, whose
+    residual is then the smaller.  So no root's residual is worse than the
+    bisection's.  Only the reports whose bisection can come within their
+    window at all (`_near_a_halving`) are replayed: on the default
+    50-degree grid, fewer than one in a hundred.  Over 1-d arrays; ``x`` is
+    updated in place and returned.
+    """
+    i = np.flatnonzero(_near_a_halving(x, window, lo, hi))
+    root, near = x[i], window[i]
+    bisected = _bisect_error_vec(q[i], fov[i], sv[i], root, near, lo[i], hi[i])
+    x[i] = np.where(np.abs(bisected - root) <= near, bisected, root)
+    return x
+
+
+def _near_a_halving(x, window, lo, hi):
     """Where bisecting ``[lo, hi]`` may come within ``window`` of ``x``.
 
-    `_bisect_error_vec` with the guesses ``x`` evaluates a midpoint, or
-    answers, within ``window`` of ``x`` only where this is true.  It halves
-    ``[lo, hi]`` ``j = ceil(log2((hi - lo) / BISECT_TOL))`` times, give or
-    take one for rounding, so its midpoints and its answer lie on the grid
-    of spacing ``(hi - lo) / 2^(j + 2)`` from ``lo``, to within 1e-13: the
-    rounding of 64 halvings is at most 64 half-ulps of 2 pi, 2.8e-14.  Where ``x`` is farther than
-    ``window`` and that from every grid point, its bisection is the one
-    that decides every midpoint by its side of ``x`` and ends on a point
-    more than ``window`` from it.
+    Elementwise over floats or arrays.  `_bisect_error_vec` with the
+    guesses ``x`` evaluates a midpoint, or answers, within ``window`` of
+    ``x`` only where this is true.  It halves ``[lo, hi]`` ``j =
+    ceil(log2((hi - lo) / BISECT_TOL))`` times, give or take one for
+    rounding, so its midpoints and its answer lie on the grid of spacing
+    ``(hi - lo) / 2^(j + 2)`` from ``lo``, to within 1e-13: the rounding of
+    64 halvings is at most 64 half-ulps of 2 pi, 2.8e-14.  Where ``x`` is
+    farther than ``window`` and that from every grid point, its bisection
+    is the one that decides every midpoint by its side of ``x`` and ends on
+    a point more than ``window`` from it.
     """
     width = hi - lo
     levels = np.maximum(np.ceil(np.log2(width / BISECT_TOL)), 1.0) + 2.0

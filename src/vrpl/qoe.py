@@ -28,7 +28,8 @@ from .sphere import (
     TWO_PI,
     cap_area,
     cap_overlap_area,
-    cap_overlap_area_vec,
+    lens_area,
+    lens_terms,
 )
 
 
@@ -144,7 +145,9 @@ def _qoe_from_codes(
     m = codes == CASE_CODE[OverlapCase.REMAINING]
     if m.any():
         fov_m, err_m = fov[m], err[m]
-        overlap = cap_overlap_area_vec(fov_m, sv[m], np.cos(err_m), np.sin(err_m))
+        overlap = lens_area(
+            lens_terms(fov_m, sv[m]), np.cos(err_m), np.sin(err_m), np.empty((3, err_m.size))
+        )
         out[m] = np.clip(overlap / (TWO_PI * (1.0 - np.cos(fov_m))), 0.0, 1.0)
     return out
 

@@ -150,7 +150,7 @@ def _arccos_clipped(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def lens_terms(r1, r2) -> tuple:
-    """The radius step of `cap_overlap_area_vec`: the lens's terms of ``r1`` and ``r2`` alone.
+    """The radius step of the array lens: its terms of ``r1`` and ``r2`` alone.
 
     ``(c1, c2, s1, s2, c1 c2, s1 s2, pi - pi c1 - pi c2, cap / 2)``, with
     ``c = cos r``, ``s = sin r`` and ``cap`` the smaller cap's area,
@@ -205,66 +205,20 @@ def _half_lens(terms: tuple, cos_d, sin_d, cos_d_c1, sin_d_s1, work: np.ndarray,
 
 
 def lens_area(terms: tuple, cos_d, sin_d, work: np.ndarray) -> np.ndarray:
-    """The per-distance step of `cap_overlap_area_vec`, from `lens_terms`' ``terms``.
+    """The per-distance step of the array lens, from `lens_terms`' ``terms``.
 
-    The lens at the distances of cosine ``cos_d`` and sine ``sin_d``: twice
-    `_half_lens` with every arccos argument clamped, in the three rows of
-    ``work`` (a ``(3, *shape)`` float array for the inputs' broadcast
-    shape), returned in ``work[0]``; unchecked.
+    `cap_overlap_area`'s partial-overlap expression and clamp at the
+    distances of cosine ``cos_d`` and sine ``sin_d``: twice `_half_lens`
+    with every arccos argument clamped, in the three rows of ``work`` (a
+    ``(3, *shape)`` float array for the inputs' broadcast shape), returned
+    in ``work[0]``.  Unchecked: every element must lie strictly inside the
+    partial-overlap case.
     """
     _, term, denom = work
     np.multiply(cos_d, terms[0], out=term)
     np.multiply(sin_d, terms[2], out=denom)
     half = _half_lens(terms, cos_d, sin_d, term, denom, work, clip=True)
     return np.multiply(2.0, half, out=half)
-
-
-def lens_area_sum(terms: tuple, cos_d, sin_d, cos_d_c1, sin_d_s1, work: np.ndarray) -> float:
-    """The sum of `lens_area` over a run of distances, for one pair of radii.
-
-    ``terms`` are `lens_terms` of two scalar radii, ``cos_d`` and ``sin_d``
-    1-d arrays of the distances' cosine and sine, and ``cos_d_c1`` and
-    ``sin_d_s1`` their products with ``c1`` and ``s1`` of ``terms``.  The
-    run is walked in blocks of the width of ``work``, a ``(3, width)``
-    float array: each block's half-lens is evaluated without clamping the
-    arccos arguments, and again with clamping only when its sum is NaN
-    (an argument rounded past ±1).  Every element is `lens_area`'s bit for
-    bit; the sum is doubled once.  Unchecked, like `cap_overlap_area_vec`.
-    """
-    n, width, total = cos_d.size, work.shape[1], 0.0
-    for lo in range(0, n, width):
-        block = slice(lo, min(lo + width, n))
-        args = (terms, cos_d[block], sin_d[block], cos_d_c1[block], sin_d_s1[block])
-        rows = work[:, : block.stop - lo]
-        part = _half_lens(*args, rows, clip=False).sum()
-        if math.isnan(part):
-            part = _half_lens(*args, rows, clip=True).sum()
-        total += part
-    return 2.0 * total
-
-
-def cap_overlap_area_vec(r1, r2, cos_d, sin_d) -> np.ndarray:
-    """Lens area of caps in partial overlap, elementwise over broadcastable inputs.
-
-    `cap_overlap_area`'s partial-overlap expression and clamp, with the
-    center distance given as its cosine ``cos_d`` and sine ``sin_d``: a
-    caller that evaluates one set of distances against many radii takes
-    their trigonometry once.  It checks nothing: every element must lie
-    strictly inside the partial-overlap case, as the QoE kernel and the
-    population sweep guarantee.
-
-    It is two steps.  `lens_terms` takes every term of the radii alone
-    (their cosines, sines and products) before broadcasting, so a scalar
-    radius costs one ``cos`` and one ``sin``, and a caller that holds the
-    same radii at many distances (the QoE inversion) takes them once.
-    `lens_area` then evaluates the expression term by term, in the scalar
-    function's order, halved (`_half_lens`, the formula's one array form)
-    and doubled last.  `lens_area_sum` sums the same values over a run of
-    distances without storing them.
-    """
-    terms = lens_terms(r1, r2)
-    shape = np.broadcast_shapes(*(np.shape(x) for x in (*terms[:2], cos_d, sin_d)))
-    return lens_area(terms, cos_d, sin_d, np.empty((3, *shape)))
 
 
 def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[float, float]:

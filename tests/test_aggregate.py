@@ -26,6 +26,7 @@ from vrpl import (
 from vrpl import aggregate
 from vrpl.leakage import cap_zone
 from vrpl.qoe import CASE_CODE, PARTITION_CASES, classify_vec
+from vrpl.sphere import lens_area, lens_terms
 
 from support import boundary_neighbours, reference_lens
 
@@ -305,6 +306,35 @@ def test_sweep_lens_blocks_meet_runs_at_every_edge(monkeypatch, block):
     past_one = [set(((run[np.any(np.abs(reference_lens(FOV, sv, errors[run])[1]) > 1.0, axis=0)]
                       - lo) // block).tolist()) for sv, run in zip(grid, runs)]
     assert past_one[1] & blocks[2] and not past_one[2]
+
+
+@pytest.mark.parametrize("block", [7, 500, 16384])
+def test_sweep_lens_sums_match_fsum_across_blocks(monkeypatch, block):
+    """Each radius's lens sum is `math.fsum` of its lenses, to a few ulps of the sum per error.
+
+    Runs of up to about 3,000 errors, some within 3 floats of the
+    partial-overlap ends, where arccos arguments round past ±1, summed in
+    blocks of 7, 500 and 16,384 errors.
+    """
+    monkeypatch.setattr(aggregate, "_LENS_BLOCK", block)
+    rng = np.random.default_rng(63)
+    partial = CASE_CODE[OverlapCase.REMAINING]
+    sizes, past_one = [], 0
+    for fov in (math.pi / 2, *rng.uniform(1e-3, math.pi / 2, 7)):
+        grid = rng.uniform(0.0, math.pi, 5)
+        near = [e for sv in grid for e in boundary_neighbours(fov, sv, ulps=3)]
+        errors = np.sort(np.concatenate([rng.uniform(0.0, math.pi, rng.integers(1, 4000)), near]))
+        runs = [np.flatnonzero(classify_vec(fov, sv, errors) == partial) for sv in grid]
+        b = np.array([run[0] if run.size else 0 for run in runs])
+        d = np.array([run[-1] + 1 if run.size else 0 for run in runs])
+        assert (d - b == [run.size for run in runs]).all()
+        for sv, run, got in zip(grid, runs, aggregate._lens_sums(errors, fov, grid, b, d)):
+            e = errors[run]
+            want = math.fsum(lens_area(lens_terms(fov, sv), np.cos(e), np.sin(e), np.empty((3, e.size))))
+            assert abs(got - want) <= 4 * e.size * math.ulp(want), (fov, sv, block)
+            sizes.append(e.size)
+            past_one += np.any(np.abs(reference_lens(fov, sv, e)[1]) > 1.0)
+    assert max(sizes) > 1000 and min(sizes) < 100 and past_one
 
 
 def _pointwise_sweep(errors: list[float], fov: float, eps: float, sv: float):

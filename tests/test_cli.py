@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import io
 import json
 import math
@@ -833,6 +834,97 @@ def test_cli_trace_byte_edited_csv_ends_in_a_named_data_error(tmp_path_factory, 
         assert re.match(where, err.getvalue()), err.getvalue()
 
 
+_FUZZ_AXIS = {"lo": 0.0, "hi": math.pi, "n": 9}
+
+#: A valid config per command, small enough to run in a few milliseconds.
+_FUZZ_CONFIGS = {
+    "validate": {
+        "r_fov_deg": 50.0, "epsilon_frac_of_fov": 0.4, "max_leak_prob": 0.5, "seed": 3,
+        "windowing": {"t_obw": 1.0, "t_cc": 1.0, "t_pdw": 1.0}, "predictor": "last_position",
+        "grids": {"error": _FUZZ_AXIS, "r_sv": [0.5, 1.0], "epsilon": {"lo": 0.0, "hi": 0.5, "n": 3}},
+        "synthetic": _SYNTH_DRIFT, "resources": _RESOURCES, "tile": _TILE, "channel": _CHANNEL,
+    },
+    "sweep-error": {"epsilon_deg": 20.0, "grids": {"error": _FUZZ_AXIS, "epsilon": [0.1, 0.3]}},
+    "sweep-qoe": {"r_fov_rad": 0.8, "grids": {"error": _FUZZ_AXIS, "r_sv": _FUZZ_AXIS}},
+    "sweep-leakage": {
+        "r_fov_deg": 50.0, "epsilon_rad": 0.3, "grids": {"error": _FUZZ_AXIS, "r_sv": _FUZZ_AXIS},
+    },
+    "trace": {
+        "r_fov_rad": 0.8, "max_leak_prob": 0.5, "predictor": "great_circle",
+        "synthetic": {"model": "random_walk", "kappa": 50.0, "n_traces": 2, "duration_s": 20.0,
+                      "rate_hz": 5.0},
+        "grids": {"r_sv": [0.0, 0.5, 1.0, math.pi]},
+    },
+    "resource": {"resources": _RESOURCES, "tile": _TILE},
+}
+
+#: What a fuzzed config puts in a field: every JSON type, the ends of the
+#: number line, and values some fields accept.
+_FUZZ_VALUES = [
+    None, True, False, -1, 0, 0.5, 1, 3, 1e308, _HUGE, math.nan, math.inf, -math.inf,
+    "", "x", "random_walk", [], {}, [0.5, 1.0], {"lo": 0.0, "hi": 1.0, "n": 3},
+]
+
+#: Keys a fuzzed config adds: fields of every block, and one of none.
+_FUZZ_KEYS = [
+    "r_fov_deg", "r_fov_rad", "epsilon_deg", "epsilon_frac_of_fov", "max_leak_prob", "seed",
+    "grids", "windowing", "predictor", "traces_csv", "synthetic", "resources", "tile", "channel",
+    "error", "r_sv", "epsilon", "lo", "n", "t_obw", "model", "kappa", "rate_rad_s", "n_traces",
+    "users", "px_w", "bogus",
+]
+
+
+def _fuzz_slots(node, out: list) -> list:
+    """Every ``(container, key)`` of a JSON document, depth first."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _fuzz_slots(value, out)
+    return out
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A command and its valid config after one to three edits: a value set, dropped or added."""
+    command = draw(st.sampled_from(sorted(_FUZZ_CONFIGS)))
+    doc = copy.deepcopy(_FUZZ_CONFIGS[command])
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _fuzz_slots(doc, [])
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["set", "drop", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(_FUZZ_VALUES)))
+        if action == "drop":
+            del node[key]
+        elif action == "set":
+            node[key] = value
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_FUZZ_KEYS))] = value
+        else:
+            node.append(value)
+    return command, doc
+
+
+@given(case=_mutated_configs())
+@settings(max_examples=400, deadline=None)
+def test_cli_mutated_config_ends_in_a_named_config_error(tmp_path_factory, case):
+    # Every edit of a valid config either still runs (exit 0), is a config
+    # error (exit 2) that names its field, or is a data error (exit 3) in the
+    # trace file it names; never a traceback.
+    command, doc = case
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = [command, "--config", _cfg(work, doc), "--out", str(work / "o")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (doc, err.getvalue())
+    if code == 2:
+        assert re.match(r"config error: config[.:]", err.getvalue()), (doc, err.getvalue())
+    if code == 3:
+        assert err.getvalue().startswith("data error: ") and "traces_csv" in doc, (doc, err.getvalue())
+
+
 def test_cli_trace_rejects_zero_epsilon(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"epsilon_frac_of_fov": 0, "synthetic": _SYNTH_DRIFT})
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -874,6 +966,37 @@ def test_cli_accepts_minimum_fov(tmp_path, capsys, command):
     grid = "error=0:3.14159:9,r_sv=0:3.14159:9"
     argv = [command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path), "--grid", grid]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("fov_deg", [1.0, 0.1])
+def test_cli_sweep_leakage_self_check_replays_the_bisection_at_small_fov(
+    tmp_path, capsys, monkeypatch, fov_deg
+):
+    # Below a few degrees every exact report's root lies near a halving of
+    # its bracket, so each scalar inversion of the self-check is checked
+    # against the array bisection, on a 1-element array.
+    newton, bisect = vrpl.leakage._newton_error, vrpl.leakage._bisect_error_vec
+    inversions, running, replayed = [], [], []
+
+    def scalar_newton(*args):
+        inversions.append(args)
+        running.append(len(inversions))
+        try:
+            return newton(*args)
+        finally:
+            running.pop()
+
+    def hooked_bisect(*args):
+        replayed.extend(running)
+        return bisect(*args)
+
+    monkeypatch.setattr(vrpl.leakage, "_newton_error", scalar_newton)
+    monkeypatch.setattr(vrpl.leakage, "_bisect_error_vec", hooked_bisect)
+    axis = {"lo": 0.0, "hi": math.pi, "n": 61}
+    cfg = _cfg(tmp_path, {"r_fov_deg": fov_deg, "grids": {"r_sv": axis, "error": axis}})
+    assert main(["sweep-leakage", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert inversions and replayed == list(range(1, len(inversions) + 1))
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,8 @@ exactly when the value lies in the domain, and otherwise raise
 `ValueError`.  The ``*_vec`` functions get the probe as the second element
 of an array whose first element is the base value.
 
-`vrpl.sphere.cap_overlap_area_vec`, its two steps `lens_terms` and
-`lens_area`, and the run sum `lens_area_sum` have no row: they are the
-unchecked partial-overlap lens kernel the checked functions feed.
+The array lens, `vrpl.sphere.lens_terms` and `lens_area`, has no row: it
+is the unchecked partial-overlap lens kernel the checked functions feed.
 """
 
 import inspect

@@ -35,7 +35,7 @@ from vrpl.leakage import (
     leak_prob_from_qoe_vec,
 )
 from vrpl.qoe import CASE_CODE, CASES, classify_vec, qoe_vec
-from vrpl.sphere import cap_overlap_area_vec
+from vrpl.sphere import lens_area, lens_terms
 
 from support import (
     RESIDUAL_SLACK,
@@ -388,7 +388,7 @@ def test_lens_area_is_the_full_expression_bit_for_bit(triples):
     fov, sv, e = (np.array(x) for x in zip(*points))
     partial = classify_vec(fov, sv, e) == CASE_CODE[OverlapCase.REMAINING]
     fov, sv, e = fov[partial], sv[partial], e[partial]
-    got = cap_overlap_area_vec(fov, sv, np.cos(e), np.sin(e))
+    got = lens_area(lens_terms(fov, sv), np.cos(e), np.sin(e), np.empty((3, e.size)))
     assert np.array_equal(got, reference_lens(fov, sv, e)[0])
 
 
@@ -414,20 +414,18 @@ def test_newton_root_is_no_worse_than_halving_at_one_degree():
 def _hook_evaluations(monkeypatch):
     """Hooks on the inversions' QoE evaluations.
 
-    Returns two lists: one entry per array iteration, its number of reports,
-    and one per scalar evaluation, its ``(r_fov, r_sv, e)``; the
-    evaluations of the bisection the roots are checked against come after
-    a ``None`` in each.
+    Returns two lists: one entry per evaluation of the array lens, its
+    number of elements, with a ``None`` where the bisection the roots are
+    checked against starts, and one per evaluation of the module-global
+    ``qoe``, its ``(r_fov, r_sv, e)``.  The scalar mirror evaluates ``qoe``
+    at its Newton iterates only: its bisection is the array one.
     """
     sizes, evals = [], []
     leakage = vrpl.leakage
-    lens_area, bisect, bisect_vec = leakage.lens_area, leakage._bisect_error, leakage._bisect_error_vec
-    monkeypatch.setattr(
-        vrpl.leakage, "lens_area", lambda t, c, s, w: sizes.append(c.size) or lens_area(t, c, s, w)
-    )
+    lens, bisect_vec = leakage.lens_area, leakage._bisect_error_vec
+    monkeypatch.setattr(vrpl.leakage, "lens_area", lambda t, c, s, w: sizes.append(c.size) or lens(t, c, s, w))
     monkeypatch.setattr(vrpl.leakage, "qoe", lambda *a: evals.append(a) or qoe(*a))
     monkeypatch.setattr(vrpl.leakage, "_bisect_error_vec", lambda *a: sizes.append(None) or bisect_vec(*a))
-    monkeypatch.setattr(vrpl.leakage, "_bisect_error", lambda *a: evals.append(None) or bisect(*a))
     return sizes, evals
 
 
@@ -435,22 +433,23 @@ def _hook_evaluations(monkeypatch):
 def test_every_newton_iterate_is_partial_overlap(triples):
     """What lets the kernels take the lens at every iterate without classifying it.
 
-    The scalar mirror's iterates are what the hooked qoe sees, the array
-    kernel's (one report at a time) the angles of the hooked lens's cosines
-    and sines; both include the midpoints of the bisection the roots are
-    checked against.  The array oracle's midpoints are partial overlap too.
+    The scalar mirror's Newton iterates are what the hooked qoe sees; the
+    array kernel's (one report at a time), and the midpoints of the
+    bisection both kernels' roots are checked against, are the angles of
+    the hooked lens's cosines and sines.  The array oracle's midpoints are
+    partial overlap too.
     """
     q, fov, sv = _exact(triples)
     for report in zip(q, fov, sv):
         iterates = []
         with pytest.MonkeyPatch.context() as mp:
             _, evals = _hook_evaluations(mp)
-            lens_area = vrpl.leakage.lens_area
+            lens = vrpl.leakage.lens_area
             mp.setattr(vrpl.leakage, "lens_area", lambda t, c, s, w: iterates.extend(
-                (report[1], report[2], float(a)) for a in np.arctan2(s, c)) or lens_area(t, c, s, w))
+                (report[1], report[2], float(a)) for a in np.arctan2(s, c)) or lens(t, c, s, w))
             _newton_error_vec(*(np.array([x]) for x in report))
             _newton_error(*report)
-        iterates += [a for a in evals if a is not None]
+        iterates += evals
         assert all(classify(*x) is OverlapCase.REMAINING for x in iterates), iterates
     for f, s, mid in halve_with_qoe_vec(q, fov, sv)[1]:
         assert (classify_vec(f, s, mid) == CASE_CODE[OverlapCase.REMAINING]).all()
@@ -466,7 +465,7 @@ def test_newton_never_reaches_the_iteration_cap(triples):
         for report in zip(q, fov, sv):
             evals.clear()
             _newton_error(*report)
-            assert evals.index(None) < _NEWTON_MAX_ITER
+            assert len(evals) < _NEWTON_MAX_ITER
 
 
 def test_newton_takes_about_five_evaluations_on_the_grid(grid, monkeypatch):

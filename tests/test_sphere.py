@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from support import boundary_neighbours, random_partial_overlap_triples
+from support import random_partial_overlap_triples
 from vrpl import SPHERE_AREA, cap_area, cap_overlap_area, mc_cap_overlap
-from vrpl.sphere import cap_overlap_area_vec, lens_area_sum, lens_terms
+from vrpl.sphere import lens_area, lens_terms
 
 
 def test_cap_radius_validation():
@@ -98,29 +98,9 @@ def test_overlap_matches_monte_carlo():
 def test_overlap_vectorised_matches_scalar():
     rng = np.random.default_rng(21)
     r1, r2, d = np.array(random_partial_overlap_triples(rng, 400)).T
-    vec = cap_overlap_area_vec(r1, r2, np.cos(d), np.sin(d))
+    vec = lens_area(lens_terms(r1, r2), np.cos(d), np.sin(d), np.empty((3, d.size)))
     for i in range(len(d)):
         assert vec[i] == pytest.approx(cap_overlap_area(r1[i], r2[i], d[i]), abs=1e-12)
-
-
-def test_lens_area_sum_matches_fsum_across_blocks():
-    """A run's lens sum is `math.fsum` of its lenses, to a few ulps of the sum per element.
-
-    Runs of 1 to 2,000 distances, some within a few floats of the interval's
-    ends, are summed in work rows 7, 500 and 16,384 wide.
-    """
-    rng = np.random.default_rng(61)
-    for r1, r2, _ in random_partial_overlap_triples(rng, 40):
-        lo, hi = abs(r1 - r2), min(r1 + r2, 2.0 * math.pi - r1 - r2)
-        near = [x for x in boundary_neighbours(r1, r2, ulps=3) if lo < x < hi]
-        d = np.sort(np.concatenate([rng.uniform(lo, hi, rng.integers(1, 2000)), near]))
-        cos_d, sin_d = np.cos(d), np.sin(d)
-        values = cap_overlap_area_vec(r1, r2, cos_d, sin_d)
-        want = math.fsum(values)
-        terms = lens_terms(r1, r2)
-        for width in (7, 500, 16384):
-            got = lens_area_sum(terms, cos_d, sin_d, cos_d * terms[0], sin_d * terms[2], np.empty((3, width)))
-            assert abs(got - want) <= 4 * d.size * math.ulp(want), (r1, r2, width)
 
 
 def test_mc_overlap_full_sphere():
