@@ -328,6 +328,8 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         ) from None
 
     traces_csv = _optional(doc, "traces_csv", str, "config")
+    if traces_csv == "":
+        raise ConfigError("config.traces_csv: expected a file path, got ''")
     synthetic = None
     if "synthetic" in doc:
         synthetic = _resolve_synthetic(_require(doc, "synthetic", dict, "config"), windowing)

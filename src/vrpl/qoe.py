@@ -10,8 +10,8 @@ matching case in the order below.
 
 `classify_vec` and `qoe_vec` evaluate the same model elementwise over
 numpy-broadcastable inputs; cases are reported as int8 codes indexing
-`CASES`.  The scalar functions stay the reference the array kernels are
-tested against.
+`CASES`.  Both paths share the case tests (`_case_tests`) and the constant
+cases' QoE (`_case_qoe`); their lenses and cosines may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .sphere import (
     FOV,
     STREAMED_RADIUS,
     TWO_PI,
+    _overlap_tests,
     cap_area,
     cap_overlap_area,
     lens_area,
@@ -60,6 +61,27 @@ CASES = PARTITION_CASES + (OverlapCase.DEGENERATE_EMPTY, OverlapCase.DEGENERATE_
 CASE_CODE = {case: i for i, case in enumerate(CASES)}
 
 
+#: The case code each test of `_case_tests` gives; if none holds, the caps overlap partially.
+_TESTED = [CASE_CODE[case] for case in (*CASES[5:], *PARTITION_CASES[:4])]
+_REMAINING = CASE_CODE[OverlapCase.REMAINING]
+
+
+def _case_tests(fov, sv, err) -> tuple:
+    """The case tests in tie order, floats or arrays: degenerate radii, then the overlap tests."""
+    return (sv == 0.0, sv == math.pi, *_overlap_tests(fov, sv, err))
+
+
+def _case_code(fov: float, sv: float, err: float) -> int:
+    """The case code of checked floats: the first of `_case_tests` to hold."""
+    return next((c for c, hit in zip(_TESTED, _case_tests(fov, sv, err)) if hit), _REMAINING)
+
+
+def _case_qoe(c1, c2) -> tuple:
+    """Each case code's QoE from ``c1 = cos r_fov``, ``c2 = cos r_sv``; 0 in place of the lens's."""
+    denom = 1.0 - c1
+    return (1.0, (1.0 - c2) / denom, 0.0, (-c2 - c1) / denom, 0.0, 0.0, 1.0)
+
+
 def classify(r_fov: float, r_sv: float, e: float) -> OverlapCase:
     """Classify the field-of-view / streamed-cap configuration.
 
@@ -73,20 +95,7 @@ def classify(r_fov: float, r_sv: float, e: float) -> OverlapCase:
         pi) are reported as such before the five-way split; ties between
         the closed cases resolve in the listed order.
     """
-    fov, sv, err = FOV.check(r_fov), STREAMED_RADIUS.check(r_sv), ERROR.check(e)
-    if sv == 0.0:
-        return OverlapCase.DEGENERATE_EMPTY
-    if sv == math.pi:
-        return OverlapCase.DEGENERATE_FULL
-    if sv >= fov + err:
-        return OverlapCase.FOV_IN_SFOV
-    if fov >= sv + err:
-        return OverlapCase.SFOV_IN_FOV
-    if err >= fov + sv:
-        return OverlapCase.DISJOINT
-    if fov + sv + err >= TWO_PI:
-        return OverlapCase.SFOV_COMPLEMENT_IN_FOV
-    return OverlapCase.REMAINING
+    return CASES[_case_code(FOV.check(r_fov), STREAMED_RADIUS.check(r_sv), ERROR.check(e))]
 
 
 def qoe(r_fov: float, r_sv: float, e: float) -> float:
@@ -97,58 +106,35 @@ def qoe(r_fov: float, r_sv: float, e: float) -> float:
     strictly decreasing in ``e`` and strictly increasing in ``r_sv``.
     """
     fov, sv, err = FOV.check(r_fov), STREAMED_RADIUS.check(r_sv), ERROR.check(e)
-    case = classify(fov, sv, err)
-    if case in (OverlapCase.FOV_IN_SFOV, OverlapCase.DEGENERATE_FULL):
-        return 1.0
-    if case == OverlapCase.SFOV_IN_FOV:
-        return (1.0 - math.cos(sv)) / (1.0 - math.cos(fov))
-    if case in (OverlapCase.DISJOINT, OverlapCase.DEGENERATE_EMPTY):
-        return 0.0
-    if case == OverlapCase.SFOV_COMPLEMENT_IN_FOV:
-        return (-math.cos(sv) - math.cos(fov)) / (1.0 - math.cos(fov))
+    code = _case_code(fov, sv, err)
+    if code != _REMAINING:
+        return _case_qoe(math.cos(fov), math.cos(sv))[code]
     value = cap_overlap_area(fov, sv, err) / cap_area(fov)
     return min(max(value, 0.0), 1.0)
 
 
+def _lens_qoe(terms: tuple, area, cos_d, sin_d, work: np.ndarray) -> np.ndarray:
+    """`lens_area` over the field of view's ``area``, clipped to [0, 1], in place and unchecked."""
+    lens = lens_area(terms, cos_d, sin_d, work)
+    return np.clip(np.divide(lens, area, out=lens), 0.0, 1.0, out=lens)
+
+
 def _classify_codes(fov: np.ndarray, sv: np.ndarray, err: np.ndarray) -> np.ndarray:
     """`classify` on validated, broadcast arrays: the first true test wins."""
-    tests = [
-        (sv == 0.0, OverlapCase.DEGENERATE_EMPTY),
-        (sv == math.pi, OverlapCase.DEGENERATE_FULL),
-        (sv >= fov + err, OverlapCase.FOV_IN_SFOV),
-        (fov >= sv + err, OverlapCase.SFOV_IN_FOV),
-        (err >= fov + sv, OverlapCase.DISJOINT),
-        (fov + sv + err >= TWO_PI, OverlapCase.SFOV_COMPLEMENT_IN_FOV),
-    ]
-    codes = np.select(
-        [test for test, _ in tests],
-        [CASE_CODE[case] for _, case in tests],
-        default=CASE_CODE[OverlapCase.REMAINING],
-    )
-    return codes.astype(np.int8)
+    return np.select(_case_tests(fov, sv, err), _TESTED, default=_REMAINING).astype(np.int8)
 
 
 def _qoe_from_codes(
     fov: np.ndarray, sv: np.ndarray, err: np.ndarray, codes: np.ndarray
 ) -> np.ndarray:
     """`qoe` on validated, broadcast arrays whose cases are already known."""
-    denom = 1.0 - np.cos(fov)
-    constants = [
-        (OverlapCase.FOV_IN_SFOV, 1.0),
-        (OverlapCase.DEGENERATE_FULL, 1.0),
-        (OverlapCase.SFOV_IN_FOV, (1.0 - np.cos(sv)) / denom),
-        (OverlapCase.SFOV_COMPLEMENT_IN_FOV, (-np.cos(sv) - np.cos(fov)) / denom),
-    ]
-    out = np.select(
-        [codes == CASE_CODE[case] for case, _ in constants], [v for _, v in constants], default=0.0
-    )
-    m = codes == CASE_CODE[OverlapCase.REMAINING]
+    out = np.choose(codes, _case_qoe(np.cos(fov), np.cos(sv)), out=np.empty(codes.shape))
+    m = codes == _REMAINING
     if m.any():
-        fov_m, err_m = fov[m], err[m]
-        overlap = lens_area(
-            lens_terms(fov_m, sv[m]), np.cos(err_m), np.sin(err_m), np.empty((3, err_m.size))
-        )
-        out[m] = np.clip(overlap / (TWO_PI * (1.0 - np.cos(fov_m))), 0.0, 1.0)
+        err_m = err[m]
+        terms = lens_terms(fov[m], sv[m])
+        area = TWO_PI * (1.0 - terms[0])
+        out[m] = _lens_qoe(terms, area, np.cos(err_m), np.sin(err_m), np.empty((3, err_m.size)))
     return out
 
 
@@ -167,8 +153,9 @@ def classify_vec(r_fov, r_sv, e) -> np.ndarray:
 def qoe_vec(r_fov, r_sv, e) -> np.ndarray:
     """`qoe` elementwise over broadcastable arrays.
 
-    Matches the scalar function to rounding (the lens area's arccos may
-    differ by an ulp); any element outside its domain raises `ValueError`.
+    Matches the scalar function to rounding: both take `_case_qoe` outside
+    the partial-overlap case, and their lenses' arccos may differ by an ulp
+    inside it; any element outside its domain raises `ValueError`.
     """
     fov, sv, err = np.broadcast_arrays(
         FOV.check_array(r_fov), STREAMED_RADIUS.check_array(r_sv), ERROR.check_array(e)

@@ -84,6 +84,8 @@ class ResourceConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if not (math.isfinite(self.cc_duration) and self.cc_duration >= 0.0):
             raise ValueError(f"cc_duration must be >= 0, got {self.cc_duration!r}")
+        if not self.compute_rate > 0.0:
+            raise ValueError(f"compute_flops / (users * flops_per_bit) rounds to {self.compute_rate!r}")
 
     @property
     def compute_rate(self) -> float:

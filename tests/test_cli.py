@@ -468,6 +468,17 @@ def test_cli_trace_needs_a_source(capsys):
     assert "traces_csv or a synthetic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trace", "validate"])
+def test_cli_rejects_empty_traces_path(tmp_path, capsys, command):
+    # An empty path would name the working directory, not a file.
+    out = tmp_path / "o"
+    cfg = _cfg(tmp_path, {"traces_csv": "", "grids": {"r_sv": [0.5, 1.0]}})
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.traces_csv: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_trace_bad_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n1,2\n", encoding="utf-8")
@@ -553,9 +564,11 @@ _HUGE = 10**400
          "config.tile.px_w"),
         ("resource", {"resources": {**_RESOURCES, "frames_per_segment": _HUGE}, "tile": _TILE},
          "config.resources.frames_per_segment"),
+        ("resource", {"resources": {**_RESOURCES, "flops_per_bit": 1e308}, "tile": _TILE},
+         "config.resources: compute_flops / (users * flops_per_bit) rounds to 0.0"),
     ],
     ids=["fov", "leak-budget", "kappa", "grid-bound", "grid-value", "seed-digits",
-         "deep-nesting", "tile-pixels", "frames"],
+         "deep-nesting", "tile-pixels", "frames", "compute-rate"],
 )
 def test_cli_rejects_oversized_numbers(tmp_path, capsys, command, doc, field):
     cfg = tmp_path / "cfg.json"

@@ -35,7 +35,7 @@ from vrpl.leakage import (
     leak_prob_from_qoe_vec,
 )
 from vrpl.qoe import CASE_CODE, CASES, classify_vec, qoe_vec
-from vrpl.sphere import lens_area, lens_terms
+from vrpl.sphere import SPHERE_AREA, cap_area, cap_overlap_area, lens_area, lens_terms
 
 from support import (
     RESIDUAL_SLACK,
@@ -220,6 +220,16 @@ def test_kernels_on_boundaries(fov, sv, eps_frac):
     )
     if 0.0 < sv < math.pi:
         _assert_inference_matches(infer_error_from_qoe_vec(np.array(q), fov, sv), q, fov, [sv] * len(q))
+        # in the closed case classify names, the overlap area is that case's
+        closed = {
+            OverlapCase.FOV_IN_SFOV: cap_area(fov),
+            OverlapCase.SFOV_IN_FOV: cap_area(sv),
+            OverlapCase.DISJOINT: 0.0,
+            OverlapCase.SFOV_COMPLEMENT_IN_FOV: cap_area(fov) + cap_area(sv) - SPHERE_AREA,
+        }
+        for x in e.tolist():
+            case = classify(fov, sv, x)
+            assert case not in closed or cap_overlap_area(fov, sv, x) == closed[case], (x, case)
 
 
 @pytest.mark.xfail(
@@ -414,16 +424,19 @@ def test_newton_root_is_no_worse_than_halving_at_one_degree():
 def _hook_evaluations(monkeypatch):
     """Hooks on the inversions' QoE evaluations.
 
-    Returns two lists: one entry per evaluation of the array lens, its
-    number of elements, with a ``None`` where the bisection the roots are
-    checked against starts, and one per evaluation of the module-global
-    ``qoe``, its ``(r_fov, r_sv, e)``.  The scalar mirror evaluates ``qoe``
-    at its Newton iterates only: its bisection is the array one.
+    Returns two lists: one entry per evaluation of the array kernels'
+    partial-overlap QoE (`_lens_qoe`), its number of elements, with a
+    ``None`` where the bisection the roots are checked against starts, and
+    one per evaluation of the module-global ``qoe``, its ``(r_fov, r_sv,
+    e)``.  The scalar mirror evaluates ``qoe`` at its Newton iterates only:
+    its bisection is the array one.
     """
     sizes, evals = [], []
     leakage = vrpl.leakage
-    lens, bisect_vec = leakage.lens_area, leakage._bisect_error_vec
-    monkeypatch.setattr(vrpl.leakage, "lens_area", lambda t, c, s, w: sizes.append(c.size) or lens(t, c, s, w))
+    lens_qoe, bisect_vec = leakage._lens_qoe, leakage._bisect_error_vec
+    monkeypatch.setattr(
+        vrpl.leakage, "_lens_qoe", lambda t, a, c, s, w: sizes.append(c.size) or lens_qoe(t, a, c, s, w)
+    )
     monkeypatch.setattr(vrpl.leakage, "qoe", lambda *a: evals.append(a) or qoe(*a))
     monkeypatch.setattr(vrpl.leakage, "_bisect_error_vec", lambda *a: sizes.append(None) or bisect_vec(*a))
     return sizes, evals
@@ -436,17 +449,17 @@ def test_every_newton_iterate_is_partial_overlap(triples):
     The scalar mirror's Newton iterates are what the hooked qoe sees; the
     array kernel's (one report at a time), and the midpoints of the
     bisection both kernels' roots are checked against, are the angles of
-    the hooked lens's cosines and sines.  The array oracle's midpoints are
-    partial overlap too.
+    the hooked `_lens_qoe`'s cosines and sines.  The array oracle's
+    midpoints are partial overlap too.
     """
     q, fov, sv = _exact(triples)
     for report in zip(q, fov, sv):
         iterates = []
         with pytest.MonkeyPatch.context() as mp:
             _, evals = _hook_evaluations(mp)
-            lens = vrpl.leakage.lens_area
-            mp.setattr(vrpl.leakage, "lens_area", lambda t, c, s, w: iterates.extend(
-                (report[1], report[2], float(a)) for a in np.arctan2(s, c)) or lens(t, c, s, w))
+            lens_qoe = vrpl.leakage._lens_qoe
+            mp.setattr(vrpl.leakage, "_lens_qoe", lambda t, a, c, s, w: iterates.extend(
+                (report[1], report[2], float(x)) for x in np.arctan2(s, c)) or lens_qoe(t, a, c, s, w))
             _newton_error_vec(*(np.array([x]) for x in report))
             _newton_error(*report)
         iterates += evals
@@ -499,6 +512,24 @@ def test_vec_domain_errors():
     with pytest.raises(QoeInconsistencyError, match="unreachable"):
         # an SFoV inside the FoV cannot cover all of it
         infer_error_from_qoe_vec([0.5, 1.0], 1.0, 0.3)
+
+
+#: One ``(r_sv, e)`` in each case at ``FOVS[0]``, in code order.
+_CASE_POINTS = [(2.0, 0.5), (0.3, 0.2), (0.5, 2.0), (3.0, 2.9), (0.8, 0.6), (0.0, 0.5), (math.pi, 0.5)]
+
+
+def test_kernels_on_0d_and_empty_inputs():
+    """0-d inputs give 0-d arrays that match the scalar functions; empty inputs give empty arrays."""
+    fov = FOVS[0]
+    for code, (sv, e) in enumerate(_CASE_POINTS):
+        case, q = classify_vec(fov, sv, e), qoe_vec(fov, sv, e)
+        assert (type(case), case.dtype, case.shape) == (np.ndarray, np.int8, ())
+        assert (type(q), q.dtype, q.shape) == (np.ndarray, np.float64, ())
+        assert case == code and CASES[code] is classify(fov, sv, e)
+        _assert_close(q, qoe(fov, sv, e))
+    for kernel, dtype in ((classify_vec, np.int8), (qoe_vec, np.float64)):
+        got = kernel(fov, [], 0.5)
+        assert (type(got), got.dtype, got.shape) == (np.ndarray, dtype, (0,))
 
 
 def test_codes_name_every_case():
