@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .resources import ChannelConfig, ResourceConfig, TileSpec
-from .sphere import EPSILON, ERROR, FOV, PROBABILITY, STREAMED_RADIUS
+from .sphere import COUNT, EPSILON, ERROR, FOV, POSITIVE, PROBABILITY, STREAMED_RADIUS
 from .traces import (
     GreatCircleDrift,
     MotionModel,
@@ -114,6 +114,10 @@ class SyntheticSpec:
     n_traces: int
     duration: float
     rate: float
+
+    def __post_init__(self) -> None:
+        COUNT.check_fields(self, "n_traces")
+        POSITIVE.check_fields(self, "duration", "rate")
 
 
 @dataclass(frozen=True)
@@ -210,9 +214,9 @@ def _resolve_block(cls, doc: dict, path: str, keys: dict[str, str] | None = None
 
     Each field not passed in ``given`` is required, with its annotated type,
     under the key ``keys`` names for it (the field name by default); any
-    other key, and an ``int`` field beyond ``2**53`` (the largest integer
-    a float holds exactly), is rejected.  A ``ValueError`` from ``cls``
-    becomes a `ConfigError` on ``path``.
+    other key is rejected.  A ``ValueError`` from ``cls`` becomes a
+    `ConfigError`: on the field's key, named as the key, for a field
+    outside its `Domain` (`Domain.check_fields`), else on ``path``.
     """
     keys = keys or {}
     types = typing.get_type_hints(cls)
@@ -224,13 +228,14 @@ def _resolve_block(cls, doc: dict, path: str, keys: dict[str, str] | None = None
         name: given[name] if name in given else _require(doc, keys.get(name, name), kind, path)
         for name, kind in types.items()
     }
-    for name, kind in types.items():
-        if kind is int and abs(args[name]) > 2**53:
-            raise ConfigError(f"{path}.{keys.get(name, name)}: integer beyond 2**53")
     try:
         return cls(**args)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        field = getattr(exc, "field", None)
+        if field is None:  # a rule across fields
+            raise ConfigError(f"{path}: {exc}") from None
+        key = keys.get(field, field)
+        raise ConfigError(f"{path}.{key}: {key} {str(exc).partition(' ')[2]}") from None
 
 
 #: Motion model of each synthetic ``model`` name, and the config key of
@@ -259,10 +264,6 @@ def _resolve_synthetic(doc: dict, windowing: WindowingConfig) -> SyntheticSpec:
         {"duration": "duration_s", "rate": "rate_hz"},
         model=model,
     )
-    if spec.n_traces < 1:
-        raise ConfigError(f"{path}.n_traces: {spec.n_traces!r} must be >= 1")
-    if not (math.isfinite(spec.rate) and spec.rate > 0.0):
-        raise ConfigError(f"{path}.rate_hz: {spec.rate!r} must be > 0")
     n = _in_domain(sample_count, spec.duration, f"{path}.duration_s", rate=spec.rate)
     check_size(spec.n_traces * n, path, "n_traces * duration_s * rate_hz")
     needs = sum(_in_domain(windowing.samples, spec.rate, "config.windowing"))

@@ -367,7 +367,8 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
         )
     if abs(qv - q_low) <= tol:
         case = classify(fov, sv, math.pi)
-        lo = fov + sv if case is OverlapCase.DISJOINT else TWO_PI - fov - sv
+        # exact, as fov + sv lies in [pi, 2 pi]: classify(fov, sv, lo) is the case
+        lo = fov + sv if case is OverlapCase.DISJOINT else TWO_PI - (fov + sv)
         return ErrorInference(InferenceKind.RANGE, case, lo=lo, hi=math.pi, ambiguous=interior)
     return ErrorInference(InferenceKind.EXACT, OverlapCase.REMAINING, value=_newton_error(qv, fov, sv))
 

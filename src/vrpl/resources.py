@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sphere import CAP_RADIUS, PROBABILITY
+from .sphere import AT_LEAST_1, CAP_RADIUS, COUNT, NON_NEGATIVE, POSITIVE, PROBABILITY
 
 #: The fraction of the sphere a server can stream in time.
 _CAPABILITY = replace(PROBABILITY, name="capability")
@@ -34,14 +34,8 @@ class TileSpec:
     compression_ratio: float
 
     def __post_init__(self) -> None:
-        for name in ("px_w", "px_h", "bits_per_pixel"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not (math.isfinite(self.compression_ratio) and self.compression_ratio >= 1.0):
-            raise ValueError(
-                f"compression_ratio must be >= 1, got {self.compression_ratio!r}"
-            )
+        COUNT.check_fields(self, "px_w", "px_h", "bits_per_pixel")
+        AT_LEAST_1.check_fields(self, "compression_ratio")
 
     @property
     def compute_bits(self) -> int:
@@ -72,18 +66,9 @@ class ResourceConfig:
     tiles_per_frame: int
 
     def __post_init__(self) -> None:
-        for name in ("compute_flops", "flops_per_bit", "avg_data_rate"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be > 0, got {v!r}")
-        if not isinstance(self.users, int) or self.users < 1:
-            raise ValueError(f"users must be a positive integer, got {self.users!r}")
-        for name in ("frames_per_segment", "tiles_per_frame"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not (math.isfinite(self.cc_duration) and self.cc_duration >= 0.0):
-            raise ValueError(f"cc_duration must be >= 0, got {self.cc_duration!r}")
+        POSITIVE.check_fields(self, "compute_flops", "flops_per_bit", "avg_data_rate")
+        COUNT.check_fields(self, "users", "frames_per_segment", "tiles_per_frame")
+        NON_NEGATIVE.check_fields(self, "cc_duration")
         if not self.compute_rate > 0.0:
             raise ValueError(f"compute_flops / (users * flops_per_bit) rounds to {self.compute_rate!r}")
 
@@ -142,18 +127,9 @@ class ChannelConfig:
     users: int
 
     def __post_init__(self) -> None:
-        for name in ("bandwidth", "distance", "noise_power"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be > 0, got {v!r}")
-        if not (math.isfinite(self.tx_power) and self.tx_power >= 0.0):
-            raise ValueError(f"tx_power must be >= 0, got {self.tx_power!r}")
-        if not (math.isfinite(self.pathloss_exp) and self.pathloss_exp >= 0.0):
-            raise ValueError(f"pathloss_exp must be >= 0, got {self.pathloss_exp!r}")
-        for name in ("antennas", "users"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        POSITIVE.check_fields(self, "bandwidth", "distance", "noise_power")
+        NON_NEGATIVE.check_fields(self, "tx_power", "pathloss_exp")
+        COUNT.check_fields(self, "antennas", "users")
         if self.users > self.antennas:
             raise ValueError(
                 f"users ({self.users}) cannot exceed antennas ({self.antennas}) "
@@ -169,12 +145,11 @@ def mc_avg_rate(ch: ChannelConfig, n: int, seed: int) -> float:
     ``snr = tx_power * distance**(-pathloss_exp) / noise_power``.
     Deterministic per seed.  This estimates the ensemble average; the
     capability model consumes it directly as the average data rate.
-    Raises ``ValueError`` if ``n < 1`` or the average is not a finite float.
+    Raises ``ValueError`` unless ``n`` is an integer in [1, 2**53] and the
+    average a finite float.
     """
-    if n < 1:
-        raise ValueError(f"sample count {n!r} must be >= 1")
     rng = np.random.default_rng(seed)
-    gain = rng.gamma(shape=ch.antennas - ch.users + 1, scale=1.0, size=n)
+    gain = rng.gamma(shape=ch.antennas - ch.users + 1, scale=1.0, size=COUNT.check(n))
     # in place, so the samples are the only array of size n; an overflow
     # anywhere leaves a mean that is not finite
     with np.errstate(over="ignore", invalid="ignore"):

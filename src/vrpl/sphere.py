@@ -13,6 +13,7 @@ lens as the self-check's separate arithmetic (3 µs against 75 µs).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,18 +23,19 @@ SPHERE_AREA = 4.0 * math.pi
 
 
 #: How interval ends print in domain errors.
-_END_NAMES = {0.0: "0", 1.0: "1", math.pi / 2: "pi/2", math.pi: "pi"}
+_END_NAMES = {0.0: "0", 1.0: "1", math.pi / 2: "pi/2", math.pi: "pi", 2.0**53: "2**53"}
 
 
 @dataclass(frozen=True)
 class Domain:
-    """The interval one kind of analysis input must lie in.
+    """The interval one kind of input must lie in.
 
     Every public function checks each argument once, with `check` for a
     scalar or `check_array` for broadcastable arrays; both reject NaN and
     ±inf and raise ``ValueError("<name> <value> outside <interval>")``.
     ``hi`` narrows the upper end for one call, as the field-of-view radius
-    caps the protection radius.
+    caps the protection radius.  An ``integer`` domain compares an integer
+    as it is, so ``10**400`` lies outside rather than overflowing a float.
     """
 
     name: str
@@ -41,24 +43,43 @@ class Domain:
     hi: float
     open_lo: bool = False
     open_hi: bool = False
+    integer: bool = False
 
     def _inside(self, v, top):
         """Elementwise test of ``v`` against the domain up to ``top``; NaN fails."""
         above = v > self.lo if self.open_lo else v >= self.lo
         return above & (v < top if self.open_hi else v <= top)
 
-    def _error(self, value, top: float) -> ValueError:
+    def _error(self, value, top: float, name: str) -> ValueError:
         lo, hi = (_END_NAMES.get(v, repr(v)) for v in (self.lo, top))
         interval = f"{'(' if self.open_lo else '['}{lo}, {hi}{')' if self.open_hi else ']'}"
-        return ValueError(f"{self.name} {value!r} outside {interval}")
+        return ValueError(f"{name} {value!r} outside {interval}")
+
+    def _checked(self, x, top: float, name: str):
+        """``x`` as a float, or an int for an integer domain, if it lies in the domain up to ``top``."""
+        if self.integer and not isinstance(x, numbers.Integral):
+            raise ValueError(f"{name} {x!r} is not an integer")
+        v = int(x) if self.integer else float(x)
+        if not self._inside(v, top):
+            raise self._error(x, top, name)
+        return v
 
     def check(self, x, hi: float | None = None) -> float:
-        """``x`` as a float, if it lies in the domain."""
-        v = float(x)
-        top = self.hi if hi is None else hi
-        if not self._inside(v, top):
-            raise self._error(x, top)
-        return v
+        """``x`` as a float (an int, for an integer domain), if it lies in the domain."""
+        return self._checked(x, self.hi if hi is None else hi, self.name)
+
+    def check_fields(self, record, *names: str) -> None:
+        """Check the fields ``names`` of ``record``: the ``ValueError`` names the
+        field where `check` names the domain, and holds it as ``field``."""
+        for name in names:
+            value = getattr(record, name)
+            try:
+                if not isinstance(value, numbers.Real):  # as float() would take "5"
+                    raise ValueError(f"{name} {value!r} is not a number")
+                self._checked(value, self.hi, name)
+            except ValueError as exc:
+                exc.field = name
+                raise
 
     def check_array(self, x, hi=None) -> np.ndarray:
         """``x`` as a float array, if every element lies in the domain.
@@ -71,7 +92,7 @@ class Domain:
         if not ok.all():
             i = np.flatnonzero(~ok)[0]
             bad, cap = (float(np.broadcast_to(a, ok.shape).flat[i]) for a in (arr, top))
-            raise self._error(bad, cap)
+            raise self._error(bad, cap, self.name)
         return arr
 
 
@@ -86,6 +107,13 @@ DISTANCE = replace(ERROR, name="center distance")
 EPSILON = Domain("protection radius", 0.0, math.pi / 2)
 PROBABILITY = Domain("probability", 0.0, 1.0)
 QOE = replace(PROBABILITY, name="QoE")
+
+#: The domains of the scenario records' numbers; a count is an integer up to
+#: 2**53, the largest a float holds exactly.
+POSITIVE = Domain("positive number", 0.0, math.inf, open_lo=True, open_hi=True)
+NON_NEGATIVE = replace(POSITIVE, name="non-negative number", open_lo=False)
+AT_LEAST_1 = replace(NON_NEGATIVE, name="compression ratio", lo=1.0)
+COUNT = Domain("sample count", 1, 2**53, integer=True)
 
 
 def cap_area(r: float) -> float:
@@ -238,7 +266,7 @@ def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[f
     Args:
         r1, r2: cap radii in [0, pi].
         d: center separation in [0, pi].
-        n: number of samples, >= 1.
+        n: number of samples, an integer in [1, 2**53].
         seed: RNG seed; identical seeds give identical estimates.
 
     Returns:
@@ -246,10 +274,8 @@ def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[f
         std_error is the binomial standard error scaled by 4*pi.
     """
     a, b, dist = CAP_RADIUS.check(r1), CAP_RADIUS.check(r2), DISTANCE.check(d)
-    if n < 1:
-        raise ValueError(f"sample count {n!r} must be >= 1")
     rng = np.random.default_rng(seed)
-    z = rng.uniform(-1.0, 1.0, n)  # sine of latitude
+    z = rng.uniform(-1.0, 1.0, COUNT.check(n))  # sine of latitude
     theta = rng.uniform(-math.pi, math.pi, n)
     # cos(distance to second center) via the law of cosines; cos(lat) >= 0
     cos_d2 = np.sqrt(1.0 - z * z) * math.sin(dist) * np.cos(theta) + z * math.cos(dist)

@@ -15,13 +15,13 @@ import csv
 import enum
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .sphere import TWO_PI
+from .sphere import COUNT, NON_NEGATIVE, POSITIVE, TWO_PI
 
 TRACE_HEADER = ["user_id", "video_id", "timestamp_s", "theta_rad", "phi_rad"]
 
@@ -68,10 +68,6 @@ class ViewpointTrace:
     @property
     def sample_rate(self) -> float:
         return 1.0 / float(self.timestamps[1] - self.timestamps[0])
-
-    def unit_vectors(self) -> np.ndarray:
-        """Samples as rows of unit 3-vectors."""
-        return _unit_vectors(self.theta, self.phi)
 
 
 def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -390,8 +386,7 @@ class RandomWalk:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ValueError(f"kappa must be > 0, got {self.kappa!r}")
+        POSITIVE.check_fields(self, "kappa")
 
 
 @dataclass(frozen=True)
@@ -401,8 +396,7 @@ class GreatCircleDrift:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate >= 0.0):
-            raise ValueError(f"rate must be >= 0, got {self.rate!r}")
+        NON_NEGATIVE.check_fields(self, "rate")
 
 
 MotionModel = RandomWalk | GreatCircleDrift
@@ -415,18 +409,19 @@ _STEP_DRAWS = ((0.0, 1.0), *_POINT_DRAWS)
 #: Tangents whose component off the current point is no longer than this
 #: are replaced by the deterministic fallback of `_unit_tangents`.
 _TANGENT_MIN_NORM = 1e-6
+#: The domains of a synthetic population's sample rate and trace count.
+_RATE = replace(POSITIVE, name="rate")
+_TRACE_COUNT = replace(COUNT, name="n_traces")
 
 
 def sample_count(duration: float, rate: float) -> int:
     """Number of samples in ``duration`` seconds at ``rate`` Hz.
 
     Raises:
-        ValueError: unless ``rate > 0`` and ``duration * rate`` is a whole
-            number of at least 2.
+        ValueError: unless ``rate`` is positive and finite and ``duration *
+            rate`` is a whole number of at least 2.
     """
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be > 0, got {rate!r}")
-    count = duration * rate
+    count = duration * _RATE.check(rate)
     if not math.isfinite(count) or round(count) < 2 or abs(round(count) - count) > 1e-9:
         raise ValueError(f"duration {duration!r} at rate {rate!r} must give >= 2 whole samples")
     return round(count)
@@ -541,14 +536,12 @@ def generate_synthetic_traces(
 
     Args:
         model: `RandomWalk` or `GreatCircleDrift`.
-        n_traces: number of traces, >= 1.
+        n_traces: number of traces, an integer in [1, 2**53].
         duration: seconds per trace; duration * rate must be integral.
         rate: samples per second.
         seed: RNG seed; identical inputs give identical traces.
     """
-    if n_traces < 1:
-        raise ValueError(f"n_traces must be >= 1, got {n_traces!r}")
-    n = sample_count(duration, rate)
+    n_traces, n = _TRACE_COUNT.check(n_traces), sample_count(duration, rate)
     times = np.arange(n) / rate
     if isinstance(model, GreatCircleDrift):
         ranges = _POINT_DRAWS * 2
@@ -597,10 +590,7 @@ class WindowingConfig:
     t_pdw: float
 
     def __post_init__(self) -> None:
-        for name in ("t_obw", "t_cc", "t_pdw"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be > 0, got {v!r}")
+        POSITIVE.check_fields(self, "t_obw", "t_cc", "t_pdw")
         lead = self.t_obw + self.t_cc
         whole = math.isfinite(lead / self.t_pdw) and self.passive_prefix >= 1
         if not whole or abs(lead - self.passive_prefix * self.t_pdw) > 1e-9:

@@ -265,6 +265,41 @@ def test_cli_validate_rejects_bad_block_field(tmp_path, capsys, doc, field):
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+#: Each numeric field of a config block with a value outside its domain: the
+#: floats at 0, below it, ±inf or NaN, the counts at 0 or past 2**53.
+_FIELDS_OUT_OF_DOMAIN = [
+    ("tile", "px_w", 0), ("tile", "px_h", -1), ("tile", "bits_per_pixel", 2**53 + 1),
+    ("tile", "compression_ratio", 0.5),
+    ("resources", "compute_flops", 0.0), ("resources", "users", 0),
+    ("resources", "flops_per_bit", -1.0), ("resources", "avg_data_rate", math.inf),
+    ("resources", "cc_duration", -1e-300), ("resources", "frames_per_segment", 0),
+    ("resources", "tiles_per_frame", 2**53 + 1),
+    ("channel", "bandwidth", 0.0), ("channel", "tx_power", -1.0), ("channel", "distance", math.nan),
+    ("channel", "pathloss_exp", -math.inf), ("channel", "noise_power", 0.0),
+    ("channel", "antennas", 0), ("channel", "users", 0),
+    ("windowing", "t_obw", -1.0), ("windowing", "t_cc", 0.0), ("windowing", "t_pdw", math.inf),
+    ("synthetic", "kappa", 0.0), ("synthetic", "rate_rad_s", -0.1),
+    ("synthetic", "n_traces", 0), ("synthetic", "rate_hz", 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "block, key, value", _FIELDS_OUT_OF_DOMAIN, ids=[f"{b}.{k}" for b, k, _ in _FIELDS_OUT_OF_DOMAIN]
+)
+def test_cli_names_the_block_field_outside_its_domain(tmp_path, capsys, block, key, value):
+    if block in ("windowing", "synthetic"):
+        walk = {"model": "random_walk", "kappa": 100.0, "n_traces": 2, "duration_s": 30.0, "rate_hz": 5.0}
+        command, doc = "trace", {"synthetic": walk if key == "kappa" else _SYNTH_DRIFT, "windowing": {}}
+    else:
+        command, doc = "resource", {"resources": _RESOURCES, "tile": _TILE, "channel": _CHANNEL}
+    doc[block] = {**doc[block], key: value}
+    out = tmp_path / "o"
+    assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.{block}.{key}: {key} ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "doc, grid, message",
     [

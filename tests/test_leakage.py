@@ -18,6 +18,7 @@ from vrpl import (
     RangeKind,
     ZoneKind,
     case_leakage_profile,
+    classify,
     error_range_for_requirement,
     full_leak_error_range,
     infer_error_from_qoe,
@@ -177,6 +178,23 @@ def test_infer_constant_cases():
     assert inf.case == OverlapCase.SFOV_COMPLEMENT_IN_FOV
     assert inf.lo == pytest.approx(2.0 * math.pi - FOV - sv, abs=1e-12)
     assert inf.hi == math.pi
+
+
+def test_infer_complement_range_starts_in_its_case():
+    # 2 pi - (fov + sv) is exact (Sterbenz); the twice-rounded 2 pi - fov - sv
+    # starts 25 of these ranges in the partial-overlap case.
+    rng = np.random.default_rng(24)
+    checked = 0
+    for fov, u in rng.uniform(0.0, 1.0, (5000, 2)):
+        fov = 1e-6 + fov * (math.pi / 2 - 1e-6)
+        sv = math.pi - fov * u
+        if not 0.0 < sv < math.pi:
+            continue
+        inf = infer_error_from_qoe(qoe(fov, sv, math.pi), fov, sv)
+        if inf.case is OverlapCase.SFOV_COMPLEMENT_IN_FOV:
+            checked += 1
+            assert classify(fov, sv, inf.lo) is inf.case, (fov, sv, inf.lo)
+    assert checked > 4000
 
 
 _HALF_PI = math.pi / 2

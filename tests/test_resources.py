@@ -46,6 +46,9 @@ def test_tile_spec():
         TileSpec(px_w=64.0, px_h=64, bits_per_pixel=12, compression_ratio=16.0)
     with pytest.raises(ValueError):
         TileSpec(px_w=64, px_h=64, bits_per_pixel=12, compression_ratio=0.5)
+    # float() would take a string, so a record field must be a number
+    with pytest.raises(ValueError, match="^compression_ratio '16' is not a number$"):
+        TileSpec(px_w=64, px_h=64, bits_per_pixel=12, compression_ratio="16")
 
 
 def test_resource_config_validation():

@@ -23,7 +23,7 @@ from vrpl import (
     save_traces,
 )
 from vrpl import traces as traces_module
-from vrpl.traces import _points, _unit_tangents
+from vrpl.traces import _points, _unit_tangents, _unit_vectors
 
 from support import reference_random_walk, scalar_synthetic_unit_vectors
 
@@ -214,7 +214,7 @@ def test_synthetic_validation():
 
 
 def _step_angles(tr: ViewpointTrace) -> np.ndarray:
-    v = tr.unit_vectors()
+    v = _unit_vectors(tr.theta, tr.phi)
     return np.arccos(np.clip(np.einsum("ij,ij->i", v[:-1], v[1:]), -1.0, 1.0))
 
 
@@ -246,7 +246,7 @@ def test_synthetic_matches_scalar_reference(model, seed):
     ref = scalar_synthetic_unit_vectors(model, 20, 60.0, 5.0, seed)
     assert len(traces) == len(ref) == 20
     for tr, want in zip(traces, ref):
-        np.testing.assert_allclose(tr.unit_vectors(), want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(_unit_vectors(tr.theta, tr.phi), want, rtol=0, atol=1e-10)
 
 
 class _RecordingRng:
@@ -356,7 +356,7 @@ def test_degenerate_tangent_uses_axis_fallback(monkeypatch, sign):
     (tr,) = generate_synthetic_traces(RandomWalk(kappa=10.0), 1, 0.4, 5.0, seed=0)
     assert rec.sizes == [(1, 5)]
     w = 1.0 + math.log(0.5 * (1.0 - math.exp(-20.0)) + math.exp(-20.0)) / 10.0
-    start, step = tr.unit_vectors()
+    start, step = _unit_vectors(tr.theta, tr.phi)
     np.testing.assert_allclose(start, v[0], rtol=0, atol=1e-15)
     assert step @ start == pytest.approx(w, abs=1e-12)
 
@@ -610,7 +610,7 @@ def _predict_reference(trace: ViewpointTrace, win: WindowingConfig, predictor: P
             f"trace {trace.user_id}/{trace.video_id} has {len(trace)} samples, "
             f"needs at least {obw + cc + spseg} for one predicted segment"
         )
-    vecs = trace.unit_vectors()
+    vecs = _unit_vectors(trace.theta, trace.phi)
     segments = np.arange(win.passive_prefix, len(trace) // spseg)
     frames = np.arange(spseg)
     seg_start = segments * spseg
