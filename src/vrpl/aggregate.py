@@ -26,7 +26,6 @@ probabilities alone, so the sweep holds little beyond its sorted errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -47,13 +46,14 @@ from .sphere import (
     FOV,
     STREAMED_RADIUS,
     TWO_PI,
+    Record,
     _half_lens,
     cap_area,
     lens_terms,
 )
 
 #: The population sweep and its regions take a protection radius above 0 only.
-_SWEEP_EPSILON = replace(EPSILON, open_lo=True)
+_SWEEP_EPSILON = EPSILON._replace(open_lo=True)
 
 #: Errors per block of the sweep's lens: the block's four rows of
 #: trigonometry and three work rows take 896 KiB.
@@ -71,8 +71,7 @@ def _population(errors: Sequence[float] | np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class ErrorSubset:
+class ErrorSubset(Record):
     """Errors compatible with a privacy requirement under error upload."""
 
     feasible: bool
@@ -130,8 +129,7 @@ def _ratios(values: np.ndarray, req: PrivacyRequirement) -> tuple[float, float]:
     return tradeoff, consistency
 
 
-@dataclass(frozen=True)
-class RegionBounds:
+class RegionBounds(Record):
     """The five streamed-cap radius regions of the average-leakage sweep.
 
     In increasing radius: rising (below ``r_fov - eps``), falling, the
@@ -160,8 +158,7 @@ def leakage_regions(r_fov: float, eps: float) -> RegionBounds:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SweepTable:
+class SweepTable(Record, eq=False):
     """Average leakage decomposition over a grid of streamed-cap radii.
 
     One row per radius.  The columns of ``ratios`` (the fraction of errors
@@ -317,8 +314,7 @@ def average_leakage_sweep(
     return SweepTable(sv, ratios, components, total, mean_qoe)
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class AggregateReport(Record):
     """Full aggregate view of one error population.
 
     ``mean_error_subset``, ``gamma_tradeoff`` and ``gamma_consist`` are

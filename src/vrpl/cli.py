@@ -25,7 +25,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import operator
@@ -230,7 +229,7 @@ def _write_report(args: argparse.Namespace, report: AggregateReport) -> None:
         "mean_error_subset_rad": report.mean_error_subset,
         "gamma_tradeoff": report.gamma_tradeoff,
         "gamma_consist": report.gamma_consist,
-        "regions": dataclasses.asdict(report.regions),
+        "regions": report.regions._asdict(),
         "points": None,
     }
     before, after = json.dumps(round_floats(head), indent=2, sort_keys=True).split('"points": null')
@@ -267,7 +266,7 @@ def _check_report(sweep: SweepTable) -> None:
     for claim, holds in claims.items():
         if not holds.all():
             i = int(np.argmin(holds))  # the first radius where it fails
-            cells = {f.name: getattr(sweep, f.name)[i].tolist() for f in dataclasses.fields(sweep)}
+            cells = {name: column[i].tolist() for name, column in sweep._asdict().items()}
             raise InternalInconsistencyError(f"expected {claim} at r_sv={cells.pop('r_sv')!r}: {cells}")
 
 
@@ -348,7 +347,7 @@ def cmd_resource(args: argparse.Namespace) -> int:
     if scenario.channel is not None:
         try:
             est = mc_avg_rate(scenario.channel, MC_RATE_SAMPLES, scenario.seed)
-            cap_est = capability(dataclasses.replace(cfg, avg_data_rate=est), tile)
+            cap_est = capability(cfg._replace(avg_data_rate=est), tile)
         except ValueError as exc:
             raise ConfigError(f"config.channel: rate estimate: {exc}") from None
         doc["channel_avg_rate_bit_s"] = est
@@ -371,7 +370,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "seed": scenario.seed,
         "predictor": scenario.predictor.value,
         "windowing": {
-            **dataclasses.asdict(scenario.windowing),
+            **scenario.windowing._asdict(),
             "passive_prefix": scenario.windowing.passive_prefix,
         },
         "grid_sizes": {name: len(grid) for name, grid in scenario.grids.items()},

@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .resources import ChannelConfig, ResourceConfig, TileSpec
-from .sphere import COUNT, EPSILON, ERROR, FOV, POSITIVE, PROBABILITY, STREAMED_RADIUS
+from .sphere import COUNT, EPSILON, ERROR, FOV, POSITIVE, PROBABILITY, STREAMED_RADIUS, Record
 from .traces import (
     GreatCircleDrift,
     MotionModel,
@@ -46,7 +45,7 @@ MAX_ELEMENTS = 2**22
 GRIDS = {"error": ERROR, "epsilon": EPSILON, "r_sv": STREAMED_RADIUS}
 
 #: The domain of ``epsilon_frac_of_fov``.
-_FRACTION = replace(PROBABILITY, name="fraction")
+_FRACTION = PROBABILITY._replace(name="fraction")
 
 
 class ConfigError(ValueError):
@@ -106,8 +105,7 @@ def _angle(doc: dict, base: str, path: str, default: float | None = None) -> flo
     return value if present[0] == rad_key else math.radians(value)
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record):
     """Synthetic-trace generation parameters."""
 
     model: MotionModel
@@ -120,8 +118,7 @@ class SyntheticSpec:
         POSITIVE.check_fields(self, "duration", "rate")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Fully resolved scenario; angular fields are radians."""
 
     r_fov: float
@@ -210,7 +207,7 @@ def parse_grid_override(spec: str) -> dict[str, np.ndarray]:
 
 
 def _resolve_block(cls, doc: dict, path: str, keys: dict[str, str] | None = None, **given):
-    """Build the dataclass ``cls`` from the config block ``doc``.
+    """Build the record ``cls`` from the config block ``doc``.
 
     Each field not passed in ``given`` is required, with its annotated type,
     under the key ``keys`` names for it (the field name by default); any

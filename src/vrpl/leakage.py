@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .sphere import (
     SPHERE_AREA,
     STREAMED_RADIUS,
     TWO_PI,
+    Record,
     cap_area,
     lens_terms,
 )
@@ -75,10 +75,10 @@ _ULP = math.ulp(1.0)
 
 #: Streamed radii a QoE report can be inverted at: the degenerate caps 0
 #: and pi give the same report for every error.
-_INVERTIBLE_RADIUS = replace(STREAMED_RADIUS, open_lo=True, open_hi=True)
+_INVERTIBLE_RADIUS = STREAMED_RADIUS._replace(open_lo=True, open_hi=True)
 
 #: The leakage budget of a `PrivacyRequirement`.
-_MAX_LEAK_PROB = replace(PROBABILITY, name="max_leak_prob")
+_MAX_LEAK_PROB = PROBABILITY._replace(name="max_leak_prob")
 
 
 class QoeInconsistencyError(ValueError):
@@ -103,8 +103,7 @@ _NESTED = (CASE_CODE[OverlapCase.FOV_IN_SFOV], CASE_CODE[OverlapCase.SFOV_IN_FOV
 _DEGENERATE = (CASE_CODE[OverlapCase.DEGENERATE_EMPTY], CASE_CODE[OverlapCase.DEGENERATE_FULL])
 
 
-@dataclass(frozen=True)
-class LeakageResult:
+class LeakageResult(Record):
     """Outcome of one leakage analysis.
 
     ``zone_measure`` is the circumference for a circle zone (the viewpoint
@@ -118,8 +117,7 @@ class LeakageResult:
     case: OverlapCase | None = None
 
 
-@dataclass(frozen=True)
-class PrivacyRequirement:
+class PrivacyRequirement(Record):
     """Protection radius and the highest acceptable leakage probability."""
 
     epsilon: float
@@ -136,8 +134,7 @@ class RangeKind(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class ErrorRange:
+class ErrorRange(Record):
     """Set of prediction errors compatible with a privacy requirement."""
 
     kind: RangeKind
@@ -150,8 +147,7 @@ class InferenceKind(enum.Enum):
     RANGE = "range"
 
 
-@dataclass(frozen=True)
-class ErrorInference:
+class ErrorInference(Record):
     """What a reported QoE reveals about the prediction error.
 
     ``ambiguous`` is set when the report matched a constant-case value
@@ -362,9 +358,11 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     interior = q_low < qv < q_high
 
     if abs(qv - q_high) <= tol:
-        return ErrorInference(
-            InferenceKind.RANGE, classify(fov, sv, 0.0), lo=0.0, hi=abs(sv - fov), ambiguous=interior
-        )
+        case, hi = classify(fov, sv, 0.0), abs(sv - fov)
+        # the case test adds the error back to a radius, which can round past the other
+        while classify(fov, sv, hi) is not case:
+            hi = math.nextafter(hi, 0.0)
+        return ErrorInference(InferenceKind.RANGE, case, lo=0.0, hi=hi, ambiguous=interior)
     if abs(qv - q_low) <= tol:
         case = classify(fov, sv, math.pi)
         # exact, as fov + sv lies in [pi, 2 pi]: classify(fov, sv, lo) is the case
@@ -403,8 +401,7 @@ def leak_prob_from_qoe(q: float, r_fov: float, r_sv: float, eps: float) -> Leaka
 _REMAINING = CASE_CODE[OverlapCase.REMAINING]
 
 
-@dataclass(frozen=True)
-class LeakageArrays:
+class LeakageArrays(Record):
     """Elementwise `LeakageResult`s from the array kernels.
 
     ``zone_kind`` holds int8 codes into `ZONE_KINDS` and ``case`` int8
@@ -417,8 +414,7 @@ class LeakageArrays:
     case: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class ErrorInferenceArrays:
+class ErrorInferenceArrays(Record):
     """Elementwise inferred cases and errors from `infer_error_from_qoe_vec`.
 
     Where ``case`` is the partial-overlap code the inference is exact and
@@ -729,8 +725,7 @@ class Monotonicity(enum.Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class CaseLeakageProfile:
+class CaseLeakageProfile(Record):
     """How QoE-upload leakage behaves within one constant case.
 
     ``is_max``: the probability equals 1 at the given streamed-cap radius.
@@ -777,8 +772,7 @@ def case_leakage_profile(
     return CaseLeakageProfile(is_max=r_z <= ep, monotonicity=mono, infimum=infimum)
 
 
-@dataclass(frozen=True)
-class MinProbComparison:
+class MinProbComparison(Record):
     """Global leakage minima of the two upload policies, compared."""
 
     qoe_upload_min: float

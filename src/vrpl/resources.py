@@ -10,18 +10,16 @@ from inverting the cap-area ratio, ``r_sv = arccos(1 - 2*C)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sphere import AT_LEAST_1, CAP_RADIUS, COUNT, NON_NEGATIVE, POSITIVE, PROBABILITY
+from .sphere import AT_LEAST_1, CAP_RADIUS, COUNT, NON_NEGATIVE, POSITIVE, PROBABILITY, Record
 
 #: The fraction of the sphere a server can stream in time.
-_CAPABILITY = replace(PROBABILITY, name="capability")
+_CAPABILITY = PROBABILITY._replace(name="capability")
 
 
-@dataclass(frozen=True)
-class TileSpec:
+class TileSpec(Record):
     """Pixel geometry and coding parameters of one tile.
 
     Tile sizes are kept as exact integers until ratios are formed, so the
@@ -48,8 +46,7 @@ class TileSpec:
         return self.compute_bits / self.compression_ratio
 
 
-@dataclass(frozen=True)
-class ResourceConfig:
+class ResourceConfig(Record):
     """Per-user share of the server budget and the streaming workload.
 
     ``cc_duration`` is the time available for computing and communicating
@@ -107,8 +104,7 @@ def capability_from_radius(r: float) -> float:
     return (1.0 - math.cos(CAP_RADIUS.check(r))) / 2.0
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Record):
     """Downlink described by a zero-forcing multi-antenna model.
 
     With ``antennas`` transmit antennas serving ``users`` single-antenna

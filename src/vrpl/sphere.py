@@ -1,4 +1,5 @@
-"""Spherical geometry primitives and the domain of each analysis input.
+"""Spherical geometry primitives, the domain of each analysis input, and
+`Record`, the frozen base of the package's records.
 
 A cap of angular radius ``r`` around a center point is the set of points
 within orthodromic distance ``r`` of the center.  All areas are on the
@@ -12,9 +13,9 @@ lens as the self-check's separate arithmetic (3 µs against 75 µs).
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +27,84 @@ SPHERE_AREA = 4.0 * math.pi
 _END_NAMES = {0.0: "0", 1.0: "1", math.pi / 2: "pi/2", math.pi: "pi", 2.0**53: "2**53"}
 
 
-@dataclass(frozen=True)
-class Domain:
+class Record:
+    """A frozen record of the fields its class annotates, in order.
+
+    A subclass lists its fields as annotations, each with a class-level
+    default where it has one, as a dataclass does.  A record is built from
+    its fields by position or keyword, then runs the class's
+    ``__post_init__``.  It refuses assignment and deletion (a
+    ``__post_init__`` stores a normalized field with ``object.__setattr__``).
+    It compares and hashes as its fields do, in order, and only against its
+    own class; ``class T(Record, eq=False)`` keeps identity instead.  It
+    prints as ``Name(field=value, ...)``, and `inspect.signature` gives its
+    fields as parameters.  ``_fields`` names the fields,
+    ``_asdict()`` maps them to their values (not copied) and
+    ``_replace(**changes)`` builds a new record through ``__init__``.
+    Nothing is generated per class, so defining one costs about what a
+    plain class does.
+    """
+
+    # not annotated: a class's annotations are its fields
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(inspect.get_annotations(cls))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+        cls.__signature__ = inspect.Signature(
+            [inspect.Parameter(name, kind, default=cls._defaults.get(name, empty)) for name in cls._fields]
+        )
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, rest = self._fields, self._fields[len(args):]
+        if len(args) > len(names) or not kwargs.keys() <= set(rest):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields ({', '.join(names)}), "
+                f"got {len(args)} by position and {sorted(kwargs)} by keyword"
+            )
+        given = {**self._defaults, **kwargs}
+        try:
+            self.__dict__.update(zip(names, args), **{name: given[name] for name in rest})
+        except KeyError as missing:
+            raise TypeError(f"{type(self).__name__} is missing the field {missing}") from None
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or normalize the fields; a subclass's own rules go here."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def _asdict(self) -> dict:
+        """The fields' values by name, in field order."""
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes):
+        """A record of this class with ``changes`` to its fields, checked again."""
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class Domain(Record):
     """The interval one kind of input must lie in.
 
     Every public function checks each argument once, with `check` for a
@@ -101,18 +178,18 @@ class Domain:
 #: rounds to 0, and the QoE and the sweep divide by it.
 FOV = Domain("field-of-view radius", 1e-6, math.pi / 2)
 CAP_RADIUS = Domain("cap radius", 0.0, math.pi)
-STREAMED_RADIUS = replace(CAP_RADIUS, name="streamed-cap radius")
+STREAMED_RADIUS = CAP_RADIUS._replace(name="streamed-cap radius")
 ERROR = Domain("viewpoint error", 0.0, math.pi)
-DISTANCE = replace(ERROR, name="center distance")
+DISTANCE = ERROR._replace(name="center distance")
 EPSILON = Domain("protection radius", 0.0, math.pi / 2)
 PROBABILITY = Domain("probability", 0.0, 1.0)
-QOE = replace(PROBABILITY, name="QoE")
+QOE = PROBABILITY._replace(name="QoE")
 
 #: The domains of the scenario records' numbers; a count is an integer up to
 #: 2**53, the largest a float holds exactly.
 POSITIVE = Domain("positive number", 0.0, math.inf, open_lo=True, open_hi=True)
-NON_NEGATIVE = replace(POSITIVE, name="non-negative number", open_lo=False)
-AT_LEAST_1 = replace(NON_NEGATIVE, name="compression ratio", lo=1.0)
+NON_NEGATIVE = POSITIVE._replace(name="non-negative number", open_lo=False)
+AT_LEAST_1 = NON_NEGATIVE._replace(name="compression ratio", lo=1.0)
 COUNT = Domain("sample count", 1, 2**53, integer=True)
 
 

@@ -15,13 +15,12 @@ import csv
 import enum
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .sphere import COUNT, NON_NEGATIVE, POSITIVE, TWO_PI
+from .sphere import COUNT, NON_NEGATIVE, POSITIVE, TWO_PI, Record
 
 TRACE_HEADER = ["user_id", "video_id", "timestamp_s", "theta_rad", "phi_rad"]
 
@@ -33,8 +32,7 @@ class TraceFormatError(ValueError):
     """Raised for malformed trace files or inconsistent trace samples."""
 
 
-@dataclass(frozen=True)
-class ViewpointTrace:
+class ViewpointTrace(Record):
     """One user/video viewpoint path, uniformly sampled.
 
     Coordinate arrays are radians; timestamps are seconds, strictly
@@ -146,8 +144,7 @@ def _trusted(*values) -> ViewpointTrace:
     """A trace of the field ``values``, its arrays read-only ones that
     `_check_population` passed, not checked again."""
     trace = object.__new__(ViewpointTrace)
-    for field, value in zip(fields(ViewpointTrace), values):
-        object.__setattr__(trace, field.name, value)
+    trace.__dict__.update(zip(ViewpointTrace._fields, values))
     return trace
 
 
@@ -378,8 +375,7 @@ def save_traces(path: str | Path, traces: list[ViewpointTrace]) -> None:
 # synthetic motion
 
 
-@dataclass(frozen=True)
-class RandomWalk:
+class RandomWalk(Record):
     """Spherical random walk: each step perturbs the current point with a
     von-Mises-Fisher draw of concentration ``kappa`` (larger = stiller)."""
 
@@ -389,8 +385,7 @@ class RandomWalk:
         POSITIVE.check_fields(self, "kappa")
 
 
-@dataclass(frozen=True)
-class GreatCircleDrift:
+class GreatCircleDrift(Record):
     """Steady rotation along a random great circle at ``rate`` rad/s."""
 
     rate: float
@@ -410,8 +405,8 @@ _STEP_DRAWS = ((0.0, 1.0), *_POINT_DRAWS)
 #: are replaced by the deterministic fallback of `_unit_tangents`.
 _TANGENT_MIN_NORM = 1e-6
 #: The domains of a synthetic population's sample rate and trace count.
-_RATE = replace(POSITIVE, name="rate")
-_TRACE_COUNT = replace(COUNT, name="n_traces")
+_RATE = POSITIVE._replace(name="rate")
+_TRACE_COUNT = COUNT._replace(name="n_traces")
 
 
 def sample_count(duration: float, rate: float) -> int:
@@ -575,8 +570,7 @@ def generate_synthetic_traces(
 # windowing and prediction
 
 
-@dataclass(frozen=True)
-class WindowingConfig:
+class WindowingConfig(Record):
     """Timing of the observe / compute-and-communicate / play cycle.
 
     ``t_obw`` observation window, ``t_cc`` computing-plus-communication

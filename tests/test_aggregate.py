@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -144,18 +143,17 @@ def _reported_cells(table: SweepTable, i: int) -> tuple[dict, dict]:
 
 def _rows(table: SweepTable, index) -> SweepTable:
     """The rows ``index`` of a sweep table, as a table."""
-    return SweepTable(*(getattr(table, f.name)[index] for f in dataclasses.fields(SweepTable)))
+    return SweepTable(*(getattr(table, name)[index] for name in SweepTable._fields))
 
 
 def _stack(tables: list[SweepTable]) -> SweepTable:
     """Sweep tables one after another, as one table."""
-    fields = [f.name for f in dataclasses.fields(SweepTable)]
-    return SweepTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in fields))
+    return SweepTable(*(np.concatenate([getattr(t, name) for t in tables]) for name in SweepTable._fields))
 
 
 def _assert_same(a: SweepTable, b: SweepTable) -> None:
-    for f in dataclasses.fields(SweepTable):
-        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    for name in SweepTable._fields:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_sweep_degenerate_endpoints():

@@ -1,11 +1,16 @@
-"""Every name a module of the package imports is used in it.
+"""What the modules of the package import.
 
-No linter runs on the sources, so this walks each module's syntax tree
-with the standard library's `ast`.  ``__init__.py`` is exempt: it imports
-names to re-export them.
+Every name a module imports is used in it.  No linter runs on the sources,
+so this walks each module's syntax tree with the standard library's `ast`.
+``__init__.py`` is exempt: it imports names to re-export them.  No module
+imports `dataclasses`, and ``import vrpl.cli`` loads every module.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,35 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports, relative imports aside."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+    return {name.split(".")[0] for name in names}
+
+
+def test_the_check_finds_an_imported_module():
+    source = "import os.path\nfrom dataclasses import field\nfrom . import sphere\nimport a as b\n"
+    assert imported_modules(source) == {"os", "dataclasses", "a"}
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_module_does_not_import_dataclasses(path):
+    # the records derive from `sphere.Record`: a dataclass generates and
+    # compiles its methods when its module is imported, on every cold start
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_cli_import_loads_every_module_and_not_dataclasses():
+    # Every module is loaded by `import vrpl.cli`, before any command runs, so
+    # no command's run pays for importing one; `dataclasses` is not loaded.
+    probe = "import json, sys, vrpl.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    loaded = set(json.loads(out.stdout))
+    assert "dataclasses" not in loaded
+    assert {f"vrpl.{p.stem}" for p in MODULES} <= loaded

@@ -197,6 +197,27 @@ def test_infer_complement_range_starts_in_its_case():
     assert checked > 4000
 
 
+def test_infer_nested_range_ends_in_its_case():
+    # The case test adds the error back to a radius, which can round past the
+    # other radius: |sv - fov| itself classifies as partial overlap for 65 of
+    # these 3,731 fov_in_sfov and 15 of 1,269 sfov_in_fov reports.  The range
+    # ends at the largest error that is still in its case.
+    rng = np.random.default_rng(24)
+    checked = dict.fromkeys((OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV), 0)
+    for fov, sv in rng.uniform(0.0, 1.0, (5000, 2)):
+        fov = 1e-6 + fov * (math.pi / 2 - 1e-6)
+        sv *= math.pi
+        if not 0.0 < sv < math.pi:
+            continue
+        inf = infer_error_from_qoe(qoe(fov, sv, 0.0), fov, sv)
+        checked[inf.case] += 1
+        assert inf.lo == 0.0 and inf.hi <= abs(sv - fov), (fov, sv, inf.hi)
+        assert classify(fov, sv, inf.hi) is inf.case, (fov, sv, inf.hi)
+        if inf.hi < abs(sv - fov):
+            assert classify(fov, sv, math.nextafter(inf.hi, math.pi)) is not inf.case
+    assert min(checked.values()) > 1000
+
+
 _HALF_PI = math.pi / 2
 
 
