@@ -25,6 +25,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -105,11 +106,20 @@ def _emit_table(args: argparse.Namespace, name: str, header: list[str], columns:
     _say(f"wrote {path}")
 
 
-def _grid_pairs(scenario: Scenario, outer: str, inner: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of the named grids, outer-major, as two columns."""
+def _grid_pairs(scenario: Scenario, outer: str, inner: str) -> tuple[list[np.ndarray], list]:
+    """Every pair of the named grids, outer-major: the two float columns the
+    kernels take, and the same two as table columns.  An axis of at most
+    `CHUNK_ROWS` points is a `Categorical` of its values in the table, so
+    each value is rendered once per table, not once per chunk."""
     a, b = scenario.grids[outer], scenario.grids[inner]
     check_size(len(a) * len(b), "config.grids", f"the {outer} x {inner} table")
-    return np.repeat(a, len(b)), np.tile(b, len(a))
+    floats = [np.repeat(a, len(b)), np.tile(b, len(a))]
+    codes = [np.arange(len(g), dtype=np.min_scalar_type(len(g) - 1)) for g in (a, b)]
+    table = [
+        Categorical(np.repeat(codes[0], len(b)), a) if len(a) <= CHUNK_ROWS else floats[0],
+        Categorical(np.tile(codes[1], len(a)), b) if len(b) <= CHUNK_ROWS else floats[1],
+    ]
+    return floats, table
 
 
 def _names(codes: np.ndarray, members: tuple) -> Categorical:
@@ -119,9 +129,8 @@ def _names(codes: np.ndarray, members: tuple) -> Categorical:
 
 def _cell(column, i: int):
     """Row ``i`` of a table column, as a Python value."""
-    if isinstance(column, Categorical):
-        return column.vocabulary[column.codes[i]]
-    return column[i].item()
+    value = column.vocabulary[column.codes[i]] if isinstance(column, Categorical) else column[i]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _check_rows(table: str, header: list[str], columns: list, reference) -> None:
@@ -132,7 +141,8 @@ def _check_rows(table: str, header: list[str], columns: list, reference) -> None
     floats must agree within `SELF_CHECK_TOL` (absolute or relative) and
     every other cell exactly.
     """
-    n = len(columns[0])
+    first = columns[0]
+    n = len(first.codes if isinstance(first, Categorical) else first)
     for i in range(0, n, max(1, n // SELF_CHECK_ROWS)):
         row = [_cell(c, i) for c in columns]
         for column, got, want in zip(header, row, reference(row)):
@@ -150,10 +160,10 @@ def _check_rows(table: str, header: list[str], columns: list, reference) -> None
 
 def cmd_sweep_error(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    eps, e = _grid_pairs(scenario, "epsilon", "error")
+    (eps, e), (eps_column, e_column) = _grid_pairs(scenario, "epsilon", "error")
     res = leak_prob_from_error_vec(e, eps)
     header = ["e_rad", "epsilon_rad", "leak_prob", "zone_kind", "zone_measure"]
-    columns = [e, eps, res.probability, _names(res.zone_kind, ZONE_KINDS), res.zone_measure]
+    columns = [e_column, eps_column, res.probability, _names(res.zone_kind, ZONE_KINDS), res.zone_measure]
 
     def reference(row: list) -> list:
         ref = leak_prob_from_error(row[0], row[1])
@@ -167,9 +177,9 @@ def cmd_sweep_error(args: argparse.Namespace) -> int:
 def cmd_sweep_qoe(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     fov = scenario.r_fov
-    sv, e = _grid_pairs(scenario, "r_sv", "error")
+    (sv, e), grid_columns = _grid_pairs(scenario, "r_sv", "error")
     header = ["r_sv_rad", "e_rad", "qoe", "case"]
-    columns = [sv, e, qoe_vec(fov, sv, e), _names(classify_vec(fov, sv, e), CASES)]
+    columns = [*grid_columns, qoe_vec(fov, sv, e), _names(classify_vec(fov, sv, e), CASES)]
 
     def reference(row: list) -> list:
         return [row[0], row[1], qoe(fov, row[0], row[1]), classify(fov, row[0], row[1]).value]
@@ -182,12 +192,12 @@ def cmd_sweep_qoe(args: argparse.Namespace) -> int:
 def cmd_sweep_leakage(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     fov, eps = scenario.r_fov, scenario.epsilon
-    sv, e = _grid_pairs(scenario, "r_sv", "error")
+    (sv, e), grid_columns = _grid_pairs(scenario, "r_sv", "error")
     q = qoe_vec(fov, sv, e)
     res = leak_prob_from_qoe_vec(q, fov, sv, eps)
     header = ["r_sv_rad", "e_rad", "qoe", "case", "leak_prob", "zone_kind", "zone_measure"]
     columns = [
-        sv, e, q, _names(res.case, CASES), res.probability, _names(res.zone_kind, ZONE_KINDS),
+        *grid_columns, q, _names(res.case, CASES), res.probability, _names(res.zone_kind, ZONE_KINDS),
         res.zone_measure,
     ]
 
@@ -288,6 +298,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"config.epsilon: the trace pipeline needs a protection radius above 0, "
             f"got {scenario.epsilon!r}"
+        )
+    if scenario.grids["epsilon"].tolist() != [scenario.epsilon]:
+        raise ConfigError(
+            f"config.grids.epsilon: the trace pipeline takes no epsilon grid; it runs at "
+            f"config.epsilon = {scenario.epsilon!r} alone"
         )
     min_leak = min_leak_prob_error(scenario.epsilon)
     if scenario.max_leak_prob is not None and scenario.max_leak_prob < min_leak:
@@ -390,7 +405,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call of a process."""
     parser = argparse.ArgumentParser(
         prog="vrpl",
         description="Viewpoint-privacy leakage analysis for proactive VR streaming",
@@ -416,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

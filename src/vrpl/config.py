@@ -11,6 +11,7 @@ Validation failures carry the offending field path.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import typing
@@ -206,6 +207,10 @@ def parse_grid_override(spec: str) -> dict[str, np.ndarray]:
     return grids
 
 
+#: The annotated type of each field of a record class, found once per class.
+_field_types = functools.cache(typing.get_type_hints)
+
+
 def _resolve_block(cls, doc: dict, path: str, keys: dict[str, str] | None = None, **given):
     """Build the record ``cls`` from the config block ``doc``.
 
@@ -216,7 +221,7 @@ def _resolve_block(cls, doc: dict, path: str, keys: dict[str, str] | None = None
     outside its `Domain` (`Domain.check_fields`), else on ``path``.
     """
     keys = keys or {}
-    types = typing.get_type_hints(cls)
+    types = _field_types(cls)
     known = {keys.get(name, name) for name in types}
     for key in doc:
         if key not in known:

@@ -9,14 +9,16 @@ Tables are written from columns.  A column holds one kind of value:
 
 - floats: a float array or a list of floats (a sweep grid, say);
 - integers or booleans: an integer or bool array or list;
-- strings: a list of strings, or a `Categorical` of codes into a
-  vocabulary.
+- strings: a list of strings;
+- a `Categorical` of codes into a vocabulary of strings, or of floats (a
+  sweep grid axis, say).
 
 Tables are written in chunks of `CHUNK_ROWS` rows, so memory beyond the
-columns does not grow with the table.  Within a chunk each distinct value
-of a column is rendered once and every row reuses its text; floats are
-told apart by their bit pattern, so ``-0.0`` and ``0.0`` keep their own
-text (``-0`` and ``0``).
+columns does not grow with the table.  A `Categorical`'s vocabulary,
+at most `CHUNK_ROWS` entries, is rendered once per table; within a chunk
+each distinct value of every other column is rendered once and every row
+reuses its text.  Floats are told apart by their bit pattern, so ``-0.0``
+and ``0.0`` keep their own text (``-0`` and ``0``).
 """
 
 from __future__ import annotations
@@ -32,16 +34,21 @@ import numpy as np
 CHUNK_ROWS = 2048
 
 
-def format_float(x: float) -> str:
-    """Render a float with 12 significant digits."""
-    return f"{x:.12g}"
+#: Render a float with 12 significant digits (a bound method: no Python
+#: frame per value).
+format_float: Callable[[float], str] = "{:.12g}".format
 
 
 class Categorical(NamedTuple):
-    """A string column stored as integer codes into its vocabulary."""
+    """A column stored as integer codes into its vocabulary.
+
+    The vocabulary is a sequence of strings, or a float array whose values
+    are rendered as a float column's are.  It is rendered once per table,
+    so it may hold at most `CHUNK_ROWS` entries; a longer one is refused.
+    """
 
     codes: np.ndarray
-    vocabulary: Sequence[str]
+    vocabulary: Sequence[str] | np.ndarray
 
 
 class _Style(NamedTuple):
@@ -70,22 +77,29 @@ _CSV_ONE_COLUMN = _Style(format_float, lambda s: _csv_string(s) or '""')
 _JSON = _Style(_json_float, json.dumps)
 
 
-def _cells(column, style: _Style) -> list[str]:
-    """The rendered cells of a column (an array or a `Categorical`).
+def _cells(column: np.ndarray, style: _Style) -> list[str]:
+    """The rendered cells of an array.
 
     Each distinct value is rendered once; floats are keyed on their bit
     pattern, since a value key would merge ``-0.0`` into ``0.0``.
     """
-    if isinstance(column, Categorical):
-        text, index = map(style.string, column.vocabulary), column.codes
-    elif column.dtype.kind == "f":
-        keys, index = np.unique(column.astype(np.float64).view(np.uint64), return_inverse=True)
+    if column.dtype.kind == "f":
+        keys, index = np.unique(column.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
         text = map(style.float, keys.view(np.float64).tolist())
     else:
         # integers and booleans read the same in both formats: 3, true, false
         keys, index = np.unique(column, return_inverse=True)
         text = map(style.string if column.dtype.kind == "U" else json.dumps, keys.tolist())
     return np.array(list(text), dtype=object)[index].tolist()
+
+
+def _vocabulary(column: Categorical, style: _Style) -> np.ndarray:
+    """A `Categorical`'s rendered vocabulary: a float array's as a float
+    column's cells, any other's as strings."""
+    vocabulary = column.vocabulary
+    if isinstance(vocabulary, np.ndarray) and vocabulary.dtype.kind == "f":
+        return np.array(list(map(style.float, vocabulary.tolist())), dtype=object)
+    return np.array(list(map(style.string, vocabulary)), dtype=object)
 
 
 def json_cells(column: np.ndarray) -> list[str]:
@@ -98,6 +112,9 @@ def _table(header: Sequence[str], columns: Sequence) -> tuple[list, int]:
     columns = [c if isinstance(c, Categorical) else np.asarray(c) for c in columns]
     if len(columns) != len(header):
         raise ValueError(f"table has {len(header)} column names but {len(columns)} columns")
+    for c in columns:
+        if isinstance(c, Categorical) and len(c.vocabulary) > CHUNK_ROWS:
+            raise ValueError(f"a Categorical vocabulary holds {len(c.vocabulary)} values, above {CHUNK_ROWS}")
     lengths = {len(c.codes if isinstance(c, Categorical) else c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"table columns differ in length: {sorted(lengths)}")
@@ -107,18 +124,23 @@ def _table(header: Sequence[str], columns: Sequence) -> tuple[list, int]:
 def _write_rows(fh, columns: list, n: int, style: _Style, cell_sep: str, row_sep: str) -> None:
     """Write ``n`` rows, ``row_sep`` between rows and ``cell_sep`` between cells.
 
-    Each chunk of `CHUNK_ROWS` rows is rendered, joined and written before
-    the next one starts.
+    A `Categorical`'s vocabulary is rendered first, once; then each chunk
+    of `CHUNK_ROWS` rows is rendered, joined and written before the next
+    one starts.
     """
+    columns = [
+        Categorical(c.codes, _vocabulary(c, style)) if isinstance(c, Categorical) else c
+        for c in columns
+    ]
     for a in range(0, n, CHUNK_ROWS):
-        chunk = [
-            Categorical(c.codes[a:a + CHUNK_ROWS], c.vocabulary)
-            if isinstance(c, Categorical) else c[a:a + CHUNK_ROWS]
+        rows = slice(a, a + CHUNK_ROWS)
+        cells = [
+            c.vocabulary[c.codes[rows]].tolist() if isinstance(c, Categorical) else _cells(c[rows], style)
             for c in columns
         ]
         if a:
             fh.write(row_sep)
-        fh.write(row_sep.join(map(cell_sep.join, zip(*(_cells(c, style) for c in chunk)))))
+        fh.write(row_sep.join(map(cell_sep.join, zip(*cells))))
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:

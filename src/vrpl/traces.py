@@ -70,9 +70,8 @@ class ViewpointTrace(Record):
 
 def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Unit 3-vectors (..., xyz) at longitude ``theta`` and latitude ``phi``."""
-    return np.stack(
-        [np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta), np.sin(phi)], axis=-1
-    )
+    cos_phi = np.cos(phi)
+    return np.stack([cos_phi * np.cos(theta), cos_phi * np.sin(theta), np.sin(phi)], axis=-1)
 
 
 def _check_population(
@@ -243,11 +242,9 @@ _UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"')
 
 
 def _vouch(block: bytes) -> bytes:
-    """``block``, if it holds no `_UNSAFE` byte and no CR outside a CRLF."""
+    """``block``, if it holds no `_UNSAFE` byte (`_block_rows` looks for lone CRs)."""
     if any(c in block for c in _UNSAFE):
         raise ValueError("a byte the row loop reads otherwise")
-    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-        raise ValueError("a line ending the row loop reads otherwise")
     return block
 
 
@@ -295,8 +292,11 @@ def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, np.ndarray, 
     """
     a = np.frombuffer(block, dtype=np.uint8)
     newlines = np.flatnonzero(a == ord("\n"))
+    crlf = a[newlines - 1] == ord("\r")
+    if np.count_nonzero(a == ord("\r")) != np.count_nonzero(crlf):  # a CR outside a CRLF
+        raise ValueError("a line ending the row loop reads otherwise")
     starts = np.concatenate(([0], newlines + 1))[:-1]
-    ends = newlines - (a[newlines - 1] == ord("\r"))
+    ends = newlines - crlf
     rows = ends > starts
     blank = np.flatnonzero(~rows)
     blank -= np.arange(blank.size)
@@ -343,8 +343,8 @@ def _load_columns(path: Path) -> tuple:
         fh.seek(0)
         blocks = _blocks(fh)
         header, _, body = next(blocks, b"").partition(b"\n")
-        fields = header.removesuffix(b"\r").decode("utf-8").split(",")
-        if [f.strip() for f in fields] != TRACE_HEADER:
+        header = header.removesuffix(b"\r")
+        if b"\r" in header or [f.strip() for f in header.decode("utf-8").split(",")] != TRACE_HEADER:
             raise ValueError("a header the row loop reads otherwise")
         for block in itertools.chain([body], blocks):
             values, changed, block_keys, blank = _block_rows(block, keys[-1] if keys else b"")

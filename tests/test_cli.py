@@ -981,6 +981,27 @@ def test_cli_trace_rejects_zero_epsilon(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, flag",
+    [([0.1, 0.2], None), ([0.1], None), (None, "epsilon=0.1:0.2:2"), (None, "epsilon=0.3:0.3:1")],
+)
+def test_cli_trace_rejects_an_epsilon_grid(tmp_path, capsys, grid, flag):
+    # trace runs at config.epsilon (0.2 here) alone, so any other epsilon grid is refused
+    doc = {"epsilon_rad": 0.2, "synthetic": _SYNTH_DRIFT, "grids": {"r_sv": [0.5]}}
+    if grid is not None:
+        doc["grids"]["epsilon"] = grid
+    argv = ["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--grid", flag] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.grids.epsilon: ") and "config.epsilon = 0.2" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_trace_takes_an_epsilon_grid_of_epsilon_alone(tmp_path, capsys):
+    doc = {"epsilon_rad": 0.2, "synthetic": _SYNTH_DRIFT, "grids": {"r_sv": [0.5], "epsilon": [0.2]}}
+    assert main(["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_cli_trace_rejects_unreachable_leak_budget(tmp_path, capsys):
     # At r_fov 50 deg and eps 0.4 * r_fov no error leaks less than eps/pi = 0.111.
     cfg = _cfg(tmp_path, {"max_leak_prob": 0.01, "synthetic": _SYNTH_DRIFT})
@@ -1115,3 +1136,22 @@ def test_cli_trace_survives_closed_stdout(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "aggregate_sweep.csv", "figures.csv", "report.json",
     ]
+
+
+def test_main_calls_share_no_parser_state(tmp_path, capsys):
+    grid = "r_sv=0.5:2.0:3,error=0:3:3"
+    assert main(["sweep-qoe", "--format", "json", "--grid", grid, "--out", str(tmp_path / "a")]) == 0
+    assert main(["sweep-qoe", "--out", str(tmp_path / "b")]) == 0
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["qoe_sweep.json"]
+    assert [p.name for p in (tmp_path / "b").iterdir()] == ["qoe_sweep.csv"]
+    # the second call has the default 181 x 181 grid, not the first call's
+    assert len(read_csv(tmp_path / "b" / "qoe_sweep.csv")[1]) == 181 * 181
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built by the first `main` call, so importing the CLI does not pay for it
+    probe = "import vrpl.cli; print(vrpl.cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(vrpl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "0"

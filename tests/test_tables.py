@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vrpl.cli
 from vrpl.cli import main
 from vrpl.config import DEFAULT_R_FOV_RAD
 from vrpl.qoe import CASES, classify_vec, qoe_vec
@@ -206,6 +207,70 @@ def test_malformed_tables_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="1 column names but 2 columns"):
         write_json(tmp_path / "t.json", ["a"], [[1.0], [2.0]])
     assert not (tmp_path / "t.csv").exists() and not (tmp_path / "t.json").exists()
+
+
+#: A float vocabulary: signed zeros, non-finite values and values that
+#: 12 significant digits round.
+_VOCABULARY = _SPECIAL + [math.pi, 1.0 / 3.0, 0.5]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [0, 12, 2 * CHUNK_ROWS + 3])
+def test_float_vocabulary_writes_the_bytes_of_its_float_column(tmp_path, n, dtype):
+    vocabulary = np.array(_VOCABULARY, dtype=dtype)
+    codes = (np.arange(n) * 3 % len(vocabulary)).astype(np.uint8)  # every value in the first 10 rows
+    column = Categorical(codes, vocabulary)
+    for header, columns, plain in [
+        (["x"], [column], [vocabulary[codes]]),  # one column
+        (["i", "x,y"], [np.arange(n), column], [np.arange(n), vocabulary[codes]]),
+    ]:
+        got = _written(tmp_path, header, columns)
+        assert got == _written(tmp_path, header, plain)
+        if n:
+            cells = re.findall(r"^      (.*?),?$", got[1].decode(), flags=re.M)[len(header) - 1::len(header)]
+            assert cells[:len(_VOCABULARY)] == [
+                json.dumps(round_floats(float(x))) for x in vocabulary[codes[:len(_VOCABULARY)]]
+            ]
+            assert {"-0.0", "0.0", "null"} <= set(cells)
+
+
+def test_vocabulary_longer_than_a_chunk_is_refused(tmp_path):
+    codes = np.zeros(3, dtype=np.uint16)
+    too_long = [Categorical(codes, np.arange(CHUNK_ROWS + 1.0)), Categorical(codes, ["s"] * (CHUNK_ROWS + 1))]
+    for column in too_long:
+        for write, name in ((write_csv, "t.csv"), (write_json, "t.json")):
+            with pytest.raises(ValueError, match=f"vocabulary holds {CHUNK_ROWS + 1} values"):
+                write(tmp_path / name, ["x"], [column])
+            assert not (tmp_path / name).exists()
+    write_csv(tmp_path / "t.csv", ["x"], [Categorical(codes, np.arange(float(CHUNK_ROWS)))])
+    assert (tmp_path / "t.csv").read_bytes() == b"x\r\n0\r\n0\r\n0\r\n"
+
+
+_SWEEP_TABLES = {"sweep-error": "error_sweep", "sweep-qoe": "qoe_sweep", "sweep-leakage": "leakage_sweep"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(_SWEEP_TABLES))
+def test_sweep_grid_axes_write_the_bytes_of_their_float_columns(tmp_path, monkeypatch, capsys, command, fmt):
+    # 61 x 61 = 3,721 rows, two chunks; each grid axis goes to the writer as a
+    # Categorical of its values, and must read as the plain float column would
+    tables = []
+
+    def keeping(write):
+        return lambda path, header, columns: tables.append((header, columns)) or write(path, header, columns)
+
+    monkeypatch.setattr(vrpl.cli, "write_csv", keeping(write_csv))
+    monkeypatch.setattr(vrpl.cli, "write_json", keeping(write_json))
+    grid = "error=0:3.14159:61,r_sv=0:3.14159:61,epsilon=0:0.8:61"
+    assert main([command, "--grid", grid, "--format", fmt, "--out", str(tmp_path)]) == 0
+    [(header, columns)] = tables
+    axes = [isinstance(c, Categorical) and isinstance(c.vocabulary, np.ndarray) for c in columns]
+    assert axes[:2] == [True, True] and not any(axes[2:])
+    assert [len(c.codes) for c in columns[:2]] == [61 * 61] * 2
+    plain = [c.vocabulary[c.codes] if axis else c for c, axis in zip(columns, axes)]
+    (write_csv if fmt == "csv" else write_json)(tmp_path / f"plain.{fmt}", header, plain)
+    got = (tmp_path / f"{_SWEEP_TABLES[command]}.{fmt}").read_bytes()
+    assert got == (tmp_path / f"plain.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

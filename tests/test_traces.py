@@ -578,6 +578,31 @@ def test_columnar_parse_agrees_with_row_loop(text, chunk):
         assert columns == _tokens(traces_module._load_rows, path)
 
 
+_CRLF_HEADER = HEADER.replace("\n", "\r\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEADER + "u,v,0,0,0\ru,v,0.2,0,0\n",
+        HEADER + "u,v\r,0,0,0\nu,v\r,0.2,0,0\n",
+        _CRLF_HEADER + "u,v,0,0,0\r\nu,v,0.2,0,0\r\r\n",
+        _CRLF_HEADER + "u,v,0,0,0\r\nu,v,0.2,0\r,0\r\n",
+        HEADER.replace("\n", "\r\r\n") + "u,v,0,0,0\r\nu,v,0.2,0,0\r\n",
+        HEADER.replace(",", "\r,", 1) + "u,v,0,0,0\nu,v,0.2,0,0\n",
+    ],
+    ids=["row end", "in a key", "before a CRLF", "in a value", "header end", "in the header"],
+)
+def test_lone_cr_falls_back_to_the_row_loop(tmp_path, text):
+    # a CR outside a CRLF, in a row or in the header: the columnar parse
+    # refuses the file, and load_traces reads it as the row loop does
+    path = tmp_path / "traces.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError, match="line ending|header"):
+        traces_module._load_columns(path)
+    assert _outcome(load_traces, path) == _outcome(_by_rows, path)
+
+
 def test_columnar_parse_takes_clean_files_of_many_blocks(tmp_path):
     # 3 traces of 1,000 rows: about 50 KB each, so several blocks, with CRLF
     # endings, blank lines and spaces in a key
