@@ -13,7 +13,9 @@ what the client uploads after each segment:
   inverts the QoE model: in the four constant cases only an interval of
   errors is learned and the viewpoint is confined to a cap, while in the
   partial-overlap case ``q`` pins the error down exactly (safeguarded
-  Newton on the monotone QoE) and the error-upload analysis applies.
+  Newton on the monotone QoE, its root certified to change the QoE's side
+  of the report within ``BISECT_TOL / 2``, as bisection's answer would)
+  and the error-upload analysis applies.
 
 Probabilities are clamped to [0, 1].  Degenerate inputs (zero error,
 antipodal error, empty or full streamed cap) collapse the zone to a single
@@ -22,7 +24,7 @@ point or expand it to the full sphere.
 The ``*_vec`` functions evaluate the same analysis elementwise over
 numpy-broadcastable inputs, with cases and zone kinds as int8 codes into
 `CASES` and `ZONE_KINDS`.  The scalar inversion keeps its own Newton loop on
-`qoe`: separate arithmetic, at 60-100 µs a report against the kernel's 0.6-1 ms.
+`qoe`: separate arithmetic, at 45-70 µs a report against the kernel's 0.6-1 ms.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from .sphere import (
 QOE_MATCH_TOL = 1e-9
 
 #: Width (in radians of error) the QoE inversion's bisection halves its
-#: bracket to.
+#: bracket to, and so twice the distance within which a Newton root must
+#: see the QoE change side of the report to be certified.
 BISECT_TOL = 1e-9
 
 _BISECT_MAX_ITER = 64
@@ -66,10 +69,6 @@ _NEWTON_MAX_ITER = 64
 
 #: Ulps of an arccos argument in the lens's rounding (see `_floor_sum`).
 _ACOS_ULPS = 2.0
-
-#: The bisection's answer competes with the Newton root only within this
-#: many times the root's uncertainty (see `_newton_error_vec`).
-_WINDOW = 8.0
 
 _ULP = math.ulp(1.0)
 
@@ -268,7 +267,17 @@ def _floor_sum(c1, c2):
 
 
 def _newton_bracket(fov, sv) -> tuple:
-    """The Newton bracket, floats or arrays: the partial-overlap interval, its top cut by 1e-12."""
+    """The QoE inversion's starting bracket, floats or arrays.
+
+    The partial-overlap interval pulled marginally inside: its top end
+    1e-12 below it, its bottom end on the containment boundary (or at
+    1e-12).  A report is inverted only when its band of attainable QoE is
+    wider than ``2 * QOE_MATCH_TOL``; the thinnest such band, at ``r_sv``
+    about ``4.5e-5 * r_fov`` (or ``pi - r_sv`` alike), has a bracket of
+    width ``2 r_sv``, no less than about 9e-11: five orders of magnitude
+    above the rounding of the case tests, about 4e-16 for sums up to
+    ``2 pi``.
+    """
     return np.maximum(1e-12, np.abs(fov - sv)), np.minimum(fov + sv, TWO_PI - (fov + sv)) - 1e-12
 
 
@@ -276,11 +285,11 @@ def _newton_error(q: float, fov: float, sv: float) -> float:
     """Invert the partial-overlap QoE for the error by safeguarded Newton.
 
     The scalar mirror of `_newton_error_vec`, which describes it: the same
-    bracket, start, update, safeguard and stopping rules, with the QoE of
-    each iterate from the module-global `qoe`, so that a hook on it counts
-    the evaluations.  The root is checked against the bisection by the
-    kernel's own `_replay_bisection`, on 1-element arrays, and only where
-    `_near_a_halving` finds that the bisection can come within its window.
+    bracket, start, update, safeguard and stopping rules, and the same
+    certification of the root, with the QoE of each point from the
+    module-global `qoe`, so that a hook on it counts the evaluations.  A
+    root that fails its certification is bisected by the kernel's own
+    `_bisect_error_vec`, on 1-element arrays.
 
     The QoE falls with the error at the rate ``2 sin r_sv sin a_sv / area``,
     where ``a_sv`` is the angle at the streamed cap's center between the
@@ -288,11 +297,11 @@ def _newton_error(q: float, fov: float, sv: float) -> float:
     ``pi - a_sv``, so ``cos a_sv = -(cos e cos r_sv - cos r_fov) / (sin e
     sin r_sv)``, from the cosine and sine of the error the lens takes.
     """
-    lo, hi = lo0, hi0 = [float(end) for end in _newton_bracket(fov, sv)]
+    lo, hi = [float(end) for end in _newton_bracket(fov, sv)]
     c1, c2, s2 = math.cos(fov), math.cos(sv), math.sin(sv)
     area = TWO_PI * (1.0 - c1)
     floor_sum = _floor_sum(c1, c2)
-    x, window = 0.5 * (lo + hi), math.inf
+    x = 0.5 * (lo + hi)
     for _ in range(_NEWTON_MAX_ITER):
         r = qoe(fov, sv, x) - q
         if r > 0.0:
@@ -305,18 +314,20 @@ def _newton_error(q: float, fov: float, sv: float) -> float:
         sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
         if sin_a == 0.0:
             break
-        slope = 2.0 * s2 * sin_a
         noise = _ACOS_ULPS * _ULP / (denom * sin_a) + floor_sum
-        step = r * area / slope
+        step = r * area / (2.0 * s2 * sin_a)
         tol = _STEP_ULPS * _ULP * x
         if abs(r) * area <= noise or abs(step) <= tol or hi - lo <= tol:
-            window = _WINDOW * (noise / slope + tol)
             break
         nxt = x + step
         x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    if _near_a_halving(x, window, lo0, hi0):
-        x = float(_replay_bisection(*(np.array([v]) for v in (q, fov, sv, x, window, lo0, hi0)))[0])
-    return x
+    below, above = x - 0.5 * BISECT_TOL, x + 0.5 * BISECT_TOL
+    for side in (below, above):
+        if lo < side < hi:
+            lo, hi = (side, hi) if qoe(fov, sv, side) > q else (lo, side)
+    if below <= lo and hi <= above:
+        return x
+    return float(_bisect_error_vec(*(np.array([v]) for v in (q, fov, sv, lo, hi)))[0])
 
 
 def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
@@ -329,10 +340,11 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     first) yields the full error interval of that case; otherwise the
     report is inverted exactly inside the partial-overlap interval, by the
     safeguarded Newton iteration `_newton_error` (the scalar mirror of
-    `_newton_error_vec`, which describes it).  The root is good to the
-    lens's rounding, and no worse than bisecting to `BISECT_TOL` on the
-    array lens: where the bisection's answer lands within the root's
-    uncertainty, it is the answer.
+    `_newton_error_vec`, which describes it).  The root carries
+    bisection's guarantee, certified by `qoe` itself: the QoE changes side
+    of the report within ``BISECT_TOL / 2`` of it.  A root that fails the
+    certification, rare and only at small fields of view, is bisected to
+    `BISECT_TOL` on the array lens instead.
 
     Args:
         q: reported covered fraction, in [0, 1].
@@ -454,53 +466,35 @@ def _error_upload_prob(err: np.ndarray, ep) -> np.ndarray:
     return prob
 
 
-def _bisect_error_vec(q, fov, sv, guess, window, lo, hi) -> np.ndarray:
-    """The QoE inversion's bisection, told the side of a midpoint far from ``guess``.
+def _qoe_above(terms: tuple, area, q, e, i) -> np.ndarray:
+    """Whether `_lens_qoe` at the errors ``e`` of the reports ``i`` exceeds their reports ``q[i]``."""
+    work = np.empty((3, i.size))
+    return _lens_qoe(tuple(t[i] for t in terms), area[i], np.cos(e), np.sin(e), work) > q[i]
 
-    The partial-overlap QoE falls strictly with the error, so halving
-    converges.  Every unfinished bracket ``[lo, hi]`` of the 1-d arrays is
-    halved at once, in place: a midpoint whose QoE exceeds the report
-    becomes its bottom, any other its top, and one more than ``window``
-    from ``guess`` takes the side of ``guess`` it lies on, unevaluated.  An
-    element answers its bracket's midpoint after the halving that brings
-    the bracket within `BISECT_TOL`, or after `_BISECT_MAX_ITER` halvings.
-    Where it evaluates, it takes the QoE of ``qoe_vec``: its partial-overlap
-    QoE `_lens_qoe`, on `lens_terms` taken once per report.
 
-    No case is classified per halving: every midpoint lies strictly inside
-    the partial-overlap interval, where ``qoe_vec`` takes the lens.  The
-    starting bracket, `_newton_bracket`, lies in the interval, pulled
-    marginally inside it: its top end 1e-12 below it and its bottom end on
-    the containment boundary (or at 1e-12).  A midpoint is half its
-    bracket's width from each end; the first halves the starting bracket,
-    of width ``w0``, and every later one a live bracket, wider than
-    `BISECT_TOL`, so each is at least ``min(w0, BISECT_TOL) / 2`` from the
-    interval's ends.  A report reaches the inversion only when its
-    band of attainable QoE is wider than ``2 * QOE_MATCH_TOL``; the thinnest
-    such band, at ``r_sv`` about ``4.5e-5 * r_fov`` (or ``pi - r_sv``
-    alike), has ``w0 = 2 r_sv``, no less than about 9e-11.  Both margins
-    exceed the rounding of the case tests, about 4e-16 for sums up to
-    ``2 pi``, by five orders of magnitude.
+def _bisect_error_vec(q, fov, sv, lo, hi) -> np.ndarray:
+    """Bisect the QoE inversion's brackets ``[lo, hi]``, in place.
+
+    Every unfinished bracket of the 1-d arrays is halved at once: a
+    midpoint whose QoE exceeds the report becomes its bottom, any other
+    its top.  An element answers its bracket's midpoint after the halving
+    that brings the bracket within `BISECT_TOL` (or after
+    `_BISECT_MAX_ITER` halvings), so the computed QoE changes side of the
+    report within ``BISECT_TOL / 2`` of the answer.  No case is
+    classified: a bracket handed in lies inside `_newton_bracket`'s, with
+    ends that are its ends or points evaluated strictly inside it, and
+    every midpoint lies between two such ends.
     """
     terms = lens_terms(fov, sv)
     area = TWO_PI * (1.0 - terms[0])
-    mid, gap = np.empty((2, q.size))
-    above, doubt, move = np.empty((3, q.size), dtype=bool)
-    live = np.ones(q.size, dtype=bool)
+    i = np.arange(q.size)
     for _ in range(_BISECT_MAX_ITER):
-        if not live.any():
+        if not i.size:
             break
-        np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
-        np.less(mid, guess, out=above)
-        np.less_equal(np.abs(np.subtract(mid, guess, out=gap), out=gap), window, out=doubt)
-        if np.logical_and(doubt, live, out=doubt).any():
-            i = np.flatnonzero(doubt)
-            at = mid[i]
-            terms_i, work = tuple(t[i] for t in terms), np.empty((3, i.size))
-            above[i] = _lens_qoe(terms_i, area[i], np.cos(at), np.sin(at), work) > q[i]
-        np.copyto(lo, mid, where=np.logical_and(live, above, out=move))
-        np.copyto(hi, mid, where=np.logical_and(live, np.logical_not(above, out=above), out=move))
-        np.logical_and(live, np.greater(np.subtract(hi, lo, out=gap), BISECT_TOL, out=doubt), out=live)
+        mid = 0.5 * (lo[i] + hi[i])
+        above = _qoe_above(terms, area, q, mid, i)
+        lo[i[above]], hi[i[~above]] = mid[above], mid[~above]
+        i = i[hi[i] - lo[i] > BISECT_TOL]
     return 0.5 * (lo + hi)
 
 
@@ -508,20 +502,18 @@ def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndar
     """Invert the partial-overlap QoE for the error of every report at once.
 
     A safeguarded Newton iteration, written again for floats as
-    `_newton_error`, on the partial-overlap interval pulled marginally
-    inside (see `_bisect_error_vec`), from its midpoint.  An iteration
-    evaluates the QoE at the iterate, moves the bracket's bottom there if
-    the QoE exceeds the report and its top otherwise, and steps by the
-    residual over the slope, which `_newton_error` derives, taken from the
-    cosine and sine of the iterate that the lens uses.  Where the step
-    leaves the open bracket it takes the bracket's midpoint instead.  A
-    report stops at its iterate once the residual is within the lens's
-    rounding (see `_floor_sum`), or once the step or the bracket is at most
-    `_STEP_ULPS` ulps of the iterate.  The root is then checked against the
-    bisection, within a window of `_WINDOW` times its uncertainty
-    (`_replay_bisection`).  A report whose slope is 0 (a tangency), or that
-    is still running after `_NEWTON_MAX_ITER` iterations, has an infinite
-    window: it is bisected.
+    `_newton_error`, on the bracket `_newton_bracket`, from its midpoint.
+    An iteration evaluates the QoE at the iterate, moves the bracket's
+    bottom there if the QoE exceeds the report and its top otherwise, and
+    steps by the residual over the slope, which `_newton_error` derives,
+    taken from the cosine and sine of the iterate that the lens uses.
+    Where the step leaves the open bracket it takes the bracket's midpoint
+    instead.  A report stops at its iterate once the residual is within
+    the lens's rounding (see `_floor_sum`), or once the step or the
+    bracket is at most `_STEP_ULPS` ulps of the iterate; a report whose
+    slope is 0 (a tangency) stops at once.  Every root, and the next
+    iterate of a report still running after `_NEWTON_MAX_ITER`
+    iterations, is then certified by `_certify_vec`.
 
     No case is classified per iteration: every iterate lies strictly inside
     the starting bracket, so strictly inside the partial-overlap interval,
@@ -532,12 +524,21 @@ def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndar
     a Newton step kept only strictly inside the current bracket, or that
     bracket's midpoint, which is strictly inside too.
 
-    The QoE is that of ``qoe_vec``, its `_lens_qoe`.  Every row is allocated
-    once; an iteration works in place on the first ``m`` columns, the
-    running reports, and the reports that stop leave them by compaction.
+    The QoE is that of ``qoe_vec``, its `_lens_qoe`.
+    """
+    lo, hi, x = _newton_iterate_vec(q, fov, sv)
+    return _certify_vec(q, fov, sv, x, lo, hi)
+
+
+def _newton_iterate_vec(q, fov, sv) -> np.ndarray:
+    """The iteration of `_newton_error_vec`: each report's last bracket and iterate.
+
+    Rows ``(lo, hi, x)``.  Every row is allocated once; an iteration works
+    in place on the first ``m`` columns, the running reports, and the
+    reports that stop leave them by compaction.  Its own function so that
+    these rows are freed before the certification allocates its own.
     """
     n = q.size
-    x_out, window_out = np.empty(n), np.full(n, math.inf)
     lo0, hi0 = _newton_bracket(fov, sv)
     terms = lens_terms(fov, sv)
     state = np.empty((6, n))
@@ -546,6 +547,8 @@ def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndar
     np.multiply(TWO_PI, 1.0 - terms[0], out=state[4])
     state[5] = _floor_sum(terms[0], terms[1])
     rows = (*state, *terms)
+    # each report's bracket and root, once it stops
+    ends = np.empty((3, n))
     where = np.arange(n)
     work = np.empty((6, n))
     flags = np.empty((3, n), dtype=bool)
@@ -587,10 +590,9 @@ def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndar
             np.multiply(0.5, np.add(lo, hi, out=r), out=r)
             np.copyto(step, r, where=np.logical_not(above, out=above))
             if done.any():
-                # the stopping reports' windows, _WINDOW (rounding / slope + tol)
-                np.add(np.divide(noise, slope, out=noise), tol, out=noise)
                 stop = where[:m][done]
-                x_out[stop], window_out[stop] = x[done], _WINDOW * noise[done]
+                for end, row in zip(ends, (lo, hi, x)):
+                    end[stop] = row[done]
                 running = np.flatnonzero(np.logical_not(done, out=done))
                 x[running] = step[running]
                 m = running.size
@@ -598,54 +600,35 @@ def _newton_error_vec(q: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> np.ndar
                     row[:m] = row[running]
             else:
                 np.copyto(x, step)
-    x_out[where[:m]] = state[3, :m]
-    return _replay_bisection(q, fov, sv, x_out, window_out, lo0, hi0)
+    for end, row in zip(ends, state[1:4, :m]):
+        end[where[:m]] = row
+    return ends
 
 
-def _replay_bisection(q, fov, sv, x, window, lo, hi) -> np.ndarray:
-    """The Newton roots ``x``, checked against bisecting their brackets ``[lo, hi]``.
+def _certify_vec(q, fov, sv, x, lo, hi) -> np.ndarray:
+    """Certify the roots ``x`` of the brackets ``[lo, hi]``, or bisect them.
 
-    A root's uncertainty is the lens's rounding over the slope plus the
-    step bound; within it the computed QoE need not be monotone, but beyond
-    `_WINDOW` uncertainties (``window``, about four times the largest
-    rounding seen in `_floor_sum`'s calibration) its side of the report is
-    the root's side.  So the bisection (`_bisect_error_vec`) is replayed
-    with every midpoint beyond that window put on its side of the root
-    unevaluated: it takes the bisection's own path, evaluating only the
-    midpoints near the root.  If its answer lies within the window, the
-    report takes that answer, residual and all; otherwise the root, whose
-    residual is then the smaller.  So no root's residual is worse than the
-    bisection's.  Only the reports whose bisection can come within their
-    window at all (`_near_a_halving`) are replayed: on the default
-    50-degree grid, fewer than one in a hundred.  Over 1-d arrays; ``x`` is
-    updated in place and returned.
+    A root is certified when, as at bisection's answer, the computed QoE
+    changes side of the report within ``BISECT_TOL / 2`` of it.  The
+    bracket update of `_bisect_error_vec` is applied at ``x - BISECT_TOL /
+    2`` and then at ``x + BISECT_TOL / 2``, evaluating only where the point
+    lies strictly inside the bracket: beyond it, the bracket's end is
+    already nearer ``x``.  One end of Newton's bracket is its root, so
+    most reports take one evaluation.  A report whose bracket then lies
+    within ``BISECT_TOL / 2`` of ``x`` keeps ``x``; any other is bisected
+    from that bracket.  Over 1-d arrays, in place.
     """
-    i = np.flatnonzero(_near_a_halving(x, window, lo, hi))
-    root, near = x[i], window[i]
-    bisected = _bisect_error_vec(q[i], fov[i], sv[i], root, near, lo[i], hi[i])
-    x[i] = np.where(np.abs(bisected - root) <= near, bisected, root)
+    terms = lens_terms(fov, sv)
+    area = TWO_PI * (1.0 - terms[0])
+    below, above = x - 0.5 * BISECT_TOL, x + 0.5 * BISECT_TOL
+    for side in (below, above):
+        i = np.flatnonzero((lo < side) & (side < hi))
+        at = side[i]
+        over = _qoe_above(terms, area, q, at, i)
+        lo[i[over]], hi[i[~over]] = at[over], at[~over]
+    i = np.flatnonzero((lo < below) | (hi > above))
+    x[i] = _bisect_error_vec(q[i], fov[i], sv[i], lo[i], hi[i])
     return x
-
-
-def _near_a_halving(x, window, lo, hi):
-    """Where bisecting ``[lo, hi]`` may come within ``window`` of ``x``.
-
-    Elementwise over floats or arrays.  `_bisect_error_vec` with the
-    guesses ``x`` evaluates a midpoint, or answers, within ``window`` of
-    ``x`` only where this is true.  It halves ``[lo, hi]`` ``j =
-    ceil(log2((hi - lo) / BISECT_TOL))`` times, give or take one for
-    rounding, so its midpoints and its answer lie on the grid of spacing
-    ``(hi - lo) / 2^(j + 2)`` from ``lo``, to within 1e-13: the rounding of
-    64 halvings is at most 64 half-ulps of 2 pi, 2.8e-14.  Where ``x`` is
-    farther than ``window`` and that from every grid point, its bisection
-    is the one that decides every midpoint by its side of ``x`` and ends on
-    a point more than ``window`` from it.
-    """
-    width = hi - lo
-    levels = np.maximum(np.ceil(np.log2(width / BISECT_TOL)), 1.0) + 2.0
-    spacing = np.ldexp(width, -levels.astype(int))
-    frac = np.mod((x - lo) / spacing, 1.0)
-    return ~(np.minimum(frac, 1.0 - frac) * spacing > window + 1e-13)
 
 
 def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
@@ -654,7 +637,7 @@ def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
     Same constant-case matching within `QOE_MATCH_TOL` and precedence as the
     scalar function; the remaining reports are inverted together, by
     `_newton_error_vec`.  Where the QoE is flat, the root may be floats
-    away from the scalar function's; each is no worse than bisecting in
+    away from the scalar function's; each is certified (`_certify_vec`) in
     its own arithmetic.
 
     Raises:

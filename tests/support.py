@@ -177,11 +177,15 @@ def assert_roots(q, fov, sv, e, scalar=False):
     """``e``, the QoE inversion's errors for reports ``q``, are roots.
 
     Each lies strictly inside the partial-overlap interval, and its
-    residual is no worse than its oracle's plus `RESIDUAL_SLACK`: the
-    array kernel's, by ``qoe_vec``, than `halve_with_qoe_vec`'s; the
-    scalar one's (``scalar``), by ``qoe``, than `halve_with_qoe`'s.  The
-    two lenses differ in the arccos's last bit, which the QoE magnifies
-    where it is flat, so each is held to bisecting in its own arithmetic.
+    residual is within the lens's rounding at it (`rounding_bound`) or no
+    worse than its oracle's, plus `RESIDUAL_SLACK`: the array kernel's, by
+    ``qoe_vec``, than `halve_with_qoe_vec`'s; the scalar one's
+    (``scalar``), by ``qoe``, than `halve_with_qoe`'s.  A certified root
+    lies within ``ORACLE_TOL / 2`` of where the computed QoE changes side
+    of the report, as the oracle's does, but not at the oracle's float:
+    where the lens's rounding spans that width, its residual can be the
+    larger.  The two lenses differ in the arccos's last bit, which the QoE
+    magnifies where it is flat, so each is held to its own arithmetic.
     Returns the residuals.
     """
     q, fov, sv, e = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (q, fov, sv, e)))
@@ -189,7 +193,7 @@ def assert_roots(q, fov, sv, e, scalar=False):
     assert inside.all(), e[~inside]
     oracle = halve_with_qoe(q, fov, sv) if scalar else halve_with_qoe_vec(q, fov, sv)[0]
     res, best = residuals(q, fov, sv, e, scalar), residuals(q, fov, sv, oracle, scalar)
-    worse = res > best + RESIDUAL_SLACK
+    worse = res > np.maximum(best, rounding_bound(fov, sv, e)) + RESIDUAL_SLACK
     assert not worse.any(), list(zip(q[worse], fov[worse], sv[worse], res[worse], best[worse]))
     return res
 

@@ -1038,34 +1038,41 @@ def test_cli_accepts_minimum_fov(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("fov_deg", [1.0, 0.1])
-def test_cli_sweep_leakage_self_check_replays_the_bisection_at_small_fov(
-    tmp_path, capsys, monkeypatch, fov_deg
-):
-    # Below a few degrees every exact report's root lies near a halving of
-    # its bracket, so each scalar inversion of the self-check is checked
-    # against the array bisection, on a 1-element array.
-    newton, bisect = vrpl.leakage._newton_error, vrpl.leakage._bisect_error_vec
-    inversions, running, replayed = [], [], []
+def test_cli_sweep_leakage_self_check_certifies_roots_at_small_fov(tmp_path, capsys, monkeypatch, fov_deg):
+    # On a 61 x 61 grid below a few degrees every exact report's error is
+    # its bracket's midpoint, Newton's first iterate, so each scalar
+    # inversion of the self-check evaluates qoe there and at one or two
+    # certification points; the bisection is a rare fallback.
+    newton, bisect, scalar_qoe = vrpl.leakage._newton_error, vrpl.leakage._bisect_error_vec, vrpl.leakage.qoe
+    evaluations, bisected, running = [], [], []
 
     def scalar_newton(*args):
-        inversions.append(args)
-        running.append(len(inversions))
+        evaluations.append(0)
+        running.append(True)
         try:
             return newton(*args)
         finally:
             running.pop()
 
+    def counted_qoe(*args):
+        if running:
+            evaluations[-1] += 1
+        return scalar_qoe(*args)
+
     def hooked_bisect(*args):
-        replayed.extend(running)
+        if running:
+            bisected.append(len(evaluations))
         return bisect(*args)
 
     monkeypatch.setattr(vrpl.leakage, "_newton_error", scalar_newton)
+    monkeypatch.setattr(vrpl.leakage, "qoe", counted_qoe)
     monkeypatch.setattr(vrpl.leakage, "_bisect_error_vec", hooked_bisect)
     axis = {"lo": 0.0, "hi": math.pi, "n": 61}
     cfg = _cfg(tmp_path, {"r_fov_deg": fov_deg, "grids": {"r_sv": axis, "error": axis}})
     assert main(["sweep-leakage", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert inversions and replayed == list(range(1, len(inversions) + 1))
+    assert evaluations and max(evaluations) <= 3
+    assert len(bisected) <= 0.05 * len(evaluations)
 
 
 @pytest.mark.parametrize(
