@@ -442,10 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     except QoeInconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 4
-    except TraceFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (TraceFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except InternalInconsistencyError as exc:

@@ -94,16 +94,23 @@ def _in_domain(check, value, path: str, **kwargs):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _angle(doc: dict, base: str, path: str, default: float | None = None) -> float | None:
-    """Resolve a unit-tagged angle (``<base>_rad`` or ``<base>_deg``)."""
-    rad_key, deg_key = f"{base}_rad", f"{base}_deg"
-    present = [k for k in (rad_key, deg_key) if k in doc]
+def _angle(doc: dict, base: str, path: str, default: float, r_fov: float | None = None) -> float:
+    """Resolve a unit-tagged angle: ``<base>_rad``, ``<base>_deg`` or, given ``r_fov``,
+    ``<base>_frac_of_fov``, a fraction of it checked by `_FRACTION`; at most one tag."""
+    tags = [f"{base}_rad", f"{base}_deg"] + ([f"{base}_frac_of_fov"] if r_fov is not None else [])
+    present = [k for k in tags if k in doc]
     if len(present) > 1:
-        raise ConfigError(f"{path}.{base}: give exactly one of {rad_key} or {deg_key}")
+        names = f"{', '.join(tags[:-1])} or {tags[-1]}"
+        raise ConfigError(f"{path}.{base}: give exactly one of {names}")
     if not present:
         return default
-    value = _require(doc, present[0], float, path)
-    return value if present[0] == rad_key else math.radians(value)
+    key = present[0]
+    value = _require(doc, key, float, path)
+    if key == tags[0]:
+        return value
+    if key == tags[1]:
+        return math.radians(value)
+    return _in_domain(_FRACTION.check, value, f"{path}.{key}") * r_fov
 
 
 class SyntheticSpec(Record):
@@ -154,56 +161,55 @@ def load_config(path: str | Path) -> dict:
     return doc
 
 
-def _resolve_grid(spec, path: str) -> np.ndarray:
-    """A grid given as a non-empty list of values or as ``{lo, hi, n}``, as a float array."""
+def _resolve_grid(spec, name: str, path: str) -> np.ndarray:
+    """The grid ``name`` from ``spec``, a non-empty list or ``{lo, hi, n}``, as a float array.
+
+    Values are checked in the grid's domain (`GRIDS`): a list's at ``path``,
+    a range's ``lo`` and ``hi`` at ``<path>.lo`` and ``<path>.hi``.
+    """
+    if name not in GRIDS:
+        raise ConfigError(f"{path}: unknown grid")
+    domain = GRIDS[name]
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{path}: expected a non-empty list")
         check_size(len(spec), path, "the grid")
-        return np.array([_float(v, f"{path}[{i}]") for i, v in enumerate(spec)])
+        values = [_float(v, f"{path}[{i}]") for i, v in enumerate(spec)]
+        return _in_domain(domain.check_array, values, path)
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object or list")
     for key in spec:
         if key not in ("lo", "hi", "n"):
             raise ConfigError(f"{path}.{key}: unknown field")
-    lo = _require(spec, "lo", float, path)
-    hi = _require(spec, "hi", float, path)
+    lo = _in_domain(domain.check, _require(spec, "lo", float, path), f"{path}.lo")
+    hi = _in_domain(domain.check, _require(spec, "hi", float, path), f"{path}.hi")
     n = _require(spec, "n", int, path)
-    for key, value in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
     if n < 1:
         raise ConfigError(f"{path}.n: must be >= 1")
     check_size(n, f"{path}.n", "the grid")
     if hi < lo:
         raise ConfigError(f"{path}: hi {hi!r} below lo {lo!r}")
-    if n == 1:
-        return np.array([lo])
-    step = (hi - lo) / (n - 1)
-    return lo + np.arange(n) * step
+    return np.linspace(lo, hi, n)
 
 
-def parse_grid_override(spec: str) -> dict[str, np.ndarray]:
-    """Parse a ``--grid`` flag: ``name=lo:hi:n`` terms, comma separated.
-
-    Valid names are ``error``, ``epsilon`` and ``r_sv``.
-    """
-    grids: dict[str, np.ndarray] = {}
+def parse_grid_override(spec: str) -> dict[str, dict]:
+    """Parse a ``--grid`` flag, ``name=lo:hi:n`` terms comma separated, into ``{lo, hi, n}``
+    specs, each name at most once; `resolve_scenario` checks the names and values."""
+    grids: dict[str, dict] = {}
     for term in spec.split(","):
         if "=" not in term:
             raise ConfigError(f"--grid: term {term!r} is not name=lo:hi:n")
         name, _, rng = term.partition("=")
         name = name.strip()
-        if name not in GRIDS:
-            raise ConfigError(f"--grid: unknown grid name {name!r}")
+        if name in grids:
+            raise ConfigError(f"--grid {name}: given twice")
         parts = rng.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--grid: range {rng!r} is not lo:hi:n")
         try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            grids[name] = {"lo": float(parts[0]), "hi": float(parts[1]), "n": int(parts[2])}
         except ValueError:
             raise ConfigError(f"--grid: range {rng!r} is not numeric lo:hi:n") from None
-        grids[name] = _resolve_grid({"lo": lo, "hi": hi, "n": n}, f"--grid {name}")
     return grids
 
 
@@ -277,11 +283,18 @@ def _resolve_synthetic(doc: dict, windowing: WindowingConfig) -> SyntheticSpec:
     return spec
 
 
+def _optional_block(doc: dict, key: str, cls):
+    """The record ``cls`` from the optional block ``config.<key>``, or None if absent."""
+    if key not in doc:
+        return None
+    return _resolve_block(cls, _require(doc, key, dict, "config"), f"config.{key}")
+
+
 def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
     """Validate a config document and apply flag overrides (flags win).
 
-    Recognized override keys: ``seed`` (int) and ``grids``
-    (name -> resolved grid).
+    Recognized override keys, checked at ``--seed`` and ``--grid <name>``: ``seed``
+    (int) and ``grids`` (name -> grid spec: a list or ``{lo, hi, n}``).
     """
     overrides = overrides or {}
     known = {
@@ -295,28 +308,18 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
 
     r_fov = _angle(doc, "r_fov", "config", default=DEFAULT_R_FOV_RAD)
     _in_domain(FOV.check, r_fov, "config.r_fov")
-
-    eps_tags = [k for k in ("epsilon_rad", "epsilon_deg", "epsilon_frac_of_fov") if k in doc]
-    if len(eps_tags) > 1:
-        raise ConfigError("config.epsilon: give exactly one epsilon tag")
-    if not eps_tags:
-        epsilon = DEFAULT_EPSILON_FRAC * r_fov
-    elif eps_tags[0] == "epsilon_frac_of_fov":
-        frac = _require(doc, "epsilon_frac_of_fov", float, "config")
-        epsilon = _in_domain(_FRACTION.check, frac, "config.epsilon_frac_of_fov") * r_fov
-    else:
-        epsilon = _angle(doc, "epsilon", "config")
+    epsilon = _angle(doc, "epsilon", "config", default=DEFAULT_EPSILON_FRAC * r_fov, r_fov=r_fov)
     _in_domain(EPSILON.check, epsilon, "config.epsilon", hi=r_fov)
 
     max_leak = _optional(doc, "max_leak_prob", float, "config")
     if max_leak is not None:
         _in_domain(PROBABILITY.check, max_leak, "config.max_leak_prob")
 
-    seed = overrides.get("seed")
+    seed, seed_path = overrides.get("seed"), "--seed"
     if seed is None:
-        seed = _optional(doc, "seed", int, "config", default=0)
+        seed, seed_path = _optional(doc, "seed", int, "config", default=0), "config.seed"
     if seed < 0:
-        raise ConfigError(f"config.seed: {seed!r} must be >= 0")
+        raise ConfigError(f"{seed_path}: {seed!r} must be >= 0")
 
     win_doc = _optional(doc, "windowing", dict, "config", default={})
     windowing = _resolve_block(WindowingConfig, {**DEFAULT_WINDOWING, **win_doc}, "config.windowing")
@@ -339,35 +342,23 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
     if traces_csv is not None and synthetic is not None:
         raise ConfigError("config: give only one of traces_csv and synthetic")
 
-    resource = tile = None
-    if "resources" in doc:
-        if "tile" not in doc:
-            raise ConfigError("config.tile: required when config.resources is given")
-        res_doc = _require(doc, "resources", dict, "config")
-        resource = _resolve_block(ResourceConfig, res_doc, "config.resources")
-        tile = _resolve_block(TileSpec, _require(doc, "tile", dict, "config"), "config.tile")
-    elif "tile" in doc:
-        raise ConfigError("config.resources: required when config.tile is given")
+    if ("resources" in doc) != ("tile" in doc):
+        missing, given = ("tile", "resources") if "resources" in doc else ("resources", "tile")
+        raise ConfigError(f"config.{missing}: required when config.{given} is given")
+    resource = _optional_block(doc, "resources", ResourceConfig)
+    tile = _optional_block(doc, "tile", TileSpec)
+    channel = _optional_block(doc, "channel", ChannelConfig)
 
-    channel = None
-    if "channel" in doc:
-        ch_doc = _require(doc, "channel", dict, "config")
-        channel = _resolve_block(ChannelConfig, ch_doc, "config.channel")
-
-    grid_doc = _optional(doc, "grids", dict, "config", default={})
     grids: dict[str, np.ndarray] = {}
-    for name in GRIDS:
-        if name in grid_doc:
-            grids[name] = _resolve_grid(grid_doc[name], f"config.grids.{name}")
-    for name in grid_doc:
-        if name not in GRIDS:
-            raise ConfigError(f"config.grids.{name}: unknown grid")
-    grids.update(overrides.get("grids", {}))
-    grids.setdefault("error", _resolve_grid({"lo": 0.0, "hi": math.pi, "n": DEFAULT_GRID_N}, "default"))
+    for name, spec in _optional(doc, "grids", dict, "config", default={}).items():
+        grids[name] = _resolve_grid(spec, name, f"config.grids.{name}")
+    for name, spec in overrides.get("grids", {}).items():
+        grids[name] = _resolve_grid(spec, name, f"--grid {name}")
+    default = {"lo": 0.0, "hi": math.pi, "n": DEFAULT_GRID_N}
+    for name in ("error", "r_sv"):
+        if name not in grids:
+            grids[name] = _resolve_grid(default, name, "default")
     grids.setdefault("epsilon", np.array([epsilon]))
-    grids.setdefault("r_sv", _resolve_grid({"lo": 0.0, "hi": math.pi, "n": DEFAULT_GRID_N}, "default"))
-    for name, grid in grids.items():
-        grids[name] = _in_domain(GRIDS[name].check_array, grid, f"config.grids.{name}")
 
     return Scenario(
         r_fov=r_fov,

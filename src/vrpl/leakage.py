@@ -337,14 +337,18 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     containment case `classify` gives at zero error for the top end, and
     the disjoint or complement case it gives at antipodal error for the
     bottom end.  A report matching an end (within `QOE_MATCH_TOL`, top end
-    first) yields the full error interval of that case; otherwise the
-    report is inverted exactly inside the partial-overlap interval, by the
-    safeguarded Newton iteration `_newton_error` (the scalar mirror of
-    `_newton_error_vec`, which describes it).  The root carries
-    bisection's guarantee, certified by `qoe` itself: the QoE changes side
-    of the report within ``BISECT_TOL / 2`` of it.  A root that fails the
-    certification, rare and only at small fields of view, is bisected to
-    `BISECT_TOL` on the array lens instead.
+    first) yields a range of errors in that case: ``[0, hi]`` at the top,
+    ``hi`` the largest float at most ``|r_sv - r_fov|`` that `classify`
+    puts in the case (not always its last: at ``r_fov = 1``, ``r_sv = 1.5``
+    it is 0.5, and the next float is ``fov_in_sfov`` too), and from
+    ``r_fov + r_sv`` or ``2 pi - r_fov - r_sv`` to ``pi`` at the bottom.
+    Any other report is inverted exactly inside the partial-overlap
+    interval, by the safeguarded Newton iteration `_newton_error` (the
+    scalar mirror of `_newton_error_vec`, which describes it).  The root
+    carries bisection's guarantee, certified by `qoe` itself: the QoE
+    changes side of the report within ``BISECT_TOL / 2`` of it.  A root
+    that fails the certification, rare and only at small fields of view, is
+    bisected to `BISECT_TOL` on the array lens instead.
 
     Args:
         q: reported covered fraction, in [0, 1].

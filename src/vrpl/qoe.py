@@ -109,14 +109,14 @@ def qoe(r_fov: float, r_sv: float, e: float) -> float:
     code = _case_code(fov, sv, err)
     if code != _REMAINING:
         return _case_qoe(math.cos(fov), math.cos(sv))[code]
-    value = cap_overlap_area(fov, sv, err) / cap_area(fov)
-    return min(max(value, 0.0), 1.0)
+    return cap_overlap_area(fov, sv, err) / cap_area(fov)
 
 
 def _lens_qoe(terms: tuple, area, cos_d, sin_d, work: np.ndarray) -> np.ndarray:
-    """`lens_area` over the field of view's ``area``, clipped to [0, 1], in place and unchecked."""
+    """`lens_area` over the field of view's ``area``, in place and unchecked; in [0, 1]
+    with no clip, as the lens is clamped to the smaller cap."""
     lens = lens_area(terms, cos_d, sin_d, work)
-    return np.clip(np.divide(lens, area, out=lens), 0.0, 1.0, out=lens)
+    return np.divide(lens, area, out=lens)
 
 
 def _classify_codes(fov: np.ndarray, sv: np.ndarray, err: np.ndarray) -> np.ndarray:

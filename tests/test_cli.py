@@ -164,14 +164,60 @@ def test_scenario_source_exclusivity():
 
 def test_parse_grid_override():
     grids = parse_grid_override("error=0:1:3,epsilon=0.1:0.2:2")
-    assert grids["error"].tolist() == pytest.approx([0.0, 0.5, 1.0], abs=1e-15)
-    assert grids["epsilon"].tolist() == pytest.approx([0.1, 0.2], abs=1e-15)
-    with pytest.raises(ConfigError, match="unknown grid"):
-        parse_grid_override("theta=0:1:3")
+    assert grids == {"error": {"lo": 0.0, "hi": 1.0, "n": 3}, "epsilon": {"lo": 0.1, "hi": 0.2, "n": 2}}
+    with pytest.raises(ConfigError, match="^--grid error: given twice"):
+        parse_grid_override("error=0:1:3,error=0:2:3")
     with pytest.raises(ConfigError, match="lo:hi:n"):
         parse_grid_override("error=0:1")
     with pytest.raises(ConfigError, match="name=lo"):
         parse_grid_override("garbage")
+    # names and values are checked where the specs resolve
+    with pytest.raises(ConfigError, match="^--grid theta: unknown grid"):
+        resolve_scenario({}, {"grids": parse_grid_override("theta=0:1:3")})
+
+
+_GRID_BOUNDS = {name: (0.0, config.GRIDS[name].hi) for name in config.GRIDS}
+
+
+@st.composite
+def _grid_specs(draw):
+    name = draw(st.sampled_from(sorted(_GRID_BOUNDS)))
+    lo, hi = sorted(draw(st.floats(*_GRID_BOUNDS[name])) for _ in range(2))
+    return name, lo, hi, draw(st.integers(1, 4096))
+
+
+@given(_grid_specs())
+@settings(max_examples=300)
+def test_range_grid_ends_at_hi_with_the_inner_points_of_lo_plus_i_step(spec):
+    name, lo, hi, n = spec
+    for doc, flags in (({"grids": {name: {"lo": lo, "hi": hi, "n": n}}}, None),
+                       ({}, {"grids": parse_grid_override(f"{name}={lo!r}:{hi!r}:{n}")})):
+        grid = resolve_scenario(doc, flags).grids[name]
+        assert grid.size == n and grid[0] == lo and grid[-1] == (hi if n > 1 else lo)
+        step = (hi - lo) / max(n - 1, 1)
+        if step > 0.0 or hi == lo:
+            inner = [lo + i * step for i in range(1, n - 1)]
+            assert grid[1:-1].view(np.uint64).tolist() == np.array(inner).view(np.uint64).tolist()
+        else:  # numpy spreads a span whose step underflows to 0 instead
+            assert (np.diff(grid) >= 0.0).all()
+
+
+def test_every_range_grid_up_to_5000_points_ends_at_hi():
+    # lo + (n - 1) * step rounds one ulp above hi for 287 of these sizes
+    # (26, 42, 51, ...), outside the grid's domain; the range ends at hi.
+    his = {"error": math.pi, "r_sv": math.pi, "epsilon": math.pi / 2}
+    sizes = range(1, 5001)
+    for hi in set(his.values()):
+        above = [n for n in sizes[1:] if (n - 1) * (hi / (n - 1)) > hi]
+        assert len(above) == 287 and above[:3] == [26, 42, 51]
+    for n in sizes:
+        doc = {"grids": {name: {"lo": 0, "hi": hi, "n": n} for name, hi in his.items()}}
+        flags = {"grids": parse_grid_override(",".join(f"{k}=0:{hi!r}:{n}" for k, hi in his.items()))}
+        for scenario in (resolve_scenario(doc), resolve_scenario({}, flags)):
+            for name, hi in his.items():
+                grid = scenario.grids[name]
+                assert grid[-1] == (hi if n > 1 else 0.0) and grid.size == n
+                assert np.array_equal(grid[:-1], np.arange(n - 1) * (hi / max(n - 1, 1))), (name, n)
 
 
 def test_load_config_errors(tmp_path):
@@ -304,12 +350,12 @@ def test_cli_names_the_block_field_outside_its_domain(tmp_path, capsys, block, k
     "doc, grid, message",
     [
         ({"grids": {"error": {"lo": 0, "hi": math.inf, "n": 3}}}, None,
-         "config.grids.error.hi: must be finite, got inf"),
+         "config.grids.error.hi: viewpoint error inf outside [0, pi]"),
         ({"grids": {"r_sv": {"lo": -math.inf, "hi": 1, "n": 3}}}, None,
-         "config.grids.r_sv.lo: must be finite, got -inf"),
+         "config.grids.r_sv.lo: streamed-cap radius -inf outside [0, pi]"),
         ({"grids": {"error": {"lo": math.nan, "hi": 1, "n": 3}}}, None,
-         "config.grids.error.lo: must be finite, got nan"),
-        ({}, "error=0:inf:3", "--grid error.hi: must be finite, got inf"),
+         "config.grids.error.lo: viewpoint error nan outside [0, pi]"),
+        ({}, "error=0:inf:3", "--grid error.hi: viewpoint error inf outside [0, pi]"),
     ],
     ids=["config-hi", "config-lo", "config-nan", "flag-hi"],
 )
@@ -318,6 +364,32 @@ def test_cli_rejects_non_finite_grid_bound(tmp_path, capsys, doc, grid, message)
     assert main(argv + (["--grid", grid] if grid else [])) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        ({"grids": {"error": {"lo": 0, "hi": 5, "n": 5}}}, [],
+         "config.grids.error.hi: viewpoint error 5.0 outside [0, pi]"),
+        ({"grids": {"error": {"lo": 0.5, "hi": 99, "n": 1}}}, [],
+         "config.grids.error.hi: viewpoint error 99.0 outside [0, pi]"),
+        ({}, ["--grid", "r_sv=0:3.2:2"], "--grid r_sv.hi: streamed-cap radius 3.2 outside [0, pi]"),
+        ({"grids": {"epsilon": [2.0]}}, [],
+         "config.grids.epsilon: protection radius 2.0 outside [0, pi/2]"),
+        ({}, ["--grid", "error=0:1:3,error=0:2:3"], "--grid error: given twice"),
+        ({}, ["--grid", "theta=0:1:3"], "--grid theta: unknown grid"),
+        ({"seed": 3}, ["--seed", "-1"], "--seed: -1 must be >= 0"),
+        ({"seed": -1}, [], "config.seed: -1 must be >= 0"),
+    ],
+    ids=["config-hi", "config-n1-hi", "flag-hi", "config-list", "flag-twice", "flag-name",
+         "flag-seed", "config-seed"],
+)
+def test_cli_reports_a_grid_or_seed_where_it_was_given(tmp_path, capsys, doc, flags, message):
+    out = tmp_path / "o"
+    assert main(["sweep-qoe", "--config", _cfg(tmp_path, doc), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}\n") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_rejects_non_utf8_config(tmp_path, capsys):

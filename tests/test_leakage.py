@@ -201,7 +201,9 @@ def test_infer_nested_range_ends_in_its_case():
     # The case test adds the error back to a radius, which can round past the
     # other radius: |sv - fov| itself classifies as partial overlap for 65 of
     # these 3,731 fov_in_sfov and 15 of 1,269 sfov_in_fov reports.  The range
-    # ends at the largest error that is still in its case.
+    # ends at the largest float at most |sv - fov| that is still in its case;
+    # a larger error may be in the case too (at fov 1.0, sv 1.5 the range
+    # ends at 0.5, and classify puts nextafter(0.5, pi) in fov_in_sfov).
     rng = np.random.default_rng(24)
     checked = dict.fromkeys((OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_IN_FOV), 0)
     for fov, sv in rng.uniform(0.0, 1.0, (5000, 2)):

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from support import random_view_triples
+from support import boundary_neighbours, random_view_triples
 from vrpl import (
     OverlapCase,
     cap_area,
     classify,
     mc_cap_overlap,
     qoe,
+    qoe_vec,
 )
+from vrpl.qoe import CASE_CODE, classify_vec
+from vrpl.sphere import TWO_PI, lens_area, lens_terms
 
 FOV = 0.8726646259971648  # 50 degrees
 
@@ -127,3 +130,25 @@ def test_qoe_range():
         sv = rng.uniform(0.0, math.pi)
         e = rng.uniform(0.0, math.pi)
         assert 0.0 <= qoe(fov, sv, e) <= 1.0
+
+
+@pytest.mark.parametrize("fov", [1e-4, 0.01, math.radians(1.0), math.radians(50.0), math.pi / 2])
+def test_lens_lies_within_the_fov_area_bit_for_bit(fov):
+    # The QoE divides the lens by the field of view's area with no clip: the
+    # lens's clamp to the smaller cap keeps it in [0, area] exactly, at
+    # random partial-overlap points and within 2 floats of each case end.
+    rng = np.random.default_rng(28)
+    sv = rng.uniform(0.0, math.pi, 2000)
+    lo, hi = np.abs(sv - fov), np.minimum(fov + sv, TWO_PI - fov - sv)
+    points = list(zip(sv, lo + rng.uniform(0.0, 1.0, sv.size) * (hi - lo)))
+    points += [(s, e) for s in sv[:500] for e in boundary_neighbours(fov, s)]
+    sv, e = (np.array(x) for x in zip(*points))
+    partial = classify_vec(fov, sv, e) == CASE_CODE[OverlapCase.REMAINING]
+    sv, e = sv[partial], e[partial]
+    assert sv.size > 2000
+    terms = lens_terms(np.full(sv.size, fov), sv)
+    lens = lens_area(terms, np.cos(e), np.sin(e), np.empty((3, e.size)))
+    assert (lens >= 0.0).all() and (lens <= TWO_PI * (1.0 - terms[0])).all()
+    q = qoe_vec(fov, sv, e)
+    assert (q >= 0.0).all() and (q <= 1.0).all()
+    assert all(0.0 <= qoe(fov, s, x) <= 1.0 for s, x in zip(sv[::10], e[::10]))
