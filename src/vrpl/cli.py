@@ -92,7 +92,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.grid is not None:
-        overrides["grids"] = parse_grid_override(args.grid)
+        overrides["grids"] = parse_grid_override(",".join(args.grid))
     return resolve_scenario(doc, overrides)
 
 
@@ -110,9 +110,11 @@ def _grid_pairs(scenario: Scenario, outer: str, inner: str) -> tuple[list[np.nda
     """Every pair of the named grids, outer-major: the two float columns the
     kernels take, and the same two as table columns.  An axis of at most
     `CHUNK_ROWS` points is a `Categorical` of its values in the table, so
-    each value is rendered once per table, not once per chunk."""
+    each value is rendered once per table, not once per chunk.  A table too
+    large is refused at the paths of its given grids."""
     a, b = scenario.grids[outer], scenario.grids[inner]
-    check_size(len(a) * len(b), "config.grids", f"the {outer} x {inner} table")
+    paths = [scenario.grid_paths[g] for g in (outer, inner) if g in scenario.grid_paths]
+    check_size(len(a) * len(b), ", ".join(paths), f"the {outer} x {inner} table")
     floats = [np.repeat(a, len(b)), np.tile(b, len(a))]
     codes = [np.arange(len(g), dtype=np.min_scalar_type(len(g) - 1)) for g in (a, b)]
     table = [
@@ -301,8 +303,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
     if scenario.grids["epsilon"].tolist() != [scenario.epsilon]:
         raise ConfigError(
-            f"config.grids.epsilon: the trace pipeline takes no epsilon grid; it runs at "
-            f"config.epsilon = {scenario.epsilon!r} alone"
+            f"{scenario.grid_paths['epsilon']}: the trace pipeline takes no epsilon grid; "
+            f"it runs at config.epsilon = {scenario.epsilon!r} alone"
         )
     min_leak = min_leak_prob_error(scenario.epsilon)
     if scenario.max_leak_prob is not None and scenario.max_leak_prob < min_leak:
@@ -427,7 +429,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
         p.add_argument("--seed", type=int, help="RNG seed override")
-        p.add_argument("--grid", help="grid override, e.g. error=0:3.14159:100,r_sv=0:3.14159:50")
+        p.add_argument("--grid", action="append",
+                       help="grid override, e.g. error=0:3.14159:100,r_sv=0:3.14159:50 (repeatable)")
         p.set_defaults(func=func)
     return parser
 

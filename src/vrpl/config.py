@@ -141,6 +141,9 @@ class Scenario(Record):
     resource: ResourceConfig | None
     tile: TileSpec | None
     channel: ChannelConfig | None
+    #: Where each grid given by the config or a flag was resolved
+    #: (``config.grids.<name>`` or ``--grid <name>``); a default grid has none.
+    grid_paths: dict[str, str]
 
 
 def load_config(path: str | Path) -> dict:
@@ -272,6 +275,11 @@ def _resolve_synthetic(doc: dict, windowing: WindowingConfig) -> SyntheticSpec:
         {"duration": "duration_s", "rate": "rate_hz"},
         model=model,
     )
+    if isinstance(model, GreatCircleDrift) and not math.isfinite(model.rate * spec.duration):
+        raise ConfigError(
+            f"{path}.rate_rad_s: {model.rate!r} rad/s for {spec.duration!r} s "
+            f"turns through a non-finite angle"
+        )
     n = _in_domain(sample_count, spec.duration, f"{path}.duration_s", rate=spec.rate)
     check_size(spec.n_traces * n, path, "n_traces * duration_s * rate_hz")
     needs = sum(_in_domain(windowing.samples, spec.rate, "config.windowing"))
@@ -350,10 +358,12 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
     channel = _optional_block(doc, "channel", ChannelConfig)
 
     grids: dict[str, np.ndarray] = {}
-    for name, spec in _optional(doc, "grids", dict, "config", default={}).items():
-        grids[name] = _resolve_grid(spec, name, f"config.grids.{name}")
-    for name, spec in overrides.get("grids", {}).items():
-        grids[name] = _resolve_grid(spec, name, f"--grid {name}")
+    grid_paths: dict[str, str] = {}
+    given = _optional(doc, "grids", dict, "config", default={}), overrides.get("grids", {})
+    for prefix, specs in zip(("config.grids.", "--grid "), given):
+        for name, spec in specs.items():
+            grid_paths[name] = prefix + name
+            grids[name] = _resolve_grid(spec, name, grid_paths[name])
     default = {"lo": 0.0, "hi": math.pi, "n": DEFAULT_GRID_N}
     for name in ("error", "r_sv"):
         if name not in grids:
@@ -373,4 +383,5 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         resource=resource,
         tile=tile,
         channel=channel,
+        grid_paths=grid_paths,
     )

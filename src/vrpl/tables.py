@@ -5,13 +5,12 @@ CSV cells and JSON documents, so reruns with identical inputs and seeds
 are byte-identical and every CSV table re-parses with the standard `csv`
 module.
 
-Tables are written from columns.  A column holds one kind of value:
+Tables are written from columns.  A column is one of two kinds:
 
-- floats: a float array or a list of floats (a sweep grid, say);
-- integers or booleans: an integer or bool array or list;
-- strings: a list of strings;
-- a `Categorical` of codes into a vocabulary of strings, or of floats (a
-  sweep grid axis, say).
+- floats: an array or list that numpy reads as float64 (a kernel's
+  output, say);
+- a `Categorical` of codes into a vocabulary of strings (a case name,
+  say), or of floats (a sweep grid axis).
 
 Tables are written in chunks of `CHUNK_ROWS` rows, so memory beyond the
 columns does not grow with the table.  A `Categorical`'s vocabulary,
@@ -71,26 +70,17 @@ def _json_float(x: float) -> str:
 
 
 _CSV = _Style(format_float, _csv_string)
-#: In a one-column table an empty cell is quoted, so its row does not read
-#: back as a blank line (the csv module does the same).
-_CSV_ONE_COLUMN = _Style(format_float, lambda s: _csv_string(s) or '""')
 _JSON = _Style(_json_float, json.dumps)
 
 
 def _cells(column: np.ndarray, style: _Style) -> list[str]:
-    """The rendered cells of an array.
+    """The rendered cells of a float64 array.
 
-    Each distinct value is rendered once; floats are keyed on their bit
-    pattern, since a value key would merge ``-0.0`` into ``0.0``.
+    Each distinct value is rendered once, keyed on its bit pattern, since a
+    value key would merge ``-0.0`` into ``0.0``.
     """
-    if column.dtype.kind == "f":
-        keys, index = np.unique(column.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
-        text = map(style.float, keys.view(np.float64).tolist())
-    else:
-        # integers and booleans read the same in both formats: 3, true, false
-        keys, index = np.unique(column, return_inverse=True)
-        text = map(style.string if column.dtype.kind == "U" else json.dumps, keys.tolist())
-    return np.array(list(text), dtype=object)[index].tolist()
+    keys, index = np.unique(column.view(np.uint64), return_inverse=True)
+    return np.array(list(map(style.float, keys.view(np.float64).tolist())), dtype=object)[index].tolist()
 
 
 def _vocabulary(column: Categorical, style: _Style) -> np.ndarray:
@@ -108,8 +98,8 @@ def json_cells(column: np.ndarray) -> list[str]:
 
 
 def _table(header: Sequence[str], columns: Sequence) -> tuple[list, int]:
-    """Columns as arrays (a `Categorical` as is), and their common length."""
-    columns = [c if isinstance(c, Categorical) else np.asarray(c) for c in columns]
+    """Columns as float64 arrays (a `Categorical` as is), and their common length."""
+    columns = [c if isinstance(c, Categorical) else np.asarray(c, dtype=np.float64) for c in columns]
     if len(columns) != len(header):
         raise ValueError(f"table has {len(header)} column names but {len(columns)} columns")
     for c in columns:
@@ -150,10 +140,9 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
     quoting, ``\\r\\n`` line ends) over the rendered cells.
     """
     columns, n = _table(header, columns)
-    style = _CSV_ONE_COLUMN if len(columns) == 1 else _CSV
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(style.string, header)) + "\r\n")
-        _write_rows(fh, columns, n, style, ",", "\r\n")
+        fh.write(",".join(map(_csv_string, header)) + "\r\n")
+        _write_rows(fh, columns, n, _CSV, ",", "\r\n")
         if n:
             fh.write("\r\n")
 

@@ -264,31 +264,13 @@ def _blocks(fh) -> Iterator[bytes]:
         yield _vouch(carry + b"\n")
 
 
-def _key_changes(a: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Whether the key ``a[starts[i] : starts[i] + widths[i]]`` of each row differs
-    from the row before's (False for the first row).
-
-    Keys as wide as the one before are compared byte by byte in one flat
-    pass, and their mismatches counted per row by a running sum.
-    """
-    differs = np.zeros(starts.size, dtype=bool)
-    differs[1:] = widths[1:] != widths[:-1]
-    same = np.flatnonzero(~differs[1:]) + 1
-    lens = widths[same]
-    seg_end = np.cumsum(lens)
-    pos = np.arange(lens.sum()) + np.repeat(starts[same] - (seg_end - lens), lens)
-    back = np.repeat(starts[same] - starts[same - 1], lens)
-    mismatches = np.concatenate(([0], np.cumsum(a[pos] != a[pos - back])))
-    differs[same] = mismatches[seg_end] != mismatches[seg_end - lens]
-    return differs
-
-
-def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, np.ndarray, list[bytes], np.ndarray]:
+def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, list[int], list[bytes], np.ndarray]:
     """The ``(rows, 3)`` samples of a block of whole lines, the rows whose
-    ``user_id,video_id`` differs from the row before (``last_key`` for the
-    first), those keys, and for each blank line the rows of the block before
-    it.  Blank lines hold no row, as in the csv module; every other line
-    must have exactly five fields.
+    key differs from the row before's (``last_key`` for the first), those
+    keys, and for each blank line the rows of the block before it.  A row's
+    key is its ``user_id,video_id`` bytes, compared as a byte string.  Blank
+    lines hold no row, as in the csv module; every other line must have
+    exactly five fields.
     """
     a = np.frombuffer(block, dtype=np.uint8)
     newlines = np.flatnonzero(a == ord("\n"))
@@ -305,16 +287,15 @@ def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, np.ndarray, 
         raise ValueError("a row without five fields")
     starts = starts[rows]
     if not starts.size:
-        return np.empty((0, 3)), np.empty(0, dtype=np.intp), [], blank
+        return np.empty((0, 3)), [], [], blank
     key_ends = commas[np.searchsorted(commas, starts) + 1]
-    new_key = _key_changes(a, starts, key_ends - starts)
-    new_key[0] = block[starts[0] : key_ends[0]] != last_key
-    changed = np.flatnonzero(new_key)
+    keys = [block[i:j] for i, j in zip(starts.tolist(), key_ends.tolist())]
+    changed = [i for i, (key, before) in enumerate(zip(keys, [last_key, *keys])) if key != before]
     lines = block.decode("utf-8").split("\n")
     samples = np.loadtxt(lines, delimiter=",", usecols=(2, 3, 4), comments=None, ndmin=2)
     if len(samples) != len(starts):  # a guard: the rows must line up with their keys
         raise ValueError("a row loadtxt skipped")
-    return samples, changed, [block[starts[i] : key_ends[i]] for i in changed], blank
+    return samples, changed, [keys[i] for i in changed], blank
 
 
 def _load_columns(path: Path) -> tuple:
@@ -350,7 +331,7 @@ def _load_columns(path: Path) -> tuple:
             values, changed, block_keys, blank = _block_rows(block, keys[-1] if keys else b"")
             m = len(values)
             ts[n : n + m], th[n : n + m], ph[n : n + m] = values.T
-            firsts += (changed + n).tolist()
+            firsts += [i + n for i in changed]
             skips += (blank + n).tolist()
             keys += block_keys
             n += m
@@ -547,8 +528,9 @@ def generate_synthetic_traces(
     if isinstance(model, GreatCircleDrift):
         start = _points(draws[:, 0], draws[:, 1])
         tangent = _unit_tangents(start, _points(draws[:, 2], draws[:, 3]))
-        angles = (model.rate * times)[:, None]
-        vecs = np.cos(angles) * start[:, None, :] + np.sin(angles) * tangent[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite angle fails the check below
+            angles = (model.rate * times)[:, None]
+            vecs = np.cos(angles) * start[:, None, :] + np.sin(angles) * tangent[:, None, :]
     else:
         vecs = _random_walk(draws, model.kappa)
     del draws

@@ -392,6 +392,24 @@ def test_cli_reports_a_grid_or_seed_where_it_was_given(tmp_path, capsys, doc, fl
     assert not out.exists()
 
 
+def test_cli_grid_flag_repeats(capsys):
+    # each --grid flag adds its grids; a name given in two flags is refused at the flag
+    assert main(["validate", "--grid", "r_sv=0:1:4", "--grid", "error=0:1:3"]) == 0
+    sizes = json.loads(capsys.readouterr().out)["grid_sizes"]
+    assert (sizes["r_sv"], sizes["error"]) == (4, 3)
+    assert main(["validate", "--grid", "r_sv=0:1:4", "--grid", "r_sv=0:1:5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --grid r_sv: given twice") and "Traceback" not in err
+
+
+def test_cli_rejects_an_overflowing_drift(tmp_path, capsys):
+    # rate_rad_s * duration_s overflows: a config error on the rate, with no warning
+    doc = {"synthetic": {**_SYNTH_DRIFT, "rate_rad_s": 1e308, "duration_s": 10.0}}
+    assert main(["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.synthetic.rate_rad_s: 1e+308 rad/s")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_rejects_non_utf8_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b'{"seed": 1, "note": "\xff"}')
@@ -698,10 +716,10 @@ def _grid(n):
         ("validate", {"grids": {"r_sv": _grid(MAX_ELEMENTS + 1)}}, None, "config.grids.r_sv.n"),
         ("validate", {"grids": {"epsilon": _grid(_HUGE)}}, None, "config.grids.epsilon.n"),
         ("sweep-qoe", {"grids": {"r_sv": _grid(4096), "error": _grid(2048)}}, None,
-         "config.grids"),
-        ("sweep-leakage", {}, "r_sv=0:1:4096,error=0:1:2048", "config.grids"),
+         "config.grids.r_sv, config.grids.error"),
+        ("sweep-leakage", {}, "r_sv=0:1:4096,error=0:1:2048", "--grid r_sv, --grid error"),
         ("sweep-error", {"grids": {"epsilon": _grid(2048), "error": _grid(4096)}}, None,
-         "config.grids"),
+         "config.grids.epsilon, config.grids.error"),
         ("trace", {"synthetic": {**_SYNTH_DRIFT, "n_traces": 10**9}}, None, "config.synthetic"),
         ("validate", {"synthetic": {**_SYNTH_DRIFT, "duration_s": 1e7}}, None,
          "config.synthetic"),
@@ -1065,7 +1083,8 @@ def test_cli_trace_rejects_an_epsilon_grid(tmp_path, capsys, grid, flag):
     argv = ["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]
     assert main(argv + (["--grid", flag] if flag else [])) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: config.grids.epsilon: ") and "config.epsilon = 0.2" in err
+    path = "--grid epsilon" if flag else "config.grids.epsilon"  # where the grid was given
+    assert err.startswith(f"config error: {path}: ") and "config.epsilon = 0.2" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -95,7 +95,8 @@ RECORDS = [
      {"r_fov": 0.8, "epsilon": 0.3, "max_leak_prob": None, "seed": 0,
       "grids": {"r_sv": np.array([0.5, 1.0])}, "windowing": _WINDOWING,
       "predictor": Predictor.LAST_POSITION, "traces_csv": None, "synthetic": None,
-      "resource": None, "tile": None, "channel": None},
+      "resource": None, "tile": None, "channel": None,
+      "grid_paths": {"r_sv": "config.grids.r_sv"}},
      {}, {"seed": 1}, []),
     (ErrorSubset,
      {"feasible": True, "errors": np.array([0.5, 0.6]), "mean": 0.55,

@@ -213,6 +213,13 @@ def test_synthetic_validation():
         GreatCircleDrift(rate=-0.1)
 
 
+def test_overflowing_drift_is_a_format_error_with_no_warning():
+    # 1e308 rad/s overflows its angles past the first sample; the suite turns a warning into an error
+    message = "^trace synthetic-000/greatcircledrift has non-finite samples$"
+    with pytest.raises(TraceFormatError, match=message):
+        generate_synthetic_traces(GreatCircleDrift(rate=1e308), 2, 10.0, 5.0, seed=0)
+
+
 def _step_angles(tr: ViewpointTrace) -> np.ndarray:
     v = _unit_vectors(tr.theta, tr.phi)
     return np.arccos(np.clip(np.einsum("ij,ij->i", v[:-1], v[1:]), -1.0, 1.0))
@@ -564,6 +571,8 @@ def _trace_csv_texts(draw):
 @example(text=HEADER + "u,v,0,0,0\nu,v,0.2\x1c,0,0\n", chunk=1 << 16)
 @example(text=HEADER.replace(",", "\r,", 1) + "u,v,0,0,0\nu,v,0.2,0,0\n", chunk=1 << 16)
 @example(text=HEADER + "u,v,0,0,0\nu,v,0.2,0,0\nw,v,0,0,0\nw,v,0.2,0,0\nu,v,0.4,0,0\nu,v,0.6,0,0\n", chunk=64)
+# keys of equal width that differ in their last byte alone, the change on the first row of a block
+@example(text=HEADER + "".join(f"u,v{c},{i / 5},0,0\n" for c in "ab" for i in range(6)), chunk=64)
 @settings(max_examples=300)
 def test_columnar_parse_agrees_with_row_loop(text, chunk):
     with tempfile.TemporaryDirectory() as tmp, patch.object(traces_module, "_CHUNK_BYTES", chunk):
