@@ -11,7 +11,10 @@ Subcommands::
 
 The three sweeps evaluate their grids with the array kernels
 (`qoe_vec`, `classify_vec`, `leak_prob_from_qoe_vec`,
-`leak_prob_from_error_vec`).  Before a table is written, about
+`leak_prob_from_error_vec`), `SWEEP_BLOCK_ROWS` rows at a time, so the
+kernels' temporaries are those of one block whatever the grid size;
+``resource`` draws its Monte Carlo samples in blocks too
+(`resources.MC_BLOCK_SAMPLES`).  Before a table is written, about
 `SELF_CHECK_ROWS` evenly spaced rows are recomputed with the scalar
 functions; a mismatch beyond `SELF_CHECK_TOL` exits with code 4.
 
@@ -69,6 +72,10 @@ SELF_CHECK_TOL = 1e-9
 #: Rows of each sweep table recomputed by the scalar functions before emission.
 SELF_CHECK_ROWS = 64
 
+#: Rows of a sweep's grid that one kernel call evaluates at most: the
+#: default 181 x 181 grid (32,761 rows) is one block.
+SWEEP_BLOCK_ROWS = 2**15
+
 
 class InternalInconsistencyError(RuntimeError):
     """An emitted report failed a structural self-check."""
@@ -124,6 +131,24 @@ def _grid_pairs(scenario: Scenario, outer: str, inner: str) -> tuple[list[np.nda
     return floats, table
 
 
+def _in_row_blocks(kernel, *inputs: np.ndarray) -> list[np.ndarray]:
+    """The output columns of ``kernel(*inputs)``, called on blocks of at most
+    `SWEEP_BLOCK_ROWS` rows of the input columns.  ``kernel`` returns a
+    sequence of arrays, one value per row each; their blocks are written into
+    whole columns, so only the block's temporaries come and go."""
+    n, step = len(inputs[0]), SWEEP_BLOCK_ROWS
+    outputs = kernel(*(x[:step] for x in inputs))
+    if n <= step:
+        return list(outputs)
+    columns = [np.empty(n, dtype=out.dtype) for out in outputs]
+    for start in range(0, n, step):
+        if start:
+            outputs = kernel(*(x[start:start + step] for x in inputs))
+        for column, out in zip(columns, outputs):
+            column[start:start + step] = out
+    return columns
+
+
 def _names(codes: np.ndarray, members: tuple) -> Categorical:
     """The enum values of int8 kernel codes, as a table column."""
     return Categorical(codes, [m.value for m in members])
@@ -163,9 +188,14 @@ def _check_rows(table: str, header: list[str], columns: list, reference) -> None
 def cmd_sweep_error(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     (eps, e), (eps_column, e_column) = _grid_pairs(scenario, "epsilon", "error")
-    res = leak_prob_from_error_vec(e, eps)
+
+    def kernel(eps: np.ndarray, e: np.ndarray) -> tuple:
+        res = leak_prob_from_error_vec(e, eps)
+        return res.probability, res.zone_kind, res.zone_measure
+
+    prob, kind, measure = _in_row_blocks(kernel, eps, e)
     header = ["e_rad", "epsilon_rad", "leak_prob", "zone_kind", "zone_measure"]
-    columns = [e_column, eps_column, res.probability, _names(res.zone_kind, ZONE_KINDS), res.zone_measure]
+    columns = [e_column, eps_column, prob, _names(kind, ZONE_KINDS), measure]
 
     def reference(row: list) -> list:
         ref = leak_prob_from_error(row[0], row[1])
@@ -180,8 +210,9 @@ def cmd_sweep_qoe(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     fov = scenario.r_fov
     (sv, e), grid_columns = _grid_pairs(scenario, "r_sv", "error")
+    q, case = _in_row_blocks(lambda sv, e: (qoe_vec(fov, sv, e), classify_vec(fov, sv, e)), sv, e)
     header = ["r_sv_rad", "e_rad", "qoe", "case"]
-    columns = [*grid_columns, qoe_vec(fov, sv, e), _names(classify_vec(fov, sv, e), CASES)]
+    columns = [*grid_columns, q, _names(case, CASES)]
 
     def reference(row: list) -> list:
         return [row[0], row[1], qoe(fov, row[0], row[1]), classify(fov, row[0], row[1]).value]
@@ -195,13 +226,15 @@ def cmd_sweep_leakage(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     fov, eps = scenario.r_fov, scenario.epsilon
     (sv, e), grid_columns = _grid_pairs(scenario, "r_sv", "error")
-    q = qoe_vec(fov, sv, e)
-    res = leak_prob_from_qoe_vec(q, fov, sv, eps)
+
+    def kernel(sv: np.ndarray, e: np.ndarray) -> tuple:
+        q = qoe_vec(fov, sv, e)
+        res = leak_prob_from_qoe_vec(q, fov, sv, eps)
+        return q, res.case, res.probability, res.zone_kind, res.zone_measure
+
+    q, case, prob, kind, measure = _in_row_blocks(kernel, sv, e)
     header = ["r_sv_rad", "e_rad", "qoe", "case", "leak_prob", "zone_kind", "zone_measure"]
-    columns = [
-        *grid_columns, q, _names(res.case, CASES), res.probability, _names(res.zone_kind, ZONE_KINDS),
-        res.zone_measure,
-    ]
+    columns = [*grid_columns, q, _names(case, CASES), prob, _names(kind, ZONE_KINDS), measure]
 
     def reference(row: list) -> list:
         # The leakage is recomputed from the emitted QoE, which is itself

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .sphere import AT_LEAST_1, CAP_RADIUS, COUNT, NON_NEGATIVE, POSITIVE, PROBABILITY, Record
+from .sphere import AT_LEAST_1, CAP_RADIUS, COUNT, NON_NEGATIVE, POSITIVE, PROBABILITY, SEED, Record
 
 #: The fraction of the sphere a server can stream in time.
 _CAPABILITY = PROBABILITY._replace(name="capability")
@@ -133,6 +133,10 @@ class ChannelConfig(Record):
             )
 
 
+#: Samples `mc_avg_rate` draws and reduces at a time.
+MC_BLOCK_SAMPLES = 2**14
+
+
 def mc_avg_rate(ch: ChannelConfig, n: int, seed: int) -> float:
     """Monte-Carlo estimate of the ensemble-average downlink rate, bit/s.
 
@@ -141,20 +145,26 @@ def mc_avg_rate(ch: ChannelConfig, n: int, seed: int) -> float:
     ``snr = tx_power * distance**(-pathloss_exp) / noise_power``.
     Deterministic per seed.  This estimates the ensemble average; the
     capability model consumes it directly as the average data rate.
-    Raises ``ValueError`` unless ``n`` is an integer in [1, 2**53] and the
-    average a finite float.
+    The samples are drawn and summed `MC_BLOCK_SAMPLES` at a time, one
+    ``gamma`` call per block, so the draws are those of one call of size
+    ``n`` and the estimate holds one block of samples whatever ``n``.
+    Raises ``ValueError`` unless ``n`` is an integer in [1, 2**53],
+    ``seed`` a non-negative integer and the average a finite float.
     """
-    rng = np.random.default_rng(seed)
-    gain = rng.gamma(shape=ch.antennas - ch.users + 1, scale=1.0, size=COUNT.check(n))
-    # in place, so the samples are the only array of size n; an overflow
-    # anywhere leaves a mean that is not finite
+    n, rng = COUNT.check(n), np.random.default_rng(SEED.check(seed))
+    shape = ch.antennas - ch.users + 1
+    total = 0.0
+    # an overflow anywhere leaves a sum that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         snr = ch.tx_power * np.float64(ch.distance) ** -ch.pathloss_exp / ch.noise_power
-        rate = np.multiply(gain, snr, out=gain)
-        rate += 1.0
-        np.log2(rate, out=rate)
-        rate *= ch.bandwidth
-        mean = float(np.mean(rate))
+        for start in range(0, n, MC_BLOCK_SAMPLES):
+            rate = rng.gamma(shape=shape, scale=1.0, size=min(MC_BLOCK_SAMPLES, n - start))
+            rate *= snr
+            rate += 1.0
+            np.log2(rate, out=rate)
+            rate *= ch.bandwidth
+            total += float(np.sum(rate))
+    mean = total / n
     if not math.isfinite(mean):
         raise ValueError(f"average rate {mean!r} bit/s is not finite")
     return mean

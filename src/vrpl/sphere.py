@@ -112,7 +112,8 @@ class Domain(Record):
     ±inf and raise ``ValueError("<name> <value> outside <interval>")``.
     ``hi`` narrows the upper end for one call, as the field-of-view radius
     caps the protection radius.  An ``integer`` domain compares an integer
-    as it is, so ``10**400`` lies outside rather than overflowing a float.
+    as it is, so ``10**400`` lies outside rather than overflowing a float,
+    and refuses a ``bool``, which is an integer to Python but no count.
     """
 
     name: str
@@ -134,7 +135,7 @@ class Domain(Record):
 
     def _checked(self, x, top: float, name: str):
         """``x`` as a float, or an int for an integer domain, if it lies in the domain up to ``top``."""
-        if self.integer and not isinstance(x, numbers.Integral):
+        if self.integer and (not isinstance(x, numbers.Integral) or isinstance(x, bool)):
             raise ValueError(f"{name} {x!r} is not an integer")
         v = int(x) if self.integer else float(x)
         if not self._inside(v, top):
@@ -191,6 +192,8 @@ POSITIVE = Domain("positive number", 0.0, math.inf, open_lo=True, open_hi=True)
 NON_NEGATIVE = POSITIVE._replace(name="non-negative number", open_lo=False)
 AT_LEAST_1 = NON_NEGATIVE._replace(name="compression ratio", lo=1.0)
 COUNT = Domain("sample count", 1, 2**53, integer=True)
+#: A random generator's seed: any non-negative integer, as numpy takes.
+SEED = Domain("seed", 0, math.inf, open_hi=True, integer=True)
 
 
 def cap_area(r: float) -> float:
@@ -344,14 +347,15 @@ def mc_cap_overlap(r1: float, r2: float, d: float, n: int, seed: int) -> tuple[f
         r1, r2: cap radii in [0, pi].
         d: center separation in [0, pi].
         n: number of samples, an integer in [1, 2**53].
-        seed: RNG seed; identical seeds give identical estimates.
+        seed: RNG seed, a non-negative integer; identical seeds give
+            identical estimates.
 
     Returns:
         (estimate, std_error) where estimate = 4*pi * hit_fraction and
         std_error is the binomial standard error scaled by 4*pi.
     """
     a, b, dist = CAP_RADIUS.check(r1), CAP_RADIUS.check(r2), DISTANCE.check(d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED.check(seed))
     z = rng.uniform(-1.0, 1.0, COUNT.check(n))  # sine of latitude
     theta = rng.uniform(-math.pi, math.pi, n)
     # cos(distance to second center) via the law of cosines; cos(lat) >= 0

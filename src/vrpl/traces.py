@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .sphere import COUNT, NON_NEGATIVE, POSITIVE, TWO_PI, Record
+from .sphere import COUNT, NON_NEGATIVE, POSITIVE, SEED, TWO_PI, Record
 
 TRACE_HEADER = ["user_id", "video_id", "timestamp_s", "theta_rad", "phi_rad"]
 
@@ -515,7 +515,8 @@ def generate_synthetic_traces(
         n_traces: number of traces, an integer in [1, 2**53].
         duration: seconds per trace; duration * rate must be integral.
         rate: samples per second.
-        seed: RNG seed; identical inputs give identical traces.
+        seed: RNG seed, a non-negative integer; identical inputs give
+            identical traces.
     """
     n_traces, n = _TRACE_COUNT.check(n_traces), sample_count(duration, rate)
     times = np.arange(n) / rate
@@ -524,7 +525,7 @@ def generate_synthetic_traces(
     else:
         ranges = _POINT_DRAWS + _STEP_DRAWS * (n - 1)
     lo, hi = np.array(ranges).T
-    draws = np.random.default_rng(seed).uniform(lo, hi, size=(n_traces, len(ranges)))
+    draws = np.random.default_rng(SEED.check(seed)).uniform(lo, hi, size=(n_traces, len(ranges)))
     if isinstance(model, GreatCircleDrift):
         start = _points(draws[:, 0], draws[:, 1])
         tangent = _unit_tangents(start, _points(draws[:, 2], draws[:, 3]))

@@ -328,3 +328,16 @@ def write_drifting_csv(path: str | Path, n_traces: int, duration_s: float, seed:
     ]
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
     return len(rows) - 1
+
+
+def one_array_avg_rate(ch, n: int, seed: int) -> float:
+    """`vrpl.resources.mc_avg_rate` with all ``n`` gain samples in one array.
+
+    The estimator before the samples were drawn in blocks: one ``gamma``
+    call of size ``n`` and `np.mean`, so the sum is numpy's pairwise sum of
+    every sample.  Not finite where the blocked estimate is not.
+    """
+    gain = np.random.default_rng(seed).gamma(shape=ch.antennas - ch.users + 1, scale=1.0, size=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = ch.tx_power * np.float64(ch.distance) ** -ch.pathloss_exp / ch.noise_power
+        return float(np.mean(ch.bandwidth * np.log2(gain * snr + 1.0)))

@@ -21,6 +21,7 @@ from vrpl import (
     ChannelConfig,
     OverlapCase,
     PrivacyRequirement,
+    RandomWalk,
     average_leakage_sweep,
     build_report,
     cap_area,
@@ -31,6 +32,7 @@ from vrpl import (
     classify_vec,
     error_subset_for_requirement,
     full_leak_error_range,
+    generate_synthetic_traces,
     infer_error_from_qoe,
     infer_error_from_qoe_vec,
     leak_prob_from_error,
@@ -55,8 +57,12 @@ FOV, SV, E, EPS = 0.8, 1.0, 0.5, 0.3
 SMALL_EPS = 1e-7
 REQ = PrivacyRequirement(EPS, 1.0)
 CHANNEL = ChannelConfig(1e7, 1.0, 10.0, 2.0, 1e-9, 4, 2)
+# one user, so that a single antenna serves them
+CHANNEL_ARGS = (1e7, 1.0, 10.0, 2.0, 1e-9, 4, 1)
+WALK = (RandomWalk(100.0), 2, 2.0, 5.0, 0)
 
-# (lo, hi, open_lo, open_hi); ANY accepts every float, COUNT every int >= 1.
+# (lo, hi, open_lo, open_hi); ANY accepts every float, COUNT every int >= 1
+# and SEED every int >= 0, neither a bool.
 RADIUS = (0.0, PI, False, False)
 OPEN_RADIUS = (0.0, PI, True, True)
 FOV_DOMAIN = (1e-6, HALF_PI, False, False)
@@ -66,6 +72,7 @@ POSITIVE_EPS_UP_TO_FOV = (0.0, FOV, True, False)
 UNIT = (0.0, 1.0, False, False)
 ANY = "any"
 COUNT = "count"
+SEED = "seed"
 
 # (function, base arguments, index of the probed argument, its domain)
 ROWS = [
@@ -77,6 +84,7 @@ ROWS = [
     (mc_cap_overlap, (0.5, 0.6, E, 100, 0), 1, RADIUS),
     (mc_cap_overlap, (0.5, 0.6, E, 100, 0), 2, RADIUS),
     (mc_cap_overlap, (0.5, 0.6, E, 100, 0), 3, COUNT),
+    (mc_cap_overlap, (0.5, 0.6, E, 100, 0), 4, SEED),
     (classify, (FOV, SV, E), 0, FOV_DOMAIN),
     (classify, (FOV, SV, E), 1, RADIUS),
     (classify, (FOV, SV, E), 2, RADIUS),
@@ -137,13 +145,20 @@ ROWS = [
     (sfov_radius, (0.5,), 0, UNIT),
     (capability_from_radius, (SV,), 0, RADIUS),
     (mc_avg_rate, (CHANNEL, 100, 0), 1, COUNT),
+    (mc_avg_rate, (CHANNEL, 100, 0), 2, SEED),
+    (ChannelConfig, CHANNEL_ARGS, 5, COUNT),
+    (ChannelConfig, CHANNEL_ARGS, 6, COUNT),
+    (generate_synthetic_traces, WALK, 1, COUNT),
+    (generate_synthetic_traces, WALK, 4, SEED),
 ]
 
 
 def _probes(domain) -> list[tuple[float, bool]]:
     """(value, inside the domain) at both ends, just outside them, and non-finite."""
     if domain == COUNT:
-        return [(1, True), (0, False)]
+        return [(1, True), (0, False), (True, False)]
+    if domain == SEED:
+        return [(0, True), (2**128, True), (-1, False), (1.5, False), (True, False)]
     special = [math.nan, math.inf, -math.inf]
     if domain == ANY:
         return [(v, True) for v in [-1.0, 0.0, 1.0, 2.0, *special]]

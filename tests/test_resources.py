@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from support import one_array_avg_rate
 from vrpl import (
     ChannelConfig,
     ResourceConfig,
@@ -13,6 +15,7 @@ from vrpl import (
     mc_avg_rate,
     sfov_radius,
 )
+from vrpl.resources import MC_BLOCK_SAMPLES
 
 
 def _worked_config(cc_duration: float) -> tuple[ResourceConfig, TileSpec]:
@@ -182,3 +185,55 @@ def test_avg_rate_deterministic():
     ch = _channel(1e7, 8, 3)
     assert mc_avg_rate(ch, n=10_000, seed=1) == mc_avg_rate(ch, n=10_000, seed=1)
     assert mc_avg_rate(ch, n=10_000, seed=1) != mc_avg_rate(ch, n=10_000, seed=2)
+
+
+#: Channels whose gain has shape 1, 2 and 5 (antennas - users + 1).
+_SHAPES = [(1, 1), (4, 3), (8, 4)]
+
+
+@pytest.mark.parametrize("antennas, users", _SHAPES)
+@pytest.mark.parametrize("n", [1, 1_000, 200_000])
+def test_avg_rate_in_one_block_is_the_one_array_estimate(monkeypatch, antennas, users, n):
+    monkeypatch.setattr("vrpl.resources.MC_BLOCK_SAMPLES", max(n, MC_BLOCK_SAMPLES))
+    ch = _channel(1e7, antennas, users)
+    assert mc_avg_rate(ch, n, seed=3) == one_array_avg_rate(ch, n, seed=3)
+
+
+@pytest.mark.parametrize("antennas, users", _SHAPES)
+@pytest.mark.parametrize(
+    "n",
+    [MC_BLOCK_SAMPLES - 1, MC_BLOCK_SAMPLES, MC_BLOCK_SAMPLES + 1, 3 * MC_BLOCK_SAMPLES + 5, 200_000],
+)
+def test_avg_rate_in_blocks_matches_the_one_array_estimate(antennas, users, n):
+    # the blocks draw the samples of one call; only the order of the sum differs
+    ch = _channel(1e7, antennas, users)
+    got, want = mc_avg_rate(ch, n, seed=5), one_array_avg_rate(ch, n, seed=5)
+    assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+def test_avg_rate_is_not_finite_when_one_block_overflows():
+    # With snr 0.25 and shape 1, bandwidth * log2(1 + snr g) overflows for a
+    # gain above about 10: a few of 200,000 samples, in some blocks only.
+    ch = ChannelConfig(1e308, 0.25, 1.0, 0.0, 1.0, 1, 1)
+    gain = np.random.default_rng(0).gamma(1.0, 1.0, 200_000)
+    with np.errstate(over="ignore"):
+        over = np.isinf(ch.bandwidth * np.log2(1.0 + 0.25 * gain))
+    blocks = [over[i:i + MC_BLOCK_SAMPLES].any() for i in range(0, over.size, MC_BLOCK_SAMPLES)]
+    assert any(blocks) and not all(blocks), blocks
+    assert not math.isfinite(one_array_avg_rate(ch, 200_000, seed=0))
+    with pytest.raises(ValueError, match="^average rate inf bit/s is not finite$"):
+        mc_avg_rate(ch, 200_000, seed=0)
+
+
+def test_avg_rate_peak_memory():
+    # tracemalloc's peak over a warm estimate from 200,000 samples: 257 KiB
+    # in blocks, against 1,564 KiB with every sample in one array.
+    ch = _channel(1e7, 8, 4)
+    mc_avg_rate(ch, 200_000, seed=1)
+    tracemalloc.start()
+    try:
+        mc_avg_rate(ch, 200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 1024, peak / 1024
