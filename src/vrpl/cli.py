@@ -9,10 +9,10 @@ Subcommands::
     resource       capability and streamed-radius from a resource budget
     validate       resolve and echo the scenario, checking every field
 
-The three sweeps evaluate their grids with the array kernels
-(`qoe_vec`, `classify_vec`, `leak_prob_from_qoe_vec`,
-`leak_prob_from_error_vec`), `SWEEP_BLOCK_ROWS` rows at a time, so the
-kernels' temporaries are those of one block whatever the grid size;
+The three sweeps run the array kernels (`qoe_vec`, `classify_vec`,
+`leak_prob_from_qoe_vec`, `leak_prob_from_error_vec`) on blocks of
+`SWEEP_BLOCK_ROWS` rows gathered from the grid's two axes, so the kernels'
+inputs and temporaries are those of one block whatever the grid size;
 ``resource`` draws its Monte Carlo samples in blocks too
 (`resources.MC_BLOCK_SAMPLES`).  Before a table is written, about
 `SELF_CHECK_ROWS` evenly spaced rows are recomputed with the scalar
@@ -113,37 +113,37 @@ def _emit_table(args: argparse.Namespace, name: str, header: list[str], columns:
     _say(f"wrote {path}")
 
 
-def _grid_pairs(scenario: Scenario, outer: str, inner: str) -> tuple[list[np.ndarray], list]:
-    """Every pair of the named grids, outer-major: the two float columns the
-    kernels take, and the same two as table columns.  An axis of at most
-    `CHUNK_ROWS` points is a `Categorical` of its values in the table, so
-    each value is rendered once per table, not once per chunk.  A table too
-    large is refused at the paths of its given grids."""
+def _grid_pairs(scenario: Scenario, outer: str, inner: str) -> tuple[tuple, list]:
+    """The two named grid axes, which `_in_row_blocks` gathers each block's
+    kernel inputs from, and every pair of them, outer-major, as two table
+    columns: a `Categorical` for an axis of at most `CHUNK_ROWS` points, so
+    each value is rendered once per table, else its float column.  A table
+    too large is refused at the paths of its given grids."""
     a, b = scenario.grids[outer], scenario.grids[inner]
     paths = [scenario.grid_paths[g] for g in (outer, inner) if g in scenario.grid_paths]
     check_size(len(a) * len(b), ", ".join(paths), f"the {outer} x {inner} table")
-    floats = [np.repeat(a, len(b)), np.tile(b, len(a))]
     codes = [np.arange(len(g), dtype=np.min_scalar_type(len(g) - 1)) for g in (a, b)]
     table = [
-        Categorical(np.repeat(codes[0], len(b)), a) if len(a) <= CHUNK_ROWS else floats[0],
-        Categorical(np.tile(codes[1], len(a)), b) if len(b) <= CHUNK_ROWS else floats[1],
+        Categorical(np.repeat(codes[0], len(b)), a) if len(a) <= CHUNK_ROWS else np.repeat(a, len(b)),
+        Categorical(np.tile(codes[1], len(a)), b) if len(b) <= CHUNK_ROWS else np.tile(b, len(a)),
     ]
-    return floats, table
+    return (a, b), table
 
 
-def _in_row_blocks(kernel, *inputs: np.ndarray) -> list[np.ndarray]:
-    """The output columns of ``kernel(*inputs)``, called on blocks of at most
-    `SWEEP_BLOCK_ROWS` rows of the input columns.  ``kernel`` returns a
-    sequence of arrays, one value per row each; their blocks are written into
-    whole columns, so only the block's temporaries come and go."""
-    n, step = len(inputs[0]), SWEEP_BLOCK_ROWS
-    outputs = kernel(*(x[:step] for x in inputs))
-    if n <= step:
-        return list(outputs)
-    columns = [np.empty(n, dtype=out.dtype) for out in outputs]
+def _in_row_blocks(kernel, outer: np.ndarray, inner: np.ndarray) -> list[np.ndarray]:
+    """The output columns of ``kernel`` over every pair of the two axes,
+    outer-major, called on blocks of at most `SWEEP_BLOCK_ROWS` rows.  Each
+    block gathers its two input columns from the axes by row index, so no
+    input outlives its block; ``kernel`` returns one array per column."""
+    n, step = len(outer) * len(inner), SWEEP_BLOCK_ROWS
+    columns: list = []
     for start in range(0, n, step):
-        if start:
-            outputs = kernel(*(x[start:start + step] for x in inputs))
+        block = np.arange(start, min(start + step, n))  # freed once it picks the inputs
+        block = outer[block // len(inner)], inner[block % len(inner)]
+        outputs = kernel(*block)
+        if n <= step:
+            return list(outputs)
+        columns = columns or [np.empty(n, dtype=out.dtype) for out in outputs]
         for column, out in zip(columns, outputs):
             column[start:start + step] = out
     return columns

@@ -212,13 +212,13 @@ def test_sweep_mean_qoe_matches_pointwise():
         assert table.mean_qoe[0] == pytest.approx(direct, abs=1e-12)
 
 
-def test_sweep_deterministic_and_parallel_equal():
+def test_sweep_reruns_to_the_same_table():
     rng = np.random.default_rng(31)
     errors = rng.uniform(0.0, math.pi, 200)
     grid = np.linspace(0.0, math.pi, 21)
-    serial = average_leakage_sweep(errors, FOV, EPS, grid)
+    first = average_leakage_sweep(errors, FOV, EPS, grid)
     again = average_leakage_sweep(errors, FOV, EPS, grid)
-    _assert_same(serial, again)
+    _assert_same(first, again)
 
 
 def test_sweep_points_do_not_depend_on_grid_order():

@@ -565,7 +565,7 @@ def test_cli_trace_counts_samples_at_each_csv_trace_rate(tmp_path, capsys):
     assert "data error: trace a/v: t_obw 0.1 s is not a whole number" in capsys.readouterr().err
 
 
-def test_cli_trace_deterministic_and_threaded(tmp_path, capsys):
+def test_cli_trace_reruns_byte_for_byte(tmp_path, capsys):
     cfg = _cfg(
         tmp_path,
         {
@@ -934,8 +934,21 @@ _SWEEPS_61 = [
 ]
 
 
-@pytest.mark.parametrize("block", [1_000, 3_720], ids=["blocks-of-1000", "last-block-one-row"])
-@pytest.mark.parametrize("command, grid, table", _SWEEPS_61, ids=[s[0] for s in _SWEEPS_61])
+#: The same sweeps with an inner axis of 2,500 points: 1,000-row blocks
+#: start and end mid-row, and one spans two outer rows.
+_SWEEPS_3x2500 = [
+    ("sweep-qoe", "r_sv=0.5:2.5:3,error=0:3.14159:2500", "qoe_sweep"),
+    ("sweep-leakage", "r_sv=0.5:2.5:3,error=0:3.14159:2500", "leakage_sweep"),
+    ("sweep-error", "epsilon=0.1:0.3:3,error=0:3.14159:2500", "error_sweep"),
+]
+
+
+@pytest.mark.parametrize("block, command, grid, table", [
+    *(pytest.param(block, *sweep, id=f"{sweep[0]}-{name}")
+      for block, name in ((1_000, "blocks-of-1000"), (3_720, "last-block-one-row"))
+      for sweep in _SWEEPS_61),
+    *(pytest.param(1_000, *sweep, id=f"{sweep[0]}-inner-axis-past-a-block") for sweep in _SWEEPS_3x2500),
+])
 def test_sweep_row_blocks_write_the_tables_of_one_block(tmp_path, capsys, monkeypatch, block,
                                                         command, grid, table):
     tables = {}
@@ -966,6 +979,29 @@ def test_sweep_leakage_peak_memory_per_row(tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak / 128**2 <= 120.0, peak / 128**2
+
+
+@pytest.mark.parametrize("command, grid, bound", [
+    ("sweep-qoe", "r_sv=0:3.14159:128,error=0:3.14159:128", 50.0),
+    ("sweep-error", "epsilon=0:0.8:128,error=0:3.14159:128", 66.0),
+], ids=["sweep-qoe", "sweep-error"])
+def test_sweep_peak_memory_per_row(tmp_path, capsys, monkeypatch, command, grid, bound):
+    # tracemalloc's peak over a warm 128 x 128 sweep in 2,048-row blocks:
+    # 40.8 B per row for `sweep-qoe` and 57.9 B for `sweep-error` on numpy
+    # 2.4 (output and table columns, one block's inputs gathered from the
+    # axes), against 57 and 74 B while two whole float columns of the grid
+    # fed the blocks.
+    monkeypatch.setattr("vrpl.cli.SWEEP_BLOCK_ROWS", 2_048)
+    argv = [command, "--grid", grid, "--out", str(tmp_path)]
+    assert main(argv) == 0  # a first call also fills numpy's caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak / 128**2 <= bound, peak / 128**2
 
 
 #: Bytes a fuzzed trace file is edited with: the CSV's own syntax, number
