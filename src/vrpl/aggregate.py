@@ -39,13 +39,12 @@ from .leakage import (
     error_range_for_requirement,
     min_leak_prob_error,
 )
-from .qoe import CASE_CODE, CASES, PARTITION_CASES, _classify_codes, _qoe_from_codes
+from .qoe import CASE_CODE, CASES, PARTITION_CASES, _case_qoe, _classify_codes, _partial_interval
 from .sphere import (
     EPSILON,
     ERROR,
     FOV,
     STREAMED_RADIUS,
-    TWO_PI,
     Record,
     _half_lens,
     cap_area,
@@ -188,17 +187,16 @@ def _run_ends(e: np.ndarray, fov: float, sv: np.ndarray, near: np.ndarray) -> np
 
     Returns the rows ``b`` and ``d``: at radius ``sv[i]`` the errors
     ``e[:b[i]]`` are in its nested case ``near[i]`` and ``e[b[i]:d[i]]`` in
-    the partial-overlap one.  Each end starts at its threshold,
-    ``|sv - fov|`` or ``min(fov + sv, 2 pi - fov - sv)``, found by
-    `searchsorted`; a degenerate cap's one run holds every error, so its
-    ends start at ``e.size``.  Then every end moves over whole runs of equal
+    the partial-overlap one.  Each end starts at its threshold, an end of
+    `qoe._partial_interval`, found by `searchsorted`; a degenerate cap's one
+    run holds every error, so its ends start at ``e.size``.  Then every end moves over whole runs of equal
     errors until `_classify_codes` agrees: down while the error below it is
     outside its run, else up while the error at it is inside (the threshold
     and the case tests differ for errors within an ulp of the boundary).
     Each step asks `_classify_codes` once, for the ends still moving.
     """
-    n, s = e.size, fov + sv
-    starts = np.searchsorted(e, [np.abs(sv - fov), np.minimum(s, TWO_PI - s)], side="right")
+    n = e.size
+    starts = np.searchsorted(e, _partial_interval(fov, sv), side="right")
     ends = np.where((sv == 0.0) | (sv == math.pi), n, starts).ravel()
     # errors below b are in the case `near`, those below d in `near` or `_REMAINING`
     radii, nears = np.tile(sv, 2), np.tile(near, 2)
@@ -308,8 +306,8 @@ def average_leakage_sweep(
     total = sum(components.T)  # a running sum, in case order
 
     # QoE is constant on each run but the partial-overlap one.
-    codes = np.stack([near, np.full_like(near, _COMPLEMENT)])
-    qoe_near, qoe_far = _qoe_from_codes(*np.broadcast_arrays(fov, sv, 0.0, codes))
+    case_qoe = _case_qoe(np.cos(fov), np.cos(sv))
+    qoe_near, qoe_far = np.choose(near, case_qoe), case_qoe[_COMPLEMENT]
     mean_qoe = (b * qoe_near + (c - d) * qoe_far + lens / cap_area(fov)) / n
     return SweepTable(sv, ratios, components, total, mean_qoe)
 

@@ -342,8 +342,9 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         ) from None
 
     traces_csv = _optional(doc, "traces_csv", str, "config")
-    if traces_csv == "":
-        raise ConfigError("config.traces_csv: expected a file path, got ''")
+    # an empty path names the working directory, and no file path holds a NUL
+    if traces_csv is not None and (not traces_csv or "\0" in traces_csv):
+        raise ConfigError(f"config.traces_csv: expected a file path, got {traces_csv!r}")
     synthetic = None
     if "synthetic" in doc:
         synthetic = _resolve_synthetic(_require(doc, "synthetic", dict, "config"), windowing)

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .qoe import CASE_CODE, OverlapCase, _classify_codes, _lens_qoe, _qoe_from_codes, classify, qoe
+from .qoe import CASE_CODE, OverlapCase, _case_qoe, _classify_codes, _lens_qoe, _partial_interval, classify, qoe
 from .sphere import (
     EPSILON,
     ERROR,
@@ -45,7 +45,6 @@ from .sphere import (
     STREAMED_RADIUS,
     TWO_PI,
     Record,
-    cap_area,
     lens_terms,
 )
 
@@ -170,24 +169,27 @@ def cap_zone(fov, sv, ep, case):
     ``|r_sv - r_fov|`` when the caps nest (the two containment cases),
     ``pi``, the full sphere, when the streamed cap is degenerate, and
     ``|pi - r_sv - r_fov|`` otherwise (disjoint caps or complement
-    containment).  A cap guess of radius ``ep`` succeeds with probability
-    ``(1 - cos ep) / (1 - cos r_z)``, or 1 once ``r_z <= ep`` or the zone's
-    ``1 - cos r_z`` rounds to 0 (a tangency gap of rounding size leaves a
-    single point); at ``r_z = pi`` that is `min_leak_prob_qoe`.  Inputs are
-    validated radians and int8 codes into `CASES`, as floats or
-    broadcastable arrays; floats give floats.
+    containment).  Its area is ``2 pi (1 - cos r_z)``, the full sphere's
+    ``4 pi`` at ``r_z = pi``.  A cap guess of radius ``ep`` succeeds with
+    probability ``(1 - cos ep) / (1 - cos r_z)``, or 1 once ``r_z <= ep`` or
+    the zone's ``1 - cos r_z`` rounds to 0 (a tangency gap of rounding size
+    leaves a single point); at ``r_z = pi`` that is `min_leak_prob_qoe`.
+    Inputs are validated radians and int8 codes into `CASES`, as floats or
+    broadcastable arrays; floats give floats, and any array, 0-d included,
+    gives arrays.
 
     Returns:
-        ``(r_z, probability)``.
+        ``(r_z, probability, area)``.
     """
     nested, full = ((case == a) | (case == b) for a, b in (_NESTED, _DEGENERATE))
     r_z = np.where(nested, np.abs(sv - fov), np.where(full, math.pi, np.abs(math.pi - sv - fov)))
     cap = 1.0 - np.cos(r_z)
     with np.errstate(divide="ignore", invalid="ignore"):
         prob = np.where((r_z <= ep) | (cap == 0.0), 1.0, (1.0 - np.cos(ep)) / cap)
+    area = np.multiply(TWO_PI, cap, out=np.empty_like(r_z))
     if any(isinstance(x, np.ndarray) for x in (fov, sv, ep, case)):
-        return r_z, prob
-    return float(r_z), float(prob)
+        return r_z, prob, area
+    return float(r_z), float(prob), float(area)
 
 
 def leak_prob_from_error(e: float, eps: float) -> LeakageResult:
@@ -278,7 +280,8 @@ def _newton_bracket(fov, sv) -> tuple:
     above the rounding of the case tests, about 4e-16 for sums up to
     ``2 pi``.
     """
-    return np.maximum(1e-12, np.abs(fov - sv)), np.minimum(fov + sv, TWO_PI - (fov + sv)) - 1e-12
+    near, far = _partial_interval(fov, sv)
+    return np.maximum(1e-12, near), far - 1e-12
 
 
 def _newton_error(q: float, fov: float, sv: float) -> float:
@@ -372,17 +375,18 @@ def infer_error_from_qoe(q: float, r_fov: float, r_sv: float) -> ErrorInference:
     # Strictly inside the band the partial-overlap case could explain the
     # report too; constant-case matches there are flagged as ambiguous.
     interior = q_low < qv < q_high
+    # the top end's range ends where the partial-overlap interval starts, the bottom's starts where it ends
+    hi, lo = (float(end) for end in _partial_interval(fov, sv))
 
     if abs(qv - q_high) <= tol:
-        case, hi = classify(fov, sv, 0.0), abs(sv - fov)
+        case = classify(fov, sv, 0.0)
         # the case test adds the error back to a radius, which can round past the other
         while classify(fov, sv, hi) is not case:
             hi = math.nextafter(hi, 0.0)
         return ErrorInference(InferenceKind.RANGE, case, lo=0.0, hi=hi, ambiguous=interior)
     if abs(qv - q_low) <= tol:
-        case = classify(fov, sv, math.pi)
         # exact, as fov + sv lies in [pi, 2 pi]: classify(fov, sv, lo) is the case
-        lo = fov + sv if case is OverlapCase.DISJOINT else TWO_PI - (fov + sv)
+        case = classify(fov, sv, math.pi)
         return ErrorInference(InferenceKind.RANGE, case, lo=lo, hi=math.pi, ambiguous=interior)
     return ErrorInference(InferenceKind.EXACT, OverlapCase.REMAINING, value=_newton_error(qv, fov, sv))
 
@@ -408,8 +412,8 @@ def leak_prob_from_qoe(q: float, r_fov: float, r_sv: float, eps: float) -> Leaka
     if inferred.kind == InferenceKind.EXACT:
         base = leak_prob_from_error(inferred.value, ep)
         return LeakageResult(base.probability, base.zone_kind, base.zone_measure, inferred.case)
-    r_z, prob = cap_zone(fov, sv, ep, CASE_CODE[inferred.case])
-    return LeakageResult(prob, ZoneKind.CAP, cap_area(r_z), inferred.case)
+    _, prob, area = cap_zone(fov, sv, ep, CASE_CODE[inferred.case])
+    return LeakageResult(prob, ZoneKind.CAP, area, inferred.case)
 
 
 # --- array kernels -----------------------------------------------------------
@@ -470,10 +474,10 @@ def _error_upload_prob(err: np.ndarray, ep) -> np.ndarray:
     return prob
 
 
-def _qoe_above(terms: tuple, area, q, e, i) -> np.ndarray:
+def _qoe_above(terms: tuple, q, e, i) -> np.ndarray:
     """Whether `_lens_qoe` at the errors ``e`` of the reports ``i`` exceeds their reports ``q[i]``."""
     work = np.empty((3, i.size))
-    return _lens_qoe(tuple(t[i] for t in terms), area[i], np.cos(e), np.sin(e), work) > q[i]
+    return _lens_qoe(tuple(t[i] for t in terms), np.cos(e), np.sin(e), work) > q[i]
 
 
 def _bisect_error_vec(q, fov, sv, lo, hi) -> np.ndarray:
@@ -490,13 +494,12 @@ def _bisect_error_vec(q, fov, sv, lo, hi) -> np.ndarray:
     every midpoint lies between two such ends.
     """
     terms = lens_terms(fov, sv)
-    area = TWO_PI * (1.0 - terms[0])
     i = np.arange(q.size)
     for _ in range(_BISECT_MAX_ITER):
         if not i.size:
             break
         mid = 0.5 * (lo[i] + hi[i])
-        above = _qoe_above(terms, area, q, mid, i)
+        above = _qoe_above(terms, q, mid, i)
         lo[i[above]], hi[i[~above]] = mid[above], mid[~above]
         i = i[hi[i] - lo[i] > BISECT_TOL]
     return 0.5 * (lo + hi)
@@ -545,11 +548,10 @@ def _newton_iterate_vec(q, fov, sv) -> np.ndarray:
     n = q.size
     lo0, hi0 = _newton_bracket(fov, sv)
     terms = lens_terms(fov, sv)
-    state = np.empty((6, n))
+    state = np.empty((5, n))
     state[:3] = q, lo0, hi0
     np.multiply(0.5, lo0 + hi0, out=state[3])
-    np.multiply(TWO_PI, 1.0 - terms[0], out=state[4])
-    state[5] = _floor_sum(terms[0], terms[1])
+    state[4] = _floor_sum(terms[0], terms[1])
     rows = (*state, *terms)
     # each report's bracket and root, once it stops
     ends = np.empty((3, n))
@@ -561,12 +563,12 @@ def _newton_iterate_vec(q, fov, sv) -> np.ndarray:
         for _ in range(_NEWTON_MAX_ITER):
             if not m:
                 break
-            q_m, lo, hi, x, area, floor_sum = state[:, :m]
-            terms = tuple(t[:m] for t in rows[6:])
-            c1, c2, s2 = terms[0], terms[1], terms[3]
+            q_m, lo, hi, x, floor_sum = state[:, :m]
+            terms = tuple(t[:m] for t in rows[5:])
+            c1, c2, s2, area = terms[0], terms[1], terms[3], terms[8]
             cos_d, sin_d, r, step, noise, tol = work[:, :m]
             above, done, spare = flags[:, :m]
-            r = _lens_qoe(terms, area, np.cos(x, out=cos_d), np.sin(x, out=sin_d), work[2:5, :m])
+            r = _lens_qoe(terms, np.cos(x, out=cos_d), np.sin(x, out=sin_d), work[2:5, :m])
             np.subtract(r, q_m, out=r)
             np.greater(r, 0.0, out=above)
             np.copyto(lo, x, where=above)
@@ -623,12 +625,11 @@ def _certify_vec(q, fov, sv, x, lo, hi) -> np.ndarray:
     from that bracket.  Over 1-d arrays, in place.
     """
     terms = lens_terms(fov, sv)
-    area = TWO_PI * (1.0 - terms[0])
     below, above = x - 0.5 * BISECT_TOL, x + 0.5 * BISECT_TOL
     for side in (below, above):
         i = np.flatnonzero((lo < side) & (side < hi))
         at = side[i]
-        over = _qoe_above(terms, area, q, at, i)
+        over = _qoe_above(terms, q, at, i)
         lo[i[over]], hi[i[~over]] = at[over], at[~over]
     i = np.flatnonzero((lo < below) | (hi > above))
     x[i] = _bisect_error_vec(q[i], fov[i], sv[i], lo[i], hi[i])
@@ -659,9 +660,9 @@ def infer_error_from_qoe_vec(q, r_fov, r_sv) -> ErrorInferenceArrays:
 def _infer_from_checked(qv: np.ndarray, fov: np.ndarray, sv: np.ndarray) -> ErrorInferenceArrays:
     """`infer_error_from_qoe_vec` on broadcast arrays already checked."""
     tol = QOE_MATCH_TOL
-    ends = (np.zeros(fov.shape), np.full(fov.shape, math.pi))
-    codes = [_classify_codes(fov, sv, e) for e in ends]
-    q_high, q_low = (_qoe_from_codes(fov, sv, e, c) for e, c in zip(ends, codes))
+    # the band's ends, at zero and antipodal error, are never partial overlap
+    codes = [_classify_codes(fov, sv, e) for e in (0.0, math.pi)]
+    q_high, q_low = np.choose(codes, _case_qoe(np.cos(fov), np.cos(sv)))
     bad = (qv > q_high + tol) | (qv < q_low - tol)
     if bad.any():
         i = np.flatnonzero(bad)[0]
@@ -697,9 +698,9 @@ def leak_prob_from_qoe_vec(q, r_fov, r_sv, eps) -> LeakageArrays:
     # the report is read only where the streamed cap is not degenerate
     inferred = _infer_from_checked(QOE.check_array(qv[live]), fov[live], sv[live])
     case[live] = inferred.case
-    r_z, prob = cap_zone(fov, sv, ep, case)
+    # a degenerate cap's zone, of radius pi, is the full sphere, of area 4 pi
+    _, prob, measure = cap_zone(fov, sv, ep, case)
     kind = np.where(live, ZONE_CODE[ZoneKind.CAP], ZONE_CODE[ZoneKind.FULL_SPHERE]).astype(np.int8)
-    measure = np.where(live, TWO_PI * (1.0 - np.cos(r_z)), SPHERE_AREA)
     exact = case == _REMAINING
     circle = _leak_from_checked_errors(inferred.value[exact[live]], ep[exact])
     prob[exact], kind[exact] = circle.probability, circle.zone_kind
@@ -746,7 +747,7 @@ def case_leakage_profile(
         OverlapCase.SFOV_COMPLEMENT_IN_FOV,
     ):
         raise ValueError(f"no per-case leakage profile for {case!r}")
-    r_z, _ = cap_zone(fov, sv, ep, CASE_CODE[case])
+    r_z = cap_zone(fov, sv, ep, CASE_CODE[case])[0]
     if case in (OverlapCase.FOV_IN_SFOV, OverlapCase.SFOV_COMPLEMENT_IN_FOV):
         # zone radius grows with the streamed cap, so leakage falls
         mono = Monotonicity.DECREASING

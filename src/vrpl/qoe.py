@@ -10,8 +10,9 @@ matching case in the order below.
 
 `classify_vec` and `qoe_vec` evaluate the same model elementwise over
 numpy-broadcastable inputs; cases are reported as int8 codes indexing
-`CASES`.  Both paths share the case tests (`_case_tests`) and the constant
-cases' QoE (`_case_qoe`); their lenses and cosines may differ in the last bit.
+`CASES`.  Both paths share the case tests (`_case_tests`), the constant
+cases' QoE (`_case_qoe`) and the partial-overlap interval
+(`_partial_interval`); their lenses and cosines may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def _case_code(fov: float, sv: float, err: float) -> int:
     return next((c for c, hit in zip(_TESTED, _case_tests(fov, sv, err)) if hit), _REMAINING)
 
 
+def _partial_interval(fov, sv) -> tuple:
+    """The errors ``(|r_fov - r_sv|, min(r_fov + r_sv, 2 pi - r_fov - r_sv))``
+    between which the caps overlap partially, floats or arrays: beyond the
+    first the caps no longer nest, and up to the second they neither part
+    nor cover the sphere."""
+    s = fov + sv
+    return abs(fov - sv), np.minimum(s, TWO_PI - s)
+
+
 def _case_qoe(c1, c2) -> tuple:
     """Each case code's QoE from ``c1 = cos r_fov``, ``c2 = cos r_sv``; 0 in place of the lens's."""
     denom = 1.0 - c1
@@ -112,30 +122,16 @@ def qoe(r_fov: float, r_sv: float, e: float) -> float:
     return cap_overlap_area(fov, sv, err) / cap_area(fov)
 
 
-def _lens_qoe(terms: tuple, area, cos_d, sin_d, work: np.ndarray) -> np.ndarray:
-    """`lens_area` over the field of view's ``area``, in place and unchecked; in [0, 1]
-    with no clip, as the lens is clamped to the smaller cap."""
+def _lens_qoe(terms: tuple, cos_d, sin_d, work: np.ndarray) -> np.ndarray:
+    """`lens_area` over the field of view's area (the last of `lens_terms`), in place
+    and unchecked; in [0, 1] with no clip, as the lens is clamped to the smaller cap."""
     lens = lens_area(terms, cos_d, sin_d, work)
-    return np.divide(lens, area, out=lens)
+    return np.divide(lens, terms[8], out=lens)
 
 
 def _classify_codes(fov: np.ndarray, sv: np.ndarray, err: np.ndarray) -> np.ndarray:
     """`classify` on validated, broadcast arrays: the first true test wins."""
     return np.select(_case_tests(fov, sv, err), _TESTED, default=_REMAINING).astype(np.int8)
-
-
-def _qoe_from_codes(
-    fov: np.ndarray, sv: np.ndarray, err: np.ndarray, codes: np.ndarray
-) -> np.ndarray:
-    """`qoe` on validated, broadcast arrays whose cases are already known."""
-    out = np.choose(codes, _case_qoe(np.cos(fov), np.cos(sv)), out=np.empty(codes.shape))
-    m = codes == _REMAINING
-    if m.any():
-        err_m = err[m]
-        terms = lens_terms(fov[m], sv[m])
-        area = TWO_PI * (1.0 - terms[0])
-        out[m] = _lens_qoe(terms, area, np.cos(err_m), np.sin(err_m), np.empty((3, err_m.size)))
-    return out
 
 
 def classify_vec(r_fov, r_sv, e) -> np.ndarray:
@@ -160,4 +156,11 @@ def qoe_vec(r_fov, r_sv, e) -> np.ndarray:
     fov, sv, err = np.broadcast_arrays(
         FOV.check_array(r_fov), STREAMED_RADIUS.check_array(r_sv), ERROR.check_array(e)
     )
-    return _qoe_from_codes(fov, sv, err, _classify_codes(fov, sv, err))
+    codes = _classify_codes(fov, sv, err)
+    out = np.choose(codes, _case_qoe(np.cos(fov), np.cos(sv)), out=np.empty(codes.shape))
+    m = codes == _REMAINING
+    if m.any():
+        err_m = err[m]
+        terms = lens_terms(fov[m], sv[m])
+        out[m] = _lens_qoe(terms, np.cos(err_m), np.sin(err_m), np.empty((3, err_m.size)))
+    return out

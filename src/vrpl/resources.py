@@ -51,7 +51,8 @@ class ResourceConfig(Record):
 
     ``cc_duration`` is the time available for computing and communicating
     one segment; it may be zero (no budget, capability zero).  All rates
-    are strictly positive.
+    are strictly positive, the derived `compute_rate` included, and finite:
+    a rate that rounds to inf would make a tile cost nothing.
     """
 
     compute_flops: float
@@ -66,7 +67,7 @@ class ResourceConfig(Record):
         POSITIVE.check_fields(self, "compute_flops", "flops_per_bit", "avg_data_rate")
         COUNT.check_fields(self, "users", "frames_per_segment", "tiles_per_frame")
         NON_NEGATIVE.check_fields(self, "cc_duration")
-        if not self.compute_rate > 0.0:
+        if not 0.0 < self.compute_rate < math.inf:
             raise ValueError(f"compute_flops / (users * flops_per_bit) rounds to {self.compute_rate!r}")
 
     @property

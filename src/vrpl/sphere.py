@@ -267,17 +267,19 @@ def _arccos_clipped(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def lens_terms(r1, r2) -> tuple:
     """The radius step of the array lens: its terms of ``r1`` and ``r2`` alone.
 
-    ``(c1, c2, s1, s2, c1 c2, s1 s2, pi - pi c1 - pi c2, cap / 2)``, with
-    ``c = cos r``, ``s = sin r`` and ``cap`` the smaller cap's area,
-    elementwise over the radii as given (not broadcast).  The last two are
-    halves of the lens's constant term and of its clamp, exactly, since
-    scaling by 2 is exact: the lens is evaluated halved and doubled last.
+    ``(c1, c2, s1, s2, c1 c2, s1 s2, pi - pi c1 - pi c2, cap / 2, area1)``,
+    with ``c = cos r``, ``s = sin r``, ``cap`` the smaller cap's area and
+    ``area1 = 2 pi (1 - c1)`` the first cap's, elementwise over the radii as
+    given (not broadcast).  The seventh and eighth are halves of the lens's
+    constant term and of its clamp, exactly, since scaling by 2 is exact:
+    the lens is evaluated halved and doubled last.  The QoE divides the lens
+    by ``area1``, the field of view's area.
     """
     a, b = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
     c1, c2, s1, s2 = np.cos(a), np.cos(b), np.sin(a), np.sin(b)
     half_base = math.pi - math.pi * c1 - math.pi * c2
     half_cap = np.minimum(math.pi * (1.0 - c1), math.pi * (1.0 - c2))
-    return c1, c2, s1, s2, c1 * c2, s1 * s2, half_base, half_cap
+    return c1, c2, s1, s2, c1 * c2, s1 * s2, half_base, half_cap, TWO_PI * (1.0 - c1)
 
 
 def _half_lens(terms: tuple, cos_d, sin_d, cos_d_c1, sin_d_s1, work: np.ndarray, clip: bool):
@@ -298,7 +300,7 @@ def _half_lens(terms: tuple, cos_d, sin_d, cos_d_c1, sin_d_s1, work: np.ndarray,
     rows of the broadcast shape; the last two are scratch, and may hold
     ``cos_d_c1`` and ``sin_d_s1`` on entry, as `lens_area` passes them.
     """
-    c1, c2, s1, s2, c1c2, s1s2, half_base, half_cap = terms
+    c1, c2, s1, s2, c1c2, s1s2, half_base, half_cap, _ = terms
     lens, term, denom = work
     arccos = _arccos_clipped if clip else np.arccos
     with np.errstate(divide="ignore", invalid="ignore"):

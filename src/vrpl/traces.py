@@ -672,16 +672,15 @@ def _predict_block(
     """`predict_all` over the unit vectors (trace, sample, xyz) of traces of
     one length and rate, into ``out``."""
     obw, cc, spseg = windows
-    segments = np.arange(prefix, vecs.shape[1] // spseg)
+    # the predicted frames run from the first predicted segment to the last whole one
+    first, stop = prefix * spseg, vecs.shape[1] // spseg * spseg
     frames = np.arange(spseg)
-    seg_start = segments * spseg
     # the observation window ends cc samples before each segment starts
-    last_i = seg_start - cc - 1
-    last = vecs[:, last_i].reshape(-1, 3)  # (trace and segment, xyz)
-    actual = vecs[:, seg_start[:, None] + frames].reshape(-1, spseg, 3)  # (.., frame, xyz)
+    last = vecs[:, first - cc - 1 : stop - cc - 1 : spseg].reshape(-1, 3)  # (trace and segment, xyz)
+    actual = vecs[:, first:stop].reshape(-1, spseg, 3)  # (.., frame, xyz)
     pred = np.repeat(last[:, None, :], spseg, axis=1)
     if predictor is Predictor.GREAT_CIRCLE and obw >= 2:
-        prev = vecs[:, last_i - 1].reshape(-1, 3)
+        prev = vecs[:, first - cc - 2 : stop - cc - 2 : spseg].reshape(-1, 3)
         gap = np.arccos(np.clip(np.einsum("ij,ij->i", prev, last), -1.0, 1.0))
         # below ~1e-7 rad/sample, 1 - cos(gap) drowns in rounding and the
         # frame construction degenerates; those segments hold position

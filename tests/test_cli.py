@@ -604,6 +604,17 @@ def test_cli_rejects_empty_traces_path(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["trace", "validate"])
+def test_cli_rejects_nul_in_traces_path(tmp_path, capsys, command):
+    # pathlib refuses a path holding a NUL byte with a bare ValueError
+    out = tmp_path / "o"
+    cfg = _cfg(tmp_path, {"traces_csv": "a\0b.csv", "grids": {"r_sv": [0.5, 1.0]}})
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.traces_csv: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_trace_bad_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n1,2\n", encoding="utf-8")
@@ -691,9 +702,14 @@ _HUGE = 10**400
          "config.resources.frames_per_segment"),
         ("resource", {"resources": {**_RESOURCES, "flops_per_bit": 1e308}, "tile": _TILE},
          "config.resources: compute_flops / (users * flops_per_bit) rounds to 0.0"),
+        # an infinite rate and a tile of ~0 transmit bits would cost nothing per tile
+        ("resource", {"resources": {**_RESOURCES, "compute_flops": 1e10, "users": 1,
+                                    "flops_per_bit": 1e-320, "avg_data_rate": 1e300},
+                      "tile": {**_TILE, "compression_ratio": 1e308}},
+         "config.resources: compute_flops / (users * flops_per_bit) rounds to inf"),
     ],
     ids=["fov", "leak-budget", "kappa", "grid-bound", "grid-value", "seed-digits",
-         "deep-nesting", "tile-pixels", "frames", "compute-rate"],
+         "deep-nesting", "tile-pixels", "frames", "compute-rate", "compute-rate-inf"],
 )
 def test_cli_rejects_oversized_numbers(tmp_path, capsys, command, doc, field):
     cfg = tmp_path / "cfg.json"

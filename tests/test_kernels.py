@@ -520,7 +520,7 @@ def _hook_evaluations(monkeypatch):
     leakage = vrpl.leakage
     lens_qoe, certify_vec = leakage._lens_qoe, leakage._certify_vec
     monkeypatch.setattr(
-        vrpl.leakage, "_lens_qoe", lambda t, a, c, s, w: sizes.append(c.size) or lens_qoe(t, a, c, s, w)
+        vrpl.leakage, "_lens_qoe", lambda t, c, s, w: sizes.append(c.size) or lens_qoe(t, c, s, w)
     )
     monkeypatch.setattr(vrpl.leakage, "qoe", lambda *a: evals.append(a) or qoe(*a))
     monkeypatch.setattr(vrpl.leakage, "_certify_vec", lambda *a: sizes.append(None) or certify_vec(*a))
@@ -543,8 +543,8 @@ def test_every_newton_iterate_is_partial_overlap(triples):
         with pytest.MonkeyPatch.context() as mp:
             _, evals = _hook_evaluations(mp)
             lens_qoe = vrpl.leakage._lens_qoe
-            mp.setattr(vrpl.leakage, "_lens_qoe", lambda t, a, c, s, w: iterates.extend(
-                (report[1], report[2], float(x)) for x in np.arctan2(s, c)) or lens_qoe(t, a, c, s, w))
+            mp.setattr(vrpl.leakage, "_lens_qoe", lambda t, c, s, w: iterates.extend(
+                (report[1], report[2], float(x)) for x in np.arctan2(s, c)) or lens_qoe(t, c, s, w))
             _newton_error_vec(*(np.array([x]) for x in report))
             _newton_error(*report)
         iterates += evals

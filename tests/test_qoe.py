@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from support import boundary_neighbours, random_view_triples
 from vrpl import (
@@ -12,7 +14,7 @@ from vrpl import (
     qoe,
     qoe_vec,
 )
-from vrpl.qoe import CASE_CODE, classify_vec
+from vrpl.qoe import CASE_CODE, _classify_codes, classify_vec
 from vrpl.sphere import TWO_PI, lens_area, lens_terms
 
 FOV = 0.8726646259971648  # 50 degrees
@@ -152,3 +154,39 @@ def test_lens_lies_within_the_fov_area_bit_for_bit(fov):
     q = qoe_vec(fov, sv, e)
     assert (q >= 0.0).all() and (q <= 1.0).all()
     assert all(0.0 <= qoe(fov, s, x) <= 1.0 for s, x in zip(sv[::10], e[::10]))
+
+
+#: The float just past pi: a sum of radii that rounds to it covers the sphere
+#: at antipodal error only because fl(sum + pi) rounds down to 2 pi.
+_PAST_PI = math.nextafter(math.pi, 4.0)
+
+
+def _radius_past_pi(fov: float) -> float:
+    """The streamed radius ``sv`` with ``fl(fov + sv)`` the float just past pi, if
+    there is one: a sum halfway between two floats rounds to the even one."""
+    sv = _PAST_PI - fov
+    while fov + sv < _PAST_PI:
+        sv = math.nextafter(sv, 4.0)
+    while fov + sv > _PAST_PI:
+        sv = math.nextafter(sv, 0.0)
+    return sv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(1e-6, math.pi / 2),
+    st.one_of(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True), st.none()),
+)
+@example(0.5, None)
+@example(math.pi / 2, None)
+def test_band_ends_are_never_partial_overlap(fov, sv):
+    # The inversions take the QoE at zero and antipodal error, the ends of the
+    # band of attainable QoE, from the constant cases alone: at 0 one cap
+    # contains the other, and at pi the caps are disjoint or cover the sphere.
+    # None draws the tie where fov + sv rounds to the float just past pi.
+    if sv is None:
+        sv = _radius_past_pi(fov)
+        assume(fov + sv == _PAST_PI)
+        assert fov + sv + math.pi == TWO_PI
+    codes = _classify_codes(np.full(2, fov), np.full(2, sv), np.array([0.0, math.pi]))
+    assert CASE_CODE[OverlapCase.REMAINING] not in codes.tolist(), (fov, sv, codes)

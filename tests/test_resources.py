@@ -69,6 +69,17 @@ def test_resource_config_validation():
             frames_per_segment=30,
             tiles_per_frame=200,
         )
+    # 1e10 / 1e-320 rounds to inf, so the render time of a tile would be 0
+    with pytest.raises(ValueError, match="rounds to inf$"):
+        ResourceConfig(
+            compute_flops=1e10,
+            users=1,
+            flops_per_bit=1e-320,
+            avg_data_rate=1e300,
+            cc_duration=1.0,
+            frames_per_segment=30,
+            tiles_per_frame=200,
+        )
 
 
 def test_capability_half_budget():
