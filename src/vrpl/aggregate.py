@@ -11,16 +11,20 @@ case the leakage probability does not depend on the error, so the case
 contributes its probability times the fraction of errors falling in the
 case; partial-overlap errors contribute their individual error-upload
 probabilities.  At a fixed radius every case is a run of the sorted
-errors, and the partial-overlap leakage does not depend on the radius, so
-the sweep sorts the errors and sums their leakage once for the whole grid,
-finds the run ends of all radii together, and computes each radius's
-averages as array expressions over the grid.  Only the lens area of the
-partial-overlap runs is summed per radius, block-major: the errors some
-run holds are walked once, in blocks of `_LENS_BLOCK`, each block's
-trigonometry is taken once, and every run that meets the block adds the
-sum of the lens over its part.  No array the size of the population
-is made for the lens, and the leakage's prefix sum reads the error-upload
-probabilities alone, so the sweep holds little beyond its sorted errors.
+errors, so the sweep sorts the errors once and composes three stages over
+the whole grid.  (a) `_run_ends` finds the run ends of all radii
+together; it reads neither the protection radius nor the lens.  (b)
+`_lens_sums` sums the lens area of each radius's partial-overlap run,
+block-major: the errors some run holds are walked once, in blocks of
+`_LENS_BLOCK`, each block's trigonometry is taken once, and every run
+that meets the block adds the sum of the lens over its part; with the
+constant cases' QoE it gives the mean QoE.  (c) `_leakage_odds`, the one
+stage that reads the protection radius, gives the case ratios, the
+constant cases' odds times their ratios, and the partial-overlap leakage
+from one prefix sum of the error-upload probabilities.  No array the size
+of the population is made for the lens, and the lens's arrays are freed
+before the prefix sum is made, so the sweep holds little beyond its
+sorted errors.
 """
 
 from __future__ import annotations
@@ -182,35 +186,41 @@ class SweepTable(Record, eq=False):
         return np.column_stack([~(empty | full)] * len(PARTITION_CASES) + [empty, full])
 
 
-def _run_ends(e: np.ndarray, fov: float, sv: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Where each radius's nested and partial-overlap runs end in sorted ``e``.
+def _run_ends(e: np.ndarray, fov: float, sv: np.ndarray) -> tuple:
+    """The sweep's geometry stage: where each radius's case runs end in sorted ``e``.
 
-    Returns the rows ``b`` and ``d``: at radius ``sv[i]`` the errors
-    ``e[:b[i]]`` are in its nested case ``near[i]`` and ``e[b[i]:d[i]]`` in
-    the partial-overlap one.  Each end starts at its threshold, an end of
-    `qoe._partial_interval`, found by `searchsorted`; a degenerate cap's one
-    run holds every error, so its ends start at ``e.size``.  Then every end moves over whole runs of equal
+    Returns the rows ``(near, b, d, c)``: at radius ``sv[i]`` the errors
+    ``e[:b[i]]`` are in its nested case ``near[i]`` (only one is live at a
+    radius), ``e[b[i]:d[i]]`` in the partial-overlap one, ``e[d[i]:c[i]]``
+    in complement containment and ``e[c[i]:]`` disjoint.  It reads neither
+    the protection radius nor the lens.  The ends ``b`` and ``d`` start at
+    their thresholds, the ends of `qoe._partial_interval`, found by
+    `searchsorted`; a degenerate cap's one run holds every error, so its
+    ends start at ``e.size``.  Then every end moves over whole runs of equal
     errors until `_classify_codes` agrees: down while the error below it is
     outside its run, else up while the error at it is inside (the threshold
     and the case tests differ for errors within an ulp of the boundary).
-    Each step asks `_classify_codes` once, for the ends still moving.
+    Each step asks `_classify_codes` once, for the ends still moving.  The
+    disjoint run starts where the errors reach ``r_fov + r_sv``, not before
+    ``d``.
     """
-    n = e.size
+    near = _classify_codes(fov, sv, 0.0)
     starts = np.searchsorted(e, _partial_interval(fov, sv), side="right")
-    ends = np.where((sv == 0.0) | (sv == math.pi), n, starts).ravel()
+    ends = np.where((sv == 0.0) | (sv == math.pi), e.size, starts).ravel()
     # errors below b are in the case `near`, those below d in `near` or `_REMAINING`
     radii, nears = np.tile(sv, 2), np.tile(near, 2)
     also = np.concatenate([near, np.full_like(near, _REMAINING)])
     for down in (True, False):
-        k = np.flatnonzero(ends > 0 if down else ends < n)
+        k = np.flatnonzero(ends > 0 if down else ends < e.size)
         while k.size:
             x = e[ends[k] - 1] if down else e[ends[k]]
             codes = _classify_codes(fov, radii[k], x)
             step = ((codes == nears[k]) | (codes == also[k])) != down
             k, x = k[step], x[step]
             ends[k] = np.searchsorted(e, x, side="left" if down else "right")
-            k = k[ends[k] > 0] if down else k[ends[k] < n]
-    return ends.reshape(2, -1)
+            k = k[ends[k] > 0] if down else k[ends[k] < e.size]
+    b, d = ends.reshape(2, -1)
+    return near, b, d, np.maximum(d, np.searchsorted(e, fov + sv, side="left"))
 
 
 def _lens_sums(e: np.ndarray, fov: float, sv: np.ndarray, b: np.ndarray, d: np.ndarray):
@@ -260,17 +270,20 @@ def average_leakage_sweep(
 ) -> SweepTable:
     """Average QoE-upload leakage over the error population per radius.
 
-    The errors are sorted once, with a running sum of their error-upload
-    leakage.  At each radius the cases are runs of the sorted errors, in
-    the order nested, partial overlap, complement containment, disjoint;
-    `_run_ends` finds the run ends of all radii together, and the counts,
-    the constant cases' odds (`cap_zone`) and QoE, and the partial-overlap
-    leakage (a prefix-sum difference) are columns over the grid.  Only the
-    lens area of each radius's partial-overlap run is summed per radius, a
-    block of errors at a time (`_lens_sums`), before the leakage's prefix
-    sums are made.  Each lens value is `sphere.lens_area`'s bit for bit,
-    clamped to the smaller cap, so the run's sum is divided by the field
-    of view's area once, with no clip.  Rows follow the grid order.
+    The inputs are checked and the errors sorted once.  At each radius the
+    cases are runs of the sorted errors, in the order nested, partial
+    overlap, complement containment, disjoint, and three stages make the
+    columns over the grid: `_run_ends` finds the run ends of all radii
+    together, from the geometry alone; `_lens_sums` sums the lens area of
+    each radius's partial-overlap run, a block of errors at a time, which
+    with the constant cases' QoE gives ``mean_qoe``; and `_leakage_odds`,
+    the only stage that reads ``eps``, gives ``ratios``, ``components`` and
+    ``total`` from the constant cases' odds (`cap_zone`) and a prefix sum of
+    the partial-overlap leakage.  The lens runs first, so its arrays are
+    freed before the prefix sum is made.  Each lens value is
+    `sphere.lens_area`'s bit for bit, clamped to the smaller cap, so the
+    run's sum is divided by the field of view's area once, with no clip.
+    Rows follow the grid order.
 
     Args:
         errors: prediction errors in radians, all in [0, pi].
@@ -284,32 +297,37 @@ def average_leakage_sweep(
     e = _population(errors)
     sv = STREAMED_RADIUS.check_array(np.array(r_sv_grid, dtype=float))
     e.sort()
-    n, rows = e.size, np.arange(sv.size)
-
-    # Runs in e: [0, b) the nested case `near` (only one is live at a radius),
-    # [b, d) remaining, [d, c) sfov_complement_in_fov and [c, n) disjoint.
-    near = _classify_codes(fov, sv, 0.0)
-    b, d = _run_ends(e, fov, sv, near)
-    c = np.maximum(d, np.searchsorted(e, fov + sv, side="left"))
-    # the lens first, so its arrays are freed before the leakage's are made
+    near, b, d, c = _run_ends(e, fov, sv)
+    # the lens before the odds, so its arrays are freed before the prefix sum is made;
+    # QoE is constant on each run but the partial-overlap one
     lens = _lens_sums(e, fov, sv, b, d)
+    case_qoe = _case_qoe(np.cos(fov), np.cos(sv))
+    qoe_near, qoe_far = np.choose(near, case_qoe), case_qoe[_COMPLEMENT]
+    mean_qoe = (b * qoe_near + (c - d) * qoe_far + lens / cap_area(fov)) / e.size
+    return SweepTable(sv, *_leakage_odds(e, fov, eps, sv, near, b, d, c), mean_qoe)
+
+
+def _leakage_odds(e: np.ndarray, fov: float, eps: float, sv: np.ndarray, near, b, d, c) -> tuple:
+    """The sweep's one stage that reads ``eps``: rows ``(ratios, components, total)``.
+
+    From the runs of `_run_ends`, each case's ratio is its run's length
+    over the population.  The nested run and the two far runs take their
+    `cap_zone` odds, which the far cases share, times their ratios; the
+    partial-overlap run's component is the difference of one prefix sum of
+    the sorted errors' error-upload leakage.  ``total`` adds the components
+    in case order.
+    """
+    n, rows, far = e.size, np.arange(sv.size), [_DISJOINT, _COMPLEMENT]
     leak_csum = np.zeros(n + 1)
     np.cumsum(_error_upload_prob(e, eps), out=leak_csum[1:])
     ratios, components = np.zeros((2, sv.size, len(CASES)))
     ratios[rows, near] = b / n
-    ratios[:, [_DISJOINT, _COMPLEMENT, _REMAINING]] = np.column_stack([n - c, c - d, d - b]) / n
+    ratios[:, far + [_REMAINING]] = np.column_stack([n - c, c - d, d - b]) / n
     prob_near, prob_far = (cap_zone(fov, sv, eps, code)[1] for code in (near, _COMPLEMENT))
     components[rows, near] = prob_near * ratios[rows, near]
-    components[:, _DISJOINT] = prob_far * ratios[:, _DISJOINT]
-    components[:, _COMPLEMENT] = prob_far * ratios[:, _COMPLEMENT]
+    components[:, far] = prob_far[:, None] * ratios[:, far]
     components[:, _REMAINING] = (leak_csum[d] - leak_csum[b]) / n
-    total = sum(components.T)  # a running sum, in case order
-
-    # QoE is constant on each run but the partial-overlap one.
-    case_qoe = _case_qoe(np.cos(fov), np.cos(sv))
-    qoe_near, qoe_far = np.choose(near, case_qoe), case_qoe[_COMPLEMENT]
-    mean_qoe = (b * qoe_near + (c - d) * qoe_far + lens / cap_area(fov)) / n
-    return SweepTable(sv, ratios, components, total, mean_qoe)
+    return ratios, components, sum(components.T)  # a running sum, in case order
 
 
 class AggregateReport(Record):

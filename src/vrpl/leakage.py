@@ -449,11 +449,6 @@ class ErrorInferenceArrays(Record):
 def leak_prob_from_error_vec(e, eps) -> LeakageArrays:
     """`leak_prob_from_error` elementwise over broadcastable arrays."""
     err, ep = np.broadcast_arrays(ERROR.check_array(e), EPSILON.check_array(eps))
-    return _leak_from_checked_errors(err, ep)
-
-
-def _leak_from_checked_errors(err: np.ndarray, ep) -> LeakageArrays:
-    """`leak_prob_from_error_vec` on errors and radii already checked."""
     point = (err == 0.0) | (err == math.pi)
     kind = np.where(point, ZONE_CODE[ZoneKind.SINGLE_POINT], ZONE_CODE[ZoneKind.CIRCLE])
     measure = np.where(point, 0.0, TWO_PI * np.sin(err))
@@ -461,7 +456,7 @@ def _leak_from_checked_errors(err: np.ndarray, ep) -> LeakageArrays:
 
 
 def _error_upload_prob(err: np.ndarray, ep) -> np.ndarray:
-    """The probability of `_leak_from_checked_errors` alone, in one new array.
+    """The probability of `leak_prob_from_error_vec` alone, in one new array.
 
     ``min(ep / (pi sin e), 1)``, and 1 where ``e`` is 0 or pi, on errors and
     radii already checked; ``ep`` is a float or an array of ``err``'s shape.
@@ -701,10 +696,11 @@ def leak_prob_from_qoe_vec(q, r_fov, r_sv, eps) -> LeakageArrays:
     # a degenerate cap's zone, of radius pi, is the full sphere, of area 4 pi
     _, prob, measure = cap_zone(fov, sv, ep, case)
     kind = np.where(live, ZONE_CODE[ZoneKind.CAP], ZONE_CODE[ZoneKind.FULL_SPHERE]).astype(np.int8)
+    # an inverted error lies within Newton's bracket, so strictly inside (0, pi): its zone is a circle
     exact = case == _REMAINING
-    circle = _leak_from_checked_errors(inferred.value[exact[live]], ep[exact])
-    prob[exact], kind[exact] = circle.probability, circle.zone_kind
-    measure[exact] = circle.zone_measure
+    err = inferred.value[exact[live]]
+    prob[exact], kind[exact] = _error_upload_prob(err, ep[exact]), ZONE_CODE[ZoneKind.CIRCLE]
+    measure[exact] = TWO_PI * np.sin(err)
     return LeakageArrays(prob, kind, measure, case)
 
 

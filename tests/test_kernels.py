@@ -209,6 +209,12 @@ radii = st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi))
 
 @settings(max_examples=200, deadline=None)
 @given(fovs, radii, st.floats(0.0, 1.0))
+@example(0.2748920272228339, 2.9414402245006444, 0.5).xfail(
+    raises=AssertionError,
+    reason="ROADMAP direction 1 (a well-conditioned lens): the containment boundary rounds into "
+    "partial overlap where the QoE is nearly flat, and the two inversions' certified roots "
+    "differ by 8.4e-11",
+)
 def test_kernels_on_boundaries(fov, sv, eps_frac):
     e = np.array(_boundary_errors(fov, sv) + [0.0, math.pi])
     q = [qoe(fov, sv, x) for x in e.tolist()]
