@@ -66,11 +66,21 @@ _LENS_BLOCK = 16384
 _DISJOINT, _COMPLEMENT, _REMAINING = (CASE_CODE[case] for case in PARTITION_CASES[2:])
 
 
-def _population(errors: Sequence[float] | np.ndarray) -> np.ndarray:
-    """A checked copy of a non-empty population of prediction errors."""
-    values = ERROR.check_array(np.array(errors, dtype=float))
+def _checked(errors: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A non-empty population of prediction errors, checked, as a float array."""
+    values = ERROR.check_array(errors)
     if not values.size:
         raise ValueError("no error samples given")
+    return values
+
+
+def _population(errors: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A checked population of prediction errors in increasing order:
+    ``errors`` itself when it is a sorted 1-d float64 array, else a sorted
+    copy, so the caller's array is never changed."""
+    values = _checked(errors)
+    if values.ndim != 1 or np.any(values[1:] < values[:-1]):
+        values = np.sort(values, axis=None)
     return values
 
 
@@ -86,18 +96,13 @@ class ErrorSubset(Record):
 def error_subset_for_requirement(
     errors: Sequence[float] | np.ndarray, req: PrivacyRequirement
 ) -> ErrorSubset:
-    """Select the errors whose error-upload leakage meets the requirement."""
-    return _subset(_population(errors), req)
-
-
-def _subset(values: np.ndarray, req: PrivacyRequirement) -> ErrorSubset:
+    """Select the errors whose error-upload leakage meets the requirement,
+    into a new array, in the order given."""
+    values = _checked(errors)
     rng = error_range_for_requirement(req)
     if rng.kind is RangeKind.INFEASIBLE:
         return ErrorSubset(False, np.empty(0), math.nan, rng)
-    if rng.kind is RangeKind.FULL:
-        subset = values
-    else:
-        subset = values[(values >= rng.lo) & (values <= rng.hi)]
+    subset = values[(values >= rng.lo) & (values <= rng.hi)]
     mean = float(subset.mean()) if subset.size else math.nan
     return ErrorSubset(True, subset, mean, rng)
 
@@ -116,10 +121,16 @@ def tradeoff_consistency_ratios(
     Raises:
         ValueError: if the requirement is infeasible.
     """
-    return _ratios(_population(errors), req)
+    return _requirement_stats(_population(errors), req)[1:]
 
 
-def _ratios(values: np.ndarray, req: PrivacyRequirement) -> tuple[float, float]:
+def _requirement_stats(e: np.ndarray, req: PrivacyRequirement) -> tuple[float, float, float]:
+    """Over sorted errors ``e``: the mean of the errors that meet the
+    requirement (nan if none), then the tradeoff and consistency fractions.
+
+    The feasible interval holds ``pi/2``, so its errors are the slice
+    ``e[lo:hi]`` and each half is counted by `searchsorted`.
+    """
     rng = error_range_for_requirement(req)
     if rng.kind is RangeKind.INFEASIBLE:
         raise ValueError(
@@ -127,9 +138,10 @@ def _ratios(values: np.ndarray, req: PrivacyRequirement) -> tuple[float, float]:
             f"minimum {min_leak_prob_error(req.epsilon)!r}"
         )
     half = math.pi / 2
-    tradeoff = float(np.mean((values >= rng.lo) & (values <= half)))
-    consistency = float(np.mean((values >= half) & (values <= rng.hi)))
-    return tradeoff, consistency
+    lo, half_lo = np.searchsorted(e, [rng.lo, half], side="left").tolist()
+    half_hi, hi = np.searchsorted(e, [half, rng.hi], side="right").tolist()
+    mean = float(e[lo:hi].mean()) if hi > lo else math.nan
+    return mean, (half_hi - lo) / e.size, (hi - half_lo) / e.size
 
 
 class RegionBounds(Record):
@@ -270,7 +282,9 @@ def average_leakage_sweep(
 ) -> SweepTable:
     """Average QoE-upload leakage over the error population per radius.
 
-    The inputs are checked and the errors sorted once.  At each radius the
+    The inputs are checked and the errors sorted once: a sorted float64
+    array is taken as it is, and any other into a sorted copy, so the
+    caller's errors are never changed.  At each radius the
     cases are runs of the sorted errors, in the order nested, partial
     overlap, complement containment, disjoint, and three stages make the
     columns over the grid: `_run_ends` finds the run ends of all radii
@@ -296,7 +310,6 @@ def average_leakage_sweep(
     eps = _SWEEP_EPSILON.check(eps, hi=fov)
     e = _population(errors)
     sv = STREAMED_RADIUS.check_array(np.array(r_sv_grid, dtype=float))
-    e.sort()
     near, b, d, c = _run_ends(e, fov, sv)
     # the lens before the odds, so its arrays are freed before the prefix sum is made;
     # QoE is constant on each run but the partial-overlap one
@@ -314,12 +327,12 @@ def _leakage_odds(e: np.ndarray, fov: float, eps: float, sv: np.ndarray, near, b
     over the population.  The nested run and the two far runs take their
     `cap_zone` odds, which the far cases share, times their ratios; the
     partial-overlap run's component is the difference of one prefix sum of
-    the sorted errors' error-upload leakage.  ``total`` adds the components
-    in case order.
+    the sorted errors' error-upload leakage, which is made in the one array
+    it ends in.  ``total`` adds the components in case order.
     """
     n, rows, far = e.size, np.arange(sv.size), [_DISJOINT, _COMPLEMENT]
     leak_csum = np.zeros(n + 1)
-    np.cumsum(_error_upload_prob(e, eps), out=leak_csum[1:])
+    np.cumsum(_error_upload_prob(e, eps, out=leak_csum[1:]), out=leak_csum[1:])
     ratios, components = np.zeros((2, sv.size, len(CASES)))
     ratios[rows, near] = b / n
     ratios[:, far + [_REMAINING]] = np.column_stack([n - c, c - d, d - b]) / n
@@ -356,20 +369,22 @@ def build_report(
 ) -> AggregateReport:
     """Run the full aggregate pipeline over one error population.
 
-    The errors are checked once, by `average_leakage_sweep`; the
-    requirement statistics then read them unchecked.
+    The errors are checked and sorted once, as `average_leakage_sweep` does
+    (a sorted float64 array is taken as it is, and the caller's errors are
+    never changed); the sweep and the requirement statistics then read the
+    sorted population.
     """
-    sweep = average_leakage_sweep(errors, r_fov, eps, r_sv_grid)
-    values = np.asarray(errors, dtype=float)
+    regions = leakage_regions(r_fov, eps)  # checks r_fov and eps before the errors, as the sweep does
+    e = _population(errors)
+    sweep = average_leakage_sweep(e, r_fov, eps, r_sv_grid)
     mean_error = gamma_t = gamma_c = None
     if req is not None:
-        mean_error = _subset(values, req).mean
-        gamma_t, gamma_c = _ratios(values, req)
+        mean_error, gamma_t, gamma_c = _requirement_stats(e, req)
     return AggregateReport(
-        n_samples=int(values.size),
+        n_samples=int(e.size),
         r_fov=float(r_fov),
         epsilon=float(eps),
-        regions=leakage_regions(r_fov, eps),
+        regions=regions,
         sweep=sweep,
         mean_error_subset=mean_error,
         gamma_tradeoff=gamma_t,

@@ -61,7 +61,15 @@ from .leakage import (
 from .qoe import CASES, classify, classify_vec, qoe, qoe_vec
 from .resources import capability, mc_avg_rate, sfov_radius
 from .tables import CHUNK_ROWS, Categorical, json_cells, round_floats, write_csv, write_json
-from .traces import TraceFormatError, generate_synthetic_traces, load_traces, predict_all
+# `load_traces` is not called here: it stays a name of this module, which perfbench/tracer.py
+# hooks to time the trace layer
+from .traces import (
+    TraceFormatError,
+    _stream_traces,
+    generate_synthetic_traces,
+    load_traces,
+    predict_all,
+)
 
 #: Samples for the optional channel-rate estimate in ``resource``.
 MC_RATE_SAMPLES = 200_000
@@ -315,10 +323,10 @@ def _check_report(sweep: SweepTable) -> None:
             raise InternalInconsistencyError(f"expected {claim} at r_sv={cells.pop('r_sv')!r}: {cells}")
 
 
-def _population_traces(scenario: Scenario) -> list:
-    """The scenario's traces: read from ``traces_csv``, else synthesized."""
+def _population_traces(scenario: Scenario):
+    """The scenario's traces: streamed from ``traces_csv``, else synthesized."""
     if scenario.traces_csv is not None:
-        return load_traces(scenario.traces_csv)
+        return _stream_traces(scenario.traces_csv)
     if scenario.synthetic is not None:
         spec = scenario.synthetic
         return generate_synthetic_traces(
@@ -345,8 +353,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"config.max_leak_prob: {scenario.max_leak_prob!r} is below the attainable "
             f"minimum epsilon/pi = {min_leak!r}"
         )
-    # the traces are an argument only: their last reference goes when predict_all returns
+    # the traces are an argument only: a trace file is read as predict_all goes, and
+    # synthetic traces go when it returns
     errors = predict_all(_population_traces(scenario), scenario.windowing, scenario.predictor)
+    errors.sort()  # in place: the sweep then takes the errors as they are, with no sorted copy
     req = (
         PrivacyRequirement(scenario.epsilon, scenario.max_leak_prob)
         if scenario.max_leak_prob is not None

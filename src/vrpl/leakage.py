@@ -455,13 +455,14 @@ def leak_prob_from_error_vec(e, eps) -> LeakageArrays:
     return LeakageArrays(_error_upload_prob(err, ep), kind.astype(np.int8), measure)
 
 
-def _error_upload_prob(err: np.ndarray, ep) -> np.ndarray:
-    """The probability of `leak_prob_from_error_vec` alone, in one new array.
+def _error_upload_prob(err: np.ndarray, ep, out: np.ndarray | None = None) -> np.ndarray:
+    """The probability of `leak_prob_from_error_vec` alone, in one new array
+    or in ``out``.
 
     ``min(ep / (pi sin e), 1)``, and 1 where ``e`` is 0 or pi, on errors and
     radii already checked; ``ep`` is a float or an array of ``err``'s shape.
     """
-    prob = np.sin(err, out=np.empty(np.shape(err)))
+    prob = np.sin(err, out=np.empty(np.shape(err)) if out is None else out)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(ep, np.multiply(prob, math.pi, out=prob), out=prob)
         np.minimum(prob, 1.0, out=prob)

@@ -16,7 +16,7 @@ import enum
 import itertools
 import math
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -148,55 +148,117 @@ def _trusted(*values) -> ViewpointTrace:
 
 
 def load_traces(path: str | Path) -> list[ViewpointTrace]:
-    """Load viewpoint traces from CSV.
+    """Load viewpoint traces from CSV: every trace `_stream_traces` yields.
 
     Expected schema (exact header): ``user_id,video_id,timestamp_s,
     theta_rad,phi_rad``, UTF-8, one sample per row.  Consecutive rows with
     the same (user_id, video_id) form one trace; each key's rows must be
-    contiguous.  The file is read once into columns by `_load_columns`, or
-    by the row loop `_load_rows` if that parse does not take it, and the
-    columns are checked once.  The first fault raises `TraceFormatError`:
-    one the tokenizer sees (header, encoding, csv error, column count,
-    non-numeric value); else the first key that reappears after its trace
-    ended; else the first bad trace in file order, with the first
-    `_check_population` check it fails.  A fault in the rows reads
-    ``{path}:{line}: {message}``, naming the physical line its row starts on.
+    contiguous.  The first fault raises `TraceFormatError`: one the
+    tokenizer sees (header, encoding, csv error, column count, non-numeric
+    value); else the first key that reappears after its trace ended; else
+    the first bad trace in file order, with the first `_check_population`
+    check it fails.  A fault in the rows reads ``{path}:{line}:
+    {message}``, naming the physical line its row starts on.  `predict_all`
+    over the traces adds the last rank: a window that is not a whole number
+    of a trace's sample periods, or a trace too short for one predicted
+    segment.
+    """
+    return list(_stream_traces(path))
+
+
+def _stream_traces(path: str | Path) -> Iterator[ViewpointTrace]:
+    """The traces of a trace file, each yielded once it is checked.
+
+    The file is read once, in the pieces of `_pieces`.  The traces that end
+    are checked together by `_check_population` once they hold `_CHECK_ROWS`
+    rows, and at the end of the file, so only the unfinished trace, the rows
+    of one such batch and the keys already seen are held.  The faults rank
+    as in `load_traces`.  A tokenizer fault is raised as it is met; of the
+    others the first of each rank is held, and once one is, no trace is
+    checked or yielded and the file is only tokenized to its end, for a
+    fault that outranks it.
     """
     path = Path(path)
-    try:
-        keys, ts, th, ph, bounds, skips = _load_columns(path)
-    except ValueError:
-        keys, ts, th, ph, bounds, skips = _load_rows(path)
-    if not keys:
+    seen: set[tuple[str, str]] = set()
+    keys: list[tuple[str, str]] = []  # the traces whose rows `pieces` hold, the last unfinished
+    starts: list[int] = []  # their first rows
+    pieces: list[tuple[np.ndarray, np.ndarray]] = []  # the rows not yet checked, with their lines
+    n = 0
+    again = bad = None  # the first reappearing key and the first bad trace: (message, line)
+    end = (np.empty((3, 0)), np.empty(0, dtype=int), [])  # an empty piece after the last
+    for piece in itertools.chain(_pieces(path), [end]):
+        values, lines, changes = piece
+        for i, key in changes:
+            if key in seen and again is None:
+                again = (f"rows of trace {key[0]}/{key[1]} are not contiguous "
+                         "(the trace already ended on an earlier line)", int(lines[i]))
+            seen.add(key)
+        if again or bad:
+            continue
+        keys += [key for _, key in changes]
+        starts += [n + i for i, _ in changes]
+        pieces.append((values, lines))
+        n += lines.size
+        done = len(keys) - (piece is not end)  # the traces that ended
+        if not done or piece is not end and starts[done] < _CHECK_ROWS:
+            continue
+        cut = n if piece is end else starts[done]
+        columns = np.concatenate([v for v, _ in pieces], axis=1, out=np.empty((3, n)))
+        batch_lines = np.concatenate([lines for _, lines in pieces])
+        ts, th, ph = columns[:, :cut]
+        fault = _check_population(keys[:done], ts, th, ph, np.array(starts[:done] + [cut]))
+        if fault is not None:
+            bad = fault[0], int(batch_lines[fault[1]])
+            continue
+        columns.flags.writeable = False
+        for (user, video), lo, hi in zip(keys, starts, starts[1:done] + [cut]):
+            yield _trusted(user, video, ts[lo:hi], th[lo:hi], ph[lo:hi])
+        pieces = [(columns[:, cut:], batch_lines[cut:])]
+        keys, starts, n = keys[done:], [i - cut for i in starts[done:]], n - cut
+    if not seen:
         raise TraceFormatError(f"{path}: file contains zero traces")
-    first: dict[tuple[str, str], int] = {}
-    again = next((i for i, key in enumerate(keys) if first.setdefault(key, i) != i), None)
-    if again is not None:
-        fault = (f"rows of trace {keys[again][0]}/{keys[again][1]} are not contiguous "
-                 "(the trace already ended on an earlier line)", bounds[again])
-    else:
-        fault = _check_population(keys, ts, th, ph, bounds)
-    if fault is not None:
-        message, row = fault
-        # the header is line 1; each line that starts no row pushes the rows after it down
-        line = 2 + row + np.searchsorted(skips, row, side="right")
+    if again or bad:
+        message, line = again or bad
         raise TraceFormatError(f"{path}:{line}: {message}")
-    for column in (ts, th, ph):
-        column.flags.writeable = False
-    return [
-        _trusted(user, video, ts[lo:hi], th[lo:hi], ph[lo:hi])
-        for (user, video), lo, hi in zip(keys, bounds[:-1].tolist(), bounds[1:].tolist())
-    ]
 
 
-def _load_rows(path: Path) -> tuple:
-    """`_load_columns`' columns by the csv module, one record at a time: the
-    tokenizer of the files that parse does not take.  Its `TraceFormatError`
-    for a malformed record names the line the record starts on."""
-    keys: list[tuple[str, str]] = []
-    firsts: list[int] = []  # the first row of each trace
+def _pieces(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
+    """The rows of a trace file, in pieces ``(values, lines, changes)``.
+
+    ``values`` holds a piece's timestamps, longitudes and latitudes as three
+    float64 rows, ``lines`` the physical line each row starts on, and
+    ``changes`` ``(row, key)`` for each row whose key differs from the row
+    before it in the file.  The pieces come from the block parse
+    `_block_pieces`; from the first block it refuses on, from the row loop
+    `_row_pieces`, which reads the file again from its start and skips the
+    rows the block parse gave.  Each of those is a row of the row loop too,
+    and no record spans the end of a block the parse took, since such a
+    block holds no quote, so the row loop's faults are those of a file read
+    by it alone.
+    """
+    done = 0
+    try:
+        for piece in _block_pieces(path):
+            yield piece
+            done += piece[1].size
+    except ValueError:
+        for values, lines, changes in _row_pieces(path):
+            skip = min(done, lines.size)
+            done -= skip
+            if skip < lines.size:
+                changes = [(i - skip, key) for i, key in changes if i >= skip]
+                yield values[:, skip:], lines[skip:], changes
+
+
+def _row_pieces(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
+    """`_pieces` by the csv module, one record at a time, `_CHECK_ROWS` rows
+    a piece: the tokenizer of the files the block parse does not take.  Its
+    `TraceFormatError` for a malformed record names the line the record
+    starts on."""
     samples: list[tuple[float, float, float]] = []
-    skips: list[int] = []
+    lines: list[int] = []
+    changes: list[tuple[int, tuple[str, str]]] = []
+    key = None
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -208,32 +270,36 @@ def _load_rows(path: Path) -> tuple:
                     f"{path}: unexpected header {header!r}, expected {TRACE_HEADER!r}"
                 )
             last = reader.line_num
-            skips += [0] * (last - 1)  # a quoted header's lines after its first
             for row in reader:
-                lineno, last = last + 1, reader.line_num  # the lines this record spans
-                if row:
-                    if len(row) != len(TRACE_HEADER):
-                        raise TraceFormatError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} columns")
-                    try:
-                        samples.append((float(row[2]), float(row[3]), float(row[4])))
-                    except ValueError as exc:
-                        raise TraceFormatError(f"{path}:{lineno}: non-numeric sample: {exc}") from None
-                    if not keys or (row[0], row[1]) != keys[-1]:
-                        keys.append((row[0], row[1]))
-                        firsts.append(len(samples) - 1)
-                    lineno += 1
-                # the lines from lineno on start no row: a blank one, or a row's after its first
-                skips += [len(samples)] * (last - lineno + 1)
+                lineno, last = last + 1, reader.line_num  # a record starts on the line after the last
+                if not row:
+                    continue
+                if len(row) != len(TRACE_HEADER):
+                    raise TraceFormatError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} columns")
+                try:
+                    samples.append((float(row[2]), float(row[3]), float(row[4])))
+                except ValueError as exc:
+                    raise TraceFormatError(f"{path}:{lineno}: non-numeric sample: {exc}") from None
+                if (row[0], row[1]) != key:
+                    key = row[0], row[1]
+                    changes.append((len(lines), key))
+                lines.append(lineno)
+                if len(lines) == _CHECK_ROWS:
+                    yield np.array(samples).T, np.array(lines), changes
+                    samples, lines, changes = [], [], []
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: not UTF-8: {exc}") from None
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    ts, th, ph = np.array(samples, dtype=float).reshape(-1, 3).T.copy()
-    return keys, ts, th, ph, np.array(firsts + [len(samples)]), skips
+    if lines:
+        yield np.array(samples).T, np.array(lines), changes
 
 
-#: Bytes `_load_columns` reads at a time: about a thousand 60-byte rows.
+#: Bytes `_block_pieces` reads at a time: about a thousand 60-byte rows.
 _CHUNK_BYTES = 1 << 16
+
+#: Rows of ended traces `_stream_traces` checks at a time, about a block's.
+_CHECK_ROWS = 1024
 
 #: Bytes on which commas and ``np.loadtxt`` could read a line otherwise than
 #: csv and ``float``: a quote (csv strips it), NUL (some csv versions reject
@@ -257,20 +323,21 @@ def _blocks(fh) -> Iterator[bytes]:
         cut = data.rfind(b"\n") + 1
         if not cut and len(data) > _CHUNK_BYTES:
             raise ValueError("a line longer than a block")
+        carry = data[cut:]
         if cut:
             yield _vouch(data[:cut])
-        carry = data[cut:]
     if carry:
         yield _vouch(carry + b"\n")
 
 
-def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, list[int], list[bytes], np.ndarray]:
-    """The ``(rows, 3)`` samples of a block of whole lines, the rows whose
-    key differs from the row before's (``last_key`` for the first), those
-    keys, and for each blank line the rows of the block before it.  A row's
-    key is its ``user_id,video_id`` bytes, compared as a byte string.  Blank
-    lines hold no row, as in the csv module; every other line must have
-    exactly five fields.
+def _block_rows(block: bytes, key: bytes, line: int) -> tuple[tuple, bytes, int]:
+    """The `_pieces` piece of a block of whole lines, the first of them line
+    ``line``, whose row before holds ``key``; the key of its last row; and
+    the number of the line after the block.
+
+    A row's key is its ``user_id,video_id`` bytes, compared as a byte
+    string.  Blank lines hold no row, as in the csv module; every other line
+    must have exactly five fields.
     """
     a = np.frombuffer(block, dtype=np.uint8)
     newlines = np.flatnonzero(a == ord("\n"))
@@ -280,63 +347,50 @@ def _block_rows(block: bytes, last_key: bytes) -> tuple[np.ndarray, list[int], l
     starts = np.concatenate(([0], newlines + 1))[:-1]
     ends = newlines - crlf
     rows = ends > starts
-    blank = np.flatnonzero(~rows)
-    blank -= np.arange(blank.size)
     commas = np.flatnonzero(a == ord(","))
     if np.any(np.diff(np.searchsorted(commas, ends), prepend=0) != 4 * rows):
         raise ValueError("a row without five fields")
+    lines = line + np.flatnonzero(rows)
     starts = starts[rows]
     if not starts.size:
-        return np.empty((0, 3)), [], [], blank
+        return (np.empty((3, 0)), lines, []), key, line + newlines.size
     key_ends = commas[np.searchsorted(commas, starts) + 1]
     keys = [block[i:j] for i, j in zip(starts.tolist(), key_ends.tolist())]
-    changed = [i for i, (key, before) in enumerate(zip(keys, [last_key, *keys])) if key != before]
-    lines = block.decode("utf-8").split("\n")
-    samples = np.loadtxt(lines, delimiter=",", usecols=(2, 3, 4), comments=None, ndmin=2)
+    changes = [
+        (i, tuple(k.decode("utf-8").split(",")))
+        for i, (k, before) in enumerate(zip(keys, [key, *keys])) if k != before
+    ]
+    samples = np.loadtxt(
+        block.decode("utf-8").split("\n"), delimiter=",", usecols=(2, 3, 4), comments=None, ndmin=2
+    )
     if len(samples) != len(starts):  # a guard: the rows must line up with their keys
         raise ValueError("a row loadtxt skipped")
-    return samples, changed, [keys[i] for i in changed], blank
+    return (samples.T, lines, changes), keys[-1], line + newlines.size
 
 
-def _load_columns(path: Path) -> tuple:
-    """Tokenize a trace file into columns, a block of lines at a time.
+def _block_pieces(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
+    """`_pieces` by the block parse, a block of about `_CHUNK_BYTES` at a time.
 
-    Returns the trace keys ``(user_id, video_id)`` in file order, the flat
-    float64 ``ts``, ``theta`` and ``phi`` columns, the trace bounds (trace
-    ``i`` is rows ``bounds[i]:bounds[i + 1]``) and the line map: for each
-    line after the header that starts no row, the number of rows before
-    it.  `_load_rows` returns the same of each file this takes.  Raises a
-    plain `ValueError`, never `TraceFormatError`, for each file the row
-    loop might read otherwise: a header that does not match, `_UNSAFE`
-    bytes, lone CRs, rows without five fields, values ``loadtxt`` rejects
-    (``1_0``, full-width digits).
+    Raises a plain `ValueError`, never `TraceFormatError`, at the first
+    block the row loop might read otherwise: a header that does not match,
+    `_UNSAFE` bytes, lone CRs, rows without five fields, values ``loadtxt``
+    rejects (``1_0``, full-width digits); and for a file that is not a
+    regular one, which the row loop reads once.
     """
-    if not path.is_file():  # a pipe is read once, by the row loop
+    if not path.is_file():
         raise ValueError("not a regular file")
-    firsts: list[int] = []  # the first row of each trace
-    keys: list[bytes] = []
-    skips: list[int] = []
-    n = 0
     with path.open("rb") as fh:
-        # a slot per line holds every row, so the blocks are never joined
-        lines = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(_CHUNK_BYTES), b""))
-        ts, th, ph = (np.empty(lines) for _ in range(3))
-        fh.seek(0)
-        blocks = _blocks(fh)
-        header, _, body = next(blocks, b"").partition(b"\n")
-        header = header.removesuffix(b"\r")
+        header = _vouch(fh.readline(_CHUNK_BYTES + 1))
+        if len(header) > _CHUNK_BYTES:
+            raise ValueError("a line longer than a block")
+        header = header.removesuffix(b"\n").removesuffix(b"\r")
         if b"\r" in header or [f.strip() for f in header.decode("utf-8").split(",")] != TRACE_HEADER:
             raise ValueError("a header the row loop reads otherwise")
-        for block in itertools.chain([body], blocks):
-            values, changed, block_keys, blank = _block_rows(block, keys[-1] if keys else b"")
-            m = len(values)
-            ts[n : n + m], th[n : n + m], ph[n : n + m] = values.T
-            firsts += [i + n for i in changed]
-            skips += (blank + n).tolist()
-            keys += block_keys
-            n += m
-    pairs = [tuple(key.decode("utf-8").split(",")) for key in keys]
-    return pairs, ts[:n], th[:n], ph[:n], np.array(firsts + [n]), skips
+        key, line = b"", 2
+        for block in _blocks(fh):
+            piece, key, line = _block_rows(block, key, line)
+            block = None  # not held while the piece is used
+            yield piece
 
 
 def save_traces(path: str | Path, traces: list[ViewpointTrace]) -> None:
@@ -612,7 +666,7 @@ def predict(trace: ViewpointTrace, win: WindowingConfig, predictor: Predictor) -
 
 
 def predict_all(
-    traces: list[ViewpointTrace], win: WindowingConfig, predictor: Predictor
+    traces: Iterable[ViewpointTrace], win: WindowingConfig, predictor: Predictor
 ) -> np.ndarray:
     """Run segment-wise prediction over traces and emit per-frame errors.
 
@@ -624,10 +678,14 @@ def predict_all(
     Trailing samples that do not fill a whole segment are ignored.  Window
     sample counts are `WindowingConfig.samples` at each trace's own rate; a
     window that is not a whole number of them, or a trace too short for one
-    predicted segment, raises `TraceFormatError` for the first such trace.
+    predicted segment, raises `TraceFormatError` for the first such trace,
+    once ``traces`` is used up: a fault that iterating them raises, such as
+    `load_traces`' faults of a trace file, comes first.
 
-    Consecutive traces of one length and rate are predicted together, a
-    chunk of about `_CHUNK_FRAMES` frames at a time.
+    ``traces`` may be any iterable, such as the stream of a trace file:
+    consecutive traces of one length and rate are predicted together, a
+    chunk of about `_CHUNK_FRAMES` frames at a time, as they come, and only
+    the chunk's traces are held.
 
     Returns:
         The errors in radians, in trace order, and per trace one per frame
@@ -635,34 +693,50 @@ def predict_all(
         ``(len(trace) // spseg - passive_prefix) * spseg`` of them,
         ``spseg`` being the samples per segment.
     """
-    if not traces:
-        raise ValueError("no traces given")
-    runs = []  # (first trace, past the last, window samples, frames per trace)
-    lo = 0
-    for (n, rate), run in itertools.groupby(traces, key=lambda tr: (len(tr), tr.sample_rate)):
-        hi, name = lo + len(list(run)), f"{traces[lo].user_id}/{traces[lo].video_id}"
-        try:
-            obw, cc, spseg = win.samples(rate)
-        except ValueError as exc:
-            raise TraceFormatError(f"trace {name}: {exc}") from None
-        if n < obw + cc + spseg:
-            raise TraceFormatError(
-                f"trace {name} has {n} samples, "
-                f"needs at least {obw + cc + spseg} for one predicted segment"
-            )
-        runs.append((lo, hi, (obw, cc, spseg), max(0, n // spseg - win.passive_prefix) * spseg))
-        lo = hi
-    out = np.empty(sum((hi - lo) * frames for lo, hi, _, frames in runs))
-    at = 0
-    for lo, hi, windows, frames in runs:
-        step = max(1, _CHUNK_FRAMES // max(1, frames))  # traces per chunk
-        for first in range(lo, hi, step):
-            chunk = traces[first : min(first + step, hi)]
+    parts: list[np.ndarray] = []
+    chunk: list[ViewpointTrace] = []
+    shape = windows = fault = None
+    frames = step = 0
+
+    def predict_chunk() -> None:
+        if chunk:
             theta, phi = (np.stack([getattr(tr, name) for tr in chunk]) for name in ("theta", "phi"))
-            errors = out[at : at + len(chunk) * frames]
-            _predict_block(_unit_vectors(theta, phi), win.passive_prefix, windows, predictor, errors)
-            at += errors.size
-    return out
+            vecs = _unit_vectors(theta, phi)
+            del theta, phi  # these and the chunk's traces go before the kernel's work arrays come
+            chunk.clear()
+            parts.append(np.empty(vecs.shape[0] * frames))
+            _predict_block(vecs, win.passive_prefix, windows, predictor, parts[-1])
+
+    for trace in traces:
+        if fault is not None:
+            continue
+        n, rate = len(trace), trace.sample_rate
+        if (n, rate) != shape:  # a run of traces of one length and rate starts
+            predict_chunk()
+            shape, name = (n, rate), f"{trace.user_id}/{trace.video_id}"
+            try:
+                windows = win.samples(rate)
+            except ValueError as exc:
+                fault = TraceFormatError(f"trace {name}: {exc}")
+                continue
+            obw, cc, spseg = windows
+            if n < obw + cc + spseg:
+                fault = TraceFormatError(
+                    f"trace {name} has {n} samples, "
+                    f"needs at least {obw + cc + spseg} for one predicted segment"
+                )
+                continue
+            frames = max(0, n // spseg - win.passive_prefix) * spseg
+            step = max(1, _CHUNK_FRAMES // max(1, frames))  # traces per chunk
+        chunk.append(trace)
+        if len(chunk) == step:
+            predict_chunk()
+    if fault is not None:
+        raise fault
+    if shape is None:
+        raise ValueError("no traces given")
+    predict_chunk()
+    return np.concatenate(parts)
 
 
 def _predict_block(
@@ -694,6 +768,8 @@ def _predict_block(
         t_hat = side * cos_gap - prev * sin_gap
         # frame k leads the last observed sample by cc + k + 1 periods
         angles = (gap[:, None] * (frames + cc + 1))[:, :, None]
-        pred[moving] = np.cos(angles) * last[:, None, :] + np.sin(angles) * t_hat[:, None, :]
+        turned = np.cos(angles) * last[:, None, :]
+        turned += np.sin(angles) * t_hat[:, None, :]
+        pred[moving] = turned
     dots = np.clip(np.einsum("ijk,ijk->ij", actual, pred), -1.0, 1.0)
     np.arccos(dots, out=out.reshape(dots.shape))

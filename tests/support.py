@@ -7,9 +7,12 @@ boundaries where a different branch could legitimately answer.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
@@ -341,3 +344,38 @@ def one_array_avg_rate(ch, n: int, seed: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         snr = ch.tx_power * np.float64(ch.distance) ** -ch.pathloss_exp / ch.noise_power
         return float(np.mean(ch.bandwidth * np.log2(gain * snr + 1.0)))
+
+
+def stage_peaks(run, stages: dict[str, list[tuple[object, str]]]) -> dict[str, int]:
+    """`tracemalloc`'s peak over ``run()``, as ``"all"``, and within each stage.
+
+    A stage is the calls made through the ``(module, name)`` globals listed
+    for it, wrapped for the run; stages must not nest.  Between and within
+    stages the peak is read and reset, so ``"all"`` is the largest of the
+    parts.  ``run()`` must return 0.
+    """
+    peaks = dict.fromkeys(stages, 0) | {"all": 0}
+
+    def wrap(stage, fn):
+        def staged(*args, **kwargs):
+            peaks["all"] = max(peaks["all"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                peaks[stage], peaks["all"] = max(peaks[stage], peak), max(peaks["all"], peak)
+                tracemalloc.reset_peak()
+        return staged
+
+    with contextlib.ExitStack() as stack:
+        for stage, names in stages.items():
+            for module, name in names:
+                stack.enter_context(patch.object(module, name, wrap(stage, getattr(module, name))))
+        tracemalloc.start()
+        try:
+            assert run() == 0
+            peaks["all"] = max(peaks["all"], tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks

@@ -500,3 +500,46 @@ def test_build_report():
     assert 0.0 <= full.gamma_tradeoff <= 1.0
     sub = error_subset_for_requirement(errors, req)
     assert full.mean_error_subset == pytest.approx(sub.mean, abs=1e-15)
+
+
+def _sweep_bits(sweep) -> dict:
+    """The columns of a `SweepTable` as bytes."""
+    return {name: column.tobytes() for name, column in sweep._asdict().items()}
+
+
+def _report_bits(report) -> dict:
+    """Every field of an `AggregateReport`, its sweep's columns as bytes."""
+    return report._asdict() | {"sweep": _sweep_bits(report.sweep)}
+
+
+@pytest.mark.parametrize("max_leak", [0.3, 1.0], ids=["interval", "full"])
+def test_sweep_and_report_leave_the_callers_errors_alone(max_leak):
+    # unsorted, read-only, sorted read-only and list inputs keep their values
+    # and order, and give the bits of the one population sorted beforehand
+    errors = np.random.default_rng(12).uniform(0.0, math.pi, 400)
+    errors[:3] = [0.0, math.pi / 2, math.pi]
+    ordered = np.sort(errors)
+    frozen, frozen_ordered = errors.copy(), ordered.copy()
+    frozen.flags.writeable = frozen_ordered.flags.writeable = False
+    grid, req = np.linspace(0.0, math.pi, 25), PrivacyRequirement(EPS, max_leak)
+    want_sweep = average_leakage_sweep(ordered.copy(), FOV, EPS, grid)
+    want_report = _report_bits(build_report(ordered.copy(), FOV, EPS, grid, req=req))
+    for given in (errors, frozen, frozen_ordered, errors.tolist(), ordered):
+        before = np.array(given)
+        sweep = average_leakage_sweep(given, FOV, EPS, grid)
+        assert _sweep_bits(sweep) == _sweep_bits(want_sweep)
+        assert _report_bits(build_report(given, FOV, EPS, grid, req=req)) == want_report
+        assert np.array(given).tobytes() == before.tobytes()
+    # the subset keeps the order given, in a new array, and so does its mean
+    sub = error_subset_for_requirement(errors, req)
+    rng = sub.error_range
+    kept = errors[(errors >= rng.lo) & (errors <= rng.hi)]
+    assert sub.errors.tobytes() == kept.tobytes() and not np.shares_memory(sub.errors, errors)
+    assert sub.mean == float(kept.mean())
+    # the report's statistics read the sorted population: its slice, and counts
+    report = build_report(errors, FOV, EPS, grid, req=req)
+    assert report.mean_error_subset == float(ordered[(ordered >= rng.lo) & (ordered <= rng.hi)].mean())
+    assert (report.gamma_tradeoff, report.gamma_consist) == tradeoff_consistency_ratios(errors, req)
+    half = math.pi / 2
+    assert report.gamma_tradeoff == float(np.mean((errors >= rng.lo) & (errors <= half)))
+    assert report.gamma_consist == float(np.mean((errors >= half) & (errors <= rng.hi)))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -41,7 +42,7 @@ from vrpl.config import MAX_ELEMENTS, load_config
 from vrpl.qoe import CASE_CODE, PARTITION_CASES
 from vrpl.tables import round_floats, write_json
 
-from support import read_csv, write_drifting_csv
+from support import read_csv, stage_peaks, write_drifting_csv
 
 FOV = math.radians(50.0)
 
@@ -923,23 +924,26 @@ def test_trace_memory_does_not_grow_per_radius(tmp_path):
 
 def test_cli_trace_peak_memory_per_csv_row(tmp_path, capsys):
     # tracemalloc's peak over a warm `trace` of 100 drifting traces of 60 s:
-    # 64 B per CSV row on numpy 2.4, against 92 B while the traces, the
-    # lens's trigonometry of every error and the leakage's zone arrays were
-    # all held through the sweep.
+    # 41.3 B per CSV row on numpy 2.4, 41.3 B while the file is streamed into
+    # errors and 41.1 B in the sweep, over the errors and its lens's block;
+    # against 62.5 B while the whole file was held as columns through
+    # prediction, and 92 B while the traces, the lens's trigonometry of every
+    # error and the leakage's zone arrays were all held through the sweep.
+    # A failure names the stage that grew.
     rows = write_drifting_csv(tmp_path / "traces.csv", 100, 60.0)
     grid = {"lo": 0.0, "hi": math.pi, "n": 181}
     doc = {"traces_csv": str(tmp_path / "traces.csv"), "predictor": "great_circle_extrapolation",
            "grids": {"r_sv": grid}}
     argv = ["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]
     assert main(argv) == 0  # a first call also fills numpy's caches
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    stages = {
+        "stream": [(vrpl.cli, "predict_all")],
+        "sweep": [(vrpl.cli, "build_report")],
+        "writes": [(vrpl.cli, "_write_report"), (vrpl.cli, "_emit_table")],
+    }
+    peaks = stage_peaks(lambda: main(argv), stages)
     capsys.readouterr()
-    assert peak / rows <= 80.0, peak / rows
+    assert peaks["all"] / rows <= 50.0, {stage: round(peak / rows, 1) for stage, peak in peaks.items()}
 
 
 #: Each sweep with a 61 x 61 grid (3,721 rows) and the table it writes.
@@ -1298,6 +1302,59 @@ def test_cli_trace_rejects_non_contiguous_csv(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"traces_csv": str(csv_path)})
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert ":102: rows of trace a/v are not contiguous" in capsys.readouterr().err
+
+
+_TRACE_HEADER = "user_id,video_id,timestamp_s,theta_rad,phi_rad"
+
+
+def _two_rates(b_rows: int) -> list[str]:
+    """A 4 Hz trace of 12 s, then a 5 Hz trace of ``b_rows`` samples."""
+    return ([f"a,v,{i / 4},{0.01 * i},0.0" for i in range(48)]
+            + [f"b,v,{i / 5},0.0,{0.01 * i}" for i in range(b_rows)])
+
+
+#: `trace` on small CSV files: the rows after the header, the line ending,
+#: the r_sv grid, then the exit code and the report's n_samples (exit 0) or
+#: what standard error holds, ``{path}`` being the file's (exit 3).
+_CSV_TRACE_RUNS = {
+    # CRLF endings and a quoted key: the block parse refuses the file and the row loop reads it
+    "crlf-quoted-key": ([f'"u 1",v,{i / 5},{0.01 * i},0.0' for i in range(20)], "\r\n", [0.5, 1.0], 0, 10),
+    # a 4 Hz trace of 12 s and a 5 Hz trace of 9 s are predicted as two groups:
+    # 10 segments of 4 plus 7 of 5
+    "two-rate-groups": (_two_rates(45), "\n", [0.5, 1.0], 0, 10 * 4 + 7 * 5),
+    # a second trace too short for one predicted segment (14 samples at 5 Hz, 15 needed)
+    "too-short": (_two_rates(14), "\n", [0.5, 1.0], 3, "data error: trace b/v has 14 samples"),
+    # a bad latitude on line 5 names the line
+    "latitude-line-5": ([f"u,v,{i / 5},0.0,{2.0 if i == 3 else 0.0}" for i in range(20)], "\n", [0.5],
+                        3, "data error: {path}:5: "),
+    # a second trace that skips a sample on line 32 names the line, its spacings as plain floats
+    "uneven-line-32": ([f"a,v,{i / 5},0.0,0.0" for i in range(20)]
+                       + [f"b,v,{(i + (i >= 10)) / 5},0.0,0.0" for i in range(20)], "\n", [0.5],
+                       3, "data error: {path}:32: trace b/v: non-uniform sample spacing"),
+    # a field over the csv module's 131,072-character limit on line 5 names the line
+    "over-long-field-line-5": ([("u" * 140000 if i == 3 else "u") + f",v,{i / 5},0.0,0.0" for i in range(20)],
+                               "\n", [0.5], 3, "data error: {path}:5: "),
+}
+
+
+@pytest.mark.parametrize("name", list(_CSV_TRACE_RUNS))
+def test_cli_trace_on_small_csv_files(tmp_path, capsys, name):
+    rows, eol, r_sv, code, expected = _CSV_TRACE_RUNS[name]
+    path = tmp_path / "traces.csv"
+    with path.open("w", newline="") as fh:
+        fh.write(eol.join([_TRACE_HEADER, *rows]) + eol)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = main(["trace", "--config", _cfg(tmp_path, {"traces_csv": str(path), "grids": {"r_sv": r_sv}}),
+                    "--out", str(out)])
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert "Traceback" not in err and "np.float64" not in err
+    if code == 0:
+        assert json.loads((out / "report.json").read_text())["n_samples"] == expected
+    else:
+        assert err.startswith(expected.format(path=path)), err
 
 
 def _run_with_closed_stdout(argv: list[str]) -> subprocess.CompletedProcess:

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 import tracemalloc
@@ -22,7 +23,9 @@ from vrpl import (
     predict_all,
     save_traces,
 )
+from vrpl import cli as cli_module
 from vrpl import traces as traces_module
+from vrpl.cli import main
 from vrpl.traces import _points, _unit_tangents, _unit_vectors
 
 from support import reference_random_walk, scalar_synthetic_unit_vectors
@@ -471,12 +474,12 @@ def _outcome(load, path):
 
 
 def _by_rows(path):
-    """`load_traces` with the columnar parse refusing every file."""
+    """`load_traces` with the block parse refusing every file."""
 
     def refuse(path):
         raise ValueError("refused")
 
-    with patch.object(traces_module, "_load_columns", refuse):
+    with patch.object(traces_module, "_block_pieces", refuse):
         return load_traces(path)
 
 
@@ -486,14 +489,26 @@ def _by_columns(path):
     def refuse(path):
         raise AssertionError("the row loop read the file again")
 
-    with patch.object(traces_module, "_load_rows", refuse):
+    with patch.object(traces_module, "_row_pieces", refuse):
         return load_traces(path)
 
 
 def _tokens(tokenize, path):
-    """What tokenizer ``tokenize`` makes of ``path``: keys, sample bits, bounds, line map."""
-    keys, ts, th, ph, bounds, skips = tokenize(path)
-    return keys, ts.tobytes(), th.tobytes(), ph.tobytes(), bounds.tolist(), list(skips)
+    """What tokenizer ``tokenize`` makes of ``path``: keys, sample bits,
+    bounds, and for each line after the header that starts no row (up to
+    the last row) the number of rows before it."""
+    keys, firsts, n = [], [], 0
+    values, lines = [np.empty((3, 0))], [np.empty(0, dtype=int)]
+    for piece_values, piece_lines, changes in tokenize(path):
+        keys += [key for _, key in changes]
+        firsts += [n + i for i, _ in changes]
+        n += piece_lines.size
+        values.append(piece_values)
+        lines.append(piece_lines)
+    ts, th, ph = np.concatenate(values, axis=1)
+    lines = np.concatenate(lines)
+    skips = np.repeat(np.arange(n), np.diff(lines, prepend=1) - 1)  # the header is line 1
+    return keys, ts.tobytes(), th.tobytes(), ph.tobytes(), firsts + [n], skips.tolist()
 
 
 #: Numeric fields the row loop and ``np.loadtxt`` may read differently, or
@@ -580,11 +595,11 @@ def test_columnar_parse_agrees_with_row_loop(text, chunk):
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(load_traces, path) == _outcome(_by_rows, path)
         try:
-            columns = _tokens(traces_module._load_columns, path)
+            columns = _tokens(traces_module._block_pieces, path)
         except ValueError:
             return
         # what the columnar parse takes, the row loop reads the same
-        assert columns == _tokens(traces_module._load_rows, path)
+        assert columns == _tokens(traces_module._row_pieces, path)
 
 
 _CRLF_HEADER = HEADER.replace("\n", "\r\n")
@@ -608,7 +623,7 @@ def test_lone_cr_falls_back_to_the_row_loop(tmp_path, text):
     path = tmp_path / "traces.csv"
     path.write_bytes(text.encode("utf-8"))
     with pytest.raises(ValueError, match="line ending|header"):
-        traces_module._load_columns(path)
+        _tokens(traces_module._block_pieces, path)
     assert _outcome(load_traces, path) == _outcome(_by_rows, path)
 
 
@@ -621,8 +636,8 @@ def test_columnar_parse_takes_clean_files_of_many_blocks(tmp_path):
         lines.append("")
     path = _write(tmp_path, "\r\n".join(lines))
     assert path.stat().st_size > 2 * traces_module._CHUNK_BYTES
-    columns = _tokens(traces_module._load_columns, path)
-    assert columns == _tokens(traces_module._load_rows, path)
+    columns = _tokens(traces_module._block_pieces, path)
+    assert columns == _tokens(traces_module._row_pieces, path)
     assert columns[0] == [("a", "v"), ("b c", "v"), ("d", "v")]
     # the blank lines after the first two traces; the last "" only ends the file
     assert columns[4:] == ([0, 1000, 2000, 3000], [1000, 2000])
@@ -889,23 +904,124 @@ def test_a_columnar_file_is_parsed_and_checked_once(tmp_path):
     assert checks == [[("a", "v"), ("b", "v")]] * 2
 
 
-@pytest.mark.parametrize("rows, line, message", [
+#: Trace files whose faults rank against each other: the rows after the
+#: header, the line of the first fault and the start of its message.
+_RANKED_FAULTS = {
     # a tokenizer fault wins over a reappearing key and a bad trace before it
-    (["a,v,0.0,0.0,2.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
-      "a,v,0.4,0.0,0.0", "a,v,0.6,abc,0.0"], 7, "non-numeric sample: could not convert"),
+    "tokenizer": (["a,v,0.0,0.0,2.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
+                   "a,v,0.4,0.0,0.0", "a,v,0.6,abc,0.0"], 7, "non-numeric sample: could not convert"),
     # a reappearing key wins over a bad trace before it
-    (["a,v,0.0,0.0,2.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
-      "a,v,0.4,0.0,0.0", "a,v,0.6,nan,0.0"], 6, "rows of trace a/v are not contiguous"),
+    "contiguity": (["a,v,0.0,0.0,2.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
+                    "a,v,0.4,0.0,0.0", "a,v,0.6,nan,0.0"], 6, "rows of trace a/v are not contiguous"),
     # the first bad trace in file order wins, with the first check it fails:
     # b's latitude (sample 3) over its uneven spacing (sample 2) and c's non-finite sample
-    (["a,v,0.0,0.0,0.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
-      "b,v,0.5,0.0,0.0", "b,v,0.8,0.0,-1.6", "c,v,0.0,inf,0.0", "c,v,0.2,0.0,0.0"],
-     7, "trace b/v sample 3: latitude -1.6 outside [-pi/2, pi/2]"),
-], ids=["tokenizer", "contiguity", "first trace"])
+    "first trace": (["a,v,0.0,0.0,0.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
+                     "b,v,0.5,0.0,0.0", "b,v,0.8,0.0,-1.6", "c,v,0.0,inf,0.0", "c,v,0.2,0.0,0.0"],
+                    7, "trace b/v sample 3: latitude -1.6 outside [-pi/2, pi/2]"),
+}
+
+
+@pytest.mark.parametrize("rows, line, message", list(_RANKED_FAULTS.values()), ids=list(_RANKED_FAULTS))
 def test_csv_faults_take_precedence_in_order(tmp_path, rows, line, message):
     path = _write(tmp_path, HEADER + "\n".join(rows) + "\n")
     assert _outcome(load_traces, path).startswith(f"{path}:{line}: {message}")
     assert _outcome(_by_rows, path) == _outcome(load_traces, path)
+
+
+#: Windows under which some of `_trace_csv_texts`' 5 Hz traces (2 to 6 rows)
+#: are long enough for a predicted segment and some are too short, and one
+#: that is not a whole number of their sample periods.
+_STREAM_WINDOWS = [WindowingConfig(0.2, 0.2, 0.2), WindowingConfig(0.4, 0.2, 0.2),
+                   WindowingConfig(0.3, 0.3, 0.3)]
+
+
+@given(
+    text=_trace_csv_texts(),
+    chunk=st.sampled_from([64, 128, 1 << 16]),
+    rows=st.sampled_from([1, 4, 1024]),
+    win=st.sampled_from(_STREAM_WINDOWS),
+    predictor=st.sampled_from(list(Predictor)),
+)
+@settings(max_examples=300)
+def test_streamed_prediction_agrees_with_the_row_loop(text, chunk, rows, win, predictor):
+    # the same error bits, or the same first fault, as the row loop's traces
+    # predicted once loaded: blocks of 64 bytes hand the file to the row loop
+    # after some traces were checked, in batches of `rows` rows
+    with (tempfile.TemporaryDirectory() as tmp, patch.object(traces_module, "_CHUNK_BYTES", chunk),
+          patch.object(traces_module, "_CHECK_ROWS", rows)):
+        path = Path(tmp) / "traces.csv"
+        path.write_bytes(text.encode("utf-8"))
+        streamed = _errors_or_message(lambda: predict_all(traces_module._stream_traces(path), win, predictor))
+        assert streamed == _errors_or_message(lambda: predict_all(_by_rows(path), win, predictor))
+
+
+#: `_RANKED_FAULTS`, and a trace too short for a predicted segment, which
+#: prediction reaches before the file's malformed row: the rows after the
+#: header, the line of the first fault and the start of its message.
+_STREAMED_FAULTS = {
+    **_RANKED_FAULTS,
+    "too short, then a malformed row": (
+        [f"a,v,{i / 5},0.0,0.0" for i in range(20)] + [f"b,v,{i / 5},0.0,0.0" for i in range(5)]
+        + [f"c,v,{i / 5},{'abc' if i == 9 else 0.0},0.0" for i in range(20)],
+        36, "non-numeric sample: could not convert string to float: 'abc'"),
+}
+
+
+def _trace_exit(tmp_path, path) -> int:
+    """`main`'s exit code for ``trace`` on trace file ``path``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"traces_csv": str(path), "grids": {"r_sv": [0.5]}}), encoding="utf-8")
+    return main(["trace", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("chunk", [64, 1 << 16])
+@pytest.mark.parametrize("name", list(_STREAMED_FAULTS))
+def test_cli_trace_reports_a_streamed_files_first_fault(tmp_path, capsys, monkeypatch, name, chunk):
+    # traces are checked, and predicted, as the file is read; a fault of a
+    # higher rank found later still wins
+    rows, line, message = _STREAMED_FAULTS[name]
+    path = _write(tmp_path, HEADER + "\n".join(rows) + "\n")
+    monkeypatch.setattr(traces_module, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(traces_module, "_CHECK_ROWS", 1)
+    read, stream = [], cli_module._stream_traces
+
+    def recorded(path):
+        for trace in stream(path):
+            read.append(trace.user_id)
+            yield trace
+
+    monkeypatch.setattr(cli_module, "_stream_traces", recorded)
+    assert _trace_exit(tmp_path, path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}:{line}: {message}")
+    assert err == f"data error: {_outcome(_by_rows, path)}\n"
+    if name == "too short, then a malformed row":
+        # checked a row at a time, by blocks or by the row loop, the too-short
+        # trace reaches prediction before the malformed row is read
+        assert read == ["a", "b"]
+
+
+def test_cli_trace_hands_a_file_to_the_row_loop_after_predicting_traces(tmp_path, capsys, monkeypatch):
+    # 20 clean traces of 300 rows fill several blocks; the last trace's key is
+    # quoted, so the block parse refuses its block, after a chunk of the clean
+    # traces was predicted, and the row loop finds its bad latitude
+    rows = [f"u{k},v,{i / 5!r},{math.sin(0.1 * i)!r},{0.5 * math.cos(0.1 * i)!r}"
+            for k in range(20) for i in range(300)]
+    rows += [f'"u 20",v,{i / 5},0.0,{2.0 if i == 2 else 0.0}' for i in range(300)]
+    path = _write(tmp_path, HEADER + "\n".join(rows) + "\n")
+    assert path.stat().st_size > 4 * traces_module._CHUNK_BYTES
+    predicted, kernel = [], traces_module._predict_block
+
+    def counted(vecs, *args):
+        predicted.append(len(vecs))
+        kernel(vecs, *args)
+
+    monkeypatch.setattr(traces_module, "_predict_block", counted)
+    assert _trace_exit(tmp_path, path) == 3
+    message = "trace u 20/v sample 2: latitude 2.0 outside [-pi/2, pi/2]"
+    assert capsys.readouterr().err == f"data error: {path}:6004: {message}\n"
+    # one chunk of the clean traces (290 frames each) was predicted, no more
+    assert predicted == [traces_module._CHUNK_FRAMES // 290]
 
 
 def test_save_load_round_trips_quoted_keys(tmp_path):
