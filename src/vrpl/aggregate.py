@@ -102,9 +102,14 @@ def error_subset_for_requirement(
     rng = error_range_for_requirement(req)
     if rng.kind is RangeKind.INFEASIBLE:
         return ErrorSubset(False, np.empty(0), math.nan, rng)
-    subset = values[(values >= rng.lo) & (values <= rng.hi)]
+    subset = _within(values, rng)
     mean = float(subset.mean()) if subset.size else math.nan
     return ErrorSubset(True, subset, mean, rng)
+
+
+def _within(values: np.ndarray, rng: ErrorRange) -> np.ndarray:
+    """The errors of ``values`` in the feasible interval ``rng``, into a new array."""
+    return values[(values >= rng.lo) & (values <= rng.hi)]
 
 
 def tradeoff_consistency_ratios(
@@ -121,16 +126,10 @@ def tradeoff_consistency_ratios(
     Raises:
         ValueError: if the requirement is infeasible.
     """
-    return _requirement_stats(_population(errors), req)[1:]
+    return _ratios(_checked(errors), req)
 
 
-def _requirement_stats(e: np.ndarray, req: PrivacyRequirement) -> tuple[float, float, float]:
-    """Over sorted errors ``e``: the mean of the errors that meet the
-    requirement (nan if none), then the tradeoff and consistency fractions.
-
-    The feasible interval holds ``pi/2``, so its errors are the slice
-    ``e[lo:hi]`` and each half is counted by `searchsorted`.
-    """
+def _ratios(values: np.ndarray, req: PrivacyRequirement) -> tuple[float, float]:
     rng = error_range_for_requirement(req)
     if rng.kind is RangeKind.INFEASIBLE:
         raise ValueError(
@@ -138,10 +137,9 @@ def _requirement_stats(e: np.ndarray, req: PrivacyRequirement) -> tuple[float, f
             f"minimum {min_leak_prob_error(req.epsilon)!r}"
         )
     half = math.pi / 2
-    lo, half_lo = np.searchsorted(e, [rng.lo, half], side="left").tolist()
-    half_hi, hi = np.searchsorted(e, [half, rng.hi], side="right").tolist()
-    mean = float(e[lo:hi].mean()) if hi > lo else math.nan
-    return mean, (half_hi - lo) / e.size, (hi - half_lo) / e.size
+    tradeoff = float(np.mean((values >= rng.lo) & (values <= half)))
+    consistency = float(np.mean((values >= half) & (values <= rng.hi)))
+    return tradeoff, consistency
 
 
 class RegionBounds(Record):
@@ -369,22 +367,25 @@ def build_report(
 ) -> AggregateReport:
     """Run the full aggregate pipeline over one error population.
 
-    The errors are checked and sorted once, as `average_leakage_sweep` does
-    (a sorted float64 array is taken as it is, and the caller's errors are
-    never changed); the sweep and the requirement statistics then read the
-    sorted population.
+    The errors are checked once, by `average_leakage_sweep`, which takes a
+    sorted float64 array as it is and sorts any other into a copy, so the
+    caller's errors are never changed; the requirement statistics then read
+    them unchecked.  The subset's mean is taken over its errors in
+    increasing order, so a population reads the same bits in any order.
     """
-    regions = leakage_regions(r_fov, eps)  # checks r_fov and eps before the errors, as the sweep does
-    e = _population(errors)
-    sweep = average_leakage_sweep(e, r_fov, eps, r_sv_grid)
+    sweep = average_leakage_sweep(errors, r_fov, eps, r_sv_grid)
+    values = np.asarray(errors, dtype=float)
     mean_error = gamma_t = gamma_c = None
     if req is not None:
-        mean_error, gamma_t, gamma_c = _requirement_stats(e, req)
+        gamma_t, gamma_c = _ratios(values, req)
+        subset = _within(values, error_range_for_requirement(req))
+        subset.sort()
+        mean_error = float(subset.mean()) if subset.size else math.nan
     return AggregateReport(
-        n_samples=int(e.size),
+        n_samples=int(values.size),
         r_fov=float(r_fov),
         epsilon=float(eps),
-        regions=regions,
+        regions=leakage_regions(r_fov, eps),
         sweep=sweep,
         mean_error_subset=mean_error,
         gamma_tradeoff=gamma_t,

@@ -199,8 +199,8 @@ def _stream_traces(path: str | Path) -> Iterator[ViewpointTrace]:
         starts += [n + i for i, _ in changes]
         pieces.append((values, lines))
         n += lines.size
-        done = len(keys) - (piece is not end)  # the traces that ended
-        if not done or piece is not end and starts[done] < _CHECK_ROWS:
+        done = len(keys) - (piece is not end)  # the traces that ended; -1 before the first row
+        if done <= 0 or piece is not end and starts[done] < _CHECK_ROWS:
             continue
         cut = n if piece is end else starts[done]
         columns = np.concatenate([v for v, _ in pieces], axis=1, out=np.empty((3, n)))
@@ -355,17 +355,35 @@ def _block_rows(block: bytes, key: bytes, line: int) -> tuple[tuple, bytes, int]
     if not starts.size:
         return (np.empty((3, 0)), lines, []), key, line + newlines.size
     key_ends = commas[np.searchsorted(commas, starts) + 1]
-    keys = [block[i:j] for i, j in zip(starts.tolist(), key_ends.tolist())]
-    changes = [
-        (i, tuple(k.decode("utf-8").split(",")))
-        for i, (k, before) in enumerate(zip(keys, [key, *keys])) if k != before
-    ]
+    changed = _key_changes(a, starts, key_ends).tolist()
+    if block[starts[0] : key_ends[0]] != key:
+        changed.insert(0, 0)
+    changes = [(i, tuple(block[starts[i] : key_ends[i]].decode("utf-8").split(","))) for i in changed]
     samples = np.loadtxt(
         block.decode("utf-8").split("\n"), delimiter=",", usecols=(2, 3, 4), comments=None, ndmin=2
     )
     if len(samples) != len(starts):  # a guard: the rows must line up with their keys
         raise ValueError("a row loadtxt skipped")
-    return (samples.T, lines, changes), keys[-1], line + newlines.size
+    return (samples.T, lines, changes), block[starts[-1] : key_ends[-1]], line + newlines.size
+
+
+def _key_changes(a: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The rows, after the first, whose key bytes ``a[starts[i]:ends[i]]``
+    differ from the row before's.
+
+    Keys of one length are compared byte by byte, side by side in one flat
+    run of their bytes; keys are never empty, since a key holds its comma.
+    """
+    lens = ends - starts
+    changed = lens[1:] != lens[:-1]
+    rows = np.flatnonzero(~changed) + 1
+    if rows.size:
+        n = lens[rows]
+        heads = np.cumsum(n) - n  # where each row's bytes start in the run
+        at = np.arange(heads[-1] + n[-1]) + np.repeat(starts[rows] - heads, n)
+        back = np.repeat(starts[rows] - starts[rows - 1], n)  # to the same byte of the row before
+        changed[rows - 1] = np.logical_or.reduceat(a[at] != a[at - back], heads)
+    return np.flatnonzero(changed) + 1
 
 
 def _block_pieces(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -536,8 +537,11 @@ def test_sweep_and_report_leave_the_callers_errors_alone(max_leak):
     kept = errors[(errors >= rng.lo) & (errors <= rng.hi)]
     assert sub.errors.tobytes() == kept.tobytes() and not np.shares_memory(sub.errors, errors)
     assert sub.mean == float(kept.mean())
-    # the report's statistics read the sorted population: its slice, and counts
-    report = build_report(errors, FOV, EPS, grid, req=req)
+    # the report checks the errors once, in the sweep; its subset's mean reads
+    # the subset in increasing order, and its ratios are tradeoff_consistency_ratios'
+    with patch.object(aggregate, "_checked", wraps=aggregate._checked) as checked:
+        report = build_report(errors, FOV, EPS, grid, req=req)
+    assert checked.call_count == 1
     assert report.mean_error_subset == float(ordered[(ordered >= rng.lo) & (ordered <= rng.hi)].mean())
     assert (report.gamma_tradeoff, report.gamma_consist) == tradeoff_consistency_ratios(errors, req)
     half = math.pi / 2

@@ -1332,6 +1332,10 @@ _CSV_TRACE_RUNS = {
                        + [f"b,v,{(i + (i >= 10)) / 5},0.0,0.0" for i in range(20)], "\n", [0.5],
                        3, "data error: {path}:32: trace b/v: non-uniform sample spacing"),
     # a field over the csv module's 131,072-character limit on line 5 names the line
+    # a blank line, then a first row longer than a block: the first block holds no row
+    "blank-then-long-row": ([""] + [f"{'u' * 70000},v,{i / 5},0.0,0.0" for i in range(20)], "\n", [0.5], 0, 10),
+    # a block of blank lines before the first row
+    "blank-block": ([""] * 70000 + [f"u,v,{i / 5},0.0,0.0" for i in range(20)], "\n", [0.5], 0, 10),
     "over-long-field-line-5": ([("u" * 140000 if i == 3 else "u") + f",v,{i / 5},0.0,0.0" for i in range(20)],
                                "\n", [0.5], 3, "data error: {path}:5: "),
 }

@@ -588,6 +588,9 @@ def _trace_csv_texts(draw):
 @example(text=HEADER + "u,v,0,0,0\nu,v,0.2,0,0\nw,v,0,0,0\nw,v,0.2,0,0\nu,v,0.4,0,0\nu,v,0.6,0,0\n", chunk=64)
 # keys of equal width that differ in their last byte alone, the change on the first row of a block
 @example(text=HEADER + "".join(f"u,v{c},{i / 5},0,0\n" for c in "ab" for i in range(6)), chunk=64)
+# a first block of blank lines alone: the first row is longer than a block, or past a block of them
+@example(text=HEADER + "\n" + "".join(f"{'u' * 64},v,{i / 5},0,0\n" for i in range(3)), chunk=64)
+@example(text=HEADER + "\n" * 70 + "u,v,0,0,0\nu,v,0.2,0,0\n", chunk=64)
 @settings(max_examples=300)
 def test_columnar_parse_agrees_with_row_loop(text, chunk):
     with tempfile.TemporaryDirectory() as tmp, patch.object(traces_module, "_CHUNK_BYTES", chunk):
