@@ -769,7 +769,7 @@ def _predict_block(
     frames = np.arange(spseg)
     # the observation window ends cc samples before each segment starts
     last = vecs[:, first - cc - 1 : stop - cc - 1 : spseg].reshape(-1, 3)  # (trace and segment, xyz)
-    actual = vecs[:, first:stop].reshape(-1, spseg, 3)  # (.., frame, xyz)
+    actual = vecs[:, first:stop]  # (trace, frame, xyz), a view
     pred = np.repeat(last[:, None, :], spseg, axis=1)
     if predictor is Predictor.GREAT_CIRCLE and obw >= 2:
         prev = vecs[:, first - cc - 2 : stop - cc - 2 : spseg].reshape(-1, 3)
@@ -789,5 +789,5 @@ def _predict_block(
         turned = np.cos(angles) * last[:, None, :]
         turned += np.sin(angles) * t_hat[:, None, :]
         pred[moving] = turned
-    dots = np.clip(np.einsum("ijk,ijk->ij", actual, pred), -1.0, 1.0)
+    dots = np.clip(np.einsum("ijk,ijk->ij", actual, pred.reshape(actual.shape)), -1.0, 1.0)
     np.arccos(dots, out=out.reshape(dots.shape))

@@ -28,6 +28,13 @@ from vrpl.traces import (
 TWO_PI = 2.0 * math.pi
 ULP = float(np.finfo(float).eps)
 
+#: A resource budget, its tile and a channel, as the config blocks of `vrpl resource`.
+TILE = {"px_w": 64, "px_h": 64, "bits_per_pixel": 12, "compression_ratio": 16.0}
+RESOURCES = {"compute_flops": 1e12, "users": 4, "flops_per_bit": 100.0, "avg_data_rate": 4e8,
+             "cc_duration": 0.0820224, "frames_per_segment": 30, "tiles_per_frame": 200}
+CHANNEL = {"bandwidth": 1e7, "tx_power": 4.0, "distance": 2.0, "pathloss_exp": 2.5,
+           "noise_power": 1e-3, "antennas": 8, "users": 4}
+
 
 def random_partial_overlap_triples(
     rng: np.random.Generator,

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -42,7 +41,7 @@ from vrpl.config import MAX_ELEMENTS, load_config
 from vrpl.qoe import CASE_CODE, PARTITION_CASES
 from vrpl.tables import round_floats, write_json
 
-from support import read_csv, stage_peaks, write_drifting_csv
+from support import CHANNEL, RESOURCES, TILE, read_csv, stage_peaks, write_drifting_csv
 
 FOV = math.radians(50.0)
 
@@ -158,9 +157,9 @@ def test_scenario_source_exclusivity():
     with pytest.raises(ConfigError, match="only one"):
         resolve_scenario({"traces_csv": "x.csv", "synthetic": synth})
     with pytest.raises(ConfigError, match="config.tile"):
-        resolve_scenario({"resources": _RESOURCES})
+        resolve_scenario({"resources": RESOURCES})
     with pytest.raises(ConfigError, match="config.resources"):
-        resolve_scenario({"tile": _TILE})
+        resolve_scenario({"tile": TILE})
 
 
 def test_parse_grid_override():
@@ -237,25 +236,6 @@ def test_load_config_errors(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI end to end
 
-_TILE = {"px_w": 64, "px_h": 64, "bits_per_pixel": 12, "compression_ratio": 16.0}
-_RESOURCES = {
-    "compute_flops": 1e12,
-    "users": 4,
-    "flops_per_bit": 100.0,
-    "avg_data_rate": 4e8,
-    "cc_duration": 0.0820224,
-    "frames_per_segment": 30,
-    "tiles_per_frame": 200,
-}
-_CHANNEL = {
-    "bandwidth": 1e7,
-    "tx_power": 4.0,
-    "distance": 2.0,
-    "pathloss_exp": 2.5,
-    "noise_power": 1e-3,
-    "antennas": 8,
-    "users": 4,
-}
 _SYNTH_DRIFT = {
     "model": "great_circle_drift",
     "rate_rad_s": 0.1,
@@ -295,8 +275,8 @@ def test_cli_validate_bad_config(tmp_path, capsys):
         ({"windowing": {"t_obw": 0.2, "t_cc": 0.2}}, "config.windowing"),
         ({"windowing": {"t_obw": True}}, "config.windowing.t_obw"),
         ({"windowing": {"t_obw": "1"}}, "config.windowing.t_obw"),
-        ({"resources": {**_RESOURCES, "gpus": 1}, "tile": _TILE}, "config.resources.gpus"),
-        ({"resources": _RESOURCES, "tile": {**_TILE, "depth": 3}}, "config.tile.depth"),
+        ({"resources": {**RESOURCES, "gpus": 1}, "tile": TILE}, "config.resources.gpus"),
+        ({"resources": RESOURCES, "tile": {**TILE, "depth": 3}}, "config.tile.depth"),
         ({"synthetic": {**_SYNTH_DRIFT, "kappa": 5.0}}, "config.synthetic.kappa"),
         ({"synthetic": {**_SYNTH_DRIFT, "duration_s": 2.0}}, "config.synthetic.duration_s"),
     ],
@@ -338,7 +318,7 @@ def test_cli_names_the_block_field_outside_its_domain(tmp_path, capsys, block, k
         walk = {"model": "random_walk", "kappa": 100.0, "n_traces": 2, "duration_s": 30.0, "rate_hz": 5.0}
         command, doc = "trace", {"synthetic": walk if key == "kappa" else _SYNTH_DRIFT, "windowing": {}}
     else:
-        command, doc = "resource", {"resources": _RESOURCES, "tile": _TILE, "channel": _CHANNEL}
+        command, doc = "resource", {"resources": RESOURCES, "tile": TILE, "channel": CHANNEL}
     doc[block] = {**doc[block], key: value}
     out = tmp_path / "o"
     assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(out)]) == 2
@@ -636,7 +616,7 @@ def test_cli_trace_rejects_non_utf8_csv(tmp_path, capsys):
 
 def test_cli_resource(tmp_path, capsys):
     # cc_duration is half the full-sphere stream time: capability one half.
-    cfg = _cfg(tmp_path, {"resources": _RESOURCES, "tile": _TILE})
+    cfg = _cfg(tmp_path, {"resources": RESOURCES, "tile": TILE})
     out = tmp_path / "out"
     assert main(["resource", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -656,7 +636,7 @@ def test_cli_resource_channel_bandwidth_scaling(tmp_path, capsys):
     for i, bw in enumerate((1e7, 2e7)):
         cfg = _cfg(
             tmp_path,
-            {"resources": _RESOURCES, "tile": _TILE, "channel": {**_CHANNEL, "bandwidth": bw}},
+            {"resources": RESOURCES, "tile": TILE, "channel": {**CHANNEL, "bandwidth": bw}},
             name=f"ch{i}.json",
         )
         out = tmp_path / f"out{i}"
@@ -675,7 +655,7 @@ def test_cli_resource_channel_bandwidth_scaling(tmp_path, capsys):
     ids=["path-loss-overflow", "rate-overflow", "zero-power"],
 )
 def test_cli_resource_rejects_unusable_channel_rate(tmp_path, capsys, change):
-    doc = {"resources": _RESOURCES, "tile": _TILE, "channel": {**_CHANNEL, **change}}
+    doc = {"resources": RESOURCES, "tile": TILE, "channel": {**CHANNEL, **change}}
     out = tmp_path / "o"
     assert main(["resource", "--config", _cfg(tmp_path, doc), "--out", str(out)]) == 2
     assert "config error: config.channel: rate estimate: " in capsys.readouterr().err
@@ -697,16 +677,16 @@ _HUGE = 10**400
         ("validate", {"grids": {"r_sv": [0.5, _HUGE]}}, "config.grids.r_sv[1]"),
         ("validate", '{"seed": ' + "1" * 5001 + "}", "config: {cfg} is not valid JSON"),
         ("validate", "[" * 100_000, "config: {cfg} is not valid JSON"),
-        ("resource", {"resources": _RESOURCES, "tile": {**_TILE, "px_w": _HUGE}},
+        ("resource", {"resources": RESOURCES, "tile": {**TILE, "px_w": _HUGE}},
          "config.tile.px_w"),
-        ("resource", {"resources": {**_RESOURCES, "frames_per_segment": _HUGE}, "tile": _TILE},
+        ("resource", {"resources": {**RESOURCES, "frames_per_segment": _HUGE}, "tile": TILE},
          "config.resources.frames_per_segment"),
-        ("resource", {"resources": {**_RESOURCES, "flops_per_bit": 1e308}, "tile": _TILE},
+        ("resource", {"resources": {**RESOURCES, "flops_per_bit": 1e308}, "tile": TILE},
          "config.resources: compute_flops / (users * flops_per_bit) rounds to 0.0"),
         # an infinite rate and a tile of ~0 transmit bits would cost nothing per tile
-        ("resource", {"resources": {**_RESOURCES, "compute_flops": 1e10, "users": 1,
+        ("resource", {"resources": {**RESOURCES, "compute_flops": 1e10, "users": 1,
                                     "flops_per_bit": 1e-320, "avg_data_rate": 1e300},
-                      "tile": {**_TILE, "compression_ratio": 1e308}},
+                      "tile": {**TILE, "compression_ratio": 1e308}},
          "config.resources: compute_flops / (users * flops_per_bit) rounds to inf"),
     ],
     ids=["fov", "leak-budget", "kappa", "grid-bound", "grid-value", "seed-digits",
@@ -924,7 +904,7 @@ def test_trace_memory_does_not_grow_per_radius(tmp_path):
 
 def test_cli_trace_peak_memory_per_csv_row(tmp_path, capsys):
     # tracemalloc's peak over a warm `trace` of 100 drifting traces of 60 s:
-    # 41.3 B per CSV row on numpy 2.4, 41.3 B while the file is streamed into
+    # 41.1 B per CSV row on numpy 2.4, 38.0 B while the file is streamed into
     # errors and 41.1 B in the sweep, over the errors and its lens's block;
     # against 62.5 B while the whole file was held as columns through
     # prediction, and 92 B while the traces, the lens's trigonometry of every
@@ -1078,7 +1058,7 @@ _FUZZ_CONFIGS = {
         "r_fov_deg": 50.0, "epsilon_frac_of_fov": 0.4, "max_leak_prob": 0.5, "seed": 3,
         "windowing": {"t_obw": 1.0, "t_cc": 1.0, "t_pdw": 1.0}, "predictor": "last_position",
         "grids": {"error": _FUZZ_AXIS, "r_sv": [0.5, 1.0], "epsilon": {"lo": 0.0, "hi": 0.5, "n": 3}},
-        "synthetic": _SYNTH_DRIFT, "resources": _RESOURCES, "tile": _TILE, "channel": _CHANNEL,
+        "synthetic": _SYNTH_DRIFT, "resources": RESOURCES, "tile": TILE, "channel": CHANNEL,
     },
     "sweep-error": {"epsilon_deg": 20.0, "grids": {"error": _FUZZ_AXIS, "epsilon": [0.1, 0.3]}},
     "sweep-qoe": {"r_fov_rad": 0.8, "grids": {"error": _FUZZ_AXIS, "r_sv": _FUZZ_AXIS}},
@@ -1091,7 +1071,7 @@ _FUZZ_CONFIGS = {
                       "rate_hz": 5.0},
         "grids": {"r_sv": [0.0, 0.5, 1.0, math.pi]},
     },
-    "resource": {"resources": _RESOURCES, "tile": _TILE},
+    "resource": {"resources": RESOURCES, "tile": TILE},
 }
 
 #: What a fuzzed config puts in a field: every JSON type, the ends of the
@@ -1218,8 +1198,8 @@ def test_cli_accepts_minimum_fov(tmp_path, capsys, command):
         "r_fov_rad": 1e-6,
         "max_leak_prob": 0.5,
         "synthetic": _SYNTH_DRIFT,
-        "resources": _RESOURCES,
-        "tile": _TILE,
+        "resources": RESOURCES,
+        "tile": TILE,
     }
     grid = "error=0:3.14159:9,r_sv=0:3.14159:9"
     argv = [command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path), "--grid", grid]
@@ -1302,63 +1282,6 @@ def test_cli_trace_rejects_non_contiguous_csv(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"traces_csv": str(csv_path)})
     assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert ":102: rows of trace a/v are not contiguous" in capsys.readouterr().err
-
-
-_TRACE_HEADER = "user_id,video_id,timestamp_s,theta_rad,phi_rad"
-
-
-def _two_rates(b_rows: int) -> list[str]:
-    """A 4 Hz trace of 12 s, then a 5 Hz trace of ``b_rows`` samples."""
-    return ([f"a,v,{i / 4},{0.01 * i},0.0" for i in range(48)]
-            + [f"b,v,{i / 5},0.0,{0.01 * i}" for i in range(b_rows)])
-
-
-#: `trace` on small CSV files: the rows after the header, the line ending,
-#: the r_sv grid, then the exit code and the report's n_samples (exit 0) or
-#: what standard error holds, ``{path}`` being the file's (exit 3).
-_CSV_TRACE_RUNS = {
-    # CRLF endings and a quoted key: the block parse refuses the file and the row loop reads it
-    "crlf-quoted-key": ([f'"u 1",v,{i / 5},{0.01 * i},0.0' for i in range(20)], "\r\n", [0.5, 1.0], 0, 10),
-    # a 4 Hz trace of 12 s and a 5 Hz trace of 9 s are predicted as two groups:
-    # 10 segments of 4 plus 7 of 5
-    "two-rate-groups": (_two_rates(45), "\n", [0.5, 1.0], 0, 10 * 4 + 7 * 5),
-    # a second trace too short for one predicted segment (14 samples at 5 Hz, 15 needed)
-    "too-short": (_two_rates(14), "\n", [0.5, 1.0], 3, "data error: trace b/v has 14 samples"),
-    # a bad latitude on line 5 names the line
-    "latitude-line-5": ([f"u,v,{i / 5},0.0,{2.0 if i == 3 else 0.0}" for i in range(20)], "\n", [0.5],
-                        3, "data error: {path}:5: "),
-    # a second trace that skips a sample on line 32 names the line, its spacings as plain floats
-    "uneven-line-32": ([f"a,v,{i / 5},0.0,0.0" for i in range(20)]
-                       + [f"b,v,{(i + (i >= 10)) / 5},0.0,0.0" for i in range(20)], "\n", [0.5],
-                       3, "data error: {path}:32: trace b/v: non-uniform sample spacing"),
-    # a field over the csv module's 131,072-character limit on line 5 names the line
-    # a blank line, then a first row longer than a block: the first block holds no row
-    "blank-then-long-row": ([""] + [f"{'u' * 70000},v,{i / 5},0.0,0.0" for i in range(20)], "\n", [0.5], 0, 10),
-    # a block of blank lines before the first row
-    "blank-block": ([""] * 70000 + [f"u,v,{i / 5},0.0,0.0" for i in range(20)], "\n", [0.5], 0, 10),
-    "over-long-field-line-5": ([("u" * 140000 if i == 3 else "u") + f",v,{i / 5},0.0,0.0" for i in range(20)],
-                               "\n", [0.5], 3, "data error: {path}:5: "),
-}
-
-
-@pytest.mark.parametrize("name", list(_CSV_TRACE_RUNS))
-def test_cli_trace_on_small_csv_files(tmp_path, capsys, name):
-    rows, eol, r_sv, code, expected = _CSV_TRACE_RUNS[name]
-    path = tmp_path / "traces.csv"
-    with path.open("w", newline="") as fh:
-        fh.write(eol.join([_TRACE_HEADER, *rows]) + eol)
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = main(["trace", "--config", _cfg(tmp_path, {"traces_csv": str(path), "grids": {"r_sv": r_sv}}),
-                    "--out", str(out)])
-    err = capsys.readouterr().err
-    assert got == code, err
-    assert "Traceback" not in err and "np.float64" not in err
-    if code == 0:
-        assert json.loads((out / "report.json").read_text())["n_samples"] == expected
-    else:
-        assert err.startswith(expected.format(path=path)), err
 
 
 def _run_with_closed_stdout(argv: list[str]) -> subprocess.CompletedProcess:
