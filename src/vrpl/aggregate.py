@@ -97,19 +97,26 @@ def error_subset_for_requirement(
     errors: Sequence[float] | np.ndarray, req: PrivacyRequirement
 ) -> ErrorSubset:
     """Select the errors whose error-upload leakage meets the requirement,
-    into a new array, in the order given."""
+    into a new array, in the order given; their mean is summed in increasing
+    order, as `build_report`'s."""
     values = _checked(errors)
     rng = error_range_for_requirement(req)
     if rng.kind is RangeKind.INFEASIBLE:
         return ErrorSubset(False, np.empty(0), math.nan, rng)
     subset = _within(values, rng)
-    mean = float(subset.mean()) if subset.size else math.nan
-    return ErrorSubset(True, subset, mean, rng)
+    return ErrorSubset(True, subset, _sorted_mean(subset.copy()), rng)
 
 
 def _within(values: np.ndarray, rng: ErrorRange) -> np.ndarray:
     """The errors of ``values`` in the feasible interval ``rng``, into a new array."""
     return values[(values >= rng.lo) & (values <= rng.hi)]
+
+
+def _sorted_mean(subset: np.ndarray) -> float:
+    """The mean of ``subset``, which it sorts in place, summed in increasing
+    order so a population reads the same bits in any order; nan if empty."""
+    subset.sort()
+    return float(subset.mean()) if subset.size else math.nan
 
 
 def tradeoff_consistency_ratios(
@@ -378,9 +385,7 @@ def build_report(
     mean_error = gamma_t = gamma_c = None
     if req is not None:
         gamma_t, gamma_c = _ratios(values, req)
-        subset = _within(values, error_range_for_requirement(req))
-        subset.sort()
-        mean_error = float(subset.mean()) if subset.size else math.nan
+        mean_error = _sorted_mean(_within(values, error_range_for_requirement(req)))
     return AggregateReport(
         n_samples=int(values.size),
         r_fov=float(r_fov),

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .resources import ChannelConfig, ResourceConfig, TileSpec
-from .sphere import COUNT, EPSILON, ERROR, FOV, POSITIVE, PROBABILITY, STREAMED_RADIUS, Record
+from .sphere import COUNT, EPSILON, ERROR, FOV, POSITIVE, PROBABILITY, SEED, STREAMED_RADIUS, Record
 from .traces import (
     GreatCircleDrift,
     MotionModel,
@@ -326,8 +326,7 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
     seed, seed_path = overrides.get("seed"), "--seed"
     if seed is None:
         seed, seed_path = _optional(doc, "seed", int, "config", default=0), "config.seed"
-    if seed < 0:
-        raise ConfigError(f"{seed_path}: {seed!r} must be >= 0")
+    seed = _in_domain(SEED.check, seed, seed_path)
 
     win_doc = _optional(doc, "windowing", dict, "config", default={})
     windowing = _resolve_block(WindowingConfig, {**DEFAULT_WINDOWING, **win_doc}, "config.windowing")
@@ -375,7 +374,7 @@ def resolve_scenario(doc: dict, overrides: dict | None = None) -> Scenario:
         r_fov=r_fov,
         epsilon=epsilon,
         max_leak_prob=max_leak,
-        seed=int(seed),
+        seed=seed,
         grids=grids,
         windowing=windowing,
         predictor=predictor,

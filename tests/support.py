@@ -35,6 +35,10 @@ RESOURCES = {"compute_flops": 1e12, "users": 4, "flops_per_bit": 100.0, "avg_dat
 CHANNEL = {"bandwidth": 1e7, "tx_power": 4.0, "distance": 2.0, "pathloss_exp": 2.5,
            "noise_power": 1e-3, "antennas": 8, "users": 4}
 
+#: Two drifting synthetic traces of 30 s at 5 Hz, the `synthetic` block of a `vrpl trace`.
+DRIFT = {"model": "great_circle_drift", "rate_rad_s": 0.1, "n_traces": 2, "duration_s": 30.0,
+         "rate_hz": 5.0}
+
 
 def random_partial_overlap_triples(
     rng: np.random.Generator,

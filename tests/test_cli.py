@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
@@ -29,10 +28,8 @@ from vrpl import (
     PrivacyRequirement,
     SweepTable,
     build_report,
-    leak_prob_from_error,
     leakage_regions,
     parse_grid_override,
-    qoe,
     resolve_scenario,
 )
 from vrpl.cli import InternalInconsistencyError, _check_report, _write_report, main
@@ -41,7 +38,7 @@ from vrpl.config import MAX_ELEMENTS, load_config
 from vrpl.qoe import CASE_CODE, PARTITION_CASES
 from vrpl.tables import round_floats, write_json
 
-from support import CHANNEL, RESOURCES, TILE, read_csv, stage_peaks, write_drifting_csv
+from support import CHANNEL, DRIFT, RESOURCES, TILE, read_csv, stage_peaks, write_drifting_csv
 
 FOV = math.radians(50.0)
 
@@ -236,14 +233,6 @@ def test_load_config_errors(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI end to end
 
-_SYNTH_DRIFT = {
-    "model": "great_circle_drift",
-    "rate_rad_s": 0.1,
-    "n_traces": 2,
-    "duration_s": 30.0,
-    "rate_hz": 5.0,
-}
-
 
 def _cfg(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
@@ -259,120 +248,6 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert summary["predictor"] == "last_position"
 
 
-def test_cli_validate_bad_config(tmp_path, capsys):
-    cfg = _cfg(tmp_path, {"r_fov_deg": 120.0})
-    assert main(["validate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "r_fov" in err
-
-
-@pytest.mark.parametrize(
-    "doc, field",
-    [
-        ({"windowing": {"t_obw": [1]}}, "config.windowing.t_obw"),
-        ({"windowing": {"passive_prefix": 2}}, "config.windowing.passive_prefix"),
-        ({"windowing": {"sample_rate_hz": 5.0}}, "config.windowing.sample_rate_hz"),
-        ({"windowing": {"t_obw": 0.2, "t_cc": 0.2}}, "config.windowing"),
-        ({"windowing": {"t_obw": True}}, "config.windowing.t_obw"),
-        ({"windowing": {"t_obw": "1"}}, "config.windowing.t_obw"),
-        ({"resources": {**RESOURCES, "gpus": 1}, "tile": TILE}, "config.resources.gpus"),
-        ({"resources": RESOURCES, "tile": {**TILE, "depth": 3}}, "config.tile.depth"),
-        ({"synthetic": {**_SYNTH_DRIFT, "kappa": 5.0}}, "config.synthetic.kappa"),
-        ({"synthetic": {**_SYNTH_DRIFT, "duration_s": 2.0}}, "config.synthetic.duration_s"),
-    ],
-    ids=[
-        "list-window", "unknown-prefix-key", "unknown-rate-key", "prefix-under-one-segment",
-        "bool-window", "string-window",
-        "unknown-resource-key", "unknown-tile-key", "unknown-synthetic-key",
-        "synthetic-under-one-segment",
-    ],
-)
-def test_cli_validate_rejects_bad_block_field(tmp_path, capsys, doc, field):
-    assert main(["validate", "--config", _cfg(tmp_path, doc)]) == 2
-    assert f"config error: {field}:" in capsys.readouterr().err
-
-
-#: Each numeric field of a config block with a value outside its domain: the
-#: floats at 0, below it, ±inf or NaN, the counts at 0 or past 2**53.
-_FIELDS_OUT_OF_DOMAIN = [
-    ("tile", "px_w", 0), ("tile", "px_h", -1), ("tile", "bits_per_pixel", 2**53 + 1),
-    ("tile", "compression_ratio", 0.5),
-    ("resources", "compute_flops", 0.0), ("resources", "users", 0),
-    ("resources", "flops_per_bit", -1.0), ("resources", "avg_data_rate", math.inf),
-    ("resources", "cc_duration", -1e-300), ("resources", "frames_per_segment", 0),
-    ("resources", "tiles_per_frame", 2**53 + 1),
-    ("channel", "bandwidth", 0.0), ("channel", "tx_power", -1.0), ("channel", "distance", math.nan),
-    ("channel", "pathloss_exp", -math.inf), ("channel", "noise_power", 0.0),
-    ("channel", "antennas", 0), ("channel", "users", 0),
-    ("windowing", "t_obw", -1.0), ("windowing", "t_cc", 0.0), ("windowing", "t_pdw", math.inf),
-    ("synthetic", "kappa", 0.0), ("synthetic", "rate_rad_s", -0.1),
-    ("synthetic", "n_traces", 0), ("synthetic", "rate_hz", 0.0),
-]
-
-
-@pytest.mark.parametrize(
-    "block, key, value", _FIELDS_OUT_OF_DOMAIN, ids=[f"{b}.{k}" for b, k, _ in _FIELDS_OUT_OF_DOMAIN]
-)
-def test_cli_names_the_block_field_outside_its_domain(tmp_path, capsys, block, key, value):
-    if block in ("windowing", "synthetic"):
-        walk = {"model": "random_walk", "kappa": 100.0, "n_traces": 2, "duration_s": 30.0, "rate_hz": 5.0}
-        command, doc = "trace", {"synthetic": walk if key == "kappa" else _SYNTH_DRIFT, "windowing": {}}
-    else:
-        command, doc = "resource", {"resources": RESOURCES, "tile": TILE, "channel": CHANNEL}
-    doc[block] = {**doc[block], key: value}
-    out = tmp_path / "o"
-    assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: config.{block}.{key}: {key} ") and "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "doc, grid, message",
-    [
-        ({"grids": {"error": {"lo": 0, "hi": math.inf, "n": 3}}}, None,
-         "config.grids.error.hi: viewpoint error inf outside [0, pi]"),
-        ({"grids": {"r_sv": {"lo": -math.inf, "hi": 1, "n": 3}}}, None,
-         "config.grids.r_sv.lo: streamed-cap radius -inf outside [0, pi]"),
-        ({"grids": {"error": {"lo": math.nan, "hi": 1, "n": 3}}}, None,
-         "config.grids.error.lo: viewpoint error nan outside [0, pi]"),
-        ({}, "error=0:inf:3", "--grid error.hi: viewpoint error inf outside [0, pi]"),
-    ],
-    ids=["config-hi", "config-lo", "config-nan", "flag-hi"],
-)
-def test_cli_rejects_non_finite_grid_bound(tmp_path, capsys, doc, grid, message):
-    argv = ["sweep-qoe", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]
-    assert main(argv + (["--grid", grid] if grid else [])) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    "doc, flags, message",
-    [
-        ({"grids": {"error": {"lo": 0, "hi": 5, "n": 5}}}, [],
-         "config.grids.error.hi: viewpoint error 5.0 outside [0, pi]"),
-        ({"grids": {"error": {"lo": 0.5, "hi": 99, "n": 1}}}, [],
-         "config.grids.error.hi: viewpoint error 99.0 outside [0, pi]"),
-        ({}, ["--grid", "r_sv=0:3.2:2"], "--grid r_sv.hi: streamed-cap radius 3.2 outside [0, pi]"),
-        ({"grids": {"epsilon": [2.0]}}, [],
-         "config.grids.epsilon: protection radius 2.0 outside [0, pi/2]"),
-        ({}, ["--grid", "error=0:1:3,error=0:2:3"], "--grid error: given twice"),
-        ({}, ["--grid", "theta=0:1:3"], "--grid theta: unknown grid"),
-        ({"seed": 3}, ["--seed", "-1"], "--seed: -1 must be >= 0"),
-        ({"seed": -1}, [], "config.seed: -1 must be >= 0"),
-    ],
-    ids=["config-hi", "config-n1-hi", "flag-hi", "config-list", "flag-twice", "flag-name",
-         "flag-seed", "config-seed"],
-)
-def test_cli_reports_a_grid_or_seed_where_it_was_given(tmp_path, capsys, doc, flags, message):
-    out = tmp_path / "o"
-    assert main(["sweep-qoe", "--config", _cfg(tmp_path, doc), "--out", str(out), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}\n") and "Traceback" not in err
-    assert not out.exists()
-
-
 def test_cli_grid_flag_repeats(capsys):
     # each --grid flag adds its grids; a name given in two flags is refused at the flag
     assert main(["validate", "--grid", "r_sv=0:1:4", "--grid", "error=0:1:3"]) == 0
@@ -381,21 +256,6 @@ def test_cli_grid_flag_repeats(capsys):
     assert main(["validate", "--grid", "r_sv=0:1:4", "--grid", "r_sv=0:1:5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --grid r_sv: given twice") and "Traceback" not in err
-
-
-def test_cli_rejects_an_overflowing_drift(tmp_path, capsys):
-    # rate_rad_s * duration_s overflows: a config error on the rate, with no warning
-    doc = {"synthetic": {**_SYNTH_DRIFT, "rate_rad_s": 1e308, "duration_s": 10.0}}
-    assert main(["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("config error: config.synthetic.rate_rad_s: 1e+308 rad/s")
-    assert not (tmp_path / "o").exists()
-
-
-def test_cli_rejects_non_utf8_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(b'{"seed": 1, "note": "\xff"}')
-    assert main(["validate", "--config", str(cfg)]) == 2
-    assert f"config: {cfg} is not UTF-8" in capsys.readouterr().err
 
 
 def test_cli_validate_unit_tag_equivalence(tmp_path, capsys):
@@ -409,331 +269,6 @@ def test_cli_validate_unit_tag_equivalence(tmp_path, capsys):
     )
     assert main(["validate", "--config", cfg_rad]) == 0
     assert capsys.readouterr().out == out_deg
-
-
-def test_cli_sweep_error_csv(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(
-        ["sweep-error", "--out", str(out), "--grid", "error=0.2:3.0:8,epsilon=0.1:0.3:2"]
-    )
-    assert code == 0
-    capsys.readouterr()
-    header, rows = read_csv(out / "error_sweep.csv")
-    assert header == ["e_rad", "epsilon_rad", "leak_prob", "zone_kind", "zone_measure"]
-    assert len(rows) == 16
-    for row in rows:
-        e, eps, prob = float(row[0]), float(row[1]), float(row[2])
-        expected = leak_prob_from_error(e, eps)
-        assert prob == pytest.approx(expected.probability, rel=1e-11, abs=1e-11)
-        assert row[3] == expected.zone_kind.value
-        # 12-significant-digit cells re-format to themselves.
-        assert f"{prob:.12g}" == row[2]
-
-
-def test_cli_sweep_error_json(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(
-        [
-            "sweep-error",
-            "--out",
-            str(out),
-            "--format",
-            "json",
-            "--grid",
-            "error=0.2:3.0:4,epsilon=0.3:0.3:1",
-        ]
-    )
-    assert code == 0
-    capsys.readouterr()
-    doc = json.loads((out / "error_sweep.json").read_text())
-    assert doc["columns"][0] == "e_rad"
-    assert len(doc["rows"]) == 4
-
-
-def test_cli_sweep_qoe(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["sweep-qoe", "--out", str(out), "--grid", "r_sv=0.5:2.0:4,error=0:3:4"])
-    assert code == 0
-    capsys.readouterr()
-    header, rows = read_csv(out / "qoe_sweep.csv")
-    assert header == ["r_sv_rad", "e_rad", "qoe", "case"]
-    assert len(rows) == 16
-    for row in rows:
-        r_sv, e, q = float(row[0]), float(row[1]), float(row[2])
-        assert q == pytest.approx(qoe(FOV, r_sv, e), rel=1e-11, abs=1e-11)
-
-
-def test_cli_sweep_leakage_remaining_depends_on_error_only(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(
-        ["sweep-leakage", "--out", str(out), "--grid", "r_sv=0.5:1.3:3,error=1.0:1.0:1"]
-    )
-    assert code == 0
-    capsys.readouterr()
-    header, rows = read_csv(out / "leakage_sweep.csv")
-    assert [r[3] for r in rows] == ["remaining"] * 3
-    # In the partial-overlap case the inverted error, not the streamed
-    # radius, fixes the leakage: equal across r_sv at fixed error up to
-    # the inversion tolerance.
-    probs = [float(r[4]) for r in rows]
-    direct = leak_prob_from_error(1.0, 0.4 * FOV).probability
-    for p in probs:
-        assert p == pytest.approx(direct, abs=1e-8)
-    assert max(probs) - min(probs) < 1e-9
-
-
-def test_cli_trace_pipeline(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = _cfg(
-        tmp_path,
-        {
-            "synthetic": _SYNTH_DRIFT,
-            "predictor": "great_circle_extrapolation",
-            "max_leak_prob": 0.2,
-            "grids": {"r_sv": {"lo": 0.0, "hi": math.pi, "n": 21}},
-        },
-    )
-    assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
-    capsys.readouterr()
-
-    report = json.loads((out / "report.json").read_text())
-    # 30 s at 5 Hz gives 30 segments, 2 played passively: 28 * 5 per trace.
-    assert report["n_samples"] == 2 * 28 * 5
-    assert report["gamma_tradeoff"] is not None
-    assert len(report["points"]) == 21
-
-    header, rows = read_csv(out / "aggregate_sweep.csv")
-    assert header[0] == "r_sv_rad"
-    assert len(rows) == 21
-    # The drift-matched predictor leaves errors ~0: any streamed cap wider
-    # than the field of view contains it entirely.
-    ratios = {
-        float(r[0]): float(r[header.index("ratio_fov_in_sfov")]) for r in rows
-    }
-    for r_sv, ratio in ratios.items():
-        if r_sv > FOV + 0.01 and r_sv < math.pi:
-            assert ratio == 1.0
-
-    fig_header, fig_rows = read_csv(out / "figures.csv")
-    assert fig_header == ["figure", "series", "x", "y"]
-    figures = {r[0] for r in fig_rows}
-    assert figures == {"avg_leakage_vs_r_sv", "case_ratio_vs_r_sv", "mean_qoe_vs_r_sv"}
-
-
-def test_cli_trace_counts_samples_at_the_synthetic_rate(tmp_path, capsys):
-    synth = {**_SYNTH_DRIFT, "n_traces": 3, "duration_s": 20.0, "rate_hz": 4.0}
-    cfg = _cfg(tmp_path, {"synthetic": synth, "grids": {"r_sv": [0.5, 1.0]}})
-    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    capsys.readouterr()
-    # 20 segments of 4 samples per trace, 2 of them played passively
-    assert json.loads((tmp_path / "o" / "report.json").read_text())["n_samples"] == 3 * 18 * 4
-
-
-def test_cli_trace_counts_samples_at_each_csv_trace_rate(tmp_path, capsys):
-    lines = ["user_id,video_id,timestamp_s,theta_rad,phi_rad"]
-    for user, rate in (("a", 5), ("b", 10)):
-        lines += [f"{user},v,{k / rate!r},{0.01 * k},0.0" for k in range(10 * rate)]
-    csv_path = tmp_path / "traces.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    doc = {"traces_csv": str(csv_path), "grids": {"r_sv": [0.5, 1.0]}}
-    assert main(["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
-    capsys.readouterr()
-    # 10 segments per trace, 2 passive: 8 of 5 samples plus 8 of 10
-    assert json.loads((tmp_path / "o" / "report.json").read_text())["n_samples"] == 8 * 5 + 8 * 10
-    # a 0.1 s window is half a period of the 5 Hz trace, one of the 10 Hz trace
-    doc["windowing"] = {"t_obw": 0.1, "t_cc": 0.9}
-    assert main(["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "p")]) == 3
-    assert "data error: trace a/v: t_obw 0.1 s is not a whole number" in capsys.readouterr().err
-
-
-def test_cli_trace_reruns_byte_for_byte(tmp_path, capsys):
-    cfg = _cfg(
-        tmp_path,
-        {
-            "synthetic": _SYNTH_DRIFT,
-            "grids": {"r_sv": {"lo": 0.0, "hi": math.pi, "n": 11}},
-        },
-    )
-    outputs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
-        capsys.readouterr()
-        outputs.append(
-            (
-                (out / "report.json").read_bytes(),
-                (out / "aggregate_sweep.csv").read_bytes(),
-                (out / "figures.csv").read_bytes(),
-            )
-        )
-    assert outputs[0] == outputs[1]
-
-
-def test_cli_trace_needs_a_source(capsys):
-    assert main(["trace", "--out", "/tmp/unused-vrpl"]) == 2
-    assert "traces_csv or a synthetic" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["trace", "validate"])
-def test_cli_rejects_empty_traces_path(tmp_path, capsys, command):
-    # An empty path would name the working directory, not a file.
-    out = tmp_path / "o"
-    cfg = _cfg(tmp_path, {"traces_csv": "", "grids": {"r_sv": [0.5, 1.0]}})
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: config.traces_csv: ") and "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["trace", "validate"])
-def test_cli_rejects_nul_in_traces_path(tmp_path, capsys, command):
-    # pathlib refuses a path holding a NUL byte with a bare ValueError
-    out = tmp_path / "o"
-    cfg = _cfg(tmp_path, {"traces_csv": "a\0b.csv", "grids": {"r_sv": [0.5, 1.0]}})
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: config.traces_csv: ") and "Traceback" not in err
-    assert not out.exists()
-
-
-def test_cli_trace_bad_csv(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("wrong,header\n1,2\n", encoding="utf-8")
-    cfg = _cfg(tmp_path, {"traces_csv": str(bad)})
-    out = tmp_path / "out"
-    assert main(["trace", "--config", cfg, "--out", str(out)]) == 3
-    assert "data error" in capsys.readouterr().err
-
-
-def test_cli_trace_rejects_non_utf8_csv(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    header = b"user_id,video_id,timestamp_s,theta_rad,phi_rad\n"
-    bad.write_bytes(header + b"a,v,0.0,0.1,0.2\n\xff,v,0.2,0.1,0.2\n")
-    cfg = _cfg(tmp_path, {"traces_csv": str(bad)})
-    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-    assert f"data error: {bad}: not UTF-8" in capsys.readouterr().err
-
-
-def test_cli_resource(tmp_path, capsys):
-    # cc_duration is half the full-sphere stream time: capability one half.
-    cfg = _cfg(tmp_path, {"resources": RESOURCES, "tile": TILE})
-    out = tmp_path / "out"
-    assert main(["resource", "--config", cfg, "--out", str(out)]) == 0
-    capsys.readouterr()
-    doc = json.loads((out / "resource_summary.json").read_text())
-    assert doc["capability"] == pytest.approx(0.5, abs=1e-9)
-    assert doc["r_sv_rad"] == pytest.approx(math.pi / 2, abs=1e-9)
-    assert doc["tile_compute_bits"] == 49152
-
-
-def test_cli_resource_requires_block(capsys):
-    assert main(["resource", "--out", "/tmp/unused-vrpl"]) == 2
-    assert "resources" in capsys.readouterr().err
-
-
-def test_cli_resource_channel_bandwidth_scaling(tmp_path, capsys):
-    rates = []
-    for i, bw in enumerate((1e7, 2e7)):
-        cfg = _cfg(
-            tmp_path,
-            {"resources": RESOURCES, "tile": TILE, "channel": {**CHANNEL, "bandwidth": bw}},
-            name=f"ch{i}.json",
-        )
-        out = tmp_path / f"out{i}"
-        assert main(["resource", "--config", cfg, "--out", str(out)]) == 0
-        capsys.readouterr()
-        doc = json.loads((out / "resource_summary.json").read_text())
-        rates.append(doc["channel_avg_rate_bit_s"])
-        assert 0.0 < doc["capability_with_channel_rate"] <= 1.0
-    # Same seed, doubled bandwidth: the estimate doubles to 12 digits.
-    assert rates[1] == pytest.approx(2.0 * rates[0], rel=1e-11)
-
-
-@pytest.mark.parametrize(
-    "change",
-    [{"distance": 0.5, "pathloss_exp": 2000}, {"bandwidth": 1e308}, {"tx_power": 0}],
-    ids=["path-loss-overflow", "rate-overflow", "zero-power"],
-)
-def test_cli_resource_rejects_unusable_channel_rate(tmp_path, capsys, change):
-    doc = {"resources": RESOURCES, "tile": TILE, "channel": {**CHANNEL, **change}}
-    out = tmp_path / "o"
-    assert main(["resource", "--config", _cfg(tmp_path, doc), "--out", str(out)]) == 2
-    assert "config error: config.channel: rate estimate: " in capsys.readouterr().err
-    assert not out.exists()
-
-
-#: An integer no float can hold.
-_HUGE = 10**400
-
-
-@pytest.mark.parametrize(
-    "command, doc, field",
-    [
-        ("validate", {"r_fov_rad": _HUGE}, "config.r_fov_rad"),
-        ("validate", {"max_leak_prob": _HUGE}, "config.max_leak_prob"),
-        ("validate", {"synthetic": {"model": "random_walk", "kappa": _HUGE, "n_traces": 1,
-                                    "duration_s": 10.0, "rate_hz": 5.0}}, "config.synthetic.kappa"),
-        ("validate", {"grids": {"error": {"lo": 0, "hi": _HUGE, "n": 3}}}, "config.grids.error.hi"),
-        ("validate", {"grids": {"r_sv": [0.5, _HUGE]}}, "config.grids.r_sv[1]"),
-        ("validate", '{"seed": ' + "1" * 5001 + "}", "config: {cfg} is not valid JSON"),
-        ("validate", "[" * 100_000, "config: {cfg} is not valid JSON"),
-        ("resource", {"resources": RESOURCES, "tile": {**TILE, "px_w": _HUGE}},
-         "config.tile.px_w"),
-        ("resource", {"resources": {**RESOURCES, "frames_per_segment": _HUGE}, "tile": TILE},
-         "config.resources.frames_per_segment"),
-        ("resource", {"resources": {**RESOURCES, "flops_per_bit": 1e308}, "tile": TILE},
-         "config.resources: compute_flops / (users * flops_per_bit) rounds to 0.0"),
-        # an infinite rate and a tile of ~0 transmit bits would cost nothing per tile
-        ("resource", {"resources": {**RESOURCES, "compute_flops": 1e10, "users": 1,
-                                    "flops_per_bit": 1e-320, "avg_data_rate": 1e300},
-                      "tile": {**TILE, "compression_ratio": 1e308}},
-         "config.resources: compute_flops / (users * flops_per_bit) rounds to inf"),
-    ],
-    ids=["fov", "leak-budget", "kappa", "grid-bound", "grid-value", "seed-digits",
-         "deep-nesting", "tile-pixels", "frames", "compute-rate", "compute-rate-inf"],
-)
-def test_cli_rejects_oversized_numbers(tmp_path, capsys, command, doc, field):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
-    out = tmp_path / "o"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field.format(cfg=cfg)}") and "Traceback" not in err
-    assert not out.exists()
-
-
-def _grid(n):
-    return {"lo": 0.0, "hi": 1.0, "n": n}
-
-
-@pytest.mark.parametrize(
-    "command, doc, flag, field",
-    [
-        ("validate", {}, "error=0:1:1000000000000", "--grid error.n"),
-        ("validate", {"grids": {"r_sv": _grid(MAX_ELEMENTS + 1)}}, None, "config.grids.r_sv.n"),
-        ("validate", {"grids": {"epsilon": _grid(_HUGE)}}, None, "config.grids.epsilon.n"),
-        ("sweep-qoe", {"grids": {"r_sv": _grid(4096), "error": _grid(2048)}}, None,
-         "config.grids.r_sv, config.grids.error"),
-        ("sweep-leakage", {}, "r_sv=0:1:4096,error=0:1:2048", "--grid r_sv, --grid error"),
-        ("sweep-error", {"grids": {"epsilon": _grid(2048), "error": _grid(4096)}}, None,
-         "config.grids.epsilon, config.grids.error"),
-        ("trace", {"synthetic": {**_SYNTH_DRIFT, "n_traces": 10**9}}, None, "config.synthetic"),
-        ("validate", {"synthetic": {**_SYNTH_DRIFT, "duration_s": 1e7}}, None,
-         "config.synthetic"),
-    ],
-    ids=["flag-n", "config-n", "huge-n", "qoe-table", "leakage-table", "error-table",
-         "n-traces", "duration"],
-)
-def test_cli_rejects_oversized_runs(tmp_path, capsys, command, doc, flag, field):
-    out = tmp_path / "o"
-    argv = [command, "--config", _cfg(tmp_path, doc), "--out", str(out)]
-    start = time.perf_counter()
-    assert main(argv + (["--grid", flag] if flag else [])) == 2
-    assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
-    assert f"above the limit of {MAX_ELEMENTS}" in err
-    assert not out.exists()
 
 
 def test_cli_rejects_oversized_grid_list(tmp_path, capsys, monkeypatch):
@@ -751,7 +286,7 @@ def test_sizes_at_the_limit_pass():
     with pytest.raises(ConfigError, match="^config.grids: the table gives 4194305 values"):
         config.check_size(MAX_ELEMENTS + 1, "config.grids", "the table")
     # 150 samples per trace
-    spec = {**_SYNTH_DRIFT, "n_traces": MAX_ELEMENTS // 150}
+    spec = {**DRIFT, "n_traces": MAX_ELEMENTS // 150}
     assert resolve_scenario({"synthetic": spec}).synthetic.n_traces == MAX_ELEMENTS // 150
     with pytest.raises(ConfigError, match="^config.synthetic: n_traces"):
         resolve_scenario({"synthetic": {**spec, "n_traces": MAX_ELEMENTS // 150 + 1}})
@@ -831,7 +366,6 @@ def test_streamed_report_matches_whole_document(tmp_path, monkeypatch, grid, req
     assert (tmp_path / "report.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
-
 #: Report cells: signed zeros, a subnormal, NaN and infinities (JSON null),
 #: and values whose 12-digit rendering rounds.
 _CELLS = st.one_of(
@@ -890,7 +424,7 @@ def test_trace_memory_does_not_grow_per_radius(tmp_path):
     grew = []
     for n in (1_000, 10_000):
         grid = {"lo": 0.0, "hi": math.pi, "n": n}
-        cfg = _cfg(tmp_path, {"synthetic": _SYNTH_DRIFT, "grids": {"r_sv": grid}}, name=f"{n}.json")
+        cfg = _cfg(tmp_path, {"synthetic": DRIFT, "grids": {"r_sv": grid}}, name=f"{n}.json")
         argv = ["trace", "--config", cfg, "--out", str(tmp_path / str(n))]
         proc = subprocess.run(
             [sys.executable, "-c", _TRACE_MEMORY_PROBE, *argv],
@@ -1058,7 +592,7 @@ _FUZZ_CONFIGS = {
         "r_fov_deg": 50.0, "epsilon_frac_of_fov": 0.4, "max_leak_prob": 0.5, "seed": 3,
         "windowing": {"t_obw": 1.0, "t_cc": 1.0, "t_pdw": 1.0}, "predictor": "last_position",
         "grids": {"error": _FUZZ_AXIS, "r_sv": [0.5, 1.0], "epsilon": {"lo": 0.0, "hi": 0.5, "n": 3}},
-        "synthetic": _SYNTH_DRIFT, "resources": RESOURCES, "tile": TILE, "channel": CHANNEL,
+        "synthetic": DRIFT, "resources": RESOURCES, "tile": TILE, "channel": CHANNEL,
     },
     "sweep-error": {"epsilon_deg": 20.0, "grids": {"error": _FUZZ_AXIS, "epsilon": [0.1, 0.3]}},
     "sweep-qoe": {"r_fov_rad": 0.8, "grids": {"error": _FUZZ_AXIS, "r_sv": _FUZZ_AXIS}},
@@ -1075,9 +609,9 @@ _FUZZ_CONFIGS = {
 }
 
 #: What a fuzzed config puts in a field: every JSON type, the ends of the
-#: number line, and values some fields accept.
+#: number line (10**400 is past every float), and values some fields accept.
 _FUZZ_VALUES = [
-    None, True, False, -1, 0, 0.5, 1, 3, 1e308, _HUGE, math.nan, math.inf, -math.inf,
+    None, True, False, -1, 0, 0.5, 1, 3, 1e308, 10**400, math.nan, math.inf, -math.inf,
     "", "x", "random_walk", [], {}, [0.5, 1.0], {"lo": 0.0, "hi": 1.0, "n": 3},
 ]
 
@@ -1141,71 +675,6 @@ def test_cli_mutated_config_ends_in_a_named_config_error(tmp_path_factory, case)
         assert err.getvalue().startswith("data error: ") and "traces_csv" in doc, (doc, err.getvalue())
 
 
-def test_cli_trace_rejects_zero_epsilon(tmp_path, capsys):
-    cfg = _cfg(tmp_path, {"epsilon_frac_of_fov": 0, "synthetic": _SYNTH_DRIFT})
-    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "config.epsilon" in err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    "grid, flag",
-    [([0.1, 0.2], None), ([0.1], None), (None, "epsilon=0.1:0.2:2"), (None, "epsilon=0.3:0.3:1")],
-)
-def test_cli_trace_rejects_an_epsilon_grid(tmp_path, capsys, grid, flag):
-    # trace runs at config.epsilon (0.2 here) alone, so any other epsilon grid is refused
-    doc = {"epsilon_rad": 0.2, "synthetic": _SYNTH_DRIFT, "grids": {"r_sv": [0.5]}}
-    if grid is not None:
-        doc["grids"]["epsilon"] = grid
-    argv = ["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]
-    assert main(argv + (["--grid", flag] if flag else [])) == 2
-    err = capsys.readouterr().err
-    path = "--grid epsilon" if flag else "config.grids.epsilon"  # where the grid was given
-    assert err.startswith(f"config error: {path}: ") and "config.epsilon = 0.2" in err
-    assert not (tmp_path / "o").exists()
-
-
-def test_cli_trace_takes_an_epsilon_grid_of_epsilon_alone(tmp_path, capsys):
-    doc = {"epsilon_rad": 0.2, "synthetic": _SYNTH_DRIFT, "grids": {"r_sv": [0.5], "epsilon": [0.2]}}
-    assert main(["trace", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
-
-
-def test_cli_trace_rejects_unreachable_leak_budget(tmp_path, capsys):
-    # At r_fov 50 deg and eps 0.4 * r_fov no error leaks less than eps/pi = 0.111.
-    cfg = _cfg(tmp_path, {"max_leak_prob": 0.01, "synthetic": _SYNTH_DRIFT})
-    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "config.max_leak_prob" in err
-    assert repr(0.4 * FOV / math.pi) in err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("command", ["sweep-leakage", "trace"])
-def test_cli_rejects_fov_below_minimum(tmp_path, capsys, command):
-    # At 1e-9 rad, 1 - cos(r_fov) rounds to 0 and the QoE would divide by it.
-    cfg = _cfg(tmp_path, {"r_fov_rad": 1e-9, "synthetic": _SYNTH_DRIFT})
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error: config.r_fov: field-of-view radius 1e-09" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize(
-    "command", ["validate", "sweep-error", "sweep-qoe", "sweep-leakage", "trace", "resource"]
-)
-def test_cli_accepts_minimum_fov(tmp_path, capsys, command):
-    doc = {
-        "r_fov_rad": 1e-6,
-        "max_leak_prob": 0.5,
-        "synthetic": _SYNTH_DRIFT,
-        "resources": RESOURCES,
-        "tile": TILE,
-    }
-    grid = "error=0:3.14159:9,r_sv=0:3.14159:9"
-    argv = [command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path), "--grid", grid]
-    assert main(argv) == 0
-
-
 @pytest.mark.parametrize("fov_deg", [1.0, 0.1])
 def test_cli_sweep_leakage_self_check_certifies_roots_at_small_fov(tmp_path, capsys, monkeypatch, fov_deg):
     # On a 61 x 61 grid below a few degrees every exact report's error is
@@ -1244,46 +713,6 @@ def test_cli_sweep_leakage_self_check_certifies_roots_at_small_fov(tmp_path, cap
     assert len(bisected) <= 0.05 * len(evaluations)
 
 
-@pytest.mark.parametrize(
-    "field, value, path",
-    [
-        ("n_traces", 0, "config.synthetic.n_traces"),
-        ("duration_s", 10.3, "config.synthetic.duration_s"),  # 51.5 samples at 5 Hz
-        ("duration_s", 0.2, "config.synthetic.duration_s"),  # one sample
-        ("duration_s", 2.0, "config.synthetic.duration_s"),  # 10 of the 15 one segment needs
-    ],
-    ids=["no-traces", "fractional-samples", "one-sample", "under-one-segment"],
-)
-def test_cli_trace_rejects_bad_synthetic_size(tmp_path, capsys, field, value, path):
-    cfg = _cfg(tmp_path, {"synthetic": {**_SYNTH_DRIFT, field: value}})
-    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and path in err
-    assert not (tmp_path / "o").exists()
-
-
-def test_cli_sweeps_accept_zero_epsilon(tmp_path, capsys):
-    # The default grid holds r_sv = 130 deg, tangent to the 50 deg FoV's
-    # antipode up to rounding, where the disjoint-case zone is a point.
-    cfg = _cfg(tmp_path, {"epsilon_frac_of_fov": 0})
-    assert main(["sweep-leakage", "--config", cfg, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    _, rows = read_csv(tmp_path / "leakage_sweep.csv")
-    assert len(rows) == 181 * 181
-    assert all(0.0 <= float(r[4]) <= 1.0 for r in rows)
-
-
-def test_cli_trace_rejects_non_contiguous_csv(tmp_path, capsys):
-    lines = ["user_id,video_id,timestamp_s,theta_rad,phi_rad"]
-    for user, start in (("a", 0), ("b", 0), ("a", 50)):
-        lines += [f"{user},v,{0.2 * (start + k)},{0.01 * k},0.0" for k in range(50)]
-    csv_path = tmp_path / "traces.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    cfg = _cfg(tmp_path, {"traces_csv": str(csv_path)})
-    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert ":102: rows of trace a/v are not contiguous" in capsys.readouterr().err
-
-
 def _run_with_closed_stdout(argv: list[str]) -> subprocess.CompletedProcess:
     """Run ``vrpl`` in a child whose stdout pipe has no reader left."""
     read_end, write_end = os.pipe()
@@ -1305,7 +734,7 @@ def test_cli_validate_survives_closed_stdout():
 
 
 def test_cli_trace_survives_closed_stdout(tmp_path):
-    cfg = _cfg(tmp_path, {"synthetic": _SYNTH_DRIFT, "grids": {"r_sv": [0.5, 1.0]}})
+    cfg = _cfg(tmp_path, {"synthetic": DRIFT, "grids": {"r_sv": [0.5, 1.0]}})
     out = tmp_path / "o"
     done = _run_with_closed_stdout(["trace", "--config", cfg, "--out", str(out)])
     assert (done.returncode, done.stderr) == (0, b"")

@@ -1,8 +1,10 @@
-"""What the modules of the package import.
+"""What the modules of the package and of the tests import.
 
 Every name a module imports is used in it, but for the names the benchmark
-hooks there (`HOOKED_ONLY`).  No linter runs on the sources, so this walks
-each module's syntax tree with the standard library's `ast`.
+hooks there (`HOOKED_ONLY`); every name a test module imports is used in
+it, but for the imports kept for their side effect (`FOR_EFFECT`).  No
+linter runs on the sources, so this walks each module's syntax tree with
+the standard library's `ast`.
 ``__init__.py`` is exempt: it imports names to re-export them.  No module
 imports `dataclasses`, and ``import vrpl.cli`` loads every module.
 """
@@ -19,12 +21,18 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vrpl"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 #: Imported names a module keeps unused, each with its reason.
 #: `perfbench/tracer.py` times a layer by replacing the global it hooks in a
 #: module, so a hooked name stays bound where the module no longer calls it.
 HOOKED_ONLY = {
     ("cli.py", "load_traces"): "`trace` streams its CSV through `traces._stream_traces`",
+}
+
+#: Imported names a test module keeps unused, each with its reason.
+FOR_EFFECT = {
+    ("test_records.py", "vrpl"): "`import vrpl.cli` loads every module, so every record class exists",
 }
 
 
@@ -52,9 +60,10 @@ def _unused_names(path: Path) -> set[str]:
     return {entry.split(": ")[1] for entry in unused_imports(path.read_text(encoding="utf-8"))}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES + TESTS])
 def test_module_uses_every_import(path):
-    assert _unused_names(path) == {name for module, name in HOOKED_ONLY if module == path.name}
+    kept = HOOKED_ONLY | FOR_EFFECT
+    assert _unused_names(path) == {name for module, name in kept if module == path.name}
 
 
 def test_every_import_kept_unused_is_hooked_by_the_benchmark():

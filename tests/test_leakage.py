@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from support import assert_roots, random_view_triples
 from vrpl import (
-    CaseLeakageProfile,
-    ErrorInference,
     InferenceKind,
-    LeakageResult,
     Monotonicity,
     OverlapCase,
     PrivacyRequirement,
