@@ -39,8 +39,12 @@ from vrpl.qoe import CASE_CODE, PARTITION_CASES
 from vrpl.tables import round_floats, write_json
 
 from support import CHANNEL, DRIFT, RESOURCES, TILE, read_csv, stage_peaks, write_drifting_csv
+from test_cli_contracts import named_tests
 
 FOV = math.radians(50.0)
+
+# The contract rows that were this module's parametrized tests keep those tests' names and ids.
+globals().update(named_tests())
 
 
 # ---------------------------------------------------------------------------

@@ -474,27 +474,58 @@ CONTRACTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(CONTRACTS))
-def test_cli_contract(tmp_path, capsys, name):
-    row, runs, trace_csv = CONTRACTS[name], itertools.count(), tmp_path / "traces.csv"
-    if row.traces:
-        row.traces(trace_csv)
+#: The rows that run under the names they had as tests of ``tests/test_cli.py``: each
+#: such test runs the rows whose names start with its prefix, by the rest of the name.
+NAMED = {
+    "test_cli_validate_rejects_bad_block_field": "bad-block-",
+    "test_cli_names_the_block_field_outside_its_domain": "domain-",
+    "test_cli_rejects_non_finite_grid_bound": "grid-bound-",
+    "test_cli_reports_a_grid_or_seed_where_it_was_given": "where-given-",
+    "test_cli_rejects_oversized_numbers": "oversized-number-",
+    "test_cli_rejects_oversized_runs": "oversized-run-",
+    "test_cli_accepts_minimum_fov": "min-fov-",
+    "test_cli_rejects_fov_below_minimum": "fov-below-min-",
+    "test_cli_trace_rejects_bad_synthetic_size": "synthetic-size-",
+    "test_cli_resource_rejects_unusable_channel_rate": "channel-rate-",
+    "test_cli_rejects_empty_traces_path": "empty-path-",
+    "test_cli_rejects_nul_in_traces_path": "nul-path-",
+}
 
-    def run(*flags, **fields) -> Path:
-        out = tmp_path / f"out{next(runs)}"
-        cfg, argv = out.with_suffix(".json"), [*row.argv.split(), *flags, "--out", str(out)]
-        if row.doc is not None:
-            doc = row.doc if isinstance(row.doc, bytes) else json.dumps(
-                {**row.doc, **fields, **({"traces_csv": str(trace_csv)} if row.traces else {})}).encode()
-            cfg.write_bytes(doc)
-            argv += ["--config", str(cfg)]
-        code, err = main(argv), capsys.readouterr().err
-        assert code == row.code, err
-        assert err.startswith(row.err.format(csv=trace_csv, cfg=cfg)) if code else err == "", err
-        assert "Traceback" not in err and "np.float64" not in err, err
-        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
-        files = sorted(f.format(fmt=fmt) for f in _FILES[argv[0]]) if code == 0 else []
-        assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == (files or None)
-        return out
 
-    assert row.check(run) if row.check else run()
+def contract_test(rows: dict[str, Row]) -> Callable:
+    """A test of each of ``rows``, by its test id: the runner every row goes through."""
+    @pytest.mark.parametrize("name", list(rows))
+    def test(tmp_path, capsys, name):
+        row, runs, trace_csv = rows[name], itertools.count(), tmp_path / "traces.csv"
+        if row.traces:
+            row.traces(trace_csv)
+
+        def run(*flags, **fields) -> Path:
+            out = tmp_path / f"out{next(runs)}"
+            cfg, argv = out.with_suffix(".json"), [*row.argv.split(), *flags, "--out", str(out)]
+            if row.doc is not None:
+                doc = row.doc if isinstance(row.doc, bytes) else json.dumps(
+                    {**row.doc, **fields, **({"traces_csv": str(trace_csv)} if row.traces else {})}).encode()
+                cfg.write_bytes(doc)
+                argv += ["--config", str(cfg)]
+            code, err = main(argv), capsys.readouterr().err
+            assert code == row.code, err
+            assert err.startswith(row.err.format(csv=trace_csv, cfg=cfg)) if code else err == "", err
+            assert "Traceback" not in err and "np.float64" not in err, err
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+            files = sorted(f.format(fmt=fmt) for f in _FILES[argv[0]]) if code == 0 else []
+            assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == (files or None)
+            return out
+
+        assert row.check(run) if row.check else run()
+    return test
+
+
+def named_tests() -> dict[str, Callable]:
+    """The tests of `NAMED`, each of its rows under the rest of the row's name."""
+    return {test: contract_test({name[len(prefix):]: row for name, row in CONTRACTS.items()
+                                 if name.startswith(prefix)}) for test, prefix in NAMED.items()}
+
+
+test_cli_contract = contract_test({name: row for name, row in CONTRACTS.items()
+                                   if not name.startswith(tuple(NAMED.values()))})
