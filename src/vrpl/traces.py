@@ -230,9 +230,9 @@ def _pieces(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
     ``changes`` ``(row, key)`` for each row whose key differs from the row
     before it in the file.  The pieces come from the block parse
     `_block_pieces`; from the first block it refuses on, from the row loop
-    `_row_pieces`, which reads the file again from its start and skips the
-    rows the block parse gave.  Each of those is a row of the row loop too,
-    and no record spans the end of a block the parse took, since such a
+    `_row_pieces`, which reads the file again from its start and passes over
+    the rows the block parse gave.  Each of those is a row of the row loop
+    too, and no record spans the end of a block the parse took, since such a
     block holds no quote, so the row loop's faults are those of a file read
     by it alone.
     """
@@ -242,18 +242,15 @@ def _pieces(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
             yield piece
             done += piece[1].size
     except ValueError:
-        for values, lines, changes in _row_pieces(path):
-            skip = min(done, lines.size)
-            done -= skip
-            if skip < lines.size:
-                changes = [(i - skip, key) for i, key in changes if i >= skip]
-                yield values[:, skip:], lines[skip:], changes
+        yield from _row_pieces(path, done)
 
 
-def _row_pieces(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
+def _row_pieces(path: Path, done: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
     """`_pieces` by the csv module, one record at a time, `_CHECK_ROWS` rows
-    a piece: the tokenizer of the files the block parse does not take.  Its
-    `TraceFormatError` for a malformed record names the line the record
+    a piece: the tokenizer of the files the block parse does not take.  The
+    first ``done`` rows, which the block parse gave, are passed over: their
+    keys and lines are tracked, but they are neither converted nor yielded.
+    Its `TraceFormatError` for a malformed record names the line the record
     starts on."""
     samples: list[tuple[float, float, float]] = []
     lines: list[int] = []
@@ -276,6 +273,10 @@ def _row_pieces(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray, list]]:
                     continue
                 if len(row) != len(TRACE_HEADER):
                     raise TraceFormatError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} columns")
+                if done:
+                    done -= 1
+                    key = row[0], row[1]
+                    continue
                 try:
                     samples.append((float(row[2]), float(row[3]), float(row[4])))
                 except ValueError as exc:

@@ -12,6 +12,7 @@ import csv
 import math
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 from unittest.mock import patch
 
 import numpy as np
@@ -390,3 +391,149 @@ def stage_peaks(run, stages: dict[str, list[tuple[object, str]]]) -> dict[str, i
         finally:
             tracemalloc.stop()
     return peaks
+
+
+# ---------------------------------------------------------------------------
+# trace files, and what the reader's layers make of them
+
+
+#: A trace file's header line.
+HEADER = "user_id,video_id,timestamp_s,theta_rad,phi_rad\n"
+
+
+def lines(rows) -> str:
+    """``rows`` as the lines of a file."""
+    return "".join(f"{row}\n" for row in rows)
+
+
+def steady(key: str, n: int, rate: float = 5.0) -> list[str]:
+    """The rows of a trace keyed ``user,video`` of ``n`` samples at ``rate`` Hz, holding still."""
+    return [f"{key},{i / rate},0.0,0.0" for i in range(n)]
+
+
+class TraceFile(NamedTuple):
+    """A trace file, its rows after `HEADER` or, as bytes, all of it; and its contract.
+
+    ``loaded`` is `vrpl.load_traces`' whole message, ``{csv}`` being the
+    file, or each trace's sample count by its ``user_id/video_id``, in file
+    order; ``predicted``
+    what `vrpl.predict_all` then gives under the default windows, the number
+    of errors or its whole message (None if loading fails); ``blocks``
+    whether the block parse takes the whole file.
+    """
+
+    text: str | bytes
+    loaded: str | dict[str, int]
+    predicted: int | str | None = None
+    blocks: bool = True
+
+    def write(self, path: Path) -> None:
+        path.write_bytes(self.text if isinstance(self.text, bytes) else (HEADER + self.text).encode())
+
+    @property
+    def fault(self) -> str | None:
+        """The first fault's message, loading's or prediction's, if any."""
+        return next((m for m in (self.loaded, self.predicted) if isinstance(m, str)), None)
+
+
+def _short(key: str, n: int) -> str:
+    return f"trace {key} has {n} samples, needs at least 15 for one predicted segment"  # 5 Hz, 1 s windows
+
+
+_A = lines(steady("a,v", 2) + [""])  # trace a and a blank line, line 4
+_AB = _A + lines(steady("b,v", 2))  # and trace b's first rows, on lines 5 and 6
+_CRLF_HEADER = HEADER.replace("\n", "\r\n")
+_AGAIN = "rows of trace a/v are not contiguous (the trace already ended on an earlier line)"
+_ABC = "non-numeric sample: could not convert string to float: 'abc'"
+_LIMIT = "field larger than field limit (131072)"
+_LAT = "outside [-pi/2, pi/2]"
+_UNEVEN = "trace b/v: non-uniform sample spacing"
+_WANTED = "expected ['user_id', 'video_id', 'timestamp_s', 'theta_rad', 'phi_rad']"
+_RANKED = "a,v,0.0,0.0,2.0\na,v,0.2,0.0,0.0\nb,v,0.0,0.0,0.0\nb,v,0.2,0.0,0.0\na,v,0.4,0.0,0.0\n"
+
+#: Every trace-file contract, by name; each is a row of the `vrpl trace` contracts too.
+TRACE_FILES = {
+    # the rows of one key in a row are a trace, sampled at its own rate
+    "groups-consecutive-keys": TraceFile(lines(steady("a,v", 2) + steady("b,v", 2) + steady("a,w", 2)),
+                                         {"a/v": 2, "b/v": 2, "a/w": 2}, _short("a/v", 2)),
+    # a 4 Hz trace of 12 s and a 5 Hz one of 9 s are two groups: 10 segments of 4 and 7 of 5
+    "two-rate-groups": TraceFile(lines(steady("a,v", 48, 4.0) + steady("b,v", 45)), {"a/v": 48, "b/v": 45},
+                                 10 * 4 + 7 * 5),
+    # 10 segments per trace, 2 passive: 8 of 5 samples plus 8 of 10
+    "two-rates": TraceFile(lines(steady("a,v", 50) + steady("b,v", 100, 10.0)), {"a/v": 50, "b/v": 100},
+                           8 * 5 + 8 * 10),
+    # a 1 s window is half a period of a 0.5 Hz trace
+    "two-rates-half-period": TraceFile(
+        lines(steady("a,v", 50) + steady("b,v", 20, 0.5)), {"a/v": 50, "b/v": 20},
+        "trace b/v: t_obw 1.0 s is not a whole number of sample periods at 0.5 Hz"),
+    # a second trace too short for one predicted segment (14 samples at 5 Hz, 15 needed)
+    "too-short": TraceFile(lines(steady("a,v", 48, 4.0) + steady("b,v", 14)), {"a/v": 48, "b/v": 14},
+                           _short("b/v", 14)),
+    # CRLF endings and a quoted key: the block parse refuses the file and the row loop reads it
+    "crlf-quoted-key": TraceFile(lines(f'"u 1",v,{i / 5},0.0,0.0\r' for i in range(20)), {"u 1/v": 20}, 10, False),
+    # a blank line, then a first row longer than a block: the first block holds no row
+    "blank-then-long-row": TraceFile("\n" + lines(steady("u" * 70000 + ",v", 20)), {"u" * 70000 + "/v": 20}, 10,
+                                     False),
+    # a block of blank lines before the first row
+    "blank-block": TraceFile("\n" * 70000 + lines(steady("u,v", 20)), {"u/v": 20}, 10),
+    # faults of the whole file
+    "empty-file": TraceFile(b"", "{csv}: empty file, no header and zero traces", blocks=False),
+    "header-only": TraceFile("", "{csv}: file contains zero traces"),
+    "bad-header": TraceFile(b"wrong,header\n1,2\n", f"{{csv}}: unexpected header ['wrong', 'header'], {_WANTED}",
+                            blocks=False),
+    "non-utf8-csv": TraceFile(HEADER.encode() + b"a,v,0.0,0.1,0.2\n\xff,v,0.2,0.1,0.2\n", blocks=False, loaded=(
+        "{csv}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 63: invalid start byte")),
+    # a field over the csv module's 131,072-character limit, in the header or on line 5, names the line
+    "over-long-field-line-1": TraceFile(("u" * 140000 + HEADER[1:] + lines(steady("u,v", 20))).encode(),
+                                        f"{{csv}}:1: {_LIMIT}", blocks=False),
+    "over-long-field-line-5": TraceFile(lines(("u" * 140000 if i == 3 else "u") + f",v,{i / 5},0.0,0.0"
+                                              for i in range(20)), f"{{csv}}:5: {_LIMIT}", blocks=False),
+    # rows the tokenizer refuses
+    "four-columns": TraceFile("u,v,0.0,0.0\n", "{csv}:2: expected 5 columns", blocks=False),
+    "non-numeric-line-3": TraceFile("u,v,0.0,0.0,0.0\nu,v,abc,0.0,0.0\n", f"{{csv}}:3: {_ABC}", blocks=False),
+    # a key that comes back on line 102, after 50 rows of b/v
+    "non-contiguous": TraceFile(lines(steady("a,v", 50) + steady("b,v", 50) + steady("a,v", 50)),
+                                f"{{csv}}:102: {_AGAIN}"),
+    # bad traces name the line of their first bad sample
+    "latitude-line-5": TraceFile(lines(f"u,v,{i / 5},0.0,{2.0 if i == 3 else 0.0}" for i in range(20)),
+                                 f"{{csv}}:5: trace u/v sample 3: latitude 2.0 {_LAT}"),
+    "time-repeats": TraceFile(lines(steady("u,v", 2) + ["u,v,0.2,0.1,0.0"]),
+                              "{csv}:4: trace u/v sample 2: timestamps not strictly increasing"),
+    # a second trace that skips a sample on line 32, its spacings as plain floats
+    "uneven-line-32": TraceFile(lines(steady("a,v", 20) + [f"b,v,{(i + (i >= 10)) / 5},0.0,0.0" for i in range(20)]),
+                                f"{{csv}}:32: {_UNEVEN} (min 0.19999999999999973, max 0.40000000000000013)"),
+    # trace b, after trace a and a blank line, with one fault each
+    "b-non-finite": TraceFile(_AB + "b,v,0.4,nan,0.0\n", "{csv}:7: trace b/v has non-finite samples"),
+    "b-latitude": TraceFile(_A + "b,v,0.0,0.0,0.0\nb,v,0.2,0.0,1.6\nb,v,0.4,0.0,0.0\n",
+                            f"{{csv}}:6: trace b/v sample 1: latitude 1.6 {_LAT}"),
+    "b-not-increasing": TraceFile(_AB + "b,v,0.2,0.0,0.0\n",
+                                  "{csv}:7: trace b/v sample 2: timestamps not strictly increasing"),
+    "b-uneven": TraceFile(_AB + "b,v,0.5,0.0,0.0\nb,v,0.8,0.0,0.0\n",
+                          f"{{csv}}:7: {_UNEVEN} (min 0.2, max 0.30000000000000004)"),
+    "b-one-sample": TraceFile(_A + "b,v,0.0,0.0,0.0\nc,v,0.0,0.0,0.0\nc,v,0.2,0.0,0.0\n",
+                              "{csv}:5: trace b/v has fewer than 2 samples"),
+    "b-key-again": TraceFile(_AB + "a,v,0.4,0.0,0.0\n", f"{{csv}}:7: {_AGAIN}"),
+    # faults that rank: a tokenizer fault wins over a reappearing key and a bad trace before it, and a
+    # reappearing key over a bad trace before it; the first bad trace in file order wins, with the first
+    # check it fails: b's latitude (sample 3) over its uneven spacing (sample 2) and c's non-finite sample
+    "ranked-tokenizer": TraceFile(_RANKED + "a,v,0.6,abc,0.0\n", f"{{csv}}:7: {_ABC}", blocks=False),
+    "ranked-contiguity": TraceFile(_RANKED + "a,v,0.6,nan,0.0\n", f"{{csv}}:6: {_AGAIN}"),
+    "ranked-first-trace": TraceFile(
+        lines(steady("a,v", 2) + steady("b,v", 2)) + "b,v,0.5,0.0,0.0\nb,v,0.8,0.0,-1.6\n"
+        "c,v,0.0,inf,0.0\nc,v,0.2,0.0,0.0\n", f"{{csv}}:7: trace b/v sample 3: latitude -1.6 {_LAT}"),
+    # a trace too short for a predicted segment, which a stream predicts before it reads the malformed row
+    "too-short-then-malformed": TraceFile(lines(
+        steady("a,v", 20) + steady("b,v", 5) + [f"c,v,{i / 5},{'abc' if i == 9 else 0.0},0.0" for i in range(20)]),
+        f"{{csv}}:36: {_ABC}", blocks=False),
+    # a CR outside a CRLF, in a row or in the header: the block parse refuses the file
+    "lone-cr-row-end": TraceFile("u,v,0,0,0\ru,v,0.2,0,0\n", {"u/v": 2}, _short("u/v", 2), False),
+    "lone-cr-in-key": TraceFile("u,v\r,0,0,0\nu,v\r,0.2,0,0\n", "{csv}:2: expected 5 columns", blocks=False),
+    "lone-cr-before-crlf": TraceFile((_CRLF_HEADER + "u,v,0,0,0\r\nu,v,0.2,0,0\r\r\n").encode(),
+                                     {"u/v": 2}, _short("u/v", 2), False),
+    "lone-cr-in-value": TraceFile((_CRLF_HEADER + "u,v,0,0,0\r\nu,v,0.2,0\r,0\r\n").encode(),
+                                  "{csv}:3: expected 5 columns", blocks=False),
+    "lone-cr-header-end": TraceFile((HEADER.replace("\n", "\r\r\n") + "u,v,0,0,0\r\nu,v,0.2,0,0\r\n").encode(),
+                                    {"u/v": 2}, _short("u/v", 2), False),
+    "lone-cr-in-header": TraceFile((HEADER.replace(",", "\r,", 1) + "u,v,0,0,0\nu,v,0.2,0,0\n").encode(),
+                                   f"{{csv}}: unexpected header ['user_id'], {_WANTED}", blocks=False),
+}

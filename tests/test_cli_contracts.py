@@ -1,8 +1,10 @@
 """The contracts of the `vrpl` commands, one row each; a new refusal is one more row.
 
 A row gives a command line, its config document (or the config file's raw
-bytes), the exit code, how stderr starts (a refusal's field path) and a
-check that may rerun the row with more flags or config fields.  Rows run
+bytes), the exit code, how stderr starts (a refusal's field path) or all of
+it, and a check that may rerun the row with more flags or config fields.
+The rows of `trace` on a trace file are made from `support.TRACE_FILES`,
+which ``tests/test_traces.py`` runs through the reader's layers.  Rows run
 in-process through `vrpl.cli.main` under the ``error::RuntimeWarning``
 filter of ``pyproject.toml``; no run leaves a ``Traceback`` or numpy scalar
 on stderr, and ``--out`` exists only on exit 0, to hold just the
@@ -21,7 +23,7 @@ from vrpl import leak_prob_from_error, qoe
 from vrpl.cli import main
 from vrpl.config import MAX_ELEMENTS
 
-from support import CHANNEL, DRIFT, RESOURCES, TILE, read_csv, write_drifting_csv
+from support import CHANNEL, DRIFT, HEADER, RESOURCES, TILE, TRACE_FILES, lines, read_csv, write_drifting_csv
 
 #: What each command writes to ``--out`` on exit 0, ``fmt`` being ``--format``'s.
 _FILES = {"sweep-error": ["error_sweep.{fmt}"], "sweep-qoe": ["qoe_sweep.{fmt}"], "validate": [],
@@ -33,7 +35,8 @@ class Row(NamedTuple):
     argv: str  # the command and its flags but --config and --out
     doc: dict | bytes | None = None  # bytes are the config file's contents as they are
     code: int = 0
-    # how stderr starts, ``{csv}`` being the trace file and ``{cfg}`` the config; on exit 0 stderr is empty
+    # how stderr starts, or all of it if this ends in a newline, ``{csv}`` being the trace file and
+    # ``{cfg}`` the config; on exit 0 stderr is empty
     err: str = ""
     check: Callable | None = None  # true of run, where run(*flags, **fields) gives the --out of a run
     traces: Callable | None = None  # writes the file that ``traces_csv`` names, given its path
@@ -154,13 +157,6 @@ def _walk(kappa: float, n_traces: int, duration_s: float, radii, rate_hz: float 
     return {"synthetic": {**walk, "rate_hz": rate_hz}, "grids": {"r_sv": grid}, **doc}
 
 
-def _trace_file(rows: list, eol: str = "\n") -> Callable:
-    def write(path: Path) -> None:
-        with path.open("w", newline="") as fh:
-            fh.write(eol.join(["user_id,video_id,timestamp_s,theta_rad,phi_rad", *rows]) + eol)
-    return write
-
-
 def _out_of_domain(block: str, key: str, value) -> Row:
     """A config block's field outside its domain, refused at ``config.<block>.<key>``."""
     if block in ("windowing", "synthetic"):
@@ -178,15 +174,18 @@ def _oversized(argv: str, doc: dict, path: str, what: str, count: int) -> Row:
                              f"{MAX_ELEMENTS}\n", check=_fast)
 
 
+def _trace_file(row) -> Row:
+    """`vrpl trace` on a `TRACE_FILES` row: refused with its fault, or its ``predicted`` errors."""
+    if row.fault:
+        return Row("trace", _CSV, 3, f"data error: {row.fault}\n", traces=row.write)
+    return Row("trace", _CSV, check=_samples(row.predicted), traces=row.write)
+
+
 def _grid(n) -> dict:
     return {"lo": 0.0, "hi": 1.0, "n": n}
 
 
 _CSV = {"grids": {"r_sv": [0.5, 1.0]}}
-_A_4HZ = [f"a,v,{i / 4},{0.01 * i},0.0" for i in range(48)]  # a 4 Hz trace of 12 s
-#: a 5 Hz trace and a 10 Hz one of 10 s each
-_TWO_RATES = _trace_file([f"{user},v,{k / rate!r},{0.01 * k},0.0" for user, rate in (("a", 5), ("b", 10))
-                          for k in range(10 * rate)])
 _SUMMARY = "resource_summary.json"
 _RESOURCE = {"resources": RESOURCES, "tile": TILE}
 _BENCH_CHANNEL = {**CHANNEL, "bandwidth": 2e7, "tx_power": 1.0, "distance": 100.0,
@@ -383,7 +382,8 @@ CONTRACTS = {
     **{f"trace-lens-fov{fov}": Row("trace", _walk(2.0, 20, 20.0, 61, r_fov_deg=fov)) for fov in (1, 90)},
     # and redoes clamped a block where one rounds past ±1, as at r_sv = r_fov = 0.15 and an error of 1.49e-8
     "trace-lens-past-1": Row("trace", {"r_fov_rad": 0.15, "grids": {"r_sv": [0.15]}},
-                             traces=_trace_file([f"u,v,{i / 5},{i * 1e-9!r},0.0" for i in range(20)])),
+                             traces=lambda path: path.write_text(
+                                 HEADER + lines(f"u,v,{i / 5},{i * 1e-9!r},0.0" for i in range(20)))),
     # reruns byte for byte: random walks at extreme concentrations, 149 steps across two 64-step blocks
     **{f"trace-walk-kappa-{k}": Row("trace", _walk(float(k), 7, 30.0, 31), check=_rerun)
        for k in ("0.01", "1e6")},
@@ -421,47 +421,9 @@ CONTRACTS = {
     **{f"{name}-path-{command}": Row(command, {"traces_csv": path, **_CSV}, 2,
                                      "config error: config.traces_csv: ")
        for name, path in (("empty", ""), ("nul", "a\0b.csv")) for command in ("trace", "validate")},
-    # CRLF endings and a quoted key: the block parse refuses the file and the row loop reads it
-    "crlf-quoted-key": Row("trace", _CSV, check=_samples(10), traces=_trace_file(
-        [f'"u 1",v,{i / 5},{0.01 * i},0.0' for i in range(20)], "\r\n")),
-    # a 4 Hz trace of 12 s and a 5 Hz one of 9 s are two groups: 10 segments of 4 and 7 of 5
-    "two-rate-groups": Row("trace", _CSV, check=_samples(10 * 4 + 7 * 5), traces=_trace_file(
-        _A_4HZ + [f"b,v,{i / 5},0.0,{0.01 * i}" for i in range(45)])),
-    # 10 segments per trace, 2 passive: 8 of 5 samples plus 8 of 10
-    "two-rates": Row("trace", _CSV, check=_samples(8 * 5 + 8 * 10), traces=_TWO_RATES),
-    # a 0.1 s window is half a period of the 5 Hz trace, one of the 10 Hz trace
-    "two-rates-half-period": Row("trace", {**_CSV, "windowing": {"t_obw": 0.1, "t_cc": 0.9}}, 3,
-                                 "data error: trace a/v: t_obw 0.1 s is not a whole number",
-                                 traces=_TWO_RATES),
-    # a second trace too short for one predicted segment (14 samples at 5 Hz, 15 needed)
-    "too-short": Row("trace", _CSV, 3, "data error: trace b/v has 14 samples", traces=_trace_file(
-        _A_4HZ + [f"b,v,{i / 5},0.0,{0.01 * i}" for i in range(14)])),
-    "bad-header": Row("trace", {}, 3, "data error: {csv}: unexpected header ['wrong', 'header']",
-                      traces=lambda path: path.write_text("wrong,header\n1,2\n", encoding="utf-8")),
-    "non-utf8-csv": Row("trace", {}, 3, "data error: {csv}: not UTF-8", traces=lambda path: path.write_bytes(
-        b"user_id,video_id,timestamp_s,theta_rad,phi_rad\na,v,0.0,0.1,0.2\n\xff,v,0.2,0.1,0.2\n")),
     "non-utf8-config": Row("validate", b'{"seed": 1, "note": "\xff"}', 2,
                            "config error: config: {cfg} is not UTF-8"),
-    # trace a/v comes back on line 102, after b/v
-    "non-contiguous": Row("trace", {}, 3, "data error: {csv}:102: rows of trace a/v are not contiguous",
-                          traces=_trace_file([f"{user},v,{0.2 * (start + k)},{0.01 * k},0.0" for user, start
-                                              in (("a", 0), ("b", 0), ("a", 50)) for k in range(50)])),
-    # a bad latitude on line 5 names the line
-    "latitude-line-5": Row("trace", _CSV, 3, "data error: {csv}:5: ", traces=_trace_file(
-        [f"u,v,{i / 5},0.0,{2.0 if i == 3 else 0.0}" for i in range(20)])),
-    # a second trace that skips a sample on line 32 names the line, its spacings as plain floats
-    "uneven-line-32": Row("trace", _CSV, 3, "data error: {csv}:32: trace b/v: non-uniform sample spacing",
-                          traces=_trace_file([f"a,v,{i / 5},0.0,0.0" for i in range(20)]
-                                             + [f"b,v,{(i + (i >= 10)) / 5},0.0,0.0" for i in range(20)])),
-    # a blank line, then a first row longer than a block: the first block holds no row
-    "blank-then-long-row": Row("trace", _CSV, check=_samples(10), traces=_trace_file(
-        [""] + [f"{'u' * 70000},v,{i / 5},0.0,0.0" for i in range(20)])),
-    # a block of blank lines before the first row
-    "blank-block": Row("trace", _CSV, check=_samples(10), traces=_trace_file(
-        [""] * 70000 + [f"u,v,{i / 5},0.0,0.0" for i in range(20)])),
-    # a field over the csv module's 131,072-character limit on line 5 names the line
-    "over-long-field-line-5": Row("trace", _CSV, 3, "data error: {csv}:5: ", traces=_trace_file(
-        [("u" * 140000 if i == 3 else "u") + f",v,{i / 5},0.0,0.0" for i in range(20)])),
+    **{name: _trace_file(row) for name, row in TRACE_FILES.items()},
     **{f"bad-block-{name}": Row("validate", doc, 2, f"config error: {path}: ")
        for name, (doc, path) in _BAD_BLOCK_FIELDS.items()},
     **{f"domain-{block}.{key}": _out_of_domain(block, key, value)
@@ -510,7 +472,8 @@ def contract_test(rows: dict[str, Row]) -> Callable:
                 argv += ["--config", str(cfg)]
             code, err = main(argv), capsys.readouterr().err
             assert code == row.code, err
-            assert err.startswith(row.err.format(csv=trace_csv, cfg=cfg)) if code else err == "", err
+            want = row.err.format(csv=trace_csv, cfg=cfg)
+            assert (err == want if want.endswith("\n") else err.startswith(want)) if code else err == "", err
             assert "Traceback" not in err and "np.float64" not in err, err
             fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
             files = sorted(f.format(fmt=fmt) for f in _FILES[argv[0]]) if code == 0 else []

@@ -1,10 +1,12 @@
-"""What the modules of the package and of the tests import.
+"""What the modules of the package and of the tests import, and what the
+package keeps.
 
 Every name a module imports is used in it, but for the names the benchmark
 hooks there (`HOOKED_ONLY`); every name a test module imports is used in
-it, but for the imports kept for their side effect (`FOR_EFFECT`).  No
-linter runs on the sources, so this walks each module's syntax tree with
-the standard library's `ast`.
+it, but for the imports kept for their side effect (`FOR_EFFECT`).  Every
+private function or class of the package is read by the package, so none
+is kept for the tests alone.  No linter runs on the sources, so this walks
+each module's syntax tree with the standard library's `ast`.
 ``__init__.py`` is exempt: it imports names to re-export them.  No module
 imports `dataclasses`, and ``import vrpl.cli`` loads every module.
 """
@@ -15,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,6 +76,33 @@ def test_every_import_kept_unused_is_hooked_by_the_benchmark():
     spec.loader.exec_module(tracer)
     hooked = {(f"{module.rsplit('.', 1)[-1]}.py", name) for module, name, _, _ in tracer.HOOKS}
     assert set(HOOKED_ONLY) <= hooked
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes of ``sources`` (file name to
+    source) whose names start with ``_`` and that no source reads, as a name
+    or an attribute, outside their own definition."""
+    def reads(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = sum((reads(tree) for tree in trees.values()), Counter())
+    return [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+            and not node.name.endswith("__") and read[node.name] == reads(node)[node.name]]
+
+
+def test_the_check_finds_an_unread_private_definition():
+    sources = {"a.py": "def _used(): pass\ndef _unused(): return _unused()\nclass _Kept: pass\n",
+               "b.py": "import a\na._used()\n"}
+    assert unread_private_definitions(sources) == ["a.py: _unused", "a.py: _Kept"]
+
+
+def test_the_package_reads_every_private_definition():
+    # a private helper nothing in the package calls is kept for the tests alone
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_private_definitions(sources) == []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tempfile
@@ -26,20 +27,18 @@ from vrpl import (
 from vrpl import cli as cli_module
 from vrpl import traces as traces_module
 from vrpl.cli import main
+from vrpl.config import DEFAULT_WINDOWING
 from vrpl.traces import _points, _unit_tangents, _unit_vectors
 
-from support import reference_random_walk, scalar_synthetic_unit_vectors
+from support import HEADER, TRACE_FILES, lines, reference_random_walk, scalar_synthetic_unit_vectors, steady
 
-WIN = WindowingConfig(t_obw=1.0, t_cc=1.0, t_pdw=1.0)
+WIN = WindowingConfig(**DEFAULT_WINDOWING)  # `vrpl trace`'s windows, 1 s each
 
 
 def _write(tmp_path, text: str):
     p = tmp_path / "traces.csv"
     p.write_text(text, encoding="utf-8")
     return p
-
-
-HEADER = "user_id,video_id,timestamp_s,theta_rad,phi_rad\n"
 
 
 def test_load_basic(tmp_path):
@@ -52,79 +51,6 @@ def test_load_basic(tmp_path):
     assert (tr.user_id, tr.video_id) == ("u1", "v1")
     assert len(tr) == 300
     assert tr.sample_rate == pytest.approx(5.0, abs=1e-9)
-
-
-def test_load_groups_consecutive_keys(tmp_path):
-    text = HEADER + (
-        "a,v,0.0,0.0,0.0\n"
-        "a,v,0.2,0.1,0.0\n"
-        "b,v,0.0,0.0,0.0\n"
-        "b,v,0.2,0.1,0.0\n"
-        "a,w,0.0,0.0,0.0\n"
-        "a,w,0.2,0.1,0.0\n"
-    )
-    traces = load_traces(_write(tmp_path, text))
-    assert [(t.user_id, t.video_id) for t in traces] == [("a", "v"), ("b", "v"), ("a", "w")]
-
-
-def test_load_rejects_non_contiguous_key_with_line(tmp_path):
-    text = HEADER + (
-        "a,v,0.0,0.0,0.0\n"
-        "a,v,0.2,0.1,0.0\n"
-        "b,v,0.0,0.0,0.0\n"
-        "b,v,0.2,0.1,0.0\n"
-        "a,v,0.4,0.0,0.0\n"
-        "a,v,0.6,0.1,0.0\n"
-    )
-    with pytest.raises(TraceFormatError, match=r":6: rows of trace a/v are not contiguous"):
-        load_traces(_write(tmp_path, text))
-
-
-def test_load_rejects_bad_header(tmp_path):
-    with pytest.raises(TraceFormatError, match="header"):
-        load_traces(_write(tmp_path, "user,video,t,theta,phi\nu,v,0,0,0\n"))
-
-
-def test_load_rejects_empty(tmp_path):
-    with pytest.raises(TraceFormatError, match="zero traces"):
-        load_traces(_write(tmp_path, ""))
-    with pytest.raises(TraceFormatError, match="zero traces"):
-        load_traces(_write(tmp_path, HEADER))
-
-
-def test_load_rejects_bad_latitude_with_line(tmp_path):
-    text = HEADER + "u,v,0.0,0.0,0.0\nu,v,0.2,0.0,0.0\nu,v,0.4,0.0,2.0\n"
-    with pytest.raises(TraceFormatError, match=":4:"):
-        load_traces(_write(tmp_path, text))
-
-
-def test_load_rejects_non_numeric_with_line(tmp_path):
-    text = HEADER + "u,v,0.0,0.0,0.0\nu,v,abc,0.0,0.0\n"
-    with pytest.raises(TraceFormatError, match=":3:"):
-        load_traces(_write(tmp_path, text))
-
-
-@pytest.mark.parametrize("line", [1, 5], ids=["header", "row"])
-def test_load_rejects_oversized_field_with_line(tmp_path, line):
-    # a field over csv.field_size_limit() (131,072 characters) stops the csv reader
-    lines = [HEADER.strip()] + [f"u,v,{i / 5},0.0,0.0" for i in range(20)]
-    lines[line - 1] = "u" * 140_000 + lines[line - 1][1:]
-    path = _write(tmp_path, "\n".join(lines) + "\n")
-    message = _outcome(load_traces, path)
-    assert message.startswith(f"{path}:{line}: field larger than field limit")
-    assert _outcome(_by_rows, path) == message
-
-
-def test_load_rejects_column_mismatch(tmp_path):
-    text = HEADER + "u,v,0.0,0.0\n"
-    with pytest.raises(TraceFormatError, match="columns"):
-        load_traces(_write(tmp_path, text))
-
-
-def test_load_rejects_non_monotone_time(tmp_path):
-    text = HEADER + "u,v,0.0,0.0,0.0\nu,v,0.2,0.0,0.0\nu,v,0.2,0.1,0.0\n"
-    with pytest.raises(TraceFormatError, match="increasing"):
-        load_traces(_write(tmp_path, text))
 
 
 def test_trace_validation():
@@ -475,21 +401,13 @@ def _outcome(load, path):
 
 def _by_rows(path):
     """`load_traces` with the block parse refusing every file."""
-
-    def refuse(path):
-        raise ValueError("refused")
-
-    with patch.object(traces_module, "_block_pieces", refuse):
+    with patch.object(traces_module, "_block_pieces", side_effect=ValueError("refused")):
         return load_traces(path)
 
 
 def _by_columns(path):
     """`load_traces` with the row loop failing the test if the file reaches it."""
-
-    def refuse(path):
-        raise AssertionError("the row loop read the file again")
-
-    with patch.object(traces_module, "_row_pieces", refuse):
+    with patch.object(traces_module, "_row_pieces", side_effect=AssertionError("the row loop read the file again")):
         return load_traces(path)
 
 
@@ -605,31 +523,6 @@ def test_columnar_parse_agrees_with_row_loop(text, chunk):
         assert columns == _tokens(traces_module._row_pieces, path)
 
 
-_CRLF_HEADER = HEADER.replace("\n", "\r\n")
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        HEADER + "u,v,0,0,0\ru,v,0.2,0,0\n",
-        HEADER + "u,v\r,0,0,0\nu,v\r,0.2,0,0\n",
-        _CRLF_HEADER + "u,v,0,0,0\r\nu,v,0.2,0,0\r\r\n",
-        _CRLF_HEADER + "u,v,0,0,0\r\nu,v,0.2,0\r,0\r\n",
-        HEADER.replace("\n", "\r\r\n") + "u,v,0,0,0\r\nu,v,0.2,0,0\r\n",
-        HEADER.replace(",", "\r,", 1) + "u,v,0,0,0\nu,v,0.2,0,0\n",
-    ],
-    ids=["row end", "in a key", "before a CRLF", "in a value", "header end", "in the header"],
-)
-def test_lone_cr_falls_back_to_the_row_loop(tmp_path, text):
-    # a CR outside a CRLF, in a row or in the header: the columnar parse
-    # refuses the file, and load_traces reads it as the row loop does
-    path = tmp_path / "traces.csv"
-    path.write_bytes(text.encode("utf-8"))
-    with pytest.raises(ValueError, match="line ending|header"):
-        _tokens(traces_module._block_pieces, path)
-    assert _outcome(load_traces, path) == _outcome(_by_rows, path)
-
-
 def test_columnar_parse_takes_clean_files_of_many_blocks(tmp_path):
     # 3 traces of 1,000 rows: about 50 KB each, so several blocks, with CRLF
     # endings, blank lines and spaces in a key
@@ -645,6 +538,82 @@ def test_columnar_parse_takes_clean_files_of_many_blocks(tmp_path):
     # the blank lines after the first two traces; the last "" only ends the file
     assert columns[4:] == ([0, 1000, 2000, 3000], [1000, 2000])
     assert _outcome(load_traces, path) == _outcome(_by_rows, path)
+
+
+# ---------------------------------------------------------------------------
+# every trace-file contract, through both readers and the stream
+
+
+def check_trace_file(tmp_path, row) -> None:
+    """Run `TRACE_FILES` row ``row`` through the reader's layers; `vrpl trace` on it is a CLI contract row.
+
+    ``load_traces``, the row loop alone and, where the block parse takes the
+    file, the block parse alone give ``loaded`` bit for bit; otherwise
+    ``_block_pieces`` refuses the file.  ``predict_all`` over the stream, in
+    blocks of 64 bytes and of 64 KiB checked 1 and 1,024 rows at a time,
+    gives the row loop's errors, ``predicted`` of them, or the row's fault.
+    """
+    path = tmp_path / "traces.csv"
+    row.write(path)
+    loaded = _outcome(load_traces, path)
+    assert _outcome(_by_rows, path) == loaded
+    if row.blocks:
+        assert _outcome(_by_columns, path) == loaded
+    else:
+        pytest.raises(ValueError, list, traces_module._block_pieces(path))
+    summary = loaded if isinstance(loaded, str) else [(f"{u}/{v}", len(ts) // 8) for u, v, ts, *_ in loaded]
+    assert summary == (row.loaded.format(csv=path) if isinstance(row.loaded, str) else list(row.loaded.items()))
+
+    def errors(traces):
+        return _errors_or_message(lambda: predict_all(traces(path), WIN, Predictor.LAST_POSITION))
+
+    by_rows = errors(_by_rows)
+    if row.fault:
+        assert by_rows == row.fault.format(csv=path)
+    else:
+        assert len(by_rows) == 8 * row.predicted  # float64 errors
+    for chunk, rows in itertools.product([64, 1 << 16], [1, 1024]):
+        with patch.object(traces_module, "_CHUNK_BYTES", chunk), patch.object(traces_module, "_CHECK_ROWS", rows):
+            assert errors(traces_module._stream_traces) == by_rows, (chunk, rows)
+
+
+def _trace_file_test(rows: list[str] | dict[str, str]):
+    """A test of the `TRACE_FILES` rows named: one for a list, one case per row, by its key, for a dict."""
+    if isinstance(rows, list):
+        def test(tmp_path):
+            for name in rows:
+                check_trace_file(tmp_path, TRACE_FILES[name])
+        return test
+
+    @pytest.mark.parametrize("name", list(rows.values()), ids=list(rows))
+    def test(tmp_path, name):
+        check_trace_file(tmp_path, TRACE_FILES[name])
+    return test
+
+
+#: The tests that ran some of the files before the table, still run under their names and ids.
+_NAMED_FILES = {
+    "test_load_groups_consecutive_keys": ["groups-consecutive-keys"],
+    "test_load_rejects_non_contiguous_key_with_line": ["non-contiguous"],
+    "test_load_rejects_bad_header": ["bad-header"],
+    "test_load_rejects_empty": ["empty-file", "header-only"],
+    "test_load_rejects_bad_latitude_with_line": ["latitude-line-5"],
+    "test_load_rejects_non_numeric_with_line": ["non-numeric-line-3"],
+    "test_load_rejects_oversized_field_with_line": {
+        "header": "over-long-field-line-1", "row": "over-long-field-line-5"},
+    "test_load_rejects_column_mismatch": ["four-columns"],
+    "test_load_rejects_non_monotone_time": ["time-repeats"],
+    "test_bad_csv_trace_is_reported_without_the_row_loop": [name for name in TRACE_FILES if name.startswith("b-")],
+    "test_csv_faults_take_precedence_in_order": {
+        "tokenizer": "ranked-tokenizer", "contiguity": "ranked-contiguity", "first trace": "ranked-first-trace"},
+    "test_lone_cr_falls_back_to_the_row_loop": {
+        "row end": "lone-cr-row-end", "in a key": "lone-cr-in-key", "before a CRLF": "lone-cr-before-crlf",
+        "in a value": "lone-cr-in-value", "header end": "lone-cr-header-end", "in the header": "lone-cr-in-header"},
+}
+globals().update({test: _trace_file_test(rows) for test, rows in _NAMED_FILES.items()})
+_NAMED_ROWS = {name for rows in _NAMED_FILES.values()
+               for name in (rows.values() if isinstance(rows, dict) else rows)}
+test_trace_file = _trace_file_test({name: name for name in TRACE_FILES if name not in _NAMED_ROWS})
 
 
 # ---------------------------------------------------------------------------
@@ -859,38 +828,6 @@ def test_population_check_matches_one_trace_at_a_time(blocks):
         assert theta.tobytes() == wrapped.tobytes()
 
 
-#: Trace b's rows, after trace a's two and a blank line (line 4), holding one
-#: fault each; the line and the message naming it.
-_BAD_TRACE_B = {
-    "non-finite": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0", "b,v,0.4,nan,0.0"],
-                   7, "trace b/v has non-finite samples"),
-    "latitude": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,1.6", "b,v,0.4,0.0,0.0"],
-                 6, "trace b/v sample 1: latitude 1.6 outside [-pi/2, pi/2]"),
-    "not increasing": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0", "b,v,0.2,0.0,0.0"],
-                       7, "trace b/v sample 2: timestamps not strictly increasing"),
-    "uneven": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0", "b,v,0.5,0.0,0.0", "b,v,0.8,0.0,0.0"],
-               7, "trace b/v: non-uniform sample spacing (min 0.2, max 0.30000000000000004)"),
-    "one sample": (["b,v,0.0,0.0,0.0", "c,v,0.0,0.0,0.0", "c,v,0.2,0.0,0.0"],
-                   5, "trace b/v has fewer than 2 samples"),
-    "key again": (["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0", "a,v,0.4,0.0,0.0"],
-                  7, "rows of trace a/v are not contiguous (the trace already ended on an earlier line)"),
-}
-
-
-def _after_trace_a(path, rows):
-    """``path``, holding trace a's two rows, a blank line and ``rows``."""
-    path.write_text(HEADER + "a,v,0.0,0.0,0.0\na,v,0.2,0.0,0.0\n\n" + "\n".join(rows) + "\n")
-    return path
-
-
-def test_bad_csv_trace_is_reported_without_the_row_loop(tmp_path):
-    # the columnar parse takes each file, and the one check names the line
-    for fault, (rows, line, message) in _BAD_TRACE_B.items():
-        path = _after_trace_a(tmp_path / f"{fault}.csv", rows)
-        assert _outcome(_by_columns, path) == f"{path}:{line}: {message}", fault
-        assert _outcome(_by_rows, path) == f"{path}:{line}: {message}", fault
-
-
 def test_a_columnar_file_is_parsed_and_checked_once(tmp_path):
     checks, check_population = [], traces_module._check_population
 
@@ -898,37 +835,13 @@ def test_a_columnar_file_is_parsed_and_checked_once(tmp_path):
         checks.append(keys)
         return check_population(keys, *columns)
 
-    good = _after_trace_a(tmp_path / "good.csv", ["b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0"])
-    rows, line, message = _BAD_TRACE_B["uneven"]
-    bad = _after_trace_a(tmp_path / "bad.csv", rows)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    TRACE_FILES["two-rates"].write(good)
+    TRACE_FILES["b-uneven"].write(bad)
     with patch.object(traces_module, "_check_population", check):
         assert [t.user_id for t in _by_columns(good)] == ["a", "b"]
-        assert _outcome(_by_columns, bad) == f"{bad}:{line}: {message}"
+        assert _outcome(_by_columns, bad) == TRACE_FILES["b-uneven"].loaded.format(csv=bad)
     assert checks == [[("a", "v"), ("b", "v")]] * 2
-
-
-#: Trace files whose faults rank against each other: the rows after the
-#: header, the line of the first fault and the start of its message.
-_RANKED_FAULTS = {
-    # a tokenizer fault wins over a reappearing key and a bad trace before it
-    "tokenizer": (["a,v,0.0,0.0,2.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
-                   "a,v,0.4,0.0,0.0", "a,v,0.6,abc,0.0"], 7, "non-numeric sample: could not convert"),
-    # a reappearing key wins over a bad trace before it
-    "contiguity": (["a,v,0.0,0.0,2.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
-                    "a,v,0.4,0.0,0.0", "a,v,0.6,nan,0.0"], 6, "rows of trace a/v are not contiguous"),
-    # the first bad trace in file order wins, with the first check it fails:
-    # b's latitude (sample 3) over its uneven spacing (sample 2) and c's non-finite sample
-    "first trace": (["a,v,0.0,0.0,0.0", "a,v,0.2,0.0,0.0", "b,v,0.0,0.0,0.0", "b,v,0.2,0.0,0.0",
-                     "b,v,0.5,0.0,0.0", "b,v,0.8,0.0,-1.6", "c,v,0.0,inf,0.0", "c,v,0.2,0.0,0.0"],
-                    7, "trace b/v sample 3: latitude -1.6 outside [-pi/2, pi/2]"),
-}
-
-
-@pytest.mark.parametrize("rows, line, message", list(_RANKED_FAULTS.values()), ids=list(_RANKED_FAULTS))
-def test_csv_faults_take_precedence_in_order(tmp_path, rows, line, message):
-    path = _write(tmp_path, HEADER + "\n".join(rows) + "\n")
-    assert _outcome(load_traces, path).startswith(f"{path}:{line}: {message}")
-    assert _outcome(_by_rows, path) == _outcome(load_traces, path)
 
 
 #: Windows under which some of `_trace_csv_texts`' 5 Hz traces (2 to 6 rows)
@@ -958,18 +871,6 @@ def test_streamed_prediction_agrees_with_the_row_loop(text, chunk, rows, win, pr
         assert streamed == _errors_or_message(lambda: predict_all(_by_rows(path), win, predictor))
 
 
-#: `_RANKED_FAULTS`, and a trace too short for a predicted segment, which
-#: prediction reaches before the file's malformed row: the rows after the
-#: header, the line of the first fault and the start of its message.
-_STREAMED_FAULTS = {
-    **_RANKED_FAULTS,
-    "too short, then a malformed row": (
-        [f"a,v,{i / 5},0.0,0.0" for i in range(20)] + [f"b,v,{i / 5},0.0,0.0" for i in range(5)]
-        + [f"c,v,{i / 5},{'abc' if i == 9 else 0.0},0.0" for i in range(20)],
-        36, "non-numeric sample: could not convert string to float: 'abc'"),
-}
-
-
 def _trace_exit(tmp_path, path) -> int:
     """`main`'s exit code for ``trace`` on trace file ``path``."""
     cfg = tmp_path / "cfg.json"
@@ -978,12 +879,13 @@ def _trace_exit(tmp_path, path) -> int:
 
 
 @pytest.mark.parametrize("chunk", [64, 1 << 16])
-@pytest.mark.parametrize("name", list(_STREAMED_FAULTS))
-def test_cli_trace_reports_a_streamed_files_first_fault(tmp_path, capsys, monkeypatch, name, chunk):
-    # traces are checked, and predicted, as the file is read; a fault of a
-    # higher rank found later still wins
-    rows, line, message = _STREAMED_FAULTS[name]
-    path = _write(tmp_path, HEADER + "\n".join(rows) + "\n")
+@pytest.mark.parametrize("name", [pytest.param("too-short-then-malformed", id="too short, then a malformed row")])
+def test_cli_trace_reports_a_streamed_files_first_fault(tmp_path, monkeypatch, name, chunk):
+    # checked a row at a time, by blocks or by the row loop, the too-short
+    # trace reaches prediction before the malformed row is read, whose fault
+    # still wins (the row's contract)
+    path = tmp_path / "traces.csv"
+    TRACE_FILES[name].write(path)
     monkeypatch.setattr(traces_module, "_CHUNK_BYTES", chunk)
     monkeypatch.setattr(traces_module, "_CHECK_ROWS", 1)
     read, stream = [], cli_module._stream_traces
@@ -995,13 +897,7 @@ def test_cli_trace_reports_a_streamed_files_first_fault(tmp_path, capsys, monkey
 
     monkeypatch.setattr(cli_module, "_stream_traces", recorded)
     assert _trace_exit(tmp_path, path) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {path}:{line}: {message}")
-    assert err == f"data error: {_outcome(_by_rows, path)}\n"
-    if name == "too short, then a malformed row":
-        # checked a row at a time, by blocks or by the row loop, the too-short
-        # trace reaches prediction before the malformed row is read
-        assert read == ["a", "b"]
+    assert read == ["a", "b"]
 
 
 def test_cli_trace_hands_a_file_to_the_row_loop_after_predicting_traces(tmp_path, capsys, monkeypatch):
@@ -1025,6 +921,23 @@ def test_cli_trace_hands_a_file_to_the_row_loop_after_predicting_traces(tmp_path
     assert capsys.readouterr().err == f"data error: {path}:6004: {message}\n"
     # one chunk of the clean traces (290 frames each) was predicted, no more
     assert predicted == [traces_module._CHUNK_FRAMES // 290]
+
+
+def test_the_row_loop_passes_over_the_rows_the_blocks_gave(tmp_path, monkeypatch):
+    # 20 clean traces of 300 rows, then one with a quoted key: the row loop
+    # yields the rows from the block the parse refuses on, none before it
+    rows = [f"u{k},v,{i / 5},0.0,0.0" for k in range(20) for i in range(300)] + steady('"u 20",v', 300)
+    path, given = _write(tmp_path, HEADER + lines(rows)), {"_block_pieces": [], "_row_pieces": []}
+    for name in given:
+        def recorded(*args, tokenize=getattr(traces_module, name), seen=given[name]):
+            for piece in tokenize(*args):
+                seen += piece[1].tolist()
+                yield piece
+        monkeypatch.setattr(traces_module, name, recorded)
+    assert [len(t) for t in load_traces(path)] == [300] * 21
+    last = given["_block_pieces"][-1]
+    assert given["_block_pieces"] == list(range(2, last + 1)) and last < 6002
+    assert given["_row_pieces"] == list(range(last + 1, 6302))
 
 
 def test_save_load_round_trips_quoted_keys(tmp_path):
